@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
-from .lagrangian import Lagrangian, from_basis, l_plus, strata
+from .lagrangian import Lagrangian, from_basis, l_plus, span_images, strata
 from .linalg import Mat, block, mm
 from .orbits import act, orbit, stabilizer_elements
 from .symplectic import (
@@ -235,7 +235,7 @@ def _scan_matrices(fp, m: int, over_e: bool, keep) -> list[Mat]:
         ids = np.arange(start, min(start + chunk, total))
         digits = np.stack(np.unravel_index(ids, shape), axis=-1)
         if over_e:
-            arr = digits.reshape(-1, m, m, 2).astype(np.int64)
+            arr = digits.reshape(-1, m, m, 2).astype(np.int64, copy=False)
         else:
             arr = np.zeros((len(ids), m, m, 2), dtype=np.int64)
             arr[..., 0] = digits.reshape(-1, m, m)
@@ -387,10 +387,12 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
 def map_strata(q: int, n: int, cap_points: int) -> dict:
     """Compare the images of the h_e strata under M with the h_0 strata."""
     cd = cayley(q, n)
+    sp = cd.space
     h_str, o_str = strata(q, n, cap_points)
     per = []
     for j in range(n + 1):
-        image_keys = {act(cd.m, w).key for w in h_str[j]}
+        bases = np.array([w.basis.a for w in h_str[j]], dtype=np.int64).reshape(-1, sp.dim, n, 2)
+        image_keys = {b.tobytes() for b in span_images(sp, cd.m.a[None], bases)[:, 0]}
         o_keys = {w.key for w in o_str[j]}
         h_keys = {w.key for w in h_str[j]}
         per.append(

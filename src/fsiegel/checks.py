@@ -6,9 +6,12 @@ Each check runs on one (q, n) cell and returns a plain dict record:
      "data": payload, "wall_ms": elapsed}
 
 A resource skip is produced whenever the cell would exceed the configured
-group or point caps; skips never fail a run.  All sampling is seeded from
-the (check, q, n) triple, so reports are reproducible byte for byte once
-wall times are stripped.
+group or point caps; skips never fail a run.  A structural cross-check
+that breaks inside a check (VerificationFailure) becomes a "fail" record
+carrying its message, and the rest of the grid still runs;
+ConsistencyError, an internal arithmetic bug, stays fatal.  All sampling
+is seeded from the (check, q, n) triple, so reports are reproducible byte
+for byte once wall times are stripped.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from __future__ import annotations
 import random
 import time
 
-from .errors import ResourceLimitError
+import numpy as np
+
+from .errors import ResourceLimitError, VerificationFailure
 from .field import epsilon_f, make_fields, tau_f
 from .involutions import (
     anti_involutions,
@@ -28,7 +33,8 @@ from .involutions import (
     scaled_involutions,
 )
 from .lagrangian import (
-    conjugate_pair_dims,
+    _conjugate_sum_dims,
+    _point_table,
     enumerate_lagrangians,
     h_e_radical,
     intersection_with_conj,
@@ -72,6 +78,7 @@ def _rng(check: str, q: int, n: int) -> random.Random:
 
 def _census_tables(q: int, n: int, cap_points: int):
     h_str, o_str = strata(q, n, cap_points)
+    table = _point_table(q, n)
     rows = []
     for r in range(n + 1):
         rows.append(
@@ -79,8 +86,8 @@ def _census_tables(q: int, n: int, cap_points: int):
                 "r": r,
                 "h_count": len(h_str[r]),
                 "o_count": len(o_str[r]),
-                "h_in_image": sum(1 for w in h_str[r] if w.in_siegel_image()),
-                "o_in_image": sum(1 for w in o_str[r] if w.in_siegel_image()),
+                "h_in_image": int(np.count_nonzero(table.in_image[table.h_rank == r])),
+                "o_in_image": int(np.count_nonzero(table.in_image[table.o_type == r])),
             }
         )
     return h_str, o_str, rows
@@ -116,11 +123,13 @@ def check_theorem1(q: int, n: int, cap_group: int, cap_points: int) -> dict:
 
     h_sets = {frozenset(w.key for w in stratum) for stratum in h_str}
     o_sets = {frozenset(w.key for w in stratum) for stratum in o_str}
+    table = _point_table(q, n)
+    image = {w.key for w, inside in zip(table.points, table.in_image.tolist()) if inside}
     sub = {
         "rational_orbits_equal_h_strata": part_f.as_sets() == h_sets and not part_f.conflicts,
         "unitary_orbits_equal_o_strata": part_0.as_sets() == o_sets and not part_0.conflicts,
         "every_orbit_meets_image": all(
-            any(w.in_siegel_image() for w in orb.members)
+            any(w.key in image for w in orb.members)
             for part in (part_f, part_0)
             for orb in part.orbits
         ),
@@ -317,16 +326,14 @@ def _correspondence_ok(corr: dict) -> bool:
 
 
 def check_lemma4(q: int, n: int, cap_group: int, cap_points: int) -> dict:
+    enumerate_lagrangians(q, n, cap_points)  # enforces the cap
+    table = _point_table(q, n)
+    dim_sums = _conjugate_sum_dims(make_space(q, n), table.bases).tolist()
     ok = True
-    counter = 0
-    for w in enumerate_lagrangians(q, n, cap_points):
-        r = w.label().h_rank
-        dim_sum, dim_int = conjugate_pair_dims(w)
-        good = dim_sum == n + r and dim_int == n - r
-        good = good and intersection_with_conj(w) == h_e_radical(w)
-        ok &= good
-        counter += 1
-    return {"points": counter, "ok": ok}
+    for w, r, dim_sum in zip(table.points, table.h_rank.tolist(), dim_sums):
+        dim_int = 2 * n - dim_sum
+        ok &= dim_sum == n + r and dim_int == n - r and intersection_with_conj(w) == h_e_radical(w)
+    return {"points": len(table.points), "ok": ok}
 
 
 def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> dict:
@@ -448,5 +455,8 @@ def run_check(check_id: str, q: int, n: int, cap_group: int, cap_points: int) ->
     except ResourceLimitError as exc:
         record["status"] = "skipped-resource"
         record["data"] = {"reason": str(exc)}
+    except VerificationFailure as exc:
+        record["status"] = "fail"
+        record["data"] = {"error": str(exc)}
     record["wall_ms"] = int((time.perf_counter() - start) * 1000)
     return record

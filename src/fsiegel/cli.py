@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .checks import CHECK_IDS, DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS, census_payload, run_check
 from .errors import ParameterError, ResourceLimitError
@@ -60,6 +59,16 @@ def _validate_qs(qs: list[int]) -> list[int]:
         except ParameterError as exc:
             raise UsageError(str(exc))
     return qs
+
+
+def _positive(value: int, what: str) -> int:
+    if value < 1:
+        raise UsageError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def _parse_ns(text: str) -> list[int]:
+    return [_positive(n, "--n") for n in _parse_int_list(text, "--n")]
 
 
 def _field_echo(qs: list[int]) -> dict:
@@ -143,7 +152,7 @@ def _exit_code(records: list[dict]) -> int:
 
 def _cmd_census(args, caps) -> tuple[dict, int]:
     qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_int_list(args.n, "--n")
+    ns = _parse_ns(args.n)
     cells = []
     for q in qs:
         for n in ns:
@@ -171,7 +180,7 @@ def _cmd_census(args, caps) -> tuple[dict, int]:
 
 def _cmd_verify(args, caps) -> tuple[dict, int]:
     qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_int_list(args.n, "--n")
+    ns = _parse_ns(args.n)
     if args.checks == "all":
         selected = list(CHECK_IDS)
     else:
@@ -179,17 +188,8 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
         unknown = [c for c in selected if c not in CHECK_IDS]
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
-    cells = [(q, n, c) for q in qs for n in ns for c in selected]
-
-    def run(cell):
-        q, n, c = cell
-        return run_check(c, q, n, caps["group"], caps["points"])
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(run, cells))
-    else:
-        records = [run(cell) for cell in cells]
+    _positive(args.jobs, "--jobs")
+    records = [run_check(c, q, n, caps["group"], caps["points"]) for q in qs for n in ns for c in selected]
     records.sort(key=lambda r: (r["q"], r["n"], r["check"]))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -216,7 +216,7 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
 
 def _cmd_orbits(args, caps) -> tuple[dict, int]:
     qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_int_list(args.n, "--n")
+    ns = _parse_ns(args.n)
     if args.group not in (TAG_SP_F, TAG_SP_0):
         raise UsageError(f"--group must be {TAG_SP_F} or {TAG_SP_0}")
     invariant = "h_rank" if args.group == TAG_SP_F else "o_type"
@@ -259,10 +259,10 @@ def _cmd_orbits(args, caps) -> tuple[dict, int]:
 
 def _cmd_group(args, caps) -> tuple[dict, int]:
     qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_int_list(args.n, "--n")
+    ns = _parse_ns(args.n)
     if args.group not in (TAG_SP_E, TAG_SP_F, TAG_SP_0):
         raise UsageError("--group must be sp, spf, or sp0")
-    cap = args.cap if args.cap is not None else caps["group"]
+    cap = _positive(args.cap, "--cap") if args.cap is not None else caps["group"]
     cells = []
     for q in qs:
         for n in ns:
@@ -306,7 +306,7 @@ def _cmd_group(args, caps) -> tuple[dict, int]:
 
 def _cmd_witness(args, caps) -> tuple[dict, int]:
     qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_int_list(args.n, "--n")
+    ns = _parse_ns(args.n)
     cells = []
     for q in qs:
         for n in ns:
@@ -373,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks", default="all", help="comma list of check ids, or 'all': " + ",".join(CHECK_IDS)
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker pool width for grid cells")
+    p_verify.add_argument(
+        "--jobs", type=int, default=1, help="accepted (>= 1) and echoed in the report; cells run serially"
+    )
 
     p_orbits = sub.add_parser("orbits", help="orbit partition of the Lagrangian set")
     common(p_orbits)
@@ -390,14 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cap(flag_value: int | None, flag: str, env: str, default: int) -> int:
+    if flag_value is not None:
+        return _positive(flag_value, flag)
+    text = os.environ.get(env)
+    if text is None:
+        return default
+    try:
+        return _positive(int(text), env)
+    except ValueError:
+        raise UsageError(f"{env} must be an integer, got {text!r}")
+
+
 def _caps_from(args) -> dict:
-    group_cap = args.cap_group
-    if group_cap is None:
-        group_cap = int(os.environ.get("FSIEGEL_CAP_GROUP", DEFAULT_CAP_GROUP))
-    points_cap = args.cap_points
-    if points_cap is None:
-        points_cap = int(os.environ.get("FSIEGEL_CAP_POINTS", DEFAULT_CAP_POINTS))
-    return {"group": group_cap, "points": points_cap}
+    return {
+        "group": _cap(args.cap_group, "--cap-group", "FSIEGEL_CAP_GROUP", DEFAULT_CAP_GROUP),
+        "points": _cap(args.cap_points, "--cap-points", "FSIEGEL_CAP_POINTS", DEFAULT_CAP_POINTS),
+    }
 
 
 _HANDLERS = {

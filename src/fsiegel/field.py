@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ParameterError
 
 
@@ -155,9 +157,9 @@ class EScalar:
 class FieldParams:
     """The pair (GF(q), GF(q^2)) with its fixed non-residue eps.
 
-    Also carries the cached scan tables (square roots, norm preimages)
-    and the pair-level helpers used by the matrix layer, which works on
-    raw (re, im) integer pairs for speed.
+    Also carries the cached scan tables (square roots, norm preimages,
+    inverses), each built on first use, and the pair-level helpers used by
+    the matrix layer, which works on raw (re, im) integer pairs for speed.
     """
 
     def __init__(self, q: int):
@@ -170,6 +172,7 @@ class FieldParams:
         self.s = EScalar(self, 0, 1)
         self._sqrt_table = None
         self._norm_table = None
+        self._inv_table = None
 
     def __repr__(self):
         return f"FieldParams(q={self.q}, eps={self.eps})"
@@ -244,6 +247,17 @@ class FieldParams:
             raise ZeroDivisionError("zero element of E has no inverse")
         ninv = pow(nrm, self.q - 2, self.q)
         return (re * ninv) % self.q, (-im * ninv) % self.q
+
+    def inv_table(self) -> np.ndarray:
+        """(q, q, 2) array: entry [re, im] is inv_pair(re, im); [0, 0] is (0, 0).
+
+        Built on first use, so constructing the field stays cheap.
+        """
+        if self._inv_table is None:
+            q = self.q
+            pairs = [[self.inv_pair(re, im) if re or im else (0, 0) for im in range(q)] for re in range(q)]
+            self._inv_table = np.array(pairs, dtype=np.int64)
+        return self._inv_table
 
     def mul_pair(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return (

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, VerificationFailure
+from .errors import ParameterError, ResourceLimitError, VerificationFailure
 from .field import epsilon_f
 from .lagrangian import Lagrangian, from_basis, strata
 from .linalg import Mat, block, mm
@@ -23,6 +23,7 @@ from .symplectic import (
     GroupElement,
     SpaceParams,
     enumerate_symplectic,
+    frontier_closure,
     generators,
     group_order,
     make_space,
@@ -130,9 +131,9 @@ def eigenspace_report(t: GroupElement) -> dict:
         out["no_rational_vectors"] = joined.rank() == sp.dim
         cross = w.basis.T @ sp.j @ wm.basis.conj()
         out["orthogonal_decomposition"] = cross.is_zero
-        out["top_stratum"] = w.label().h_rank == sp.n
+        out["top_stratum"] = w.gram("h_e").rank() == sp.n
     else:
-        out["null_stratum"] = w.label().h_rank == 0
+        out["null_stratum"] = w.gram("h_e").rank() == 0
     return out
 
 
@@ -158,21 +159,15 @@ def pairing_identity_holds(t: GroupElement, samples) -> bool:
 # ---------------------------------------------------------------------------
 
 def _conjugation_closure(seed: Mat, gens, cap: int) -> set[bytes]:
-    seen = {seed.key(): seed}
-    frontier = [seed]
-    pairs = [(g.mat, g.mat.inv()) for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, ginv in pairs:
-                y = g @ x @ ginv
-                if y.key() not in seen:
-                    if len(seen) >= cap:
-                        raise VerificationFailure("conjugation closure exceeded cap")
-                    seen[y.key()] = y
-                    nxt.append(y)
-        frontier = nxt
-    return set(seen)
+    fp = seed.fp
+    mats = np.stack([g.mat.a for g in gens])
+    invs = np.stack([g.mat.inv().a for g in gens])
+    step = lambda frontier: mm(fp, mm(fp, mats[None], frontier[:, None]), invs[None])  # noqa: E731
+    try:
+        members = frontier_closure(seed.a, step, cap, "conjugation closure")[0]
+    except ResourceLimitError:
+        raise VerificationFailure("conjugation closure exceeded cap")
+    return {m.tobytes() for m in members}
 
 
 def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> dict:

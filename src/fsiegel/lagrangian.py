@@ -31,11 +31,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .field import epsilon_f
-from .linalg import Mat, block, mm, rcef
+from .linalg import Mat, block, conj_arr, mm, rank_stack, rcef, rcef_stack
 from .symplectic import (
     TAG_SP_E,
     SpaceParams,
     form_gram,
+    frontier_closure,
     generators,
     make_space,
 )
@@ -93,23 +94,10 @@ class Lagrangian:
         return form_gram(self.space, self.basis, form)
 
     def label(self) -> StratumLabel:
-        return _label(self.space.q, self.space.n, self.key)
+        return StratumLabel(self.gram("h_e").rank(), self.gram("h_0").rank())
 
     def conj(self) -> "Lagrangian":
         return _from_span(self.space, self.basis.conj().a)
-
-
-_LABEL_CACHE: dict[tuple[int, int, bytes], StratumLabel] = {}
-_SPAN_POOL: dict[tuple[int, int, bytes], Lagrangian] = {}
-
-
-def _label(q: int, n: int, key: bytes) -> StratumLabel:
-    got = _LABEL_CACHE.get((q, n, key))
-    if got is None:
-        w = _SPAN_POOL[(q, n, key)]
-        got = StratumLabel(w.gram("h_e").rank(), w.gram("h_0").rank())
-        _LABEL_CACHE[(q, n, key)] = got
-    return got
 
 
 def _from_span(sp: SpaceParams, arr: np.ndarray) -> Lagrangian:
@@ -117,8 +105,56 @@ def _from_span(sp: SpaceParams, arr: np.ndarray) -> Lagrangian:
     red, pivots = rcef(sp.fp, arr)
     if len(pivots) != sp.n:
         raise RankDeficientError(f"span has rank {len(pivots)}, expected {sp.n}")
-    w = Lagrangian(sp, Mat(sp.fp, red))
-    return _SPAN_POOL.setdefault((sp.q, sp.n, w.key), w)
+    return Lagrangian(sp, Mat(sp.fp, red))
+
+
+def span_images(sp: SpaceParams, mats: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Canonical bases of g W for each basis W in a stack and each g in mats.
+
+    Takes bases (F, 2n, n, 2) and matrices (G, 2n, 2n, 2); returns the
+    stack (F, G, 2n, n, 2), each entry bit-identical to `act`'s.
+    """
+    red, rank = rcef_stack(sp.fp, mm(sp.fp, mats[None], bases[:, None]))
+    if np.any(rank != sp.n):
+        raise RankDeficientError(f"an image span has rank below {sp.n}")
+    return red
+
+
+def _labels(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h_rank, o_type) of every basis in a stack: ranks of the two Gram stacks."""
+    fp = sp.fp
+    left, right = bases.swapaxes(1, 2), conj_arr(bases, fp.q)
+    h_e = mm(fp, mm(fp, left, sp.j.a), right)
+    h_0 = mm(fp, mm(fp, left, sp.d_form.a), right)
+    return rank_stack(fp, h_e), rank_stack(fp, h_0)
+
+
+def _in_image(sp: SpaceParams, bases: np.ndarray) -> np.ndarray:
+    """Siegel-image flag of every basis in a stack: its bottom block is invertible."""
+    return rank_stack(sp.fp, bases[:, sp.n :]) == sp.n
+
+
+class PointTable(NamedTuple):
+    """A cell's sorted points with their bases stacked and their per-point data."""
+
+    points: tuple[Lagrangian, ...]
+    bases: np.ndarray
+    h_rank: np.ndarray
+    o_type: np.ndarray
+    in_image: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _point_table(q: int, n: int) -> PointTable:
+    """Labels and Siegel-image flags of every point, computed once per cell."""
+    sp = make_space(q, n)
+    points = _all_lagrangians(q, n)
+    bases = np.stack([w.basis.a for w in points])
+    h_rank, o_type = _labels(sp, bases)
+    table = PointTable(points, bases, h_rank, o_type, _in_image(sp, bases))
+    for arr in table[1:]:
+        arr.setflags(write=False)  # one cached table is shared by every caller
+    return table
 
 
 def from_basis(sp: SpaceParams, m: Mat) -> Lagrangian:
@@ -173,6 +209,11 @@ def conjugate_pair_dims(w: Lagrangian) -> tuple[int, int]:
     return dim_sum, 2 * sp.n - dim_sum
 
 
+def _conjugate_sum_dims(sp: SpaceParams, bases: np.ndarray) -> np.ndarray:
+    """dim(W + conj W) for every basis in a stack, as one stacked rank."""
+    return rank_stack(sp.fp, np.concatenate([bases, conj_arr(bases, sp.q)], axis=2))
+
+
 def intersection_with_conj(w: Lagrangian) -> Mat:
     """Canonical basis of W ^ conj(W) (may have zero columns dropped)."""
     sp = w.space
@@ -210,21 +251,9 @@ def lagrangian_count(q: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _all_lagrangians(q: int, n: int) -> tuple[Lagrangian, ...]:
     sp = make_space(q, n)
-    gens = [g.mat.a for g in generators(sp, TAG_SP_E)]
-    seed = l_plus(sp)
-    seen = {seed.key: seed}
-    frontier = [seed]
-    while frontier:
-        stack = np.stack([w.basis.a for w in frontier])
-        frontier = []
-        for ga in gens:
-            prods = mm(sp.fp, ga, stack)
-            for row in prods:
-                nxt = _from_span(sp, row)
-                if nxt.key not in seen:
-                    seen[nxt.key] = nxt
-                    frontier.append(nxt)
-    out = tuple(sorted(seen.values()))
+    gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_E)])
+    bases = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, gens, f))[0]
+    out = tuple(sorted(Lagrangian(sp, Mat(sp.fp, b)) for b in bases))
     expected = lagrangian_count(q, n)
     if len(out) != expected:
         raise ResourceLimitError(
@@ -243,13 +272,13 @@ def enumerate_lagrangians(q: int, n: int, cap: int | None = None) -> tuple[Lagra
 
 def strata(q: int, n: int, cap: int | None = None):
     """Census by label: (h_strata, o_strata) as lists indexed by rank/type."""
-    points = enumerate_lagrangians(q, n, cap)
+    enumerate_lagrangians(q, n, cap)  # enforces the cap
+    table = _point_table(q, n)
     h: list[list[Lagrangian]] = [[] for _ in range(n + 1)]
     o: list[list[Lagrangian]] = [[] for _ in range(n + 1)]
-    for w in points:
-        lab = w.label()
-        h[lab.h_rank].append(w)
-        o[lab.o_type].append(w)
+    for w, h_rank, o_type in zip(table.points, table.h_rank.tolist(), table.o_type.tolist()):
+        h[h_rank].append(w)
+        o[o_type].append(w)
     return h, o
 
 

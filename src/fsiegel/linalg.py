@@ -2,7 +2,10 @@
 
 A matrix is a (rows, cols, 2) int64 array of (re, im) coefficient pairs,
 reduced mod q.  numpy carries the bulk arithmetic with exact integers;
-elimination loops run in Python over the (small) pivot count.
+elimination loops run in Python over the (small) pivot count.  The
+stacked kernel `rref_stack` reduces a whole stack (N, rows, cols, 2) with
+one Python loop over the columns; single matrices keep the scalar `rref`,
+which stays the reference.
 
 Elimination is deliberately plain: columns are scanned left to right and
 rows top to bottom, with no pivot heuristics, so every reduced form is
@@ -87,6 +90,80 @@ def rcef(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """
     red, pivots = rref(fp, a.swapaxes(0, 1))
     return red[: len(pivots)].swapaxes(0, 1), pivots
+
+
+# matrices per pass of the column loop: bounds the temporaries of a big stack
+_STACK_CHUNK = 256
+
+
+def rref_stack(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rref of every matrix in a stack (..., rows, cols, 2); returns (stack, ranks).
+
+    Each reduced matrix is bit-identical to `rref` of that matrix alone.
+    The Python loop runs over the columns only: in column c each matrix
+    takes as pivot its first nonzero row at or below its current rank
+    (argmax over a nonzero mask), exactly the scalar kernel's choice, and
+    inverses come from the field's q x q table.
+    """
+    a = np.asarray(a, dtype=_I64)
+    lead, (m, ncols) = a.shape[:-3], a.shape[-3:-1]
+    num = int(np.prod(lead, dtype=_I64))
+    a = a.reshape(num, m, ncols, 2) % fp.q
+    rank = np.zeros(num, dtype=_I64)
+    for lo in range(0, num, _STACK_CHUNK):
+        _rref_block(fp, a[lo : lo + _STACK_CHUNK], rank[lo : lo + _STACK_CHUNK])
+    return a.reshape(*lead, m, ncols, 2), rank.reshape(lead)
+
+
+def _rref_block(fp: FieldParams, a: np.ndarray, rank: np.ndarray) -> None:
+    """Reduce a (num, rows, cols, 2) block in place, counting ranks into `rank`."""
+    q, eps = fp.q, fp.eps
+    num, m, ncols = a.shape[:3]
+    rows = np.arange(m)
+    for c in range(ncols):
+        if rank.min() == m:
+            break
+        col = a[:, :, c]
+        nz = ((col[..., 0] != 0) | (col[..., 1] != 0)) & (rows >= rank[:, None])
+        act = np.flatnonzero(nz.any(axis=1))
+        if act.size == 0:
+            continue
+        full = act.size == num
+        sub = a if full else a[act]
+        k = np.arange(act.size)
+        r = rank[act]
+        piv = nz[act].argmax(axis=1)
+        top = sub[k, piv]
+        sub[k, piv] = sub[k, r]
+        inv = fp.inv_table()[top[:, c, 0], top[:, c, 1]]
+        ir, ii = inv[:, 0:1], inv[:, 1:2]
+        tre = (ir * top[..., 0] + eps * ii * top[..., 1]) % q
+        tim = (ir * top[..., 1] + ii * top[..., 0]) % q
+        sub[k, r, :, 0] = tre
+        sub[k, r, :, 1] = tim
+        fac = sub[:, :, c].copy()
+        fac[k, r] = 0
+        f0, f1 = fac[..., 0][..., None], fac[..., 1][..., None]
+        tre, tim = tre[:, None], tim[:, None]
+        sub[..., 0] = (sub[..., 0] - (f0 * tre + eps * f1 * tim)) % q
+        sub[..., 1] = (sub[..., 1] - (f0 * tim + f1 * tre)) % q
+        if not full:
+            a[act] = sub
+        rank[act] += 1
+
+
+def rcef_stack(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rcef of every matrix in a stack; returns (stack, ranks).
+
+    Matrix i keeps all of its columns: the first ranks[i] are `rcef` of
+    that matrix alone, bit for bit, and the rest are zero.
+    """
+    red, rank = rref_stack(fp, np.swapaxes(a, -3, -2))
+    return np.ascontiguousarray(np.swapaxes(red, -3, -2)), rank
+
+
+def rank_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
+    return rref_stack(fp, a)[1]
 
 
 def rank_arr(fp: FieldParams, a: np.ndarray) -> int:

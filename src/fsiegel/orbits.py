@@ -10,20 +10,21 @@ are therefore excluded from report equality.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from .errors import ResourceLimitError, VerificationFailure
-from .lagrangian import Lagrangian, StratumLabel, _from_span
+from .errors import VerificationFailure
+from .lagrangian import Lagrangian, StratumLabel, _from_span, _labels, span_images
 from .linalg import Mat, mm
-from .symplectic import EnumeratedGroup, GroupElement
+from .symplectic import EnumeratedGroup, GroupElement, frontier_closure
+
+
+def _mat(g) -> Mat:
+    return g.mat if isinstance(g, GroupElement) else g
 
 
 def act(g, w: Lagrangian) -> Lagrangian:
     """Image of the subspace under a group element (or invertible Mat)."""
-    mat = g.mat if isinstance(g, GroupElement) else g
-    return _from_span(w.space, mm(w.space.fp, mat.a, w.basis.a))
+    return _from_span(w.space, mm(w.space.fp, _mat(g).a, w.basis.a))
 
 
 def apply_word(word, seed: Lagrangian, gens) -> Lagrangian:
@@ -52,22 +53,21 @@ class OrbitRecord:
 
 
 def orbit(seed: Lagrangian, gens, cap: int | None = None, check_stride: int = 100) -> OrbitRecord:
-    """BFS orbit of the seed; every check_stride-th word is re-applied."""
+    """BFS orbit of the seed, one stacked canonicalization per frontier.
+
+    Transporter words follow the BFS parent pointers (a Schreier vector);
+    every check_stride-th member's word is re-applied with the scalar `act`.
+    """
     gens = list(gens)
+    sp = seed.space
+    mats = np.array([_mat(g).a for g in gens], dtype=np.int64).reshape(len(gens), sp.dim, sp.dim, 2)
+    bases, parent, via = frontier_closure(
+        seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
+    )
+    members = [seed] + [Lagrangian(sp, Mat(sp.fp, b)) for b in bases[1:]]
     words: dict[bytes, tuple] = {seed.key: ()}
-    members = [seed]
-    queue = deque([seed])
-    while queue:
-        w = queue.popleft()
-        base = words[w.key]
-        for i, g in enumerate(gens):
-            nxt = act(g, w)
-            if nxt.key not in words:
-                if cap is not None and len(members) >= cap:
-                    raise ResourceLimitError(f"orbit exceeds cap {cap}")
-                words[nxt.key] = base + (i,)
-                members.append(nxt)
-                queue.append(nxt)
+    for w, p, i in zip(members[1:], parent[1:].tolist(), via[1:].tolist()):
+        words[w.key] = words[members[p].key] + (i,)
     for idx in range(0, len(members), check_stride):
         w = members[idx]
         if apply_word(words[w.key], seed, gens) != w:
@@ -102,7 +102,10 @@ def partition(points, gens, invariant: str | None = None) -> PartitionReport:
     recorded as conflicts, never silently dropped.
     """
     pts = sorted(points)
-    want = {w.key for w in pts}
+    label: dict[bytes, StratumLabel] = {}
+    if pts:
+        h_rank, o_type = _labels(pts[0].space, np.stack([w.basis.a for w in pts]))
+        label = {w.key: StratumLabel(h, o) for w, h, o in zip(pts, h_rank.tolist(), o_type.tolist())}
     visited: set[bytes] = set()
     orbits: list[OrbitRecord] = []
     labels: list[StratumLabel] = []
@@ -111,16 +114,15 @@ def partition(points, gens, invariant: str | None = None) -> PartitionReport:
         if p.key in visited:
             continue
         rec = orbit(p, gens)
-        stray = rec.member_keys() - want
-        if stray:
+        if not rec.member_keys() <= label.keys():
             raise VerificationFailure("orbit escaped the supplied point set")
         visited.update(rec.member_keys())
-        lab = p.label()
+        lab = label[p.key]
         if invariant is not None:
             ref = getattr(lab, invariant)
-            bad = [w for w in rec.members if getattr(w.label(), invariant) != ref]
+            bad = [w for w in rec.members if getattr(label[w.key], invariant) != ref]
             if bad:
-                conflicts.append((p, bad[0], bad[0].label()))
+                conflicts.append((p, bad[0], label[bad[0].key]))
         orbits.append(rec)
         labels.append(lab)
     if len(visited) != len(pts):

@@ -192,10 +192,6 @@ def group_element(sp: SpaceParams, mat: Mat, tag: str) -> GroupElement:
     return GroupElement(mat, tag)
 
 
-def group_identity(sp: SpaceParams, tag: str) -> GroupElement:
-    return GroupElement(sp.identity, tag)
-
-
 # ---------------------------------------------------------------------------
 # generators and orders
 # ---------------------------------------------------------------------------
@@ -296,23 +292,47 @@ class EnumeratedGroup:
         return set(self.index)
 
 
-def _bfs_closure(fp: FieldParams, seed: np.ndarray, gen_arrays: list[np.ndarray], cap: int) -> list[np.ndarray]:
-    seen = {seed.tobytes(): seed}
-    frontier = [seed]
-    while frontier:
-        stack = np.stack(frontier)
-        frontier = []
-        for ga in gen_arrays:
-            prod = mm(fp, stack, ga)
-            for row in prod:
+# frontier points per step call: bounds the temporaries of one call
+_FRONTIER_CHUNK = 64
+
+
+def frontier_closure(seed: np.ndarray, step, cap: int | None = None, what: str = "closure"):
+    """Breadth-first closure of one array under a batched step map.
+
+    `step` maps a frontier stack (F, ...) to its images (F, G, ...), one per
+    generator, in a form where equal elements have equal bytes.  Each
+    frontier is one BFS level, and its new elements are taken point by
+    point and generator by generator, the order of a one-at-a-time queue.
+    Returns (members, parent, via): the members stacked in discovery
+    order, seed first, where member i > 0 is the image of member parent[i]
+    under generator via[i].  Raises ResourceLimitError as soon as the
+    closure would hold more than `cap` elements.
+    """
+    seed = np.ascontiguousarray(seed)
+    seen = {seed.tobytes()}
+    found, parent, via = [seed[None]], [np.array([-1])], [np.array([-1])]
+    frontier, start = seed[None], 0
+    while len(frontier):
+        level = []
+        for lo in range(0, len(frontier), _FRONTIER_CHUNK):
+            images = np.ascontiguousarray(step(frontier[lo : lo + _FRONTIER_CHUNK]))
+            width = images.shape[1]
+            flat = images.reshape((-1,) + seed.shape)
+            new = []
+            for j, row in enumerate(flat):
                 key = row.tobytes()
                 if key not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError(f"group closure exceeds cap {cap}")
-                    row = np.ascontiguousarray(row)
-                    seen[key] = row
-                    frontier.append(row)
-    return list(seen.values())
+                    if cap is not None and len(seen) >= cap:
+                        raise ResourceLimitError(f"{what} exceeds cap {cap}")
+                    seen.add(key)
+                    new.append(j)
+            point, gen = np.divmod(np.array(new, dtype=np.int64), width)
+            parent.append(start + lo + point)
+            via.append(gen)
+            level.append(flat[new])
+        frontier, start = np.concatenate(level), start + len(frontier)
+        found.append(frontier)
+    return np.concatenate(found), np.concatenate(parent), np.concatenate(via)
 
 
 def enumerate_group(gens, cap: int) -> set[GroupElement]:
@@ -324,23 +344,28 @@ def enumerate_group(gens, cap: int) -> set[GroupElement]:
         return set()
     sp_fp = gens[0].mat.fp
     tag = gens[0].tag
-    dim = gens[0].mat.rows
-    seed = Mat.identity(sp_fp, dim).a
-    rows = _bfs_closure(sp_fp, seed, [g.mat.a for g in gens], cap)
+    rows = _group_closure(sp_fp, [g.mat.a for g in gens], cap)
     return {GroupElement(Mat(sp_fp, row), tag) for row in rows}
+
+
+def _group_closure(fp: FieldParams, gen_arrays: list[np.ndarray], cap: int) -> np.ndarray:
+    mats = np.stack(gen_arrays)
+    seed = Mat.identity(fp, mats.shape[1]).a
+    step = lambda frontier: mm(fp, frontier[:, None], mats[None])  # noqa: E731
+    return frontier_closure(seed, step, cap, "group closure")[0]
 
 
 @lru_cache(maxsize=None)
 def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     sp = make_space(q, n)
     gens = generators(sp, tag)
-    rows = _bfs_closure(sp.fp, sp.identity.a, [g.mat.a for g in gens], cap=group_order(tag, q, n) + 1)
+    rows = _group_closure(sp.fp, [g.mat.a for g in gens], cap=group_order(tag, q, n) + 1)
     expected = group_order(tag, q, n)
     if len(rows) != expected:
         raise ConsistencyError(
             f"closure of {tag} generators has {len(rows)} elements, order formula gives {expected}"
         )
-    return EnumeratedGroup(sp, tag, np.stack(rows))
+    return EnumeratedGroup(sp, tag, rows)
 
 
 def enumerate_symplectic(sp: SpaceParams, tag: str, cap: int) -> EnumeratedGroup:

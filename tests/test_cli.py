@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from fsiegel import checks
 from fsiegel.cli import main, strip_volatile
+from fsiegel.errors import ConsistencyError, VerificationFailure
 
 
 def run_cli(capsys, *argv):
@@ -161,3 +165,60 @@ def test_jobs_parallel_matches_serial(capsys):
         strip_volatile({**parallel, "config": {**parallel["config"], "jobs": 1}}), sort_keys=True
     )
     assert a == b
+
+
+def _usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("usage error:")
+    assert captured.out == ""
+    return captured.err
+
+
+def test_n_below_one_is_a_usage_error(capsys):
+    err = _usage_error(capsys, ["verify", "--checks", "lemma4", "--q", "3", "--n", "0"])
+    assert "--n" in err
+
+
+def test_non_integer_cap_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FSIEGEL_CAP_GROUP", "abc")
+    err = _usage_error(capsys, ["verify", "--checks", "lemma4", "--q", "3", "--n", "1"])
+    assert "FSIEGEL_CAP_GROUP" in err
+
+
+def test_cap_below_one_is_a_usage_error(capsys, monkeypatch):
+    _usage_error(capsys, ["verify", "--checks", "lemma4", "--q", "3", "--n", "1", "--cap-points", "0"])
+    _usage_error(capsys, ["census", "--q", "3", "--n", "1", "--cap-group", "-5"])
+    monkeypatch.setenv("FSIEGEL_CAP_POINTS", "0")
+    _usage_error(capsys, ["census", "--q", "3", "--n", "1"])
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    err = _usage_error(capsys, ["verify", "--checks", "lemma4", "--q", "3", "--n", "1", "--jobs", "0"])
+    assert "--jobs" in err
+
+
+def test_verification_failure_becomes_a_fail_record(capsys, monkeypatch):
+    def broken(q, n, cap_group, cap_points):
+        raise VerificationFailure(f"cross-check broke at ({q},{n})")
+
+    monkeypatch.setitem(checks._CHECKS, "lemma4", broken)
+    code, payload = run_json(capsys, "verify", "--checks", "lemma4,strata-map", "--q", "3,5", "--n", "1")
+    assert code == 1
+    by_cell = {(r["check"], r["q"]): r for r in payload["checks"]}
+    assert len(by_cell) == 4
+    for q in (3, 5):
+        assert by_cell[("lemma4", q)]["status"] == "fail"
+        assert by_cell[("lemma4", q)]["data"] == {"error": f"cross-check broke at ({q},1)"}
+        assert by_cell[("strata-map", q)]["status"] == "pass"
+    assert payload["counts"] == {"pass": 2, "fail": 2, "skipped-resource": 0}
+
+
+def test_consistency_error_stays_fatal(capsys, monkeypatch):
+    def broken(q, n, cap_group, cap_points):
+        raise ConsistencyError("two routes disagree")
+
+    monkeypatch.setitem(checks._CHECKS, "lemma4", broken)
+    with pytest.raises(ConsistencyError):
+        main(["verify", "--checks", "lemma4", "--q", "3", "--n", "1"])

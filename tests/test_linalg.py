@@ -1,11 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsiegel.errors import ShapeError
 from fsiegel.field import make_fields
-from fsiegel.linalg import Mat, block, column_echelon_canonical, solve
+from fsiegel.lagrangian import enumerate_lagrangians
+from fsiegel.linalg import (
+    Mat,
+    block,
+    column_echelon_canonical,
+    mm,
+    rcef,
+    rcef_stack,
+    rref,
+    rref_stack,
+    solve,
+)
+from fsiegel.symplectic import TAGS, generators, make_space
 
 from oracles import (
     all_scalars,
@@ -231,3 +244,81 @@ def test_star_is_antihomomorphism(a, b, c, d):
     m1 = Mat.build(fp, [[fp.e(a, b), 1], [0, fp.e(c, d)]])
     m2 = Mat.build(fp, [[1, fp.e(c, a)], [fp.e(d, b), 2]])
     assert (m1 @ m2).star() == m2.star() @ m1.star()
+
+
+# -- the stacked kernel against the scalar one ---------------------------------
+
+def _assert_stack_matches_scalar(fp, stack):
+    red, ranks = rref_stack(fp, stack)
+    cred, cranks = rcef_stack(fp, stack)
+    assert red.dtype == cred.dtype == np.int64
+    for i, a in enumerate(stack):
+        want, pivots = rref(fp, a)
+        assert ranks[i] == len(pivots)
+        assert red[i].tobytes() == want.tobytes()
+        want, pivots = rcef(fp, a)
+        r = len(pivots)
+        assert cranks[i] == r
+        assert cred[i][:, :r].tobytes() == np.ascontiguousarray(want).tobytes()
+        assert not cred[i][:, r:].any()
+
+
+@st.composite
+def _stacks(draw):
+    q = draw(st.sampled_from([3, 5, 7, 23]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    size = draw(st.integers(0, 6))
+    entries = st.integers(0, q - 1)
+    flat = draw(st.lists(entries, min_size=size * rows * cols * 2, max_size=size * rows * cols * 2))
+    stack = np.array(flat, dtype=np.int64).reshape(size, rows, cols, 2)
+    # zero out whole rows or columns in some matrices to force rank deficiency
+    for i in range(size):
+        if rows and draw(st.booleans()):
+            stack[i, draw(st.integers(0, rows - 1))] = 0
+        if cols and draw(st.booleans()):
+            stack[i, :, draw(st.integers(0, cols - 1))] = 0
+    return make_fields(q), stack
+
+
+@given(_stacks())
+@settings(max_examples=300, deadline=None)
+def test_stacked_kernel_matches_scalar_on_random_stacks(case):
+    fp, stack = case
+    _assert_stack_matches_scalar(fp, stack)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 23])
+def test_stacked_kernel_edge_shapes(q):
+    fp = make_fields(q)
+    rng = np.random.default_rng(q)
+    for rows, cols in [(4, 2), (2, 4), (1, 6), (6, 1), (3, 3)]:
+        stack = rng.integers(0, q, size=(40, rows, cols, 2))
+        stack[:5] = 0  # zero matrices
+        stack[5:10, :, -1] = stack[5:10, :, 0]  # repeated column: rank-deficient
+        stack[10:15, 0] = 0  # zero first row
+        stack[15:20] = rng.integers(0, q, size=(5, rows, 1, 1)) * (np.arange(2) == 0)  # rational rank one
+        _assert_stack_matches_scalar(fp, stack)
+    # a stack longer than one pass of the column loop, with mixed ranks
+    stack = rng.integers(0, q, size=(700, 3, 3, 2)) * (rng.random((700, 3, 1, 1)) < 0.7)
+    _assert_stack_matches_scalar(fp, stack)
+    # leading axes are kept; a stack of none is fine
+    stack = rng.integers(0, q, size=(3, 4, 4, 2, 2))
+    red, ranks = rcef_stack(fp, stack)
+    assert red.shape == stack.shape and ranks.shape == (3, 4)
+    red, ranks = rref_stack(fp, np.zeros((0, 3, 2, 2), dtype=np.int64))
+    assert red.shape == (0, 3, 2, 2) and ranks.shape == (0,)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 1)])
+def test_stacked_kernel_matches_scalar_on_all_generator_images(q, n):
+    sp = make_space(q, n)
+    bases = np.stack([w.basis.a for w in enumerate_lagrangians(q, n)])
+    for tag in TAGS:
+        mats = np.stack([g.mat.a for g in generators(sp, tag)])
+        images = mm(sp.fp, mats[None], bases[:, None])
+        red, ranks = rcef_stack(sp.fp, images)
+        assert np.all(ranks == n)
+        for f in range(len(bases)):
+            for g in range(len(mats)):
+                want, _ = rcef(sp.fp, images[f, g])
+                assert red[f, g].tobytes() == np.ascontiguousarray(want).tobytes()
