@@ -33,11 +33,12 @@ from .involutions import (
     scaled_involutions,
 )
 from .lagrangian import (
+    _POINT_CHUNK,
+    _conj_intersections,
     _conjugate_sum_dims,
+    _h_e_radicals,
     _point_table,
     enumerate_lagrangians,
-    h_e_radical,
-    intersection_with_conj,
     lagrangian_count,
     strata,
 )
@@ -326,13 +327,27 @@ def _correspondence_ok(corr: dict) -> bool:
 
 
 def check_lemma4(q: int, n: int, cap_group: int, cap_points: int) -> dict:
+    """dim(W + conj W) = n + r, dim(W ^ conj W) = n - r and W ^ conj W = rad(h_e on W).
+
+    Checked on every point.  Both subspaces come as canonical stacks over
+    the point table, a block of points at a time.  Both lie in W, so their
+    columns past n are zero, and equal ranks with equal first n columns
+    mean equal canonical bases.  The intersection's dimension is its
+    computed rank, not 2n - dim(W + conj W).
+    """
     enumerate_lagrangians(q, n, cap_points)  # enforces the cap
+    sp = make_space(q, n)
     table = _point_table(q, n)
-    dim_sums = _conjugate_sum_dims(make_space(q, n), table.bases).tolist()
-    ok = True
-    for w, r, dim_sum in zip(table.points, table.h_rank.tolist(), dim_sums):
-        dim_int = 2 * n - dim_sum
-        ok &= dim_sum == n + r and dim_int == n - r and intersection_with_conj(w) == h_e_radical(w)
+    ok = bool(np.all(_conjugate_sum_dims(sp, table.bases) == n + table.h_rank))
+    for lo in range(0, len(table.bases), _POINT_CHUNK):
+        block = table.bases[lo : lo + _POINT_CHUNK]
+        inter, inter_rank = _conj_intersections(sp, block)
+        rad, rad_rank = _h_e_radicals(sp, block)
+        ok &= (
+            np.array_equal(inter_rank, n - table.h_rank[lo : lo + _POINT_CHUNK])
+            and np.array_equal(inter_rank, rad_rank)
+            and np.array_equal(inter[:, :, :n], rad)
+        )
     return {"points": len(table.points), "ok": ok}
 
 

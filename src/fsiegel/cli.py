@@ -5,7 +5,9 @@ payload.  Reports embed the full configuration and the chosen field
 parameters, so any failure is reproducible from the report alone.
 
 Exit codes: 0 all pass, 1 any verification failure, 2 usage error,
-3 every requested cell was skipped for resources.
+3 every requested cell was skipped for resources.  A ConsistencyError
+(an internal arithmetic bug) is not caught; `verify` first writes the
+records finished so far to stderr as one `partial records:` JSON line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import time
 
 from .checks import CHECK_IDS, DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS, census_payload, run_check
-from .errors import ParameterError, ResourceLimitError
+from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import epsilon_f, make_fields, tau_f
 from .lagrangian import lagrangian_count, witnesses
 from .orbits import partition
@@ -189,7 +191,16 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
     _positive(args.jobs, "--jobs")
-    records = [run_check(c, q, n, caps["group"], caps["points"]) for q in qs for n in ns for c in selected]
+    records = []
+    try:
+        for q in qs:
+            for n in ns:
+                for c in selected:
+                    records.append(run_check(c, q, n, caps["group"], caps["points"]))
+    except ConsistencyError:
+        # fatal by design, but the cells already finished are kept on stderr
+        print("partial records: " + json.dumps(records, sort_keys=True), file=sys.stderr)
+        raise
     records.sort(key=lambda r: (r["q"], r["n"], r["check"]))
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -31,7 +31,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .field import epsilon_f
-from .linalg import Mat, block, conj_arr, mm, rank_stack, rcef, rcef_stack
+from .linalg import Mat, block, conj_arr, kernel_stack, mm, rank_stack, rcef, rcef_stack
 from .symplectic import (
     TAG_SP_E,
     SpaceParams,
@@ -120,13 +120,18 @@ def span_images(sp: SpaceParams, mats: np.ndarray, bases: np.ndarray) -> np.ndar
     return red
 
 
+# points per block of a stacked pass over a point stack: bounds its temporaries
+_POINT_CHUNK = 256
+
+
+def _grams(sp: SpaceParams, bases: np.ndarray, core: Mat) -> np.ndarray:
+    """Gram matrices t(W) core conj(W) of every basis W in a stack."""
+    return mm(sp.fp, mm(sp.fp, bases.swapaxes(1, 2), core.a), conj_arr(bases, sp.q))
+
+
 def _labels(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h_rank, o_type) of every basis in a stack: ranks of the two Gram stacks."""
-    fp = sp.fp
-    left, right = bases.swapaxes(1, 2), conj_arr(bases, fp.q)
-    h_e = mm(fp, mm(fp, left, sp.j.a), right)
-    h_0 = mm(fp, mm(fp, left, sp.d_form.a), right)
-    return rank_stack(fp, h_e), rank_stack(fp, h_0)
+    return rank_stack(sp.fp, _grams(sp, bases, sp.j)), rank_stack(sp.fp, _grams(sp, bases, sp.d_form))
 
 
 def _in_image(sp: SpaceParams, bases: np.ndarray) -> np.ndarray:
@@ -233,6 +238,27 @@ def h_e_radical(w: Lagrangian) -> Mat:
     ker = g.T.kernel()
     red, _ = rcef(sp.fp, (w.basis @ ker).a)
     return Mat(sp.fp, red)
+
+
+def _conj_intersections(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W ^ conj(W) for every basis in a stack; returns (stack (N, 2n, 2n, 2), ranks).
+
+    Entry i's first ranks[i] columns are `intersection_with_conj` of that
+    point, bit for bit, and the rest are zero.
+    """
+    joined = np.concatenate([bases, (-conj_arr(bases, sp.q)) % sp.q], axis=2)
+    x = kernel_stack(sp.fp, joined)[:, : sp.n]
+    return rcef_stack(sp.fp, mm(sp.fp, bases, x))
+
+
+def _h_e_radicals(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radical of h_e on W for every basis in a stack; returns (stack (N, 2n, n, 2), ranks).
+
+    Entry i's first ranks[i] columns are `h_e_radical` of that point, bit
+    for bit, and the rest are zero.
+    """
+    ker = kernel_stack(sp.fp, _grams(sp, bases, sp.j).swapaxes(1, 2))
+    return rcef_stack(sp.fp, mm(sp.fp, bases, ker))
 
 
 # ---------------------------------------------------------------------------

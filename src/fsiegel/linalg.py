@@ -4,8 +4,9 @@ A matrix is a (rows, cols, 2) int64 array of (re, im) coefficient pairs,
 reduced mod q.  numpy carries the bulk arithmetic with exact integers;
 elimination loops run in Python over the (small) pivot count.  The
 stacked kernel `rref_stack` reduces a whole stack (N, rows, cols, 2) with
-one Python loop over the columns; single matrices keep the scalar `rref`,
-which stays the reference.
+one Python loop over the columns, and `kernel_stack` takes a stack's null
+spaces with it; single matrices keep the scalar `rref` and `kernel_arr`,
+which stay the reference.
 
 Elimination is deliberately plain: columns are scanned left to right and
 rows top to bottom, with no pivot heuristics, so every reduced form is
@@ -164,6 +165,27 @@ def rcef_stack(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def rank_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
     return rref_stack(fp, a)[1]
+
+
+def kernel_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
+    """Right null spaces of a stack (N, m, k, 2); returns the stack (N, k, k, 2).
+
+    Matrix i's null space is spanned by its first k - rank(a_i) columns;
+    the rest are zero.  One `rref_stack` of [a^T | I_k]: a row whose left
+    part is zero carries on the right a y with y a^T = 0, that is a y^T = 0.
+    The augmented matrix always has full rank k, so the null rows are
+    counted from their zero left parts, not from the returned rank.
+    """
+    a = np.asarray(a, dtype=_I64)
+    num, m, k = a.shape[:3]
+    eye = np.broadcast_to(Mat.identity(fp, k).a, (num, k, k, 2))
+    aug = np.concatenate([a.swapaxes(1, 2), eye], axis=2)
+    red, _ = rref_stack(fp, aug)
+    null = ~red[:, :, :m].any(axis=(2, 3))
+    rows = np.argsort(~null, axis=1, kind="stable")  # null rows first, in order
+    ker = np.take_along_axis(red[:, :, m:], rows[:, :, None, None], axis=1)
+    ker *= np.take_along_axis(null, rows, axis=1)[:, :, None, None]
+    return np.ascontiguousarray(ker.swapaxes(1, 2))
 
 
 def rank_arr(fp: FieldParams, a: np.ndarray) -> int:

@@ -6,6 +6,12 @@ lexicographically smallest member, and the resulting report is identical
 no matter how the frontier was expanded.  Transporter words are the one
 exception (they depend on the exploration schedule of the final BFS) and
 are therefore excluded from report equality.
+
+A partition works on the sorted point stack: each generator's action is
+one int table (point index -> image index), and each orbit is a BFS
+component over the tables, its words read off the parent pointers, a
+Schreier vector (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, section 4.1).
 """
 
 from __future__ import annotations
@@ -13,9 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VerificationFailure
-from .lagrangian import Lagrangian, StratumLabel, _from_span, _labels, span_images
+from .lagrangian import _POINT_CHUNK, Lagrangian, StratumLabel, _from_span, _labels, span_images
 from .linalg import Mat, mm
 from .symplectic import EnumeratedGroup, GroupElement, frontier_closure
+
+# every _CHECK_STRIDE-th transporter word of an orbit is re-applied with the scalar `act`
+_CHECK_STRIDE = 100
 
 
 def _mat(g) -> Mat:
@@ -52,7 +61,27 @@ class OrbitRecord:
         return frozenset(w.key for w in self.members)
 
 
-def orbit(seed: Lagrangian, gens, cap: int | None = None, check_stride: int = 100) -> OrbitRecord:
+def _gen_stack(sp, gens) -> np.ndarray:
+    return np.array([_mat(g).a for g in gens], dtype=np.int64).reshape(len(gens), sp.dim, sp.dim, 2)
+
+
+def _transporters(members: list, parent: np.ndarray, via: np.ndarray, gens, check_stride: int) -> dict:
+    """Words over generator indices from BFS parent pointers (a Schreier vector).
+
+    `members` is in discovery order, seed first; member i > 0 is the image
+    of member parent[i] under generator via[i].  Every check_stride-th
+    member's word is re-applied from the seed with the scalar `act`.
+    """
+    words = [()]
+    for p, i in zip(parent[1:].tolist(), via[1:].tolist()):
+        words.append(words[p] + (i,))
+    for idx in range(0, len(members), check_stride):
+        if apply_word(words[idx], members[0], gens) != members[idx]:
+            raise VerificationFailure("transporter word does not reproduce its point")
+    return {w.key: word for w, word in zip(members, words)}
+
+
+def orbit(seed: Lagrangian, gens, cap: int | None = None, check_stride: int = _CHECK_STRIDE) -> OrbitRecord:
     """BFS orbit of the seed, one stacked canonicalization per frontier.
 
     Transporter words follow the BFS parent pointers (a Schreier vector);
@@ -60,19 +89,12 @@ def orbit(seed: Lagrangian, gens, cap: int | None = None, check_stride: int = 10
     """
     gens = list(gens)
     sp = seed.space
-    mats = np.array([_mat(g).a for g in gens], dtype=np.int64).reshape(len(gens), sp.dim, sp.dim, 2)
+    mats = _gen_stack(sp, gens)
     bases, parent, via = frontier_closure(
         seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
     )
     members = [seed] + [Lagrangian(sp, Mat(sp.fp, b)) for b in bases[1:]]
-    words: dict[bytes, tuple] = {seed.key: ()}
-    for w, p, i in zip(members[1:], parent[1:].tolist(), via[1:].tolist()):
-        words[w.key] = words[members[p].key] + (i,)
-    for idx in range(0, len(members), check_stride):
-        w = members[idx]
-        if apply_word(words[w.key], seed, gens) != w:
-            raise VerificationFailure("transporter word does not reproduce its point")
-    return OrbitRecord(seed, sorted(members), words)
+    return OrbitRecord(seed, sorted(members), _transporters(members, parent, via, gens, check_stride))
 
 
 class PartitionReport:
@@ -92,6 +114,29 @@ class PartitionReport:
         return {o.member_keys() for o in self.orbits}
 
 
+def _point_keys(bases: np.ndarray) -> np.ndarray:
+    """One sort key per basis in a stack (N, 2n, n, 2): the bytes `Lagrangian.__lt__` compares."""
+    flat = np.ascontiguousarray(bases, dtype=np.int64).reshape(len(bases), -1)
+    return flat.view(f"S{flat.shape[1] * 8}").ravel()
+
+
+def _action_table(sp, mats: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Index of g W in the sorted stack `bases`, for each basis W and generator g: (N, G).
+
+    Raises VerificationFailure when an image lies outside the stack.
+    """
+    keys = _point_keys(bases)
+    table = np.empty((len(bases), len(mats)), dtype=np.int64)
+    for lo in range(0, len(bases), _POINT_CHUNK):
+        images = span_images(sp, mats, bases[lo : lo + _POINT_CHUNK])
+        images = _point_keys(images.reshape(-1, *bases.shape[1:]))
+        idx = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+        if not np.array_equal(keys[idx], images):
+            raise VerificationFailure("orbit escaped the supplied point set")
+        table[lo : lo + _POINT_CHUNK] = idx.reshape(-1, len(mats))
+    return table
+
+
 def partition(points, gens, invariant: str | None = None) -> PartitionReport:
     """Orbit partition of a point set, seeds swept in canonical order.
 
@@ -99,33 +144,41 @@ def partition(points, gens, invariant: str | None = None) -> PartitionReport:
     names the label component expected to be constant on orbits
     ("h_rank" for the rational group, "o_type" for the h_0-unitary one);
     members disagreeing with their representative in that component are
-    recorded as conflicts, never silently dropped.
+    recorded as conflicts, never silently dropped.  The orbits are BFS
+    components over the generators' action tables on the sorted stack.
     """
-    pts = sorted(points)
-    label: dict[bytes, StratumLabel] = {}
-    if pts:
-        h_rank, o_type = _labels(pts[0].space, np.stack([w.basis.a for w in pts]))
-        label = {w.key: StratumLabel(h, o) for w, h, o in zip(pts, h_rank.tolist(), o_type.tolist())}
-    visited: set[bytes] = set()
+    pts = sorted(points, key=lambda w: w.key)
     orbits: list[OrbitRecord] = []
     labels: list[StratumLabel] = []
     conflicts = []
-    for p in pts:
-        if p.key in visited:
+    if not pts:
+        return PartitionReport(orbits, labels, conflicts)
+    gens = list(gens)
+    sp = pts[0].space
+    bases = np.stack([w.basis.a for w in pts])
+    table = _action_table(sp, _gen_stack(sp, gens), bases)
+    ranks = StratumLabel(*_labels(sp, bases))
+
+    def label(i) -> StratumLabel:
+        return StratumLabel(int(ranks.h_rank[i]), int(ranks.o_type[i]))
+
+    seen = np.zeros(len(pts), dtype=bool)
+    for s in np.arange(len(pts)):
+        if seen[s]:
             continue
-        rec = orbit(p, gens)
-        if not rec.member_keys() <= label.keys():
-            raise VerificationFailure("orbit escaped the supplied point set")
-        visited.update(rec.member_keys())
-        lab = label[p.key]
+        found, parent, via = frontier_closure(s[None], lambda f: table[f[:, 0], :, None])
+        found = found[:, 0]
+        seen[found] = True
+        members = np.sort(found)
         if invariant is not None:
-            ref = getattr(lab, invariant)
-            bad = [w for w in rec.members if getattr(label[w.key], invariant) != ref]
-            if bad:
-                conflicts.append((p, bad[0], label[bad[0].key]))
-        orbits.append(rec)
-        labels.append(lab)
-    if len(visited) != len(pts):
+            inv = getattr(ranks, invariant)
+            bad = members[inv[members] != inv[s]]
+            if bad.size:
+                conflicts.append((pts[s], pts[bad[0]], label(bad[0])))
+        words = _transporters([pts[i] for i in found.tolist()], parent, via, gens, _CHECK_STRIDE)
+        orbits.append(OrbitRecord(pts[s], [pts[i] for i in members.tolist()], words))
+        labels.append(label(s))
+    if sum(o.size for o in orbits) != len(pts):
         raise VerificationFailure("orbits do not cover the point set")
     return PartitionReport(orbits, labels, conflicts)
 

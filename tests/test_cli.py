@@ -222,3 +222,19 @@ def test_consistency_error_stays_fatal(capsys, monkeypatch):
     monkeypatch.setitem(checks._CHECKS, "lemma4", broken)
     with pytest.raises(ConsistencyError):
         main(["verify", "--checks", "lemma4", "--q", "3", "--n", "1"])
+
+
+def test_consistency_error_writes_finished_records_to_stderr(capsys, monkeypatch):
+    def broken(q, n, cap_group, cap_points):
+        raise ConsistencyError("two routes disagree")
+
+    monkeypatch.setitem(checks._CHECKS, "strata-map", broken)
+    with pytest.raises(ConsistencyError):
+        main(["verify", "--checks", "lemma4,strata-map", "--q", "3", "--n", "1"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if line.startswith("partial records: ")]
+    assert len(lines) == 1
+    records = json.loads(lines[0][len("partial records: "):])
+    assert [(r["check"], r["q"], r["n"], r["status"]) for r in records] == [("lemma4", 3, 1, "pass")]
+    assert records[0]["data"] == {"points": 10}

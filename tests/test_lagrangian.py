@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fsiegel.errors import NotIsotropicError, ParameterError, RankDeficientError, ResourceLimitError
@@ -8,6 +9,9 @@ from fsiegel.linalg import Mat
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, generators, make_space
 from fsiegel.lagrangian import (
     StratumLabel,
+    _conj_intersections,
+    _h_e_radicals,
+    _point_table,
     conjugate_pair_dims,
     enumerate_lagrangians,
     from_basis,
@@ -141,6 +145,34 @@ def test_conjugate_pair_dims_and_radical_for_all_points(q, n):
         r = w.label().h_rank
         assert conjugate_pair_dims(w) == (n + r, n - r)
         assert intersection_with_conj(w) == h_e_radical(w)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 1), (7, 1)])
+def test_stacked_lemma4_subspaces_match_scalar(q, n):
+    sp = make_space(q, n)
+    table = _point_table(q, n)
+    inter, inter_rank = _conj_intersections(sp, table.bases)
+    rad, rad_rank = _h_e_radicals(sp, table.bases)
+    assert inter.shape == (len(table.points), 2 * n, 2 * n, 2)
+    assert rad.shape == (len(table.points), 2 * n, n, 2)
+    for i, w in enumerate(table.points):
+        for stack, ranks, want in (
+            (inter, inter_rank, intersection_with_conj(w)),
+            (rad, rad_rank, h_e_radical(w)),
+        ):
+            r = want.cols
+            assert ranks[i] == r
+            assert stack[i][:, :r].tobytes() == want.a.tobytes()
+            assert not stack[i][:, r:].any()
+
+
+def test_lemma4_check_fails_when_both_kernels_come_back_empty(monkeypatch):
+    from fsiegel import checks, lagrangian
+
+    assert checks.check_lemma4(3, 2, 10**5, 10**5)["ok"]
+    empty = lambda fp, a: np.zeros((len(a), a.shape[2], a.shape[2], 2), dtype=np.int64)  # noqa: E731
+    monkeypatch.setattr(lagrangian, "kernel_stack", empty)
+    assert not checks.check_lemma4(3, 2, 10**5, 10**5)["ok"]
 
 
 @pytest.mark.parametrize(

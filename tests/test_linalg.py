@@ -11,6 +11,8 @@ from fsiegel.linalg import (
     Mat,
     block,
     column_echelon_canonical,
+    kernel_arr,
+    kernel_stack,
     mm,
     rcef,
     rcef_stack,
@@ -322,3 +324,41 @@ def test_stacked_kernel_matches_scalar_on_all_generator_images(q, n):
             for g in range(len(mats)):
                 want, _ = rcef(sp.fp, images[f, g])
                 assert red[f, g].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# -- the stacked null space against the scalar one ------------------------------
+
+def _assert_kernel_stack_matches_scalar(fp, stack):
+    num, m, k = stack.shape[:3]
+    ker = kernel_stack(fp, stack)
+    assert ker.shape == (num, k, k, 2) and ker.dtype == np.int64
+    assert not mm(fp, stack, ker).any()  # annihilates a
+    for i, a in enumerate(stack):
+        nullity = k - len(rref(fp, a)[1])
+        nonzero = ker[i].any(axis=(0, 2))
+        assert nonzero.tolist() == [True] * nullity + [False] * (k - nullity)
+        got, want = rcef(fp, ker[i])[0], rcef(fp, kernel_arr(fp, a))[0]
+        assert got.shape == want.shape and np.array_equal(got, want)  # same span
+
+
+@given(_stacks())
+@settings(max_examples=300, deadline=None)
+def test_kernel_stack_matches_scalar_on_random_stacks(case):
+    fp, stack = case
+    _assert_kernel_stack_matches_scalar(fp, stack)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 23])
+def test_kernel_stack_zero_full_rank_wide_and_tall(q):
+    fp = make_fields(q)
+    rng = np.random.default_rng(q)
+    for m, k in [(4, 2), (2, 4), (1, 6), (6, 1), (3, 3), (0, 3), (3, 0)]:
+        _assert_kernel_stack_matches_scalar(fp, np.zeros((5, m, k, 2), dtype=np.int64))
+        stack = rng.integers(0, q, size=(40, m, k, 2))
+        r = min(m, k)
+        stack[:20, :r, :r] = 0  # identity block in the corner: full rank min(m, k)
+        stack[:20, np.arange(r), np.arange(r), 0] = 1
+        _assert_kernel_stack_matches_scalar(fp, stack)
+    # a stack longer than one pass of the column loop, with mixed ranks
+    stack = rng.integers(0, q, size=(700, 3, 4, 2)) * (rng.random((700, 3, 1, 1)) < 0.6)
+    _assert_kernel_stack_matches_scalar(fp, stack)

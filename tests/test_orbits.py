@@ -3,7 +3,16 @@ import random
 import pytest
 
 from fsiegel.errors import ResourceLimitError, VerificationFailure
-from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, GroupElement, enumerate_symplectic, generators, group_order, make_space
+from fsiegel.symplectic import (
+    TAG_SP_0,
+    TAG_SP_E,
+    TAG_SP_F,
+    GroupElement,
+    enumerate_symplectic,
+    generators,
+    group_order,
+    make_space,
+)
 from fsiegel.lagrangian import enumerate_lagrangians, l_minus, l_plus, strata
 from fsiegel.orbits import (
     act,
@@ -72,6 +81,54 @@ def test_orbit_representative_is_minimum():
     pf = partition(pts, generators(sp, TAG_SP_F))
     for orb in pf.orbits:
         assert orb.representative == min(orb.members)
+
+
+def _partition_by_seed_orbits(points, gens, invariant):
+    """The partition as one `orbit()` per unvisited seed in sorted order, scalar labels."""
+    visited, orbits, labels, conflicts = set(), [], [], []
+    for p in sorted(points):
+        if p.key in visited:
+            continue
+        rec = orbit(p, gens)
+        visited |= rec.member_keys()
+        lab = p.label()
+        bad = [w for w in rec.members if getattr(w.label(), invariant) != getattr(lab, invariant)]
+        if bad:
+            conflicts.append((p, bad[0], bad[0].label()))
+        orbits.append(rec)
+        labels.append(lab)
+    return orbits, labels, conflicts
+
+
+@pytest.mark.parametrize("tag,invariant", [(TAG_SP_E, "h_rank"), (TAG_SP_F, "h_rank"), (TAG_SP_0, "o_type")])
+def test_partition_matches_one_orbit_per_seed(tag, invariant):
+    sp = make_space(3, 2)
+    pts = enumerate_lagrangians(3, 2)
+    gens = generators(sp, tag)
+    part = partition(pts, gens, invariant=invariant)
+    orbits, labels, conflicts = _partition_by_seed_orbits(pts, gens, invariant)
+    assert part.as_sets() == {o.member_keys() for o in orbits}
+    assert [o.representative for o in part.orbits] == [o.representative for o in orbits]
+    assert part.labels == labels
+    assert part.conflicts == conflicts
+    assert (tag == TAG_SP_E) == bool(conflicts)  # sp is transitive, so h_rank conflicts
+    for orb in part.orbits:
+        assert orb.members == sorted(orb.members)
+        for w in orb.members:
+            assert apply_word(orb.transporters[w.key], orb.representative, gens) == w
+
+
+def test_partition_of_a_non_closed_subset_raises():
+    sp = make_space(3, 2)
+    with pytest.raises(VerificationFailure, match="orbit escaped the supplied point set"):
+        partition([l_plus(sp)], generators(sp, TAG_SP_F))
+
+
+def test_partition_of_repeated_points_raises():
+    sp = make_space(3, 1)
+    eye = GroupElement(sp.identity, TAG_SP_F)
+    with pytest.raises(VerificationFailure, match="orbits do not cover the point set"):
+        partition([l_plus(sp), l_plus(sp)], [eye])
 
 
 def test_transporter_words():
