@@ -30,7 +30,6 @@ from .symplectic import (
     TAG_SP_F,
     GroupElement,
     SpaceParams,
-    enumerate_group,
     enumerate_symplectic,
     generators,
     group_element,

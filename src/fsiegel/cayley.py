@@ -221,13 +221,19 @@ def v_k(sp: SpaceParams, k: int) -> Lagrangian:
 _SCAN_LIMIT = 20_000_000
 
 
+def _scan_size(fp, m: int, over_e: bool) -> int:
+    """Candidate m x m matrices a scan tries, refused over _SCAN_LIMIT."""
+    total = fp.q ** (2 * m * m if over_e else m * m)
+    if total > _SCAN_LIMIT:
+        raise ResourceLimitError(f"scan of {total} candidate matrices exceeds limit")
+    return total
+
+
 def _scan_matrices(fp, m: int, over_e: bool, keep) -> list[Mat]:
     if m == 0:
         return [Mat.identity(fp, 0)]
     coords = 2 * m * m if over_e else m * m
-    total = fp.q**coords
-    if total > _SCAN_LIMIT:
-        raise ResourceLimitError(f"scan of {total} candidate matrices exceeds limit")
+    total = _scan_size(fp, m, over_e)
     out = []
     shape = (fp.q,) * coords
     chunk = 1 << 18
@@ -297,11 +303,14 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
     fp = sp.fp
     tk = partial_cayley(sp, k)
     vk = v_k(sp, k)
+    # refuse before scanning: both scan sizes, then the capped orbit
+    _scan_size(fp, k, over_e=False)
+    _scan_size(fp, n - k, over_e=True)
+    orb = orbit(vk, generators(sp, TAG_SP_0), cap=cap_points)
     o_elems = orthogonal_group_elements(fp, k)
     u_elems = unitary_group_elements(fp, n - k)
     predicted = len(o_elems) * len(u_elems) * q ** (k * (k + 1) // 2)
     order = group_order(TAG_SP_0, q, n)
-    orb = orbit(vk, generators(sp, TAG_SP_0), cap=cap_points)
     out = {
         "k": k,
         "orthogonal_factor": len(o_elems),

@@ -1,6 +1,7 @@
 """The named verification checks behind the `verify` subcommand.
 
-Each check runs on one (q, n) cell and returns a plain dict record:
+Each check runs on one (q, n) cell and returns a plain dict record, built
+by `run_cell`, which every subcommand shares:
 
     {"check": id, "q": q, "n": n, "status": "pass" | "fail" | "skipped-resource",
      "data": payload, "wall_ms": elapsed}
@@ -458,20 +459,29 @@ _CHECKS = {
 }
 
 
-def run_check(check_id: str, q: int, n: int, cap_group: int, cap_points: int) -> dict:
-    if check_id not in _CHECKS:
-        raise KeyError(check_id)
+def run_cell(check: str, q: int, n: int, body) -> dict:
+    """The record of one cell: `body()` returns (status, data), timed into wall_ms.
+
+    ResourceLimitError becomes a skipped-resource record with its reason,
+    VerificationFailure a fail record with its error; ConsistencyError
+    passes through.
+    """
     start = time.perf_counter()
-    record = {"check": check_id, "q": q, "n": n}
     try:
-        data = _CHECKS[check_id](q, n, cap_group, cap_points)
-        record["status"] = "pass" if data.pop("ok") else "fail"
-        record["data"] = data
+        status, data = body()
     except ResourceLimitError as exc:
-        record["status"] = "skipped-resource"
-        record["data"] = {"reason": str(exc)}
+        status, data = "skipped-resource", {"reason": str(exc)}
     except VerificationFailure as exc:
-        record["status"] = "fail"
-        record["data"] = {"error": str(exc)}
-    record["wall_ms"] = int((time.perf_counter() - start) * 1000)
-    return record
+        status, data = "fail", {"error": str(exc)}
+    wall_ms = int((time.perf_counter() - start) * 1000)
+    return {"check": check, "q": q, "n": n, "status": status, "data": data, "wall_ms": wall_ms}
+
+
+def run_check(check_id: str, q: int, n: int, cap_group: int, cap_points: int) -> dict:
+    check = _CHECKS[check_id]
+
+    def body():
+        data = check(q, n, cap_group, cap_points)
+        return ("pass" if data.pop("ok") else "fail"), data
+
+    return run_cell(check_id, q, n, body)

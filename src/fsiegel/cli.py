@@ -5,9 +5,11 @@ payload.  Reports embed the full configuration and the chosen field
 parameters, so any failure is reproducible from the report alone.
 
 Exit codes: 0 all pass, 1 any verification failure, 2 usage error,
-3 every requested cell was skipped for resources.  A ConsistencyError
-(an internal arithmetic bug) is not caught; `verify` first writes the
-records finished so far to stderr as one `partial records:` JSON line.
+3 every requested cell was skipped for resources.  Every subcommand
+builds its records with `checks.run_cell`, so a broken cross-check is a
+`fail` record in each.  A ConsistencyError (an internal arithmetic bug)
+is not caught; the records finished so far first go to stderr as one
+`partial records:` JSON line.
 """
 
 from __future__ import annotations
@@ -16,9 +18,15 @@ import argparse
 import json
 import os
 import sys
-import time
 
-from .checks import CHECK_IDS, DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS, census_payload, run_check
+from .checks import (
+    CHECK_IDS,
+    DEFAULT_CAP_GROUP,
+    DEFAULT_CAP_POINTS,
+    census_payload,
+    run_cell,
+    run_check,
+)
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import epsilon_f, make_fields, tau_f
 from .lagrangian import lagrangian_count, witnesses
@@ -36,8 +44,6 @@ from .symplectic import (
 from .cayley import cayley
 
 SCHEMA_VERSION = "fsiegel-report/1"
-DEFAULT_QS = (3, 5, 7)
-DEFAULT_NS = (1, 2)
 
 
 class UsageError(Exception):
@@ -93,33 +99,20 @@ def _cayley_echo(qs: list[int], ns: list[int]) -> dict:
 # emission
 # ---------------------------------------------------------------------------
 
-def _flatten(payload: dict) -> list[dict]:
-    rows = []
-    for rec in payload.get("checks", payload.get("cells", [])):
-        rows.append(
-            {
-                "check": rec.get("check", payload.get("command", "")),
-                "q": rec.get("q", ""),
-                "n": rec.get("n", ""),
-                "status": rec.get("status", ""),
-                "wall_ms": rec.get("wall_ms", ""),
-            }
-        )
-    return rows
+# the csv and md projections: one row per record
+_COLUMNS = ("check", "q", "n", "status", "wall_ms")
 
 
 def _emit(payload: dict, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        rows = _flatten(payload)
-        lines = ["check,q,n,status,wall_ms"]
-        lines += [f"{r['check']},{r['q']},{r['n']},{r['status']},{r['wall_ms']}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "md":
-        rows = _flatten(payload)
-        lines = ["| check | q | n | status | wall_ms |", "|---|---|---|---|---|"]
-        lines += [f"| {r['check']} | {r['q']} | {r['n']} | {r['status']} | {r['wall_ms']} |" for r in rows]
+    elif fmt in ("csv", "md"):
+        rows = [_COLUMNS] + [tuple(str(r[c]) for c in _COLUMNS) for r in payload["checks"]]
+        if fmt == "csv":
+            lines = [",".join(row) for row in rows]
+        else:
+            lines = ["| " + " | ".join(row) + " |" for row in rows]
+            lines.insert(1, "|---" * len(_COLUMNS) + "|")
         text = "\n".join(lines) + "\n"
     else:
         raise UsageError(f"unknown format {fmt!r}")
@@ -148,41 +141,55 @@ def _exit_code(records: list[dict]) -> int:
     return 0
 
 
+def _report(args, caps, cell, **config) -> tuple[dict, int]:
+    """The report and exit code of the records `cell(q, n)` yields, over the --q x --n grid.
+
+    `config` holds the subcommand's own options, echoed in the report.  A
+    ConsistencyError is not caught; the records finished before it go to
+    stderr as one `partial records:` JSON line.
+    """
+    qs = _validate_qs(_parse_int_list(args.q, "--q"))
+    ns = _parse_ns(args.n)
+    records = []
+    try:
+        for q in qs:
+            for n in ns:
+                for record in cell(q, n):
+                    records.append(record)
+    except ConsistencyError:
+        print("partial records: " + json.dumps(records, sort_keys=True), file=sys.stderr)
+        raise
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "config": {"q": qs, "n": ns, **config, "caps": caps, "format": args.format},
+        "field_params": _field_echo(qs),
+        "checks": records,
+    }
+    return payload, _exit_code(records)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _single(check: str, body):
+    """A grid cell of one record, named `check`, whose (status, data) `body(q, n)` returns."""
+    return lambda q, n: [run_cell(check, q, n, lambda: body(q, n))]
+
+
 def _cmd_census(args, caps) -> tuple[dict, int]:
-    qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_ns(args.n)
-    cells = []
-    for q in qs:
-        for n in ns:
-            start = time.perf_counter()
-            rec = {"check": "census", "q": q, "n": n}
-            expected = lagrangian_count(q, n)
-            if expected > caps["points"]:
-                rec["status"] = "skipped-resource"
-                rec["data"] = {"reason": f"{expected} points exceed cap {caps['points']}"}
-            else:
-                data = census_payload(q, n, caps["points"])
-                rec["status"] = "pass" if data["total_matches_formula"] else "fail"
-                rec["data"] = data
-            rec["wall_ms"] = int((time.perf_counter() - start) * 1000)
-            cells.append(rec)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "census",
-        "config": {"q": qs, "n": ns, "caps": caps, "format": args.format},
-        "field_params": _field_echo(qs),
-        "checks": cells,
-    }
-    return payload, _exit_code(cells)
+    def body(q, n):
+        expected = lagrangian_count(q, n)
+        if expected > caps["points"]:
+            raise ResourceLimitError(f"{expected} points exceed cap {caps['points']}")
+        data = census_payload(q, n, caps["points"])
+        return ("pass" if data["total_matches_formula"] else "fail"), data
+
+    return _report(args, caps, _single("census", body))
 
 
 def _cmd_verify(args, caps) -> tuple[dict, int]:
-    qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_ns(args.n)
     if args.checks == "all":
         selected = list(CHECK_IDS)
     else:
@@ -191,169 +198,83 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
     _positive(args.jobs, "--jobs")
-    records = []
-    try:
-        for q in qs:
-            for n in ns:
-                for c in selected:
-                    records.append(run_check(c, q, n, caps["group"], caps["points"]))
-    except ConsistencyError:
-        # fatal by design, but the cells already finished are kept on stderr
-        print("partial records: " + json.dumps(records, sort_keys=True), file=sys.stderr)
-        raise
+
+    def cell(q, n):
+        return (run_check(c, q, n, caps["group"], caps["points"]) for c in selected)
+
+    payload, code = _report(args, caps, cell, checks=selected, jobs=args.jobs)
+    records = payload["checks"]
     records.sort(key=lambda r: (r["q"], r["n"], r["check"]))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "config": {
-            "q": qs,
-            "n": ns,
-            "checks": selected,
-            "caps": caps,
-            "jobs": args.jobs,
-            "format": args.format,
-        },
-        "field_params": _field_echo(qs),
-        "cayley_params": _cayley_echo(qs, ns),
-        "checks": records,
-        "counts": {
-            "pass": sum(1 for r in records if r["status"] == "pass"),
-            "fail": sum(1 for r in records if r["status"] == "fail"),
-            "skipped-resource": sum(1 for r in records if r["status"] == "skipped-resource"),
-        },
+    payload["cayley_params"] = _cayley_echo(payload["config"]["q"], payload["config"]["n"])
+    payload["counts"] = {
+        s: sum(1 for r in records if r["status"] == s) for s in ("pass", "fail", "skipped-resource")
     }
-    return payload, _exit_code(records)
+    return payload, code
 
 
 def _cmd_orbits(args, caps) -> tuple[dict, int]:
-    qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_ns(args.n)
     if args.group not in (TAG_SP_F, TAG_SP_0):
         raise UsageError(f"--group must be {TAG_SP_F} or {TAG_SP_0}")
     invariant = "h_rank" if args.group == TAG_SP_F else "o_type"
-    cells = []
-    for q in qs:
-        for n in ns:
-            start = time.perf_counter()
-            rec = {"check": f"orbits-{args.group}", "q": q, "n": n}
-            try:
-                sp = make_space(q, n)
-                pts = enumerate_lagrangians(q, n, caps["points"])
-                part = partition(pts, generators(sp, args.group), invariant=invariant)
-                rec["status"] = "pass" if not part.conflicts else "fail"
-                rec["data"] = {
-                    "orbits": [
-                        {
-                            "size": orb.size,
-                            "representative": orb.representative.encode(),
-                            "h_rank": lab.h_rank,
-                            "o_type": lab.o_type,
-                        }
-                        for orb, lab in zip(part.orbits, part.labels)
-                    ],
-                    "conflicts": len(part.conflicts),
-                }
-            except ResourceLimitError as exc:
-                rec["status"] = "skipped-resource"
-                rec["data"] = {"reason": str(exc)}
-            rec["wall_ms"] = int((time.perf_counter() - start) * 1000)
-            cells.append(rec)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "orbits",
-        "config": {"q": qs, "n": ns, "group": args.group, "caps": caps, "format": args.format},
-        "field_params": _field_echo(qs),
-        "checks": cells,
-    }
-    return payload, _exit_code(cells)
+
+    def body(q, n):
+        pts = enumerate_lagrangians(q, n, caps["points"])
+        part = partition(pts, generators(make_space(q, n), args.group), invariant=invariant)
+        orbits = [
+            {
+                "size": orb.size,
+                "representative": orb.representative.encode(),
+                "h_rank": lab.h_rank,
+                "o_type": lab.o_type,
+            }
+            for orb, lab in zip(part.orbits, part.labels)
+        ]
+        status = "pass" if not part.conflicts else "fail"
+        return status, {"orbits": orbits, "conflicts": len(part.conflicts)}
+
+    return _report(args, caps, _single(f"orbits-{args.group}", body), group=args.group)
 
 
 def _cmd_group(args, caps) -> tuple[dict, int]:
-    qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_ns(args.n)
     if args.group not in (TAG_SP_E, TAG_SP_F, TAG_SP_0):
         raise UsageError("--group must be sp, spf, or sp0")
-    cap = _positive(args.cap, "--cap") if args.cap is not None else caps["group"]
-    cells = []
-    for q in qs:
-        for n in ns:
-            start = time.perf_counter()
-            rec = {"check": f"group-{args.group}", "q": q, "n": n}
-            sp = make_space(q, n)
-            gens = generators(sp, args.group)
-            data = {
-                "order": group_order(args.group, q, n),
-                "generator_count": len(gens),
-            }
-            status = "pass"
-            if args.enumerate:
-                try:
-                    enum = enumerate_symplectic(sp, args.group, cap)
-                    data["closure_size"] = len(enum)
-                    status = "pass" if len(enum) == data["order"] else "fail"
-                except ResourceLimitError as exc:
-                    data["reason"] = str(exc)
-                    status = "skipped-resource"
-            rec["status"] = status
-            rec["data"] = data
-            rec["wall_ms"] = int((time.perf_counter() - start) * 1000)
-            cells.append(rec)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "group",
-        "config": {
-            "q": qs,
-            "n": ns,
-            "group": args.group,
-            "enumerate": bool(args.enumerate),
-            "caps": {"group": cap, "points": caps["points"]},
-            "format": args.format,
-        },
-        "field_params": _field_echo(qs),
-        "checks": cells,
-    }
-    return payload, _exit_code(cells)
+
+    def body(q, n):
+        sp = make_space(q, n)
+        data = {"order": group_order(args.group, q, n), "generator_count": len(generators(sp, args.group))}
+        if not args.enumerate:
+            return "pass", data
+        try:
+            data["closure_size"] = len(enumerate_symplectic(sp, args.group, caps["group"]))
+        except ResourceLimitError as exc:
+            data["reason"] = str(exc)  # the skip keeps the order and generator count
+            return "skipped-resource", data
+        return ("pass" if data["closure_size"] == data["order"] else "fail"), data
+
+    return _report(
+        args, caps, _single(f"group-{args.group}", body), group=args.group, enumerate=bool(args.enumerate)
+    )
 
 
 def _cmd_witness(args, caps) -> tuple[dict, int]:
-    qs = _validate_qs(_parse_int_list(args.q, "--q"))
-    ns = _parse_ns(args.n)
-    cells = []
-    for q in qs:
-        for n in ns:
-            start = time.perf_counter()
-            recs = witnesses(q, n)
-            entries = [
-                {
-                    "name": r.name,
-                    "status": r.status,
-                    "matrix": r.lagrangian.encode() if r.lagrangian is not None else None,
-                    "expected_o_type": r.expected_o_type,
-                    "in_image": r.in_image,
-                    "params": r.params,
-                    "detail": r.detail,
-                }
-                for r in recs
-            ]
-            status = "fail" if any(r.status == "failed" for r in recs) else "pass"
-            cells.append(
-                {
-                    "check": "witness",
-                    "q": q,
-                    "n": n,
-                    "status": status,
-                    "data": {"witnesses": entries},
-                    "wall_ms": int((time.perf_counter() - start) * 1000),
-                }
-            )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "witness",
-        "config": {"q": qs, "n": ns, "caps": caps, "format": args.format},
-        "field_params": _field_echo(qs),
-        "checks": cells,
-    }
-    return payload, _exit_code(cells)
+    def body(q, n):
+        recs = witnesses(q, n)
+        entries = [
+            {
+                "name": r.name,
+                "status": r.status,
+                "matrix": r.lagrangian.encode() if r.lagrangian is not None else None,
+                "expected_o_type": r.expected_o_type,
+                "in_image": r.in_image,
+                "params": r.params,
+                "detail": r.detail,
+            }
+            for r in recs
+        ]
+        status = "fail" if any(r.status == "failed" for r in recs) else "pass"
+        return status, {"witnesses": entries}
+
+    return _report(args, caps, _single("witness", body))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_q=True):
+    def common(p):
         p.add_argument("--q", default="3,5,7", help="comma list of odd primes")
         p.add_argument("--n", default="1,2", help="comma list of ranks")
         p.add_argument("--format", default="json", choices=("json", "csv", "md"))
@@ -396,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_group)
     p_group.add_argument("--group", default=TAG_SP_F, help="sp, spf, or sp0")
     p_group.add_argument("--enumerate", action="store_true", help="BFS-enumerate the group")
-    p_group.add_argument("--cap", type=int, default=None, help="enumeration cap override")
 
     p_wit = sub.add_parser("witness", help="construct and re-verify explicit representatives")
     common(p_wit)

@@ -68,7 +68,7 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
     sp = make_space(q, n)
     fp = sp.fp
     ants = anti_involutions(q, n, cap_group)
-    gens = generators(sp, TAG_SP_F)
+    gens = [(g.mat, g.mat.inv()) for g in generators(sp, TAG_SP_F)]
     sym_ok = det_ok = disc_ok = equi_ok = True
     for t in ants:
         bt = involution_form(t)
@@ -76,9 +76,8 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
         det = bt.det()
         det_ok &= det == fp.one
         disc_ok &= det.is_rational and fp.is_square_in_f(det.re)
-        for g in gens:
-            ginv = g.mat.inv()
-            lhs = sp.j @ (g.mat @ t.mat @ ginv)
+        for g, ginv in gens:
+            lhs = sp.j @ (g @ t.mat @ ginv)
             rhs = ginv.T @ bt @ ginv
             equi_ok &= lhs == rhs
     return {
@@ -184,16 +183,17 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     ants = anti_involutions(q, n, cap_group)
     gens = generators(sp, TAG_SP_F)
     out = {"count": len(ants), "branch": "nonsquare" if epsilon_f(q) == -1 else "square"}
+    models = {t.mat.key(): eigenspace_model(t) for t in ants}
     images = {}
-    equi = True
     for t in ants:
-        w = eigenspace_model(t)
-        images.setdefault(w.key, []).append(t)
-        for g in gens:
-            conj_t = GroupElement(g.mat @ t.mat @ g.mat.inv(), TAG_SP_F)
-            if act(g, w) != eigenspace_model(conj_t):
-                equi = False
-    out["equivariant"] = equi
+        images.setdefault(models[t.mat.key()].key, []).append(t)
+    # g T g^-1 is an anti-involution again, its eigenspace looked up by matrix key
+    inverses = [g.mat.inv() for g in gens]
+    out["equivariant"] = all(
+        act(g, models[t.mat.key()]) == models.get((g.mat @ t.mat @ ginv).key())
+        for t in ants
+        for g, ginv in zip(gens, inverses)
+    )
 
     h_str, _ = strata(q, n, cap_points)
     if epsilon_f(q) == -1:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     NotIsotropicError,
     ParameterError,
     RankDeficientError,
@@ -282,7 +283,7 @@ def _all_lagrangians(q: int, n: int) -> tuple[Lagrangian, ...]:
     out = tuple(sorted(Lagrangian(sp, Mat(sp.fp, b)) for b in bases))
     expected = lagrangian_count(q, n)
     if len(out) != expected:
-        raise ResourceLimitError(
+        raise ConsistencyError(
             f"enumeration found {len(out)} Lagrangians, count formula gives {expected}"
         )
     return out

@@ -65,27 +65,27 @@ def _gen_stack(sp, gens) -> np.ndarray:
     return np.array([_mat(g).a for g in gens], dtype=np.int64).reshape(len(gens), sp.dim, sp.dim, 2)
 
 
-def _transporters(members: list, parent: np.ndarray, via: np.ndarray, gens, check_stride: int) -> dict:
+def _transporters(members: list, parent: np.ndarray, via: np.ndarray, gens) -> dict:
     """Words over generator indices from BFS parent pointers (a Schreier vector).
 
     `members` is in discovery order, seed first; member i > 0 is the image
-    of member parent[i] under generator via[i].  Every check_stride-th
+    of member parent[i] under generator via[i].  Every _CHECK_STRIDE-th
     member's word is re-applied from the seed with the scalar `act`.
     """
     words = [()]
     for p, i in zip(parent[1:].tolist(), via[1:].tolist()):
         words.append(words[p] + (i,))
-    for idx in range(0, len(members), check_stride):
+    for idx in range(0, len(members), _CHECK_STRIDE):
         if apply_word(words[idx], members[0], gens) != members[idx]:
             raise VerificationFailure("transporter word does not reproduce its point")
     return {w.key: word for w, word in zip(members, words)}
 
 
-def orbit(seed: Lagrangian, gens, cap: int | None = None, check_stride: int = _CHECK_STRIDE) -> OrbitRecord:
+def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     """BFS orbit of the seed, one stacked canonicalization per frontier.
 
     Transporter words follow the BFS parent pointers (a Schreier vector);
-    every check_stride-th member's word is re-applied with the scalar `act`.
+    every _CHECK_STRIDE-th member's word is re-applied with the scalar `act`.
     """
     gens = list(gens)
     sp = seed.space
@@ -94,7 +94,7 @@ def orbit(seed: Lagrangian, gens, cap: int | None = None, check_stride: int = _C
         seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
     )
     members = [seed] + [Lagrangian(sp, Mat(sp.fp, b)) for b in bases[1:]]
-    return OrbitRecord(seed, sorted(members), _transporters(members, parent, via, gens, check_stride))
+    return OrbitRecord(seed, sorted(members), _transporters(members, parent, via, gens))
 
 
 class PartitionReport:
@@ -175,7 +175,7 @@ def partition(points, gens, invariant: str | None = None) -> PartitionReport:
             bad = members[inv[members] != inv[s]]
             if bad.size:
                 conflicts.append((pts[s], pts[bad[0]], label(bad[0])))
-        words = _transporters([pts[i] for i in found.tolist()], parent, via, gens, _CHECK_STRIDE)
+        words = _transporters([pts[i] for i in found.tolist()], parent, via, gens)
         orbits.append(OrbitRecord(pts[s], [pts[i] for i in members.tolist()], words))
         labels.append(label(s))
     if sum(o.size for o in orbits) != len(pts):

@@ -335,32 +335,13 @@ def frontier_closure(seed: np.ndarray, step, cap: int | None = None, what: str =
     return np.concatenate(found), np.concatenate(parent), np.concatenate(via)
 
 
-def enumerate_group(gens, cap: int) -> set[GroupElement]:
-    """BFS closure of a generator list under multiplication, size-capped."""
-    if cap <= 0:
-        raise ParameterError("cap must be positive")
-    gens = list(gens)
-    if not gens:
-        return set()
-    sp_fp = gens[0].mat.fp
-    tag = gens[0].tag
-    rows = _group_closure(sp_fp, [g.mat.a for g in gens], cap)
-    return {GroupElement(Mat(sp_fp, row), tag) for row in rows}
-
-
-def _group_closure(fp: FieldParams, gen_arrays: list[np.ndarray], cap: int) -> np.ndarray:
-    mats = np.stack(gen_arrays)
-    seed = Mat.identity(fp, mats.shape[1]).a
-    step = lambda frontier: mm(fp, frontier[:, None], mats[None])  # noqa: E731
-    return frontier_closure(seed, step, cap, "group closure")[0]
-
-
 @lru_cache(maxsize=None)
 def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     sp = make_space(q, n)
-    gens = generators(sp, tag)
-    rows = _group_closure(sp.fp, [g.mat.a for g in gens], cap=group_order(tag, q, n) + 1)
+    mats = np.stack([g.mat.a for g in generators(sp, tag)])
+    step = lambda frontier: mm(sp.fp, frontier[:, None], mats[None])  # noqa: E731
     expected = group_order(tag, q, n)
+    rows = frontier_closure(sp.identity.a, step, expected + 1, "group closure")[0]
     if len(rows) != expected:
         raise ConsistencyError(
             f"closure of {tag} generators has {len(rows)} elements, order formula gives {expected}"

@@ -1,5 +1,8 @@
+import importlib
+
 import pytest
 
+from fsiegel.checks import run_check
 from fsiegel.errors import ParameterError
 from fsiegel.field import make_fields, tau_f
 from fsiegel.linalg import Mat, block
@@ -189,6 +192,21 @@ def test_stabilizer_structure_reduced_mode():
     assert rep["mode"] == "reduced"
     assert rep["quotient_matches_orbit"]
     assert "filtered_order" not in rep
+
+
+def test_stabilizers_refuse_over_the_orbit_cap_before_scanning(monkeypatch):
+    def scan(fp, m):
+        raise AssertionError("the unitary scan ran before the orbit cap was met")
+
+    monkeypatch.setattr(importlib.import_module("fsiegel.cayley"), "unitary_group_elements", scan)
+    rec = run_check("stabilizers", 7, 2, 10**5, 5000)
+    assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": "orbit exceeds cap 5000"})
+
+
+def test_stabilizers_refuse_an_oversized_scan():
+    rec = run_check("stabilizers", 11, 2, 10**5, 2 * 10**4)
+    assert rec["status"] == "skipped-resource"
+    assert rec["data"] == {"reason": "scan of 214358881 candidate matrices exceeds limit"}
 
 
 def test_unitary_diagonal_subgroup():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fsiegel import checks
+from fsiegel import checks, cli
 from fsiegel.cli import main, strip_volatile
 from fsiegel.errors import ConsistencyError, VerificationFailure
 
@@ -99,7 +99,7 @@ def test_group_enumerate(capsys):
 def test_group_enumeration_cap_skip(capsys):
     code, payload = run_json(
         capsys,
-        "group", "--q", "5", "--n", "2", "--group", "spf", "--enumerate", "--cap", "1000000",
+        "group", "--q", "5", "--n", "2", "--group", "spf", "--enumerate", "--cap-group", "1000000",
     )
     assert code == 3
     assert payload["checks"][0]["status"] == "skipped-resource"
@@ -213,6 +213,18 @@ def test_verification_failure_becomes_a_fail_record(capsys, monkeypatch):
         assert by_cell[("lemma4", q)]["data"] == {"error": f"cross-check broke at ({q},1)"}
         assert by_cell[("strata-map", q)]["status"] == "pass"
     assert payload["counts"] == {"pass": 2, "fail": 2, "skipped-resource": 0}
+
+
+def test_verification_failure_in_orbits_becomes_a_fail_record(capsys, monkeypatch):
+    def broken(points, gens, invariant=None):
+        raise VerificationFailure("orbit escaped the supplied point set")
+
+    monkeypatch.setattr(cli, "partition", broken)
+    code, payload = run_json(capsys, "orbits", "--q", "3", "--n", "1,2")
+    assert code == 1
+    assert [(r["n"], r["status"], r["data"]) for r in payload["checks"]] == [
+        (n, "fail", {"error": "orbit escaped the supplied point set"}) for n in (1, 2)
+    ]
 
 
 def test_consistency_error_stays_fatal(capsys, monkeypatch):

@@ -3,7 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from fsiegel.errors import NotIsotropicError, ParameterError, RankDeficientError, ResourceLimitError
+from fsiegel.errors import (
+    ConsistencyError,
+    NotIsotropicError,
+    ParameterError,
+    RankDeficientError,
+    ResourceLimitError,
+)
 from fsiegel.field import make_fields
 from fsiegel.linalg import Mat
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, generators, make_space
@@ -186,6 +192,21 @@ def test_enumeration_counts(q, n, count):
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_lagrangians(7, 2, cap=1000)
+
+
+def test_wrong_enumeration_count_is_an_inconsistency(monkeypatch):
+    from fsiegel import checks, lagrangian
+
+    true_count = lagrangian.lagrangian_count
+    monkeypatch.setattr(lagrangian, "lagrangian_count", lambda q, n: true_count(q, n) + 1)
+    lagrangian._all_lagrangians.cache_clear()
+    lagrangian._point_table.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="count formula gives 11"):
+            checks.run_check("lemma4", 3, 1, 10**5, 10**5)
+    finally:
+        lagrangian._all_lagrangians.cache_clear()
+        lagrangian._point_table.cache_clear()
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (5, 1)])

@@ -1,16 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
 from fsiegel.errors import ParameterError, ResourceLimitError, ShapeError
-from fsiegel.linalg import Mat
+from fsiegel.linalg import Mat, mm
 from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
     TAG_SP_F,
-    GroupElement,
-    enumerate_group,
     enumerate_symplectic,
+    frontier_closure,
     generators,
     group_element,
     group_order,
@@ -100,7 +100,7 @@ def test_generator_closure_sizes():
     assert len(gens) == 2
     assert gens[0].mat == Mat.build(sp.fp, [[1, 1], [0, 1]])
     assert gens[1].mat == Mat.build(sp.fp, [[1, 0], [1, 1]])
-    assert len(enumerate_group(gens, cap=100)) == 24
+    assert len(enumerate_symplectic(sp, TAG_SP_F, 100)) == 24
     assert len(enumerate_symplectic(make_space(5, 1), TAG_SP_F, 10**4)) == 120
     assert len(enumerate_symplectic(make_space(3, 2), TAG_SP_F, 10**5)) == 51840
 
@@ -121,14 +121,19 @@ def test_group_order_formula():
     assert group_order(TAG_SP_E, 3, 1) == 720
 
 
-def test_enumerate_group_basics():
+def test_frontier_closure_basics():
     sp = make_space(3, 1)
-    eye = GroupElement(sp.identity, TAG_SP_F)
-    assert enumerate_group([eye], cap=10) == {eye}
-    with pytest.raises(ParameterError):
-        enumerate_group([eye], cap=0)
-    with pytest.raises(ResourceLimitError):
-        enumerate_group(generators(sp, TAG_SP_F), cap=10)
+    eye = sp.identity.a
+
+    def step(mats):
+        return lambda frontier: mm(sp.fp, frontier[:, None], mats[None])
+
+    members, parent, via = frontier_closure(eye, step(eye[None]), cap=10)
+    assert len(members) == 1 and np.array_equal(members[0], eye)
+    assert parent.tolist() == via.tolist() == [-1]
+    gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_F)])
+    with pytest.raises(ResourceLimitError, match="closure exceeds cap 10"):
+        frontier_closure(eye, step(gens), cap=10)
 
 
 def test_enumeration_cap_precheck():
