@@ -43,16 +43,13 @@ from .symplectic import (
 )
 from .lagrangian import (
     Lagrangian,
+    PointTable,
     StratumLabel,
-    conj_lagrangian,
     conjugate_pair_dims,
     enumerate_lagrangians,
     from_basis,
-    gram,
-    in_siegel_image,
     l_minus,
     l_plus,
-    label,
     lagrangian_count,
     siegel,
     strata,

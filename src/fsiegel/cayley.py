@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
-from .lagrangian import Lagrangian, from_basis, l_plus, span_images, strata
+from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, l_plus, span_images
 from .linalg import Mat, block, mm
 from .orbits import act, orbit, stabilizer_elements
 from .symplectic import (
@@ -396,21 +396,19 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
 def map_strata(q: int, n: int, cap_points: int) -> dict:
     """Compare the images of the h_e strata under M with the h_0 strata."""
     cd = cayley(q, n)
-    sp = cd.space
-    h_str, o_str = strata(q, n, cap_points)
+    table = enumerate_lagrangians(q, n, cap_points)
     per = []
     for j in range(n + 1):
-        bases = np.array([w.basis.a for w in h_str[j]], dtype=np.int64).reshape(-1, sp.dim, n, 2)
-        image_keys = {b.tobytes() for b in span_images(sp, cd.m.a[None], bases)[:, 0]}
-        o_keys = {w.key for w in o_str[j]}
-        h_keys = {w.key for w in h_str[j]}
+        h_rows = np.flatnonzero(table.h_rank == j)
+        o_rows = np.flatnonzero(table.o_type == j)
+        images = span_images(cd.space, cd.m.a[None], table.bases[h_rows])[:, 0]
         per.append(
             {
                 "r": j,
-                "h_count": len(h_keys),
-                "o_count": len(o_keys),
-                "image_equals_o_stratum": image_keys == o_keys,
-                "strata_literally_equal": h_keys == o_keys,
+                "h_count": len(h_rows),
+                "o_count": len(o_rows),
+                "image_equals_o_stratum": np.array_equal(np.sort(table.rows(images)), o_rows),
+                "strata_literally_equal": np.array_equal(h_rows, o_rows),
             }
         )
     return {

@@ -38,16 +38,15 @@ from .lagrangian import (
     _conj_intersections,
     _conjugate_sum_dims,
     _h_e_radicals,
-    _point_table,
     enumerate_lagrangians,
     lagrangian_count,
-    strata,
 )
 from .linalg import Mat
 from .orbits import partition
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_F,
+    check_group_cap,
     generators,
     group_order,
     make_space,
@@ -79,25 +78,26 @@ def _rng(check: str, q: int, n: int) -> random.Random:
 
 
 def _census_tables(q: int, n: int, cap_points: int):
-    h_str, o_str = strata(q, n, cap_points)
-    table = _point_table(q, n)
+    """The cell's table and one census row per rank r, counted from its label arrays."""
+    table = enumerate_lagrangians(q, n, cap_points)
     rows = []
     for r in range(n + 1):
+        h, o = table.h_rank == r, table.o_type == r
         rows.append(
             {
                 "r": r,
-                "h_count": len(h_str[r]),
-                "o_count": len(o_str[r]),
-                "h_in_image": int(np.count_nonzero(table.in_image[table.h_rank == r])),
-                "o_in_image": int(np.count_nonzero(table.in_image[table.o_type == r])),
+                "h_count": int(np.count_nonzero(h)),
+                "o_count": int(np.count_nonzero(o)),
+                "h_in_image": int(np.count_nonzero(table.in_image[h])),
+                "o_in_image": int(np.count_nonzero(table.in_image[o])),
             }
         )
-    return h_str, o_str, rows
+    return table, rows
 
 
 def census_payload(q: int, n: int, cap_points: int) -> dict:
     """Stratum table plus the closed-form total cross-check."""
-    _, _, rows = _census_tables(q, n, cap_points)
+    _, rows = _census_tables(q, n, cap_points)
     total = sum(r["h_count"] for r in rows)
     expected = lagrangian_count(q, n)
     return {
@@ -118,22 +118,20 @@ def census_payload(q: int, n: int, cap_points: int) -> dict:
 
 def check_theorem1(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     sp = make_space(q, n)
-    h_str, o_str, rows = _census_tables(q, n, cap_points)
-    points = enumerate_lagrangians(q, n, cap_points)
-    part_f = partition(points, generators(sp, TAG_SP_F), invariant="h_rank")
-    part_0 = partition(points, generators(sp, TAG_SP_0), invariant="o_type")
+    table, rows = _census_tables(q, n, cap_points)
+    part_f = partition(table, generators(sp, TAG_SP_F), invariant="h_rank")
+    part_0 = partition(table, generators(sp, TAG_SP_0), invariant="o_type")
 
-    h_sets = {frozenset(w.key for w in stratum) for stratum in h_str}
-    o_sets = {frozenset(w.key for w in stratum) for stratum in o_str}
-    table = _point_table(q, n)
-    image = {w.key for w, inside in zip(table.points, table.in_image.tolist()) if inside}
+    def orbits_are_strata(part, labels) -> bool:
+        """The orbits' sets of rows are the strata's, and no orbit has a conflict."""
+        strata_rows = {frozenset(np.flatnonzero(labels == r).tolist()) for r in range(n + 1)}
+        return {frozenset(o.rows.tolist()) for o in part.orbits} == strata_rows and not part.conflicts
+
     sub = {
-        "rational_orbits_equal_h_strata": part_f.as_sets() == h_sets and not part_f.conflicts,
-        "unitary_orbits_equal_o_strata": part_0.as_sets() == o_sets and not part_0.conflicts,
+        "rational_orbits_equal_h_strata": orbits_are_strata(part_f, table.h_rank),
+        "unitary_orbits_equal_o_strata": orbits_are_strata(part_0, table.o_type),
         "every_orbit_meets_image": all(
-            any(w.key in image for w in orb.members)
-            for part in (part_f, part_0)
-            for orb in part.orbits
+            table.in_image[orb.rows].any() for part in (part_f, part_0) for orb in part.orbits
         ),
     }
     if n == 1:
@@ -251,6 +249,10 @@ def check_strata_map(q: int, n: int, cap_group: int, cap_points: int) -> dict:
 
 
 def check_involutions(q: int, n: int, cap_group: int, cap_points: int) -> dict:
+    # refuse over either cap before the group closure, group first, both from the
+    # closed forms; the point table this builds is the one the correspondence reads
+    check_group_cap(TAG_SP_F, q, n, cap_group)
+    enumerate_lagrangians(q, n, cap_points)
     fp = make_fields(q)
     ants = anti_involutions(q, n, cap_group)
     form_rep = involution_form_report(q, n, cap_group)
@@ -336,9 +338,8 @@ def check_lemma4(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     mean equal canonical bases.  The intersection's dimension is its
     computed rank, not 2n - dim(W + conj W).
     """
-    enumerate_lagrangians(q, n, cap_points)  # enforces the cap
     sp = make_space(q, n)
-    table = _point_table(q, n)
+    table = enumerate_lagrangians(q, n, cap_points)
     ok = bool(np.all(_conjugate_sum_dims(sp, table.bases) == n + table.h_rank))
     for lo in range(0, len(table.bases), _POINT_CHUNK):
         block = table.bases[lo : lo + _POINT_CHUNK]
@@ -349,7 +350,7 @@ def check_lemma4(q: int, n: int, cap_group: int, cap_points: int) -> dict:
             and np.array_equal(inter_rank, rad_rank)
             and np.array_equal(inter[:, :, :n], rad)
         )
-    return {"points": len(table.points), "ok": ok}
+    return {"points": len(table), "ok": ok}
 
 
 def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> dict:

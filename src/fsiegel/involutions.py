@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, VerificationFailure
 from .field import epsilon_f
-from .lagrangian import Lagrangian, from_basis, strata
+from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, point_keys, span_images
 from .linalg import Mat, block, mm
-from .orbits import act
 from .symplectic import (
     TAG_SP_F,
     GroupElement,
@@ -169,6 +168,21 @@ def _conjugation_closure(seed: Mat, gens, cap: int) -> set[bytes]:
     return {m.tobytes() for m in members}
 
 
+def _equivariant(sp: SpaceParams, ants, models: np.ndarray, gens) -> bool:
+    """g W_T = W_{g T g^-1} for each T in `ants` with eigenspace W_T in `models`, each generator g.
+
+    A g T g^-1 missing from `ants` counts as not equivariant.
+    """
+    fp = sp.fp
+    mats = np.stack([g.mat.a for g in gens])
+    invs = np.stack([g.mat.inv().a for g in gens])
+    index = {t.mat.key(): i for i, t in enumerate(ants)}
+    conj = mm(fp, mm(fp, mats[None], np.stack([t.mat.a for t in ants])[:, None]), invs[None])
+    j = np.array([index.get(c.tobytes(), -1) for c in conj.reshape(-1, sp.dim, sp.dim, 2)])
+    moved = span_images(sp, mats, models).reshape(-1, sp.dim, sp.n, 2)
+    return bool(np.all(j >= 0) and np.array_equal(moved, models[j]))
+
+
 def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     """Branch-dependent model of the anti-involution set.
 
@@ -183,32 +197,23 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     ants = anti_involutions(q, n, cap_group)
     gens = generators(sp, TAG_SP_F)
     out = {"count": len(ants), "branch": "nonsquare" if epsilon_f(q) == -1 else "square"}
-    models = {t.mat.key(): eigenspace_model(t) for t in ants}
-    images = {}
-    for t in ants:
-        images.setdefault(models[t.mat.key()].key, []).append(t)
-    # g T g^-1 is an anti-involution again, its eigenspace looked up by matrix key
-    inverses = [g.mat.inv() for g in gens]
-    out["equivariant"] = all(
-        act(g, models[t.mat.key()]) == models.get((g.mat @ t.mat @ ginv).key())
-        for t in ants
-        for g, ginv in zip(gens, inverses)
-    )
+    models = np.stack([eigenspace_model(t).basis.a for t in ants])
+    out["equivariant"] = _equivariant(sp, ants, models, gens)
+    # the distinct eigenspaces, with the number of anti-involutions on each
+    images, fibers = np.unique(point_keys(models), return_counts=True)
 
-    h_str, _ = strata(q, n, cap_points)
+    table = enumerate_lagrangians(q, n, cap_points)
     if epsilon_f(q) == -1:
-        top = {w.key for w in h_str[n]}
+        top = table.keys[table.h_rank == n]
         out["injective"] = len(images) == len(ants)
-        out["image_is_top_stratum"] = set(images) == top
+        out["image_is_top_stratum"] = np.array_equal(images, top)
         out["stratum_size"] = len(top)
         out["bijective"] = out["injective"] and out["image_is_top_stratum"]
         return out
 
     # square branch
-    null = {w.key for w in h_str[0]}
-    out["image_is_null_stratum"] = set(images) == null
-    fiber_sizes = sorted(len(v) for v in images.values())
-    out["max_fiber"] = fiber_sizes[-1] if fiber_sizes else 0
+    out["image_is_null_stratum"] = np.array_equal(images, table.keys[table.h_rank == 0])
+    out["max_fiber"] = int(fibers.max(initial=0))
     out["injective"] = out["max_fiber"] == 1
 
     i = fp.sqrt(fp.e(-1))

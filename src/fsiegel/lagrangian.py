@@ -2,7 +2,10 @@
 
 A Lagrangian is held as its unique reduced column-echelon basis, a
 2n x n matrix whose column span is n-dimensional and omega-isotropic.
-Two Lagrangians are equal exactly when their stored bases are identical.
+Two Lagrangians are equal exactly when their stored bases are identical,
+and they sort by the bytes of those bases, their `key`.  A cell's points
+are the rows of one `PointTable`, these bases stacked in key order; a
+`Lagrangian` object is built from a row only where one point is needed.
 
 Each subspace carries two integer labels:
 
@@ -101,6 +104,12 @@ class Lagrangian:
         return _from_span(self.space, self.basis.conj().a)
 
 
+def point_keys(bases: np.ndarray) -> np.ndarray:
+    """`Lagrangian.key` of every basis in a stack (N, 2n, n, 2), as one sortable array."""
+    flat = np.ascontiguousarray(bases, dtype=np.int64).reshape(len(bases), -1)
+    return flat.view(f"S{flat.shape[1] * 8}").ravel()
+
+
 def _from_span(sp: SpaceParams, arr: np.ndarray) -> Lagrangian:
     """Canonicalize a spanning 2n x n array known to be isotropic."""
     red, pivots = rcef(sp.fp, arr)
@@ -130,37 +139,38 @@ def _grams(sp: SpaceParams, bases: np.ndarray, core: Mat) -> np.ndarray:
     return mm(sp.fp, mm(sp.fp, bases.swapaxes(1, 2), core.a), conj_arr(bases, sp.q))
 
 
-def _labels(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h_rank, o_type) of every basis in a stack: ranks of the two Gram stacks."""
-    return rank_stack(sp.fp, _grams(sp, bases, sp.j)), rank_stack(sp.fp, _grams(sp, bases, sp.d_form))
+class PointTable:
+    """Points as rows: canonical bases sorted by key, with per-point data.
 
+    Next to the bases are their `point_keys` and, per row, the labels
+    (the ranks of the two Gram matrices) and the Siegel-image flag (an
+    invertible bottom block); all are read-only.  Indexing a row builds
+    its `Lagrangian`, so a table also reads as the sorted list of its points.
+    """
 
-def _in_image(sp: SpaceParams, bases: np.ndarray) -> np.ndarray:
-    """Siegel-image flag of every basis in a stack: its bottom block is invertible."""
-    return rank_stack(sp.fp, bases[:, sp.n :]) == sp.n
+    __slots__ = ("space", "bases", "keys", "h_rank", "o_type", "in_image")
 
+    def __init__(self, sp: SpaceParams, bases: np.ndarray):
+        self.space = sp
+        self.bases = bases[np.argsort(point_keys(bases))]
+        self.keys = point_keys(self.bases)
+        self.h_rank = rank_stack(sp.fp, _grams(sp, self.bases, sp.j))
+        self.o_type = rank_stack(sp.fp, _grams(sp, self.bases, sp.d_form))
+        self.in_image = rank_stack(sp.fp, self.bases[:, sp.n :]) == sp.n
+        for arr in (self.bases, self.keys, self.h_rank, self.o_type, self.in_image):
+            arr.setflags(write=False)  # a cached table is shared by every caller
 
-class PointTable(NamedTuple):
-    """A cell's sorted points with their bases stacked and their per-point data."""
+    def __len__(self) -> int:
+        return len(self.bases)
 
-    points: tuple[Lagrangian, ...]
-    bases: np.ndarray
-    h_rank: np.ndarray
-    o_type: np.ndarray
-    in_image: np.ndarray
+    def __getitem__(self, row: int) -> Lagrangian:
+        return Lagrangian(self.space, Mat(self.space.fp, self.bases[row]))
 
-
-@lru_cache(maxsize=None)
-def _point_table(q: int, n: int) -> PointTable:
-    """Labels and Siegel-image flags of every point, computed once per cell."""
-    sp = make_space(q, n)
-    points = _all_lagrangians(q, n)
-    bases = np.stack([w.basis.a for w in points])
-    h_rank, o_type = _labels(sp, bases)
-    table = PointTable(points, bases, h_rank, o_type, _in_image(sp, bases))
-    for arr in table[1:]:
-        arr.setflags(write=False)  # one cached table is shared by every caller
-    return table
+    def rows(self, bases: np.ndarray) -> np.ndarray:
+        """Row of each basis in a stack, or -1 where it is not a point of the table."""
+        keys = point_keys(bases)
+        idx = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
+        return np.where(self.keys[idx] == keys, idx, -1)
 
 
 def from_basis(sp: SpaceParams, m: Mat) -> Lagrangian:
@@ -189,22 +199,6 @@ def siegel(sp: SpaceParams, z: Mat) -> Lagrangian:
     if not z.is_symmetric():
         raise ParameterError("Siegel coordinates must be symmetric")
     return from_basis(sp, block(sp.fp, [[z], [Mat.identity(sp.fp, sp.n)]]))
-
-
-def in_siegel_image(w: Lagrangian) -> bool:
-    return w.in_siegel_image()
-
-
-def gram(w: Lagrangian, form: str) -> Mat:
-    return w.gram(form)
-
-
-def label(w: Lagrangian) -> StratumLabel:
-    return w.label()
-
-
-def conj_lagrangian(w: Lagrangian) -> Lagrangian:
-    return w.conj()
 
 
 def conjugate_pair_dims(w: Lagrangian) -> tuple[int, int]:
@@ -276,37 +270,34 @@ def lagrangian_count(q: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _all_lagrangians(q: int, n: int) -> tuple[Lagrangian, ...]:
+def _point_table(q: int, n: int) -> PointTable:
+    """The cell's table: the closure of L+ under the generators of Sp(n, E)."""
     sp = make_space(q, n)
     gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_E)])
     bases = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, gens, f))[0]
-    out = tuple(sorted(Lagrangian(sp, Mat(sp.fp, b)) for b in bases))
     expected = lagrangian_count(q, n)
-    if len(out) != expected:
+    if len(bases) != expected:
         raise ConsistencyError(
-            f"enumeration found {len(out)} Lagrangians, count formula gives {expected}"
+            f"enumeration found {len(bases)} Lagrangians, count formula gives {expected}"
         )
-    return out
+    return PointTable(sp, bases)
 
 
-def enumerate_lagrangians(q: int, n: int, cap: int | None = None) -> tuple[Lagrangian, ...]:
-    """Every Lagrangian, sorted by canonical basis; capped by point budget."""
+def enumerate_lagrangians(q: int, n: int, cap: int | None = None) -> PointTable:
+    """Every Lagrangian, as the cell's sorted point table; refused over the cap first."""
     expected = lagrangian_count(q, n)
     if cap is not None and expected > cap:
         raise ResourceLimitError(f"{expected} Lagrangians exceed cap {cap}")
-    return _all_lagrangians(q, n)
+    return _point_table(q, n)
 
 
 def strata(q: int, n: int, cap: int | None = None):
-    """Census by label: (h_strata, o_strata) as lists indexed by rank/type."""
-    enumerate_lagrangians(q, n, cap)  # enforces the cap
-    table = _point_table(q, n)
-    h: list[list[Lagrangian]] = [[] for _ in range(n + 1)]
-    o: list[list[Lagrangian]] = [[] for _ in range(n + 1)]
-    for w, h_rank, o_type in zip(table.points, table.h_rank.tolist(), table.o_type.tolist()):
-        h[h_rank].append(w)
-        o[o_type].append(w)
-    return h, o
+    """Census by label: (h_strata, o_strata), lists of sorted points indexed by rank/type."""
+    table = enumerate_lagrangians(q, n, cap)
+    return tuple(
+        [[table[i] for i in np.flatnonzero(labels == r).tolist()] for r in range(n + 1)]
+        for labels in (table.h_rank, table.o_type)
+    )
 
 
 # ---------------------------------------------------------------------------

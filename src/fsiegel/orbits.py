@@ -7,11 +7,12 @@ no matter how the frontier was expanded.  Transporter words are the one
 exception (they depend on the exploration schedule of the final BFS) and
 are therefore excluded from report equality.
 
-A partition works on the sorted point stack: each generator's action is
-one int table (point index -> image index), and each orbit is a BFS
-component over the tables, its words read off the parent pointers, a
-Schreier vector (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, section 4.1).
+Points are rows of a sorted `PointTable`, and an orbit's members are a
+sorted array of its rows.  A partition works on the table's stack: each
+generator's action is one int table (row -> image row), and each orbit
+is a BFS component over the tables, its words read off the parent
+pointers, a Schreier vector (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, section 4.1).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VerificationFailure
-from .lagrangian import _POINT_CHUNK, Lagrangian, StratumLabel, _from_span, _labels, span_images
+from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
 from .linalg import Mat, mm
 from .symplectic import EnumeratedGroup, GroupElement, frontier_closure
 
@@ -44,48 +45,57 @@ def apply_word(word, seed: Lagrangian, gens) -> Lagrangian:
 
 
 class OrbitRecord:
-    """One orbit: representative, members, and words over generator indices."""
+    """One orbit: its rows in a point table, sorted, and words over generator indices.
 
-    __slots__ = ("representative", "members", "transporters")
+    Built from a BFS over the table's rows: found[0] is the seed, and row
+    found[i], i > 0, is the image of row found[parent[i]] under generator
+    via[i].  Every _CHECK_STRIDE-th member's word is re-applied from the
+    seed with the scalar `act`.  The `Lagrangian` views are built on demand.
+    """
 
-    def __init__(self, representative: Lagrangian, members: list[Lagrangian], transporters: dict):
-        self.representative = representative
-        self.members = members
-        self.transporters = transporters
+    __slots__ = ("table", "rows", "found", "words")
+
+    def __init__(self, table: PointTable, found: np.ndarray, parent: np.ndarray, via: np.ndarray, gens):
+        self.table, self.rows, self.found = table, np.sort(found), found
+        self.words = [()]
+        for p, i in zip(parent[1:].tolist(), via[1:].tolist()):
+            self.words.append(self.words[p] + (i,))
+        seed = self.representative
+        for idx in range(0, len(found), _CHECK_STRIDE):
+            if apply_word(self.words[idx], seed, gens) != table[found[idx]]:
+                raise VerificationFailure("transporter word does not reproduce its point")
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
+
+    @property
+    def representative(self) -> Lagrangian:
+        return self.table[self.found[0]]
+
+    @property
+    def members(self) -> list[Lagrangian]:
+        return [self.table[i] for i in self.rows.tolist()]
+
+    @property
+    def transporters(self) -> dict:
+        """Word per member, keyed by `Lagrangian.key`."""
+        return {self.table.bases[i].tobytes(): w for i, w in zip(self.found.tolist(), self.words)}
 
     def member_keys(self) -> frozenset:
-        return frozenset(w.key for w in self.members)
+        return frozenset(self.table.bases[i].tobytes() for i in self.rows.tolist())
 
 
 def _gen_stack(sp, gens) -> np.ndarray:
     return np.array([_mat(g).a for g in gens], dtype=np.int64).reshape(len(gens), sp.dim, sp.dim, 2)
 
 
-def _transporters(members: list, parent: np.ndarray, via: np.ndarray, gens) -> dict:
-    """Words over generator indices from BFS parent pointers (a Schreier vector).
-
-    `members` is in discovery order, seed first; member i > 0 is the image
-    of member parent[i] under generator via[i].  Every _CHECK_STRIDE-th
-    member's word is re-applied from the seed with the scalar `act`.
-    """
-    words = [()]
-    for p, i in zip(parent[1:].tolist(), via[1:].tolist()):
-        words.append(words[p] + (i,))
-    for idx in range(0, len(members), _CHECK_STRIDE):
-        if apply_word(words[idx], members[0], gens) != members[idx]:
-            raise VerificationFailure("transporter word does not reproduce its point")
-    return {w.key: word for w, word in zip(members, words)}
-
-
 def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     """BFS orbit of the seed, one stacked canonicalization per frontier.
 
-    Transporter words follow the BFS parent pointers (a Schreier vector);
-    every _CHECK_STRIDE-th member's word is re-applied with the scalar `act`.
+    The members become the rows of their own sorted table.  Transporter
+    words follow the BFS parent pointers (a Schreier vector); every
+    _CHECK_STRIDE-th member's word is re-applied with the scalar `act`.
     """
     gens = list(gens)
     sp = seed.space
@@ -93,8 +103,8 @@ def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     bases, parent, via = frontier_closure(
         seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
     )
-    members = [seed] + [Lagrangian(sp, Mat(sp.fp, b)) for b in bases[1:]]
-    return OrbitRecord(seed, sorted(members), _transporters(members, parent, via, gens))
+    table = PointTable(sp, bases)
+    return OrbitRecord(table, table.rows(bases), parent, via, gens)
 
 
 class PartitionReport:
@@ -114,71 +124,55 @@ class PartitionReport:
         return {o.member_keys() for o in self.orbits}
 
 
-def _point_keys(bases: np.ndarray) -> np.ndarray:
-    """One sort key per basis in a stack (N, 2n, n, 2): the bytes `Lagrangian.__lt__` compares."""
-    flat = np.ascontiguousarray(bases, dtype=np.int64).reshape(len(bases), -1)
-    return flat.view(f"S{flat.shape[1] * 8}").ravel()
+def _action_table(table: PointTable, mats: np.ndarray) -> np.ndarray:
+    """Row of g W for each row W of the table and each generator g: (N, G).
 
-
-def _action_table(sp, mats: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Index of g W in the sorted stack `bases`, for each basis W and generator g: (N, G).
-
-    Raises VerificationFailure when an image lies outside the stack.
+    Raises VerificationFailure when an image lies outside the table.
     """
-    keys = _point_keys(bases)
-    table = np.empty((len(bases), len(mats)), dtype=np.int64)
-    for lo in range(0, len(bases), _POINT_CHUNK):
-        images = span_images(sp, mats, bases[lo : lo + _POINT_CHUNK])
-        images = _point_keys(images.reshape(-1, *bases.shape[1:]))
-        idx = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
-        if not np.array_equal(keys[idx], images):
+    out = np.empty((len(table), len(mats)), dtype=np.int64)
+    for lo in range(0, len(table), _POINT_CHUNK):
+        images = span_images(table.space, mats, table.bases[lo : lo + _POINT_CHUNK])
+        rows = table.rows(images.reshape(-1, *table.bases.shape[1:]))
+        if np.any(rows < 0):
             raise VerificationFailure("orbit escaped the supplied point set")
-        table[lo : lo + _POINT_CHUNK] = idx.reshape(-1, len(mats))
-    return table
+        out[lo : lo + _POINT_CHUNK] = rows.reshape(-1, len(mats))
+    return out
 
 
-def partition(points, gens, invariant: str | None = None) -> PartitionReport:
-    """Orbit partition of a point set, seeds swept in canonical order.
+def partition(table: PointTable, gens, invariant: str | None = None) -> PartitionReport:
+    """Orbit partition of a point table, seeds swept in row order.
 
     Each orbit's representative is its smallest member.  `invariant`
-    names the label component expected to be constant on orbits
-    ("h_rank" for the rational group, "o_type" for the h_0-unitary one);
-    members disagreeing with their representative in that component are
-    recorded as conflicts, never silently dropped.  The orbits are BFS
-    components over the generators' action tables on the sorted stack.
+    names the label column expected to be constant on orbits ("h_rank"
+    for the rational group, "o_type" for the h_0-unitary one); members
+    disagreeing with their representative in that column are recorded as
+    conflicts, never silently dropped.  The orbits are BFS components over
+    the generators' action tables on the table's rows.
     """
-    pts = sorted(points, key=lambda w: w.key)
+    gens = list(gens)
+    action = _action_table(table, _gen_stack(table.space, gens))
+
+    def label(i) -> StratumLabel:
+        return StratumLabel(int(table.h_rank[i]), int(table.o_type[i]))
+
     orbits: list[OrbitRecord] = []
     labels: list[StratumLabel] = []
     conflicts = []
-    if not pts:
-        return PartitionReport(orbits, labels, conflicts)
-    gens = list(gens)
-    sp = pts[0].space
-    bases = np.stack([w.basis.a for w in pts])
-    table = _action_table(sp, _gen_stack(sp, gens), bases)
-    ranks = StratumLabel(*_labels(sp, bases))
-
-    def label(i) -> StratumLabel:
-        return StratumLabel(int(ranks.h_rank[i]), int(ranks.o_type[i]))
-
-    seen = np.zeros(len(pts), dtype=bool)
-    for s in np.arange(len(pts)):
+    seen = np.zeros(len(table), dtype=bool)
+    for s in range(len(table)):
         if seen[s]:
             continue
-        found, parent, via = frontier_closure(s[None], lambda f: table[f[:, 0], :, None])
-        found = found[:, 0]
-        seen[found] = True
-        members = np.sort(found)
+        found, parent, via = frontier_closure(np.array([s]), lambda f: action[f[:, 0], :, None])
+        rec = OrbitRecord(table, found[:, 0], parent, via, gens)
+        seen[rec.rows] = True
         if invariant is not None:
-            inv = getattr(ranks, invariant)
-            bad = members[inv[members] != inv[s]]
+            inv = getattr(table, invariant)
+            bad = rec.rows[inv[rec.rows] != inv[s]]
             if bad.size:
-                conflicts.append((pts[s], pts[bad[0]], label(bad[0])))
-        words = _transporters([pts[i] for i in found.tolist()], parent, via, gens)
-        orbits.append(OrbitRecord(pts[s], [pts[i] for i in members.tolist()], words))
+                conflicts.append((table[s], table[bad[0]], label(bad[0])))
+        orbits.append(rec)
         labels.append(label(s))
-    if sum(o.size for o in orbits) != len(pts):
+    if sum(o.size for o in orbits) != len(table):
         raise VerificationFailure("orbits do not cover the point set")
     return PartitionReport(orbits, labels, conflicts)
 

@@ -349,11 +349,16 @@ def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     return EnumeratedGroup(sp, tag, rows)
 
 
-def enumerate_symplectic(sp: SpaceParams, tag: str, cap: int) -> EnumeratedGroup:
-    """Full enumeration of the tagged group, refused cleanly over the cap."""
-    order = group_order(tag, sp.q, sp.n)
+def check_group_cap(tag: str, q: int, n: int, cap: int) -> None:
+    """Refuse a group of order above the cap, from the order formula."""
+    order = group_order(tag, q, n)
     if order > cap:
         raise ResourceLimitError(f"group order {order} exceeds cap {cap}")
+
+
+def enumerate_symplectic(sp: SpaceParams, tag: str, cap: int) -> EnumeratedGroup:
+    """Full enumeration of the tagged group, refused cleanly over the cap."""
+    check_group_cap(tag, sp.q, sp.n, cap)
     return _enumerated(sp.q, sp.n, tag)
 
 

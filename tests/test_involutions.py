@@ -1,11 +1,16 @@
+import numpy as np
 import pytest
 
+from fsiegel import involutions
+from fsiegel.checks import run_check
 from fsiegel.errors import ParameterError, ResourceLimitError
 from fsiegel.field import make_fields, sqrt_in_e
 from fsiegel.linalg import Mat
-from fsiegel.symplectic import TAG_SP_F, GroupElement, enumerate_symplectic, make_space
+from fsiegel.symplectic import TAG_SP_F, GroupElement, enumerate_symplectic, generators, make_space
 from fsiegel.lagrangian import strata
+from fsiegel.orbits import act
 from fsiegel.involutions import (
+    _equivariant,
     anti_involutions,
     classify_involutions,
     correspondence_report,
@@ -140,6 +145,45 @@ def test_correspondence_square_branch():
     assert rep["image_is_null_stratum"]
     assert not rep["injective"] and rep["max_fiber"] > 1
     assert rep["cayley_carries_seed_to_j"]
+
+
+def _scalar_equivariant(ants, models, gens) -> bool:
+    """The scalar route: act(g, W_T) == W_{g T g^-1}, one pair at a time."""
+    by_key = {t.mat.key(): w for t, w in zip(ants, models)}
+    return all(
+        act(g, by_key[t.mat.key()]) == by_key.get((g.mat @ t.mat @ g.mat.inv()).key())
+        for t in ants
+        for g in gens
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_stacked_equivariance_matches_the_scalar_loop(q):
+    sp = make_space(q, 1)
+    ants = anti_involutions(q, 1, CAP)
+    gens = generators(sp, TAG_SP_F)
+    models = [eigenspace_model(t) for t in ants]
+    stack = np.stack([w.basis.a for w in models])
+    assert _equivariant(sp, ants, stack, gens) and _scalar_equivariant(ants, models, gens)
+    # give the first anti-involution the eigenspace of one with another eigenspace
+    other = next(w for w in models if w != models[0])
+    bad = [other] + models[1:]
+    bad_stack = np.stack([w.basis.a for w in bad])
+    assert not _equivariant(sp, ants, bad_stack, gens)
+    assert not _scalar_equivariant(ants, bad, gens)
+
+
+def test_involutions_refuse_over_either_cap_before_any_work(monkeypatch):
+    def fail(q, n):
+        raise AssertionError("the anti-involutions were computed")
+
+    monkeypatch.setattr(involutions, "_anti_involutions", fail)
+    rec = run_check("involutions", 3, 2, 10**5, 100)
+    assert rec["status"] == "skipped-resource"
+    assert rec["data"] == {"reason": "820 Lagrangians exceed cap 100"}
+    # over both caps, the group reason comes first
+    rec = run_check("involutions", 3, 2, 100, 100)
+    assert rec["data"] == {"reason": "group order 51840 exceeds cap 100"}
 
 
 def test_correspondence_count_matches_top_stratum_3_2():

@@ -30,7 +30,7 @@ from fsiegel.lagrangian import (
     strata,
     witnesses,
 )
-from fsiegel.orbits import act
+from fsiegel.orbits import act, orbit
 from fsiegel.cayley import v_k
 
 from oracles import all_subspaces, hermitian_type, is_isotropic
@@ -159,9 +159,9 @@ def test_stacked_lemma4_subspaces_match_scalar(q, n):
     table = _point_table(q, n)
     inter, inter_rank = _conj_intersections(sp, table.bases)
     rad, rad_rank = _h_e_radicals(sp, table.bases)
-    assert inter.shape == (len(table.points), 2 * n, 2 * n, 2)
-    assert rad.shape == (len(table.points), 2 * n, n, 2)
-    for i, w in enumerate(table.points):
+    assert inter.shape == (len(table), 2 * n, 2 * n, 2)
+    assert rad.shape == (len(table), 2 * n, n, 2)
+    for i, w in enumerate(table):
         for stack, ranks, want in (
             (inter, inter_rank, intersection_with_conj(w)),
             (rad, rad_rank, h_e_radical(w)),
@@ -189,6 +189,46 @@ def test_enumeration_counts(q, n, count):
     assert len(enumerate_lagrangians(q, n)) == count
 
 
+@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1)])
+def test_table_iterates_in_sorted_order(q, n):
+    table = enumerate_lagrangians(q, n)
+    points = list(table)
+    shuffled = random.Random(q * 10 + n).sample(points, len(points))
+    assert sorted(shuffled) == points
+    assert len(set(points)) == len(points) == lagrangian_count(q, n)
+    assert [w.key for w in points] == [b.tobytes() for b in table.bases]
+    assert np.array_equal(table.rows(table.bases), np.arange(len(table)))
+
+
+def test_table_rows_marks_points_off_the_table():
+    sp = make_space(3, 2)
+    table = enumerate_lagrangians(3, 2)
+    orbit_table = orbit(v_k(sp, 2), generators(sp, TAG_SP_0)).table
+    rows = orbit_table.rows(table.bases)
+    assert np.count_nonzero(rows >= 0) == len(orbit_table) < len(table)
+    assert np.array_equal(orbit_table.bases[rows[rows >= 0]], table.bases[rows >= 0])
+
+
+def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch):
+    from fsiegel import checks, lagrangian
+
+    built = []
+    init = lagrangian.Lagrangian.__init__
+
+    def counting(self, space, basis):
+        built.append(1)
+        init(self, space, basis)
+
+    monkeypatch.setattr(lagrangian.Lagrangian, "__init__", counting)
+    lagrangian._point_table.cache_clear()
+    try:
+        rec = checks.run_check("theorem1", 3, 2, 10**5, 10**5)
+    finally:
+        lagrangian._point_table.cache_clear()
+    assert rec["data"]["rational_orbit_sizes"] == [40, 240, 540]
+    assert 0 < len(built) < lagrangian_count(3, 2)
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_lagrangians(7, 2, cap=1000)
@@ -199,13 +239,11 @@ def test_wrong_enumeration_count_is_an_inconsistency(monkeypatch):
 
     true_count = lagrangian.lagrangian_count
     monkeypatch.setattr(lagrangian, "lagrangian_count", lambda q, n: true_count(q, n) + 1)
-    lagrangian._all_lagrangians.cache_clear()
     lagrangian._point_table.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="count formula gives 11"):
             checks.run_check("lemma4", 3, 1, 10**5, 10**5)
     finally:
-        lagrangian._all_lagrangians.cache_clear()
         lagrangian._point_table.cache_clear()
 
 

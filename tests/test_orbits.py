@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fsiegel.errors import ResourceLimitError, VerificationFailure
@@ -13,7 +14,7 @@ from fsiegel.symplectic import (
     group_order,
     make_space,
 )
-from fsiegel.lagrangian import enumerate_lagrangians, l_minus, l_plus, strata
+from fsiegel.lagrangian import PointTable, enumerate_lagrangians, l_minus, l_plus, strata
 from fsiegel.orbits import (
     act,
     apply_word,
@@ -23,6 +24,11 @@ from fsiegel.orbits import (
     stabilizer_order,
 )
 from fsiegel.cayley import v_k
+
+
+def _table(points) -> PointTable:
+    """A point table of an explicit list of points, repeats kept."""
+    return PointTable(points[0].space, np.stack([w.basis.a for w in points]))
 
 
 def test_act_examples():
@@ -61,7 +67,7 @@ def test_orbit_partition_sizes_3_1():
 def test_partition_single_fixed_point():
     sp = make_space(3, 1)
     eye = GroupElement(sp.identity, TAG_SP_F)
-    rep = partition([l_plus(sp)], [eye])
+    rep = partition(_table([l_plus(sp)]), [eye])
     assert len(rep.orbits) == 1 and rep.orbits[0].size == 1
 
 
@@ -118,17 +124,62 @@ def test_partition_matches_one_orbit_per_seed(tag, invariant):
             assert apply_word(orb.transporters[w.key], orb.representative, gens) == w
 
 
+@pytest.mark.parametrize("tag,invariant", [(TAG_SP_E, "h_rank"), (TAG_SP_F, "h_rank"), (TAG_SP_0, "o_type")])
+def test_partition_of_a_shuffled_list_matches_the_cell_table(tag, invariant):
+    sp = make_space(3, 2)
+    cell = enumerate_lagrangians(3, 2)
+    points = list(cell)
+    random.Random(5).shuffle(points)
+    gens = generators(sp, tag)
+    a = partition(cell, gens, invariant=invariant)
+    b = partition(_table(points), gens, invariant=invariant)
+    assert [o.representative for o in b.orbits] == [o.representative for o in a.orbits]
+    assert b.sizes() == a.sizes()
+    assert b.labels == a.labels
+    assert b.conflicts == a.conflicts
+    assert b.as_sets() == a.as_sets()
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2)])
+def test_theorem1_row_subchecks_match_the_point_objects(q, n):
+    from fsiegel.checks import check_theorem1
+
+    sp = make_space(q, n)
+    sub = check_theorem1(q, n, 10**5, 10**5)["subchecks"]
+    h_str, o_str = strata(q, n)
+    cell = enumerate_lagrangians(q, n)
+    meets_image = True
+    for name, tag, inv, str_ in (
+        ("rational_orbits_equal_h_strata", TAG_SP_F, "h_rank", h_str),
+        ("unitary_orbits_equal_o_strata", TAG_SP_0, "o_type", o_str),
+    ):
+        part = partition(cell, generators(sp, tag), invariant=inv)
+        want = part.as_sets() == {frozenset(w.key for w in s) for s in str_} and not part.conflicts
+        assert sub[name] == want
+        meets_image &= all(any(w.in_siegel_image() for w in o.members) for o in part.orbits)
+    assert sub["every_orbit_meets_image"] == meets_image
+
+
+def test_orbit_members_are_sorted_rows_of_their_own_table():
+    sp = make_space(3, 2)
+    rec = orbit(v_k(sp, 1), generators(sp, TAG_SP_0))
+    assert rec.representative == v_k(sp, 1)
+    assert np.array_equal(rec.rows, np.arange(rec.size))
+    assert rec.members == list(rec.table) == sorted(rec.members)
+    assert set(rec.transporters) == rec.member_keys()
+
+
 def test_partition_of_a_non_closed_subset_raises():
     sp = make_space(3, 2)
     with pytest.raises(VerificationFailure, match="orbit escaped the supplied point set"):
-        partition([l_plus(sp)], generators(sp, TAG_SP_F))
+        partition(_table([l_plus(sp)]), generators(sp, TAG_SP_F))
 
 
 def test_partition_of_repeated_points_raises():
     sp = make_space(3, 1)
     eye = GroupElement(sp.identity, TAG_SP_F)
     with pytest.raises(VerificationFailure, match="orbits do not cover the point set"):
-        partition([l_plus(sp), l_plus(sp)], [eye])
+        partition(_table([l_plus(sp), l_plus(sp)]), [eye])
 
 
 def test_transporter_words():
