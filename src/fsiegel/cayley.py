@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
 from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, l_plus, span_images
-from .linalg import Mat, block, mm
+from .linalg import Mat, block, mm, stack_keys
 from .orbits import act, orbit, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
@@ -142,12 +142,11 @@ def verify_conjugation(cd: CayleyData, q: int, n: int, cap_group: int) -> dict:
     """Generator-level and, when enumerable, element-level conjugation checks."""
     sp = cd.space
     m, m_inv = cd.m, cd.m.inv()
-    gen_f = generators(sp, TAG_SP_F)
-    forward = [is_member(sp, m @ g.mat @ m_inv, TAG_SP_0) for g in gen_f]
-    gen_0 = [GroupElement(m @ g.mat @ m_inv, TAG_SP_0) for g in gen_f]
-    backward = [is_member(sp, m_inv @ g.mat @ m, TAG_SP_F) for g in gen_0]
+    conj_gens = [m @ g.mat @ m_inv for g in generators(sp, TAG_SP_F)]
+    forward = [is_member(sp, g, TAG_SP_0) for g in conj_gens]
+    backward = [is_member(sp, m_inv @ g @ m, TAG_SP_F) for g in conj_gens]
     out = {
-        "generators": len(gen_f),
+        "generators": len(conj_gens),
         "forward_ok": all(forward),
         "backward_ok": all(backward),
         "identity_fixed": m @ sp.identity @ m_inv == sp.identity,
@@ -156,11 +155,10 @@ def verify_conjugation(cd: CayleyData, q: int, n: int, cap_group: int) -> dict:
     if order <= cap_group:
         gf = enumerate_symplectic(sp, TAG_SP_F, cap_group)
         g0 = enumerate_symplectic(sp, TAG_SP_0, cap_group)
-        conj_arr = mm(sp.fp, mm(sp.fp, m.a, gf.arr), m_inv.a)
-        conj_keys = {np.ascontiguousarray(row).tobytes() for row in conj_arr}
+        conj_keys = np.sort(stack_keys(mm(sp.fp, mm(sp.fp, m.a, gf.arr), m_inv.a)))
         out["closure_size"] = len(g0)
         out["closure_matches_order"] = len(g0) == order
-        out["conjugate_set_equal"] = conj_keys == g0.key_set()
+        out["conjugate_set_equal"] = np.array_equal(conj_keys, g0.keys)
     else:
         out["closure_size"] = None
     failing = [i for i, ok in enumerate(forward) if not ok]
@@ -295,9 +293,9 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
 
     The predicted order is |O(k)| * |U(n-k)| * q^{k(k+1)/2} with both factor
     orders obtained by brute-force scans.  When the group fits under the cap
-    the stabilizer is filtered element by element and the predicted factor
-    subgroups are tested for containment; otherwise only the order
-    arithmetic against the orbit size is reported.
+    the stabilizer is filtered from the group table as one mask and the
+    predicted factor subgroups are looked up in its rows; otherwise only
+    the order arithmetic against the orbit size is reported.
     """
     sp = make_space(q, n)
     fp = sp.fp
@@ -327,35 +325,25 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
     out["mode"] = "full"
     g0 = enumerate_symplectic(sp, TAG_SP_0, cap_group)
     stab = stabilizer_elements(vk, g0)
-    stab_keys = {g.mat.key() for g in stab}
     out["filtered_order"] = len(stab)
     out["filtered_matches_predicted"] = len(stab) == predicted
     out["orbit_stabilizer_consistent"] = len(stab) * orb.size == order
 
-    eye_n = Mat.identity(fp, n)
-    contained = True
-    for s_mat in o_elems:
-        for t_mat in u_elems:
-            a = _block_diag(fp, s_mat, t_mat)
-            d = _block_diag(fp, s_mat, t_mat.conj())
-            g = block(fp, [[a, Mat.zeros(fp, n, n)], [Mat.zeros(fp, n, n), d]])
-            if g.key() not in stab_keys or not is_member(sp, g, TAG_SP_0):
-                contained = False
-                break
-        if not contained:
-            break
-    out["levi_contained"] = contained
+    # the Levi factor diag(S, T, S, conj T) and the unipotent factor
+    # T_k (I, diag(B, 0); 0, I) T_k^-1 are looked up in the stabilizer's rows
+    levi = [
+        _block_diag(fp, _block_diag(fp, s, t), _block_diag(fp, s, t.conj())) for s in o_elems for t in u_elems
+    ]
+    found = stab.rows(np.stack([g.a for g in levi])) >= 0
+    out["levi_contained"] = bool(found.all()) and all(is_member(sp, g, TAG_SP_0) for g in levi)
 
-    tk_inv = tk.mat.inv()
-    uni_ok = True
-    for b1 in _imaginary_symmetric(fp, k):
-        b_full = _block_diag(fp, b1, Mat.zeros(fp, n - k, n - k))
-        u = block(fp, [[eye_n, b_full], [Mat.zeros(fp, n, n), eye_n]])
-        g = tk.mat @ u @ tk_inv
-        if g.key() not in stab_keys:
-            uni_ok = False
-            break
-    out["unipotent_contained"] = uni_ok
+    eye_n, zero_n = Mat.identity(fp, n), Mat.zeros(fp, n, n)
+    uni = np.stack([
+        block(fp, [[eye_n, _block_diag(fp, b1, Mat.zeros(fp, n - k, n - k))], [zero_n, eye_n]]).a
+        for b1 in _imaginary_symmetric(fp, k)
+    ])
+    found = stab.rows(mm(fp, mm(fp, tk.mat.a, uni), tk.mat.inv().a)) >= 0
+    out["unipotent_contained"] = bool(found.all())
     return out
 
 
@@ -371,20 +359,12 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
     sp = make_space(q, n)
     fp = sp.fp
     g0 = enumerate_symplectic(sp, TAG_SP_0, cap_group)
-    zero_c = [
-        g
-        for g in g0.elements()
-        if g.mat.block(sp.n, sp.dim, 0, sp.n).is_zero
-    ]
+    zero_c = g0.where(~g0.arr[:, n:, :n].any(axis=(1, 2, 3)))
     u_elems = unitary_group_elements(fp, n)
-    want = set()
-    for a in u_elems:
-        g = _block_diag(fp, a, a.conj())
-        want.add(g.key())
-    got = {g.mat.key() for g in zero_c}
+    want = np.sort(stack_keys(np.stack([_block_diag(fp, a, a.conj()).a for a in u_elems])))
     return {
-        "matches": got == want,
-        "count": len(got),
+        "matches": np.array_equal(zero_c.keys, want),
+        "count": len(zero_c),
         "unitary_order": len(u_elems),
     }
 

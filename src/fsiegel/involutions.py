@@ -2,9 +2,10 @@
 
 An anti-involution is a rational symplectic T with T^2 = -I; the set of
 them is a conjugation-invariant model of the Lagrangian geometry.  Every
-result here is obtained by filtering a fully enumerated group, and the
-equivalence "T^2 = -I iff J T is symmetric" is asserted across the whole
-group as a built-in cross-check before anything else runs.
+result here is obtained by filtering a fully enumerated group, each
+filter a mask over the rows of its table, and the equivalence
+"T^2 = -I iff J T is symmetric" is asserted across the whole group as a
+built-in cross-check before anything else runs.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, VerificationFailure
 from .field import epsilon_f
-from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, point_keys, span_images
-from .linalg import Mat, block, mm
+from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, span_images
+from .linalg import Mat, block, mm, stack_keys
 from .symplectic import (
     TAG_SP_F,
+    EnumeratedGroup,
     GroupElement,
     SpaceParams,
     enumerate_symplectic,
@@ -34,21 +36,19 @@ def _space_of(t: GroupElement) -> SpaceParams:
 
 
 @lru_cache(maxsize=None)
-def _anti_involutions(q: int, n: int) -> tuple[GroupElement, ...]:
+def _anti_involutions(q: int, n: int) -> EnumeratedGroup:
     sp = make_space(q, n)
     g = enumerate_symplectic(sp, TAG_SP_F, group_order(TAG_SP_F, q, n))
-    squares = mm(sp.fp, g.arr, g.arr)
-    minus_eye = (-sp.identity).a
-    is_anti = np.all(squares == minus_eye, axis=(1, 2, 3))
+    is_anti = np.all(mm(sp.fp, g.arr, g.arr) == (-sp.identity).a, axis=(1, 2, 3))
     jg = mm(sp.fp, sp.j.a, g.arr)
     jg_symmetric = np.all(jg == jg.swapaxes(1, 2), axis=(1, 2, 3))
     if not np.array_equal(is_anti, jg_symmetric):
         raise VerificationFailure("T^2 = -I and symmetry of J T disagree on some group element")
-    elements = g.elements()
-    return tuple(elements[i] for i in np.flatnonzero(is_anti))
+    return g.where(is_anti)
 
 
-def anti_involutions(q: int, n: int, cap_group: int) -> tuple[GroupElement, ...]:
+def anti_involutions(q: int, n: int, cap_group: int) -> EnumeratedGroup:
+    """The anti-involutions, as the sub-table of the rational group's rows with T^2 = -I."""
     sp = make_space(q, n)
     enumerate_symplectic(sp, TAG_SP_F, cap_group)  # enforces the cap
     return _anti_involutions(q, n)
@@ -67,18 +67,18 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
     sp = make_space(q, n)
     fp = sp.fp
     ants = anti_involutions(q, n, cap_group)
-    gens = [(g.mat, g.mat.inv()) for g in generators(sp, TAG_SP_F)]
-    sym_ok = det_ok = disc_ok = equi_ok = True
+    sym_ok = det_ok = disc_ok = True
     for t in ants:
         bt = involution_form(t)
         sym_ok &= bt.is_symmetric()
         det = bt.det()
         det_ok &= det == fp.one
         disc_ok &= det.is_rational and fp.is_square_in_f(det.re)
-        for g, ginv in gens:
-            lhs = sp.j @ (g @ t.mat @ ginv)
-            rhs = ginv.T @ bt @ ginv
-            equi_ok &= lhs == rhs
+    # J (g T g^-1) = t(g^-1) (J T) g^-1 for every pair (T, g), both sides as one stack
+    mats, invs = _gen_stacks(generators(sp, TAG_SP_F))
+    lhs = mm(fp, sp.j.a, _conjugates(fp, mats, invs, ants.arr))
+    rhs = mm(fp, mm(fp, invs.swapaxes(1, 2)[None], mm(fp, sp.j.a, ants.arr)[:, None]), invs[None])
+    equi_ok = np.array_equal(lhs, rhs)
     return {
         "count": len(ants),
         "symmetric": sym_ok,
@@ -156,29 +156,34 @@ def pairing_identity_holds(t: GroupElement, samples) -> bool:
 # the correspondence with the Lagrangian strata
 # ---------------------------------------------------------------------------
 
-def _conjugation_closure(seed: Mat, gens, cap: int) -> set[bytes]:
-    fp = seed.fp
-    mats = np.stack([g.mat.a for g in gens])
-    invs = np.stack([g.mat.inv().a for g in gens])
-    step = lambda frontier: mm(fp, mm(fp, mats[None], frontier[:, None]), invs[None])  # noqa: E731
+def _gen_stacks(gens) -> tuple[np.ndarray, np.ndarray]:
+    """The generators and their inverses, as two stacks (G, 2n, 2n, 2)."""
+    return np.stack([g.mat.a for g in gens]), np.stack([g.mat.inv().a for g in gens])
+
+
+def _conjugates(fp, mats: np.ndarray, invs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """g T g^-1 for each T in a stack (N, 2n, 2n, 2) and each generator: (N, G, 2n, 2n, 2)."""
+    return mm(fp, mm(fp, mats[None], ts[:, None]), invs[None])
+
+
+def _conjugation_closure(seed: Mat, gens, cap: int) -> np.ndarray:
+    """The sorted keys of the seed's conjugates under the generated group."""
+    mats, invs = _gen_stacks(gens)
+    step = lambda frontier: _conjugates(seed.fp, mats, invs, frontier)  # noqa: E731
     try:
         members = frontier_closure(seed.a, step, cap, "conjugation closure")[0]
     except ResourceLimitError:
         raise VerificationFailure("conjugation closure exceeded cap")
-    return {m.tobytes() for m in members}
+    return np.sort(stack_keys(members))
 
 
-def _equivariant(sp: SpaceParams, ants, models: np.ndarray, gens) -> bool:
-    """g W_T = W_{g T g^-1} for each T in `ants` with eigenspace W_T in `models`, each generator g.
+def _equivariant(sp: SpaceParams, ants: EnumeratedGroup, models: np.ndarray, gens) -> bool:
+    """g W_T = W_{g T g^-1} for each row T of `ants` with eigenspace W_T in `models`, each generator g.
 
     A g T g^-1 missing from `ants` counts as not equivariant.
     """
-    fp = sp.fp
-    mats = np.stack([g.mat.a for g in gens])
-    invs = np.stack([g.mat.inv().a for g in gens])
-    index = {t.mat.key(): i for i, t in enumerate(ants)}
-    conj = mm(fp, mm(fp, mats[None], np.stack([t.mat.a for t in ants])[:, None]), invs[None])
-    j = np.array([index.get(c.tobytes(), -1) for c in conj.reshape(-1, sp.dim, sp.dim, 2)])
+    mats, invs = _gen_stacks(gens)
+    j = ants.rows(_conjugates(sp.fp, mats, invs, ants.arr).reshape(-1, sp.dim, sp.dim, 2))
     moved = span_images(sp, mats, models).reshape(-1, sp.dim, sp.n, 2)
     return bool(np.all(j >= 0) and np.array_equal(moved, models[j]))
 
@@ -200,7 +205,7 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     models = np.stack([eigenspace_model(t).basis.a for t in ants])
     out["equivariant"] = _equivariant(sp, ants, models, gens)
     # the distinct eigenspaces, with the number of anti-involutions on each
-    images, fibers = np.unique(point_keys(models), return_counts=True)
+    images, fibers = np.unique(stack_keys(models), return_counts=True)
 
     table = enumerate_lagrangians(q, n, cap_points)
     if epsilon_f(q) == -1:
@@ -220,19 +225,16 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     eye = Mat.identity(fp, n)
     h_seed = block(fp, [[i * eye, Mat.zeros(fp, n, n)], [Mat.zeros(fp, n, n), (-i) * eye]])
     closure = _conjugation_closure(h_seed, gens, cap=len(ants) + 1)
-    out["single_orbit"] = closure == {t.mat.key() for t in ants}
+    out["single_orbit"] = np.array_equal(closure, ants.keys)
 
-    g_all = enumerate_symplectic(sp, TAG_SP_F, cap_group)
-    isotropy = {g.mat.key() for g in g_all.elements() if g.mat @ h_seed == h_seed @ g.mat}
-    diagonal = {
-        g.mat.key()
-        for g in g_all.elements()
-        if g.mat.block(0, n, n, 2 * n).is_zero and g.mat.block(n, 2 * n, 0, n).is_zero
-    }
-    out["isotropy_is_diagonal_subgroup"] = isotropy == diagonal
-    out["isotropy_order"] = len(isotropy)
+    # the isotropy of the seed and the block-diagonal subgroup, as masks over the group's rows
+    arr = enumerate_symplectic(sp, TAG_SP_F, cap_group).arr
+    isotropy = np.all(mm(fp, arr, h_seed.a) == mm(fp, h_seed.a, arr), axis=(1, 2, 3))
+    diagonal = ~arr[:, :n, n:].any(axis=(1, 2, 3)) & ~arr[:, n:, :n].any(axis=(1, 2, 3))
+    out["isotropy_is_diagonal_subgroup"] = np.array_equal(isotropy, diagonal)
+    out["isotropy_order"] = int(np.count_nonzero(isotropy))
     out["homogeneous_count_matches"] = (
-        len(ants) * len(isotropy) == group_order(TAG_SP_F, q, n)
+        len(ants) * out["isotropy_order"] == group_order(TAG_SP_F, q, n)
     )
 
     half_i = i / fp.e(-2)  # 1 / (-2i)
@@ -246,15 +248,12 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
 # involutions with positive square
 # ---------------------------------------------------------------------------
 
-def scaled_involutions(q: int, n: int, a: int, cap_group: int) -> tuple[GroupElement, ...]:
-    """All group members with T^2 = a I."""
+def scaled_involutions(q: int, n: int, a: int, cap_group: int) -> EnumeratedGroup:
+    """All group members with T^2 = a I, as a sub-table of the group's rows."""
     sp = make_space(q, n)
     g = enumerate_symplectic(sp, TAG_SP_F, cap_group)
-    squares = mm(sp.fp, g.arr, g.arr)
     target = (sp.fp.e(a) * sp.identity).a
-    mask = np.all(squares == target, axis=(1, 2, 3))
-    elements = g.elements()
-    return tuple(elements[i] for i in np.flatnonzero(mask))
+    return g.where(np.all(mm(sp.fp, g.arr, g.arr) == target, axis=(1, 2, 3)))
 
 
 def classify_involutions(q: int, n: int, cap_group: int) -> dict:
@@ -268,13 +267,13 @@ def classify_involutions(q: int, n: int, cap_group: int) -> dict:
     fp = sp.fp
     gens = generators(sp, TAG_SP_F)
     invs = scaled_involutions(q, n, 1, cap_group)
-    classes: dict[int, list[GroupElement]] = {}
+    classes: dict[int, list[int]] = {}  # fixed-space dimension -> rows of invs
     nondeg_ok = rebuild_ok = True
-    for t in invs:
+    for row, t in enumerate(invs):
         plus = _eigenspace(sp, t.mat, fp.one)
         minus = _eigenspace(sp, t.mat, -fp.one)
         k = plus.cols
-        classes.setdefault(k, []).append(t)
+        classes.setdefault(k, []).append(row)
         for base in (plus, minus):
             if base.cols:
                 g = base.T @ sp.j @ base
@@ -286,12 +285,11 @@ def classify_involutions(q: int, n: int, cap_group: int) -> dict:
     per_class = []
     single = True
     for k in sorted(classes):
-        members = {t.mat.key() for t in classes[k]}
-        seed = classes[k][0].mat
-        closure = _conjugation_closure(seed, gens, cap=len(members) + 1)
-        one_orbit = closure == members
+        rows = classes[k]
+        closure = _conjugation_closure(invs[rows[0]].mat, gens, cap=len(rows) + 1)
+        one_orbit = np.array_equal(closure, invs.keys[rows])
         single &= one_orbit
-        per_class.append({"k": k, "size": len(members), "single_orbit": one_orbit})
+        per_class.append({"k": k, "size": len(rows), "single_orbit": one_orbit})
     return {
         "total": len(invs),
         "observed_k": sorted(classes),

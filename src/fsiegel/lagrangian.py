@@ -35,7 +35,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .field import epsilon_f
-from .linalg import Mat, block, conj_arr, kernel_stack, mm, rank_stack, rcef, rcef_stack
+from .linalg import (
+    Mat, block, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, stack_keys,
+)
 from .symplectic import (
     TAG_SP_E,
     SpaceParams,
@@ -104,12 +106,6 @@ class Lagrangian:
         return _from_span(self.space, self.basis.conj().a)
 
 
-def point_keys(bases: np.ndarray) -> np.ndarray:
-    """`Lagrangian.key` of every basis in a stack (N, 2n, n, 2), as one sortable array."""
-    flat = np.ascontiguousarray(bases, dtype=np.int64).reshape(len(bases), -1)
-    return flat.view(f"S{flat.shape[1] * 8}").ravel()
-
-
 def _from_span(sp: SpaceParams, arr: np.ndarray) -> Lagrangian:
     """Canonicalize a spanning 2n x n array known to be isotropic."""
     red, pivots = rcef(sp.fp, arr)
@@ -142,7 +138,7 @@ def _grams(sp: SpaceParams, bases: np.ndarray, core: Mat) -> np.ndarray:
 class PointTable:
     """Points as rows: canonical bases sorted by key, with per-point data.
 
-    Next to the bases are their `point_keys` and, per row, the labels
+    Next to the bases are their `stack_keys` and, per row, the labels
     (the ranks of the two Gram matrices) and the Siegel-image flag (an
     invertible bottom block); all are read-only.  Indexing a row builds
     its `Lagrangian`, so a table also reads as the sorted list of its points.
@@ -152,13 +148,25 @@ class PointTable:
 
     def __init__(self, sp: SpaceParams, bases: np.ndarray):
         self.space = sp
-        self.bases = bases[np.argsort(point_keys(bases))]
-        self.keys = point_keys(self.bases)
+        self.bases = bases[np.argsort(stack_keys(bases))]
+        self.keys = stack_keys(self.bases)
+        for arr in (self.bases, self.keys):
+            arr.setflags(write=False)  # a cached table is shared by every caller
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """The labels and image flags, computed together on first read.
+
+        An orbit's own table never reads them, so it never pays for them.
+        """
+        if name not in ("h_rank", "o_type", "in_image"):
+            raise AttributeError(name)
+        sp = self.space
         self.h_rank = rank_stack(sp.fp, _grams(sp, self.bases, sp.j))
         self.o_type = rank_stack(sp.fp, _grams(sp, self.bases, sp.d_form))
         self.in_image = rank_stack(sp.fp, self.bases[:, sp.n :]) == sp.n
-        for arr in (self.bases, self.keys, self.h_rank, self.o_type, self.in_image):
-            arr.setflags(write=False)  # a cached table is shared by every caller
+        for arr in (self.h_rank, self.o_type, self.in_image):
+            arr.setflags(write=False)
+        return getattr(self, name)
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -168,9 +176,7 @@ class PointTable:
 
     def rows(self, bases: np.ndarray) -> np.ndarray:
         """Row of each basis in a stack, or -1 where it is not a point of the table."""
-        keys = point_keys(bases)
-        idx = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
-        return np.where(self.keys[idx] == keys, idx, -1)
+        return lookup_rows(self.keys, bases)
 
 
 def from_basis(sp: SpaceParams, m: Mat) -> Lagrangian:

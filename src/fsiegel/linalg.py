@@ -188,6 +188,22 @@ def kernel_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(ker.swapaxes(1, 2))
 
 
+def stack_keys(a: np.ndarray) -> np.ndarray:
+    """`Mat.key` of every matrix in a stack (N, rows, cols, 2), as one sortable array."""
+    a = np.ascontiguousarray(a, dtype=_I64)
+    flat = a.reshape(len(a), int(np.prod(a.shape[1:])))  # an empty stack has no -1 to infer
+    return flat.view(f"S{flat.shape[1] * 8}").ravel()
+
+
+def lookup_rows(keys: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row of each matrix of a stack in the sorted `keys`, or -1 where it is absent."""
+    probes = stack_keys(a)
+    if not len(keys):
+        return np.full(len(probes), -1, dtype=_I64)
+    idx = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return np.where(keys[idx] == probes, idx, -1)
+
+
 def rank_arr(fp: FieldParams, a: np.ndarray) -> int:
     return len(rref(fp, a)[1])
 

@@ -185,19 +185,17 @@ def stabilizer_order(group_order: int, orbit_size: int) -> int:
     return group_order // orbit_size
 
 
-def stabilizer_elements(point: Lagrangian, group) -> list[GroupElement]:
-    """Members fixing the subspace, by filtering a fully enumerated group."""
+def stabilizer_elements(point: Lagrangian, group) -> EnumeratedGroup | list[GroupElement]:
+    """Members fixing the subspace: of a group table, the sub-table one mask keeps;
+    of any other iterable of elements, the list that `act` fixes (the reference path).
+
+    g W = W exactly when W's basis times the rows of g W at W's pivots gives back g W.
+    """
     if isinstance(group, EnumeratedGroup):
         sp = point.space
-        basis = point.basis.a
-        garr = group.arr
-        gm = mm(sp.fp, garr, basis)
-        pivots = _pivot_rows(point.basis)
-        coeff = gm[:, pivots]
-        back = mm(sp.fp, basis, coeff)
-        mask = np.all(back == gm, axis=(1, 2, 3))
-        elements = group.elements()
-        return [elements[i] for i in np.flatnonzero(mask)]
+        gm = mm(sp.fp, group.arr, point.basis.a)
+        back = mm(sp.fp, point.basis.a, gm[:, _pivot_rows(point.basis)])
+        return group.where(np.all(back == gm, axis=(1, 2, 3)))
     return [g for g in group if act(g, point) == point]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError
 from .field import EScalar, FieldParams, make_fields
-from .linalg import Mat, block, mm
+from .linalg import Mat, block, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
 TAG_SP_F = "spf"
@@ -260,36 +260,37 @@ def group_order(tag: str, q: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 class EnumeratedGroup:
-    """A fully enumerated group held as one stacked coefficient array."""
+    """A group's elements as rows: one coefficient stack sorted by key.
 
-    __slots__ = ("space", "tag", "arr", "index", "_elements")
+    `keys` holds each row's `Mat.key`, and both arrays are read-only.  A
+    group-wide filter is a mask over `arr`, and `where(mask)` keeps its
+    rows as a sub-table, still sorted.  Indexing a row builds its
+    `GroupElement`, so a table also reads as the sorted list of its elements.
+    """
+
+    __slots__ = ("space", "tag", "arr", "keys")
 
     def __init__(self, space: SpaceParams, tag: str, arr: np.ndarray):
-        order = np.argsort(
-            np.frombuffer(np.ascontiguousarray(arr).tobytes(), dtype=f"S{arr[0].nbytes}")
-        )
         self.space = space
         self.tag = tag
-        self.arr = np.ascontiguousarray(arr[order])
-        self.index = {self.arr[i].tobytes(): i for i in range(len(self.arr))}
-        self._elements = None
+        self.arr = arr[np.argsort(stack_keys(arr))]
+        self.keys = stack_keys(self.arr)
+        for a in (self.arr, self.keys):
+            a.setflags(write=False)  # a cached table is shared by every caller
 
-    def __len__(self):
+    def __len__(self) -> int:
         return len(self.arr)
 
-    def __contains__(self, g) -> bool:
-        mat = g.mat if isinstance(g, GroupElement) else g
-        return mat.a.astype(np.int64).tobytes() in self.index
+    def __getitem__(self, row: int) -> GroupElement:
+        return GroupElement(Mat(self.space.fp, self.arr[row]), self.tag)
 
-    def elements(self) -> list[GroupElement]:
-        if self._elements is None:
-            self._elements = [
-                GroupElement(Mat(self.space.fp, row), self.tag) for row in self.arr
-            ]
-        return self._elements
+    def rows(self, mats: np.ndarray) -> np.ndarray:
+        """Row of each matrix in a stack, or -1 where it is not an element."""
+        return lookup_rows(self.keys, mats)
 
-    def key_set(self) -> set[bytes]:
-        return set(self.index)
+    def where(self, mask: np.ndarray) -> "EnumeratedGroup":
+        """The sub-table of the rows the mask keeps."""
+        return EnumeratedGroup(self.space, self.tag, self.arr[mask])
 
 
 # frontier points per step call: bounds the temporaries of one call

@@ -435,7 +435,7 @@ def test_criterion_11_involution_classes():
 def test_criterion_12_siegel_denominator_criterion():
     sp = make_space(3, 1)
     fp = sp.fp
-    group = enumerate_symplectic(sp, TAG_SP_F, CAP_G).elements()
+    group = enumerate_symplectic(sp, TAG_SP_F, CAP_G)
     nondeg = [z for z in fp.elements() if not (z - z.conj()).is_zero]
     degen = [z for z in fp.elements() if (z - z.conj()).is_zero]
     assert len(nondeg) == 6 and len(group) == 24

@@ -1,4 +1,5 @@
 import importlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +11,7 @@ from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
     TAG_SP_F,
+    enumerate_symplectic,
     generators,
     is_member,
     make_space,
@@ -110,6 +112,21 @@ def test_conjugate_closure_equals_unitary_group(q, n):
     assert rep["conjugate_set_equal"]
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_conjugate_set_matches_the_scalar_loop(q):
+    cd = cayley(q, 1)
+    sp = cd.space
+    m, m_inv = cd.m, cd.m.inv()
+    gf = enumerate_symplectic(sp, TAG_SP_F, 10**5)
+    g0 = enumerate_symplectic(sp, TAG_SP_0, 10**5)
+    scalar = {(m @ g.mat @ m_inv).key() for g in gf} == {g.mat.key() for g in g0}
+    assert verify_conjugation(cd, q, 1, 10**5)["conjugate_set_equal"] and scalar
+    # the identity in place of M leaves the rational group, which is not the unitary one
+    fake = SimpleNamespace(space=sp, m=sp.identity)
+    assert not verify_conjugation(fake, q, 1, 10**5)["conjugate_set_equal"]
+    assert {g.mat.key() for g in gf} != {g.mat.key() for g in g0}
+
+
 def test_scalar_invariance_of_conjugation():
     # the raw similitude and its normalized multiple induce the same map
     cd = cayley(3, 1)
@@ -207,6 +224,49 @@ def test_stabilizers_refuse_an_oversized_scan():
     rec = run_check("stabilizers", 11, 2, 10**5, 2 * 10**4)
     assert rec["status"] == "skipped-resource"
     assert rec["data"] == {"reason": "scan of 214358881 candidate matrices exceeds limit"}
+
+
+def _scalar_zero_block_report(q, n) -> dict:
+    """The scalar route: one `Mat` block test per element of the unitary group.
+
+    It reads the unitary scan from the module, so a patched scan reaches both routes.
+    """
+    sp = make_space(q, n)
+    fp = sp.fp
+    group = enumerate_symplectic(sp, TAG_SP_0, 10**5)
+    got = {g.mat.key() for g in group if g.mat.block(n, 2 * n, 0, n).is_zero}
+    u_elems = importlib.import_module("fsiegel.cayley").unitary_group_elements(fp, n)
+    zero = Mat.zeros(fp, n, n)
+    want = {block(fp, [[a, zero], [zero, a.conj()]]).key() for a in u_elems}
+    return {"matches": got == want, "count": len(got), "unitary_order": len(u_elems)}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_zero_block_mask_matches_the_scalar_loop(q, monkeypatch):
+    assert unitary_diagonal_subgroup(q, 1, 10**5) == _scalar_zero_block_report(q, 1)
+    # one unitary fewer: both routes see the sets differ, and count the same zero-block members
+    one_fewer = lambda fp, m: unitary_group_elements(fp, m)[1:]  # noqa: E731
+    monkeypatch.setattr(importlib.import_module("fsiegel.cayley"), "unitary_group_elements", one_fewer)
+    rep = unitary_diagonal_subgroup(q, 1, 10**5)
+    assert rep == _scalar_zero_block_report(q, 1) and not rep["matches"]
+
+
+def test_cold_stabilizers_cell_builds_few_group_elements(monkeypatch):
+    from fsiegel import symplectic
+
+    built = []
+    init = symplectic.GroupElement.__init__
+
+    def counting(self, mat, tag):
+        built.append(1)
+        init(self, mat, tag)
+
+    monkeypatch.setattr(symplectic.GroupElement, "__init__", counting)
+    symplectic._enumerated.cache_clear()
+    rec = run_check("stabilizers", 3, 2, 10**5, 2 * 10**4)
+    # |Sp(4,3)| = 51,840 over the orbit sizes 540, 240 and 40
+    assert [k["filtered_order"] for k in rec["data"]["per_k"]] == [96, 216, 1296]
+    assert 0 < len(built) < 1000  # 51,840 elements in the group
 
 
 def test_unitary_diagonal_subgroup():

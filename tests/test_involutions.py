@@ -17,6 +17,7 @@ from fsiegel.involutions import (
     eigenspace_model,
     eigenspace_report,
     involution_form,
+    involution_form_report,
     pairing_identity_holds,
     scaled_involutions,
 )
@@ -195,7 +196,7 @@ def test_conjugation_invariance_of_the_set():
     sp = make_space(3, 1)
     keys = {t.mat.key() for t in anti_involutions(3, 1, CAP)}
     grp = enumerate_symplectic(sp, TAG_SP_F, CAP)
-    for g in grp.elements():
+    for g in grp:
         ginv = g.mat.inv()
         for t in anti_involutions(3, 1, CAP):
             assert (g.mat @ t.mat @ ginv).key() in keys
@@ -206,6 +207,51 @@ def test_scaled_involutions_examples():
     s1 = scaled_involutions(3, 1, 1, CAP)
     sp = make_space(3, 1)
     assert {t.mat.key() for t in s1} == {sp.identity.key(), (-sp.identity).key()}
+
+
+def test_empty_scaled_set_is_an_empty_table():
+    sp = make_space(7, 1)
+    empty = scaled_involutions(7, 1, 2, CAP)
+    assert len(empty) == 0 and list(empty) == [] and empty.keys.shape == (0,)
+    assert empty.rows(np.stack([sp.identity.a, sp.j.a])).tolist() == [-1, -1]
+
+
+def _scalar_form_equivariant(q, n) -> bool:
+    """The scalar route: J (g T g^-1) == t(g^-1) (J T) g^-1, one pair (T, g) at a time."""
+    sp = make_space(q, n)
+    gens = [(g.mat, g.mat.inv()) for g in generators(sp, TAG_SP_F)]
+    return all(
+        sp.j @ (g @ t.mat @ ginv) == ginv.T @ (sp.j @ t.mat) @ ginv
+        for t in anti_involutions(q, n, CAP)
+        for g, ginv in gens
+    )
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_form_report_equivariance_matches_the_scalar_loop(q, n, monkeypatch):
+    assert involution_form_report(q, n, CAP)["equivariant"] and _scalar_form_equivariant(q, n)
+    # with g for its own inverse both sides differ for every pair: the generators are not involutions
+    monkeypatch.setattr(Mat, "inv", lambda self: self)
+    assert not involution_form_report(q, n, CAP)["equivariant"]
+    assert not _scalar_form_equivariant(q, n)
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_isotropy_masks_match_the_scalar_loops(q):
+    """The square branch's isotropy and diagonal sets, against one `Mat` test per element."""
+    sp = make_space(q, 1)
+    fp = sp.fp
+    i = fp.sqrt(fp.e(-1))
+    h_seed = Mat.diag(fp, [i, -i])
+    group = enumerate_symplectic(sp, TAG_SP_F, CAP)
+    isotropy = {g.mat.key() for g in group if g.mat @ h_seed == h_seed @ g.mat}
+    diagonal = {
+        g.mat.key() for g in group if g.mat.block(0, 1, 1, 2).is_zero and g.mat.block(1, 2, 0, 1).is_zero
+    }
+    rep = correspondence_report(q, 1, CAP, 10**4)
+    assert rep["isotropy_is_diagonal_subgroup"] and isotropy == diagonal
+    assert rep["isotropy_order"] == len(isotropy) == q - 1  # diag(a, 1/a)
+    assert rep["homogeneous_count_matches"]
 
 
 def test_classification_3_1():

@@ -14,6 +14,7 @@ from fsiegel.field import make_fields
 from fsiegel.linalg import Mat
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, generators, make_space
 from fsiegel.lagrangian import (
+    PointTable,
     StratumLabel,
     _conj_intersections,
     _h_e_radicals,
@@ -207,6 +208,15 @@ def test_table_rows_marks_points_off_the_table():
     rows = orbit_table.rows(table.bases)
     assert np.count_nonzero(rows >= 0) == len(orbit_table) < len(table)
     assert np.array_equal(orbit_table.bases[rows[rows >= 0]], table.bases[rows >= 0])
+
+
+def test_empty_point_table_finds_no_row():
+    sp = make_space(3, 2)
+    table = enumerate_lagrangians(3, 2)
+    empty = PointTable(sp, table.bases[:0])
+    assert len(empty) == 0 and list(empty) == []
+    assert empty.rows(table.bases[:5]).tolist() == [-1] * 5
+    assert table.rows(empty.bases).shape == (0,)
 
 
 def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch):

@@ -13,12 +13,14 @@ from fsiegel.linalg import (
     column_echelon_canonical,
     kernel_arr,
     kernel_stack,
+    lookup_rows,
     mm,
     rcef,
     rcef_stack,
     rref,
     rref_stack,
     solve,
+    stack_keys,
 )
 from fsiegel.symplectic import TAGS, generators, make_space
 
@@ -362,3 +364,22 @@ def test_kernel_stack_zero_full_rank_wide_and_tall(q):
     # a stack longer than one pass of the column loop, with mixed ranks
     stack = rng.integers(0, q, size=(700, 3, 4, 2)) * (rng.random((700, 3, 1, 1)) < 0.6)
     _assert_kernel_stack_matches_scalar(fp, stack)
+
+
+def test_stack_keys_and_lookup_rows_full_and_empty():
+    fp = make_fields(5)
+    stack = np.random.default_rng(11).integers(0, 5, (30, 3, 2, 2))
+    keys = stack_keys(stack)
+    assert np.array_equal(keys, np.array([Mat(fp, m).key() for m in stack], dtype=keys.dtype))
+    order = np.argsort(keys)
+    assert [Mat(fp, m).key() for m in stack[order]] == sorted(Mat(fp, m).key() for m in stack)
+    found = lookup_rows(keys[order], stack)
+    assert np.array_equal(stack[order][found], stack)
+    absent = stack[:4].copy()
+    absent[:, 0, 0, 0] = 9  # no entry of the stack is 9
+    assert lookup_rows(keys[order], absent).tolist() == [-1] * 4
+    # an empty stack has empty keys; no probe is found among empty keys
+    empty = stack[:0]
+    assert stack_keys(empty).shape == (0,)
+    assert lookup_rows(keys, empty).shape == (0,)
+    assert lookup_rows(stack_keys(empty), stack).tolist() == [-1] * len(stack)

@@ -169,6 +169,27 @@ def test_orbit_members_are_sorted_rows_of_their_own_table():
     assert set(rec.transporters) == rec.member_keys()
 
 
+def test_orbit_computes_no_labels(monkeypatch):
+    from fsiegel import checks, lagrangian
+
+    calls = []
+    rank_stack = lagrangian.rank_stack
+
+    def counting(fp, a):
+        calls.append(1)
+        return rank_stack(fp, a)
+
+    monkeypatch.setattr(lagrangian, "rank_stack", counting)
+    assert checks.run_check("stabilizers", 3, 2, 10**5, 10**5)["status"] == "fail"
+    assert calls == []  # the cell's three orbits
+    sp = make_space(3, 2)
+    rec = orbit(v_k(sp, 1), generators(sp, TAG_SP_0))
+    assert calls == []
+    # read once, the three label arrays are computed together
+    assert set(rec.table.o_type.tolist()) == {1} and len(calls) == 3
+    assert rec.table.h_rank is rec.table.h_rank and len(calls) == 3
+
+
 def test_partition_of_a_non_closed_subset_raises():
     sp = make_space(3, 2)
     with pytest.raises(VerificationFailure, match="orbit escaped the supplied point set"):
@@ -226,7 +247,7 @@ def test_stabilizer_filter_matches_generic_path():
     g0 = enumerate_symplectic(sp, TAG_SP_0, 1000)
     point = v_k(sp, 1)
     fast = {g.mat.key() for g in stabilizer_elements(point, g0)}
-    slow = {g.mat.key() for g in stabilizer_elements(point, g0.elements())}
+    slow = {g.mat.key() for g in stabilizer_elements(point, list(g0))}
     assert fast == slow
 
 

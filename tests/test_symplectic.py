@@ -90,8 +90,29 @@ def test_membership_routes_agree_on_full_groups(q, n):
     sp = make_space(q, n)
     for tag in (TAG_SP_F, TAG_SP_0):
         grp = enumerate_symplectic(sp, tag, 10**5)
-        for g in grp.elements():
+        for g in grp:
             assert is_member(sp, g.mat, tag)
+
+
+@pytest.mark.parametrize("tag", [TAG_SP_F, TAG_SP_0])
+def test_group_table_rows_are_sorted_elements(tag):
+    sp = make_space(5, 1)
+    table = enumerate_symplectic(sp, tag, 10**5)
+    elements = list(table)
+    keys = [g.mat.key() for g in elements]
+    assert len(table) == len(set(keys)) == group_order(tag, 5, 1)
+    assert keys == sorted(keys) and all(g.tag == tag for g in elements)
+    assert np.array_equal(table.keys, np.array(keys, dtype=table.keys.dtype))
+    assert np.array_equal(table.rows(table.arr), np.arange(len(table)))
+    # 2I scales the form by 4, and 4 != 1 mod 5
+    assert table.rows((2 * sp.identity).a[None]).tolist() == [-1]
+    with pytest.raises(ValueError):
+        table.arr[0, 0, 0, 0] = 1  # the cached table is read-only
+    mask = np.random.default_rng(5).random(len(table)) < 0.3
+    sub = table.where(mask)
+    assert sub.tag == tag and np.array_equal(sub.arr, table.arr[mask])
+    assert [g.mat.key() for g in sub] == [k for k, kept in zip(keys, mask) if kept]
+    assert np.array_equal(sub.rows(table.arr[mask]), np.arange(len(sub)))
 
 
 def test_generator_closure_sizes():
@@ -189,7 +210,7 @@ def test_h_e_preserved_by_full_rational_group_exhaustively():
     sp = make_space(3, 1)
     fp = sp.fp
     vecs = [Mat(fp, [[(a, b)], [(c, d)]]) for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
-    group = enumerate_symplectic(sp, TAG_SP_F, 100).elements()
+    group = enumerate_symplectic(sp, TAG_SP_F, 100)
     rng = random.Random(3)
     pick = [vecs[rng.randrange(len(vecs))] for _ in range(20)]
     for g in group:
