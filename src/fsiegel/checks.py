@@ -19,18 +19,19 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 
 import numpy as np
 
 from .errors import ResourceLimitError, VerificationFailure
-from .field import epsilon_f, make_fields, tau_f
+from .field import epsilon_f, tau_f
 from .involutions import (
+    _anti_involution_suite,
+    _pairing_identity,
     anti_involutions,
     classify_involutions,
     correspondence_report,
-    eigenspace_report,
     involution_form_report,
-    pairing_identity_holds,
     scaled_involutions,
 )
 from .lagrangian import (
@@ -41,7 +42,7 @@ from .lagrangian import (
     enumerate_lagrangians,
     lagrangian_count,
 )
-from .linalg import Mat, mm, rank_stack
+from .linalg import Mat, conj_arr, mm, rank_stack, scalar_mm
 from .orbits import partition
 from .symplectic import (
     TAG_SP_0,
@@ -163,21 +164,11 @@ def check_cayley(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     # the matrix identity is equivalent to the conformal identity on every
     # pair of vectors, both forms being sesquilinear the same way
     matrix_identity = cd.m.T @ sp.d_form @ cd.m.conj() == cd.conformal * sp.j
-    n_elems = fp.q * fp.q
-    if n_elems ** (2 * sp.dim) <= 10**4:
-        vecs = _all_vectors(sp)
-        pairs = [(v, w) for v in vecs for w in vecs]
-        mode = "exhaustive"
-    else:
-        pairs = [(_random_vector(sp, rng), _random_vector(sp, rng)) for _ in range(1000)]
-        mode = "sampled"
-    conf_ok = True
-    for v, w in pairs:
-        lhs = ((cd.m @ v).T @ sp.d_form @ (cd.m @ w).conj()).at(0, 0)
-        rhs = cd.conformal * (v.T @ sp.j @ w.conj()).at(0, 0)
-        if lhs != rhs:
-            conf_ok = False
-            break
+    vs, ws, mode = _conformal_pairs(sp, rng)
+    mv, mw = mm(fp, cd.m.a, vs), mm(fp, cd.m.a, ws)
+    lhs = mm(fp, mm(fp, mv.swapaxes(1, 2), sp.d_form.a), conj_arr(mw, fp.q))
+    rhs = mm(fp, mm(fp, vs.swapaxes(1, 2), sp.j.a), conj_arr(ws, fp.q))
+    conf_ok = np.array_equal(lhs, scalar_mm(fp, (cd.conformal.re, cd.conformal.im), rhs))
 
     sub = {
         "forward_ok": conj["forward_ok"],
@@ -195,7 +186,7 @@ def check_cayley(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     data = {
         "cayley": cd.report(),
         "conjugation": {k: v for k, v in conj.items() if k != "failing_generators"},
-        "conformal_pairs_checked": len(pairs),
+        "conformal_pairs_checked": len(vs),
         "conformal_pair_mode": mode,
         "subchecks": sub,
     }
@@ -203,24 +194,22 @@ def check_cayley(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     return data
 
 
-def _all_vectors(sp):
-    fp = sp.fp
-    out = []
+def _conformal_pairs(sp, rng) -> tuple[np.ndarray, np.ndarray, str]:
+    """The (v, w) pairs of the conformal identity, as two stacks of columns (P, 2n, 1, 2).
 
-    def rec(prefix):
-        if len(prefix) == sp.dim:
-            out.append(Mat.column(fp, list(prefix)))
-            return
-        for x in fp.elements():
-            rec(prefix + (x,))
-
-    rec(())
-    return out
-
-
-def _random_vector(sp, rng):
-    fp = sp.fp
-    return Mat.column(fp, [fp.e(rng.randrange(fp.q), rng.randrange(fp.q)) for _ in range(sp.dim)])
+    Every pair, with the vectors in `fp.elements()` order, when there are at
+    most 10^4; else 1000 seeded pairs, v then w, each entry drawn re then im.
+    """
+    fp, dim = sp.fp, sp.dim
+    if (fp.q * fp.q) ** (2 * dim) <= 10**4:
+        vecs = np.array(list(product([(x.re, x.im) for x in fp.elements()], repeat=dim)))
+        vs, ws = np.repeat(vecs, len(vecs), axis=0), np.tile(vecs, (len(vecs), 1, 1))
+        mode = "exhaustive"
+    else:
+        draws = np.array([rng.randrange(fp.q) for _ in range(1000 * 2 * dim * 2)])
+        vs, ws = draws.reshape(1000, 2, dim, 2).swapaxes(0, 1)
+        mode = "sampled"
+    return vs[:, :, None], ws[:, :, None], mode
 
 
 def check_stabilizers(q: int, n: int, cap_group: int, cap_points: int) -> dict:
@@ -254,37 +243,13 @@ def check_involutions(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     # closed forms; the point table this builds is the one the correspondence reads
     check_group_cap(TAG_SP_F, q, n, cap_group)
     enumerate_lagrangians(q, n, cap_points)
-    fp = make_fields(q)
+    sp = make_space(q, n)
     ants = anti_involutions(q, n, cap_group)
     form_rep = involution_form_report(q, n, cap_group)
     corr = correspondence_report(q, n, cap_group, cap_points)
-
-    eigen_ok = True
-    pairing_ok = True
-    rng = _rng("involutions", q, n)
-    sp = make_space(q, n)
-    for t in ants:
-        rep = eigenspace_report(t)
-        eigen_ok &= all(v for v in rep.values() if isinstance(v, bool))
-    if epsilon_f(q) == -1:
-        if q == 3 and n == 1:
-            # exhaustive over rational pairs, for every anti-involution
-            pairs = [
-                (Mat.column(fp, [fp.e(a), fp.e(b)]), Mat.column(fp, [fp.e(c), fp.e(d)]))
-                for a in range(3)
-                for b in range(3)
-                for c in range(3)
-                for d in range(3)
-            ]
-            for t in ants:
-                pairing_ok &= pairing_identity_holds(t, pairs)
-        else:
-            # 1000 sampled (element, v, w) triples per cell
-            for _ in range(1000):
-                t = ants[rng.randrange(len(ants))]
-                v = Mat.column(fp, [fp.e(rng.randrange(q)) for _ in range(sp.dim)])
-                w = Mat.column(fp, [fp.e(rng.randrange(q)) for _ in range(sp.dim)])
-                pairing_ok &= pairing_identity_holds(t, [(v, w)])
+    eigen = _anti_involution_suite(q, n)[1]
+    # exact on every pair of rational vectors; the identity needs i outside F
+    pairing_ok = epsilon_f(q) != -1 or bool(np.all(_pairing_identity(sp, ants.arr)))
 
     squares = sorted({(a * a) % q for a in range(1, q)} - {1, q - 1})
     s_a_table = []
@@ -297,7 +262,7 @@ def check_involutions(q: int, n: int, cap_group: int, cap_points: int) -> dict:
         "form_suite": all(
             form_rep[k] for k in ("symmetric", "determinant_one", "discriminant_square", "equivariant")
         ),
-        "eigenspace_suite": eigen_ok,
+        "eigenspace_suite": all(bool(v.all()) for v in eigen.values() if v.dtype == bool),
         "pairing_identity": pairing_ok,
         "correspondence": _correspondence_ok(corr),
         "scaled_sets_empty": all(row["size"] == 0 for row in s_a_table),

@@ -117,8 +117,11 @@ def _emit(payload: dict, fmt: str, out_path: str | None) -> None:
     else:
         raise UsageError(f"unknown format {fmt!r}")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -358,6 +361,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise UsageError(f"--out directory does not exist: {args.out!r}")
         payload, code = _HANDLERS[args.command](args, _caps_from(args))
         _emit(payload, args.format, args.out)
         return code

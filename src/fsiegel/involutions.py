@@ -1,11 +1,13 @@
 """Anti-involutions and involutions of the rational symplectic group.
 
 An anti-involution is a rational symplectic T with T^2 = -I; the set of
-them is a conjugation-invariant model of the Lagrangian geometry.  Every
-result here is obtained by filtering a fully enumerated group, each
-filter a mask over the rows of its table, and the equivalence
-"T^2 = -I iff J T is symmetric" is asserted across the whole group as a
-built-in cross-check before anything else runs.
+them is a conjugation-invariant model of the Lagrangian geometry.  Both
+sets are sub-tables of the fully enumerated group, and every check over
+them is a stack operation over their rows: the eigenspaces are one
+`kernel_stack` per eigenvalue and cell, and the pairing identity is one
+matrix identity per row, exact on every pair of rational vectors.  The
+equivalence "T^2 = -I iff J T is symmetric" is asserted across the whole
+group as a built-in cross-check before anything else runs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, VerificationFailure
 from .field import epsilon_f
-from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, span_images
-from .linalg import Mat, block, mm, stack_keys
+from .lagrangian import Lagrangian, _grams, enumerate_lagrangians, span_images
+from .linalg import Mat, block, conj_arr, kernel_stack, mm, rank_stack, rcef_stack, scalar_mm, stack_keys
 from .symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
@@ -67,24 +69,22 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
     sp = make_space(q, n)
     fp = sp.fp
     ants = anti_involutions(q, n, cap_group)
-    sym_ok = det_ok = disc_ok = True
-    for t in ants:
-        bt = involution_form(t)
-        sym_ok &= bt.is_symmetric()
-        det = bt.det()
+    forms = mm(fp, sp.j.a, ants.arr)
+    det_ok = disc_ok = True
+    for bt in forms:  # there is no stacked determinant
+        det = Mat(fp, bt).det()
         det_ok &= det == fp.one
         disc_ok &= det.is_rational and fp.is_square_in_f(det.re)
     # J (g T g^-1) = t(g^-1) (J T) g^-1 for every pair (T, g), both sides as one stack
     mats, invs = _gen_stacks(generators(sp, TAG_SP_F))
     lhs = mm(fp, sp.j.a, _conjugates(fp, mats, invs, ants.arr))
-    rhs = mm(fp, mm(fp, invs.swapaxes(1, 2)[None], mm(fp, sp.j.a, ants.arr)[:, None]), invs[None])
-    equi_ok = np.array_equal(lhs, rhs)
+    rhs = mm(fp, mm(fp, invs.swapaxes(1, 2)[None], forms[:, None]), invs[None])
     return {
         "count": len(ants),
-        "symmetric": sym_ok,
+        "symmetric": bool(np.all(forms == forms.swapaxes(1, 2))),
         "determinant_one": det_ok,
         "discriminant_square": disc_ok,
-        "equivariant": equi_ok,
+        "equivariant": np.array_equal(lhs, rhs),
     }
 
 
@@ -92,47 +92,79 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
 # eigenspace model
 # ---------------------------------------------------------------------------
 
-def _eigenspace(sp: SpaceParams, t: Mat, value) -> Mat:
-    return (t - value * sp.identity).kernel()
+def _eigenspaces(sp: SpaceParams, ts: np.ndarray, value) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels of T - value I over a stack: (N, 2n, 2n, 2), row i's first dims[i] columns nonzero."""
+    ker = kernel_stack(sp.fp, ts - (value * sp.identity).a)
+    return ker, np.count_nonzero(ker.any(axis=(1, 3)), axis=1)
+
+
+def eigenspace_suite(sp: SpaceParams, ts: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The eigenspace contracts of every anti-involution in a stack (N, 2n, 2n, 2).
+
+    Returns the canonical +i eigenspaces (N, 2n, n, 2) and one array per
+    `eigenspace_report` key.  When -1 is a square in the base field the
+    matrix T - iI is rational, so the kernels stay inside F.
+    """
+    fp, n = sp.fp, sp.n
+    i = fp.sqrt(fp.e(-1))
+    (ker_p, plus), (ker_m, minus) = (_eigenspaces(sp, ts, v) for v in (i, -i))
+    canon = rcef_stack(fp, ker_p)[0]
+    t_ker_j = mm(fp, ker_p.swapaxes(1, 2), sp.j.a)
+    out = {
+        "plus_dim": plus,
+        "minus_dim": minus,
+        "nonzero": (plus > 0) & (minus > 0),
+        "dims_split": plus + minus == sp.dim,
+        "lagrangian": (plus == n) & ~mm(fp, t_ker_j, ker_p).any(axis=(1, 2, 3)),
+    }
+    h_ranks = rank_stack(fp, _grams(sp, ker_p, sp.j))
+    if epsilon_f(sp.q) == -1:
+        out["conjugate_swaps"] = np.all(conj_arr(canon, sp.q) == rcef_stack(fp, ker_m)[0], axis=(1, 2, 3))
+        joined = np.concatenate([ker_p, conj_arr(ker_p, sp.q)], axis=2)
+        out["no_rational_vectors"] = rank_stack(fp, joined) == sp.dim
+        out["orthogonal_decomposition"] = ~mm(fp, t_ker_j, conj_arr(ker_m, sp.q)).any(axis=(1, 2, 3))
+        out["top_stratum"] = h_ranks == n
+    else:
+        out["null_stratum"] = h_ranks == 0
+    return canon[:, :, :n], out
+
+
+@lru_cache(maxsize=None)
+def _anti_involution_suite(q: int, n: int) -> tuple[np.ndarray, dict]:
+    """The eigenspace suite of the cell's anti-involutions, taken once per cell."""
+    models, rep = eigenspace_suite(make_space(q, n), _anti_involutions(q, n).arr)
+    for arr in (models, *rep.values()):
+        arr.setflags(write=False)  # shared by the correspondence and the check
+    return models, rep
 
 
 def eigenspace_model(t: GroupElement) -> Lagrangian:
-    """The +i eigenspace of an anti-involution, as a canonical Lagrangian.
-
-    When -1 is a square in the base field the matrix T - iI is rational,
-    so the kernel computation stays inside F with no extension round-trip.
-    """
+    """The +i eigenspace of an anti-involution, as a canonical Lagrangian (one row of the suite)."""
     sp = _space_of(t)
-    fp = sp.fp
-    i = fp.sqrt(fp.e(-1))
-    ker = _eigenspace(sp, t.mat, i)
-    return from_basis(sp, ker)
+    models, rep = eigenspace_suite(sp, t.mat.a[None])
+    if not rep["lagrangian"][0]:
+        raise ParameterError("the +i eigenspace is not a Lagrangian")
+    return Lagrangian(sp, Mat(sp.fp, models[0]))
 
 
 def eigenspace_report(t: GroupElement) -> dict:
-    """Per-item verification of the eigenspace decomposition contracts."""
-    sp = _space_of(t)
+    """Per-item verification of the eigenspace decomposition contracts (one row of the suite)."""
+    rep = eigenspace_suite(_space_of(t), t.mat.a[None])[1]
+    return {key: v[0].item() for key, v in rep.items()}
+
+
+def _pairing_identity(sp: SpaceParams, ts: np.ndarray) -> np.ndarray:
+    """t(X) J conj(X) = 2 (J + i J T), with X = I - iT, for every T in a stack; one bool per row.
+
+    On rational v, w this is `pairing_identity_holds` for every pair at once;
+    it needs conj(i) = -i, that is -1 a non-square in the base field.
+    """
     fp = sp.fp
-    q = fp.q
     i = fp.sqrt(fp.e(-1))
-    ker_p = _eigenspace(sp, t.mat, i)
-    ker_m = _eigenspace(sp, t.mat, -i)
-    out = {"plus_dim": ker_p.cols, "minus_dim": ker_m.cols}
-    out["nonzero"] = ker_p.cols > 0 and ker_m.cols > 0
-    out["dims_split"] = ker_p.cols + ker_m.cols == sp.dim
-    w = from_basis(sp, ker_p)
-    out["lagrangian"] = True  # from_basis validates isotropy and rank
-    if epsilon_f(q) == -1:
-        wm = from_basis(sp, ker_m)
-        out["conjugate_swaps"] = w.conj() == wm
-        joined = Mat(fp, np.concatenate([ker_p.a, ker_p.conj().a], axis=1))
-        out["no_rational_vectors"] = joined.rank() == sp.dim
-        cross = w.basis.T @ sp.j @ wm.basis.conj()
-        out["orthogonal_decomposition"] = cross.is_zero
-        out["top_stratum"] = w.gram("h_e").rank() == sp.n
-    else:
-        out["null_stratum"] = w.gram("h_e").rank() == 0
-    return out
+    x = sp.identity.a - scalar_mm(fp, (i.re, i.im), ts)
+    lhs = mm(fp, mm(fp, x.swapaxes(1, 2), sp.j.a), conj_arr(x, fp.q))
+    rhs = scalar_mm(fp, (2, 0), sp.j.a + scalar_mm(fp, (i.re, i.im), mm(fp, sp.j.a, ts)))
+    return np.all(lhs == rhs, axis=(1, 2, 3))
 
 
 def pairing_identity_holds(t: GroupElement, samples) -> bool:
@@ -202,8 +234,9 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     ants = anti_involutions(q, n, cap_group)
     gens = generators(sp, TAG_SP_F)
     out = {"count": len(ants), "branch": "nonsquare" if epsilon_f(q) == -1 else "square"}
-    models = np.stack([eigenspace_model(t).basis.a for t in ants])
-    out["equivariant"] = _equivariant(sp, ants, models, gens)
+    models, eigen = _anti_involution_suite(q, n)
+    # a row that is not Lagrangian has no image span to compare
+    out["equivariant"] = bool(eigen["lagrangian"].all()) and _equivariant(sp, ants, models, gens)
     # the distinct eigenspaces, with the number of anti-involutions on each
     images, fibers = np.unique(stack_keys(models), return_counts=True)
 
@@ -267,34 +300,27 @@ def classify_involutions(q: int, n: int, cap_group: int) -> dict:
     fp = sp.fp
     gens = generators(sp, TAG_SP_F)
     invs = scaled_involutions(q, n, 1, cap_group)
-    classes: dict[int, list[int]] = {}  # fixed-space dimension -> rows of invs
-    nondeg_ok = rebuild_ok = True
-    for row, t in enumerate(invs):
-        plus = _eigenspace(sp, t.mat, fp.one)
-        minus = _eigenspace(sp, t.mat, -fp.one)
-        k = plus.cols
-        classes.setdefault(k, []).append(row)
-        for base in (plus, minus):
-            if base.cols:
-                g = base.T @ sp.j @ base
-                nondeg_ok &= g.rank() == base.cols
-        basis = Mat(fp, np.concatenate([plus.a, minus.a], axis=1))
-        signs = Mat.diag(fp, [fp.one] * plus.cols + [-fp.one] * minus.cols)
-        inv_basis = basis.inv()
-        rebuild_ok &= inv_basis is not None and basis @ signs @ inv_basis == t.mat
+    (plus, dims), (minus, minus_dims) = (_eigenspaces(sp, invs.arr, v) for v in (fp.one, -fp.one))
+    # each eigenspace B, of dimension k, is nondegenerate when t(B) J B has rank k
+    bases = np.concatenate([plus, minus])
+    gram_ranks = rank_stack(fp, mm(fp, mm(fp, bases.swapaxes(1, 2), sp.j.a), bases))
+    nondeg_ok = np.array_equal(gram_ranks, np.concatenate([dims, minus_dims]))
+    # B = (plus | minus) has rank 2n and T B = (plus | -minus): B diag(I, -I) B^-1 = T
+    both = np.concatenate([plus, minus], axis=2)
+    rebuild_ok = bool(np.all(rank_stack(fp, both) == sp.dim)) and np.array_equal(
+        mm(fp, invs.arr, both), np.concatenate([plus, (-minus) % q], axis=2)
+    )
     per_class = []
-    single = True
-    for k in sorted(classes):
-        rows = classes[k]
+    for k in np.unique(dims).tolist():
+        rows = np.flatnonzero(dims == k)
         closure = _conjugation_closure(invs[rows[0]].mat, gens, cap=len(rows) + 1)
         one_orbit = np.array_equal(closure, invs.keys[rows])
-        single &= one_orbit
         per_class.append({"k": k, "size": len(rows), "single_orbit": one_orbit})
     return {
         "total": len(invs),
-        "observed_k": sorted(classes),
+        "observed_k": [c["k"] for c in per_class],
         "eigenspaces_nondegenerate": nondeg_ok,
         "reconstruction": rebuild_ok,
         "classes": per_class,
-        "each_class_single_orbit": single,
+        "each_class_single_orbit": all(c["single_orbit"] for c in per_class),
     }

@@ -33,11 +33,13 @@ as refuted, with counterexamples.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 from fsiegel.field import make_fields, epsilon_f, tau_f
 from fsiegel.linalg import Mat
@@ -481,6 +483,9 @@ def test_criterion_14_siegel_cell_size():
 def test_criterion_15_determinism_and_budget(tmp_path):
     outs = []
     times = []
+    # the child imports fsiegel from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for i in range(2):
         path = tmp_path / f"run{i}.json"
         t0 = time.perf_counter()
@@ -488,9 +493,11 @@ def test_criterion_15_determinism_and_budget(tmp_path):
             [sys.executable, "-m", "fsiegel", "verify", "--jobs", "1", "--out", str(path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         times.append(time.perf_counter() - t0)
         assert proc.returncode in (0, 1), proc.stderr
+        assert path.exists(), f"verify wrote no report: {proc.stderr}"
         outs.append(json.loads(path.read_text()))
     from fsiegel.cli import strip_volatile
 

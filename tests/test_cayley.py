@@ -1,9 +1,11 @@
 import importlib
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from fsiegel.checks import run_check
+from fsiegel import checks
+from fsiegel.checks import _conformal_pairs, _rng, run_check
 from fsiegel.errors import ParameterError
 from fsiegel.field import make_fields, tau_f
 from fsiegel.linalg import Mat, block
@@ -19,6 +21,7 @@ from fsiegel.symplectic import (
 from fsiegel.lagrangian import l_plus, strata
 from fsiegel.orbits import act
 from fsiegel.cayley import (
+    CayleyData,
     cayley,
     map_strata,
     orthogonal_group_elements,
@@ -291,3 +294,42 @@ def test_map_strata_is_bijection_on_points():
         for w in stratum:
             images.add(act(cd.m, w).key)
     assert len(images) == 10
+
+
+def _scalar_conformal_pairs(sp, rng):
+    """The pairs of criterion 07's loop: all of them at (3,1), else 1000 seeded, v then w."""
+    fp = sp.fp
+    if (fp.q, sp.n) == (3, 1):
+        vecs = [Mat.column(fp, [x, y]) for x in fp.elements() for y in fp.elements()]
+        return [(v, w) for v in vecs for w in vecs]
+    col = lambda: Mat.column(  # noqa: E731
+        fp, [fp.e(rng.randrange(fp.q), rng.randrange(fp.q)) for _ in range(sp.dim)]
+    )
+    return [(col(), col()) for _ in range(1000)]
+
+
+def _scalar_conformal(sp, m, conformal, pairs) -> bool:
+    """Criterion 07's loop: one scalar t(M v) D conj(M w) per pair."""
+    return all(
+        ((m @ v).T @ sp.d_form @ (m @ w).conj()).at(0, 0) == conformal * (v.T @ sp.j @ w.conj()).at(0, 0)
+        for v, w in pairs
+    )
+
+
+@pytest.mark.parametrize("q,n,mode", [(3, 1, "exhaustive"), (7, 1, "sampled")])
+def test_stacked_conformal_pairs_match_the_scalar_loop(q, n, mode, monkeypatch):
+    sp = make_space(q, n)
+    cd = cayley(q, n)
+    vs, ws, got = _conformal_pairs(sp, _rng("cayley", q, n))
+    pairs = _scalar_conformal_pairs(sp, _rng("cayley", q, n))
+    assert got == mode and len(vs) == len(pairs)
+    assert np.array_equal(vs, np.stack([v.a for v, _ in pairs]))
+    assert np.array_equal(ws, np.stack([w.a for _, w in pairs]))
+    subchecks = lambda: run_check("cayley", q, n, 10**5, 10**4)["data"]["subchecks"]  # noqa: E731
+    assert subchecks()["conformal_identity"] and _scalar_conformal(sp, cd.m, cd.conformal, pairs)
+    # a negated conformal factor breaks the identity on both routes
+    negated = CayleyData(*(getattr(cd, k) for k in CayleyData.__slots__))
+    negated.conformal = -cd.conformal
+    monkeypatch.setattr(checks, "cayley", lambda q, n: negated)
+    assert not subchecks()["conformal_identity"]
+    assert not _scalar_conformal(sp, cd.m, -cd.conformal, pairs)

@@ -146,6 +146,23 @@ def test_out_file(tmp_path, capsys):
     assert payload["command"] == "census"
 
 
+def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "census_payload", fail)
+    code = main(["census", "--q", "3", "--n", "1", "--out", str(tmp_path / "no" / "x.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("usage error:")
+
+
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # the directory exists, but the path is a directory, so the write fails
+    code = main(["census", "--q", "3", "--n", "1", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("usage error:")
+
+
 def test_reports_deterministic_small_grid(capsys):
     argv = ["verify", "--checks", "siegel-criterion,lemma4", "--q", "3,5", "--n", "1"]
     code1, payload1 = run_json(capsys, *argv)

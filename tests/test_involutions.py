@@ -1,20 +1,31 @@
+import random
+
 import numpy as np
 import pytest
 
 from fsiegel import involutions
 from fsiegel.checks import run_check
 from fsiegel.errors import ParameterError, ResourceLimitError
-from fsiegel.field import make_fields, sqrt_in_e
+from fsiegel.field import epsilon_f, make_fields, sqrt_in_e
 from fsiegel.linalg import Mat
-from fsiegel.symplectic import TAG_SP_F, GroupElement, enumerate_symplectic, generators, make_space
-from fsiegel.lagrangian import strata
+from fsiegel.symplectic import (
+    TAG_SP_F,
+    EnumeratedGroup,
+    GroupElement,
+    enumerate_symplectic,
+    generators,
+    make_space,
+)
+from fsiegel.lagrangian import from_basis, strata
 from fsiegel.orbits import act
 from fsiegel.involutions import (
     _equivariant,
+    _pairing_identity,
     anti_involutions,
     classify_involutions,
     correspondence_report,
     eigenspace_model,
+    eigenspace_suite,
     eigenspace_report,
     involution_form,
     involution_form_report,
@@ -270,3 +281,131 @@ def test_classification_3_2():
     sizes = {c["k"]: c["size"] for c in rep["classes"]}
     assert sizes[0] == sizes[4] == 1
     assert sizes[2] == 90  # nondegenerate planes in the rational space
+
+
+# ---------------------------------------------------------------------------
+# the stacked routes against the scalar ones, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+def _scalar_eigenspace(sp, t: Mat, value) -> Mat:
+    return (t - value * sp.identity).kernel()
+
+
+def _scalar_eigenspace_model(t: GroupElement):
+    """The +i eigenspace of one anti-involution, through the scalar kernel."""
+    sp = make_space(t.mat.fp.q, t.mat.rows // 2)
+    fp = sp.fp
+    i = fp.sqrt(fp.e(-1))
+    return from_basis(sp, _scalar_eigenspace(sp, t.mat, i))
+
+
+def _scalar_eigenspace_report(t: GroupElement) -> dict:
+    """The eigenspace contracts of one anti-involution, through scalar kernels and ranks."""
+    sp = make_space(t.mat.fp.q, t.mat.rows // 2)
+    fp = sp.fp
+    q = fp.q
+    i = fp.sqrt(fp.e(-1))
+    ker_p = _scalar_eigenspace(sp, t.mat, i)
+    ker_m = _scalar_eigenspace(sp, t.mat, -i)
+    out = {"plus_dim": ker_p.cols, "minus_dim": ker_m.cols}
+    out["nonzero"] = ker_p.cols > 0 and ker_m.cols > 0
+    out["dims_split"] = ker_p.cols + ker_m.cols == sp.dim
+    w = from_basis(sp, ker_p)
+    out["lagrangian"] = True  # from_basis validates isotropy and rank
+    if epsilon_f(q) == -1:
+        wm = from_basis(sp, ker_m)
+        out["conjugate_swaps"] = w.conj() == wm
+        joined = Mat(fp, np.concatenate([ker_p.a, ker_p.conj().a], axis=1))
+        out["no_rational_vectors"] = joined.rank() == sp.dim
+        cross = w.basis.T @ sp.j @ wm.basis.conj()
+        out["orthogonal_decomposition"] = cross.is_zero
+        out["top_stratum"] = w.gram("h_e").rank() == sp.n
+    else:
+        out["null_stratum"] = w.gram("h_e").rank() == 0
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2)])
+def test_eigenspace_suite_matches_the_scalar_reports(q, n):
+    sp = make_space(q, n)
+    ants = anti_involutions(q, n, CAP)
+    models, rep = eigenspace_suite(sp, ants.arr)
+    for row, t in enumerate(ants):
+        assert {k: v[row].item() for k, v in rep.items()} == _scalar_eigenspace_report(t)
+        assert models[row].tobytes() == _scalar_eigenspace_model(t).basis.a.tobytes()
+        assert eigenspace_model(t) == _scalar_eigenspace_model(t)
+    # a unipotent generator has neither eigenvalue: only its own row fails
+    extra = np.concatenate([ants.arr, generators(sp, TAG_SP_F)[0].mat.a[None]])
+    _, rep = eigenspace_suite(sp, extra)
+    assert rep["dims_split"].tolist() == [True] * len(ants) + [False]
+    assert not rep["lagrangian"][-1] and rep["lagrangian"][:-1].all()
+
+
+def test_a_non_lagrangian_eigenspace_is_a_fail_record(monkeypatch):
+    """A row with no Lagrangian +i eigenspace fails the cell instead of raising."""
+    sp = make_space(3, 1)
+    gen = generators(sp, TAG_SP_F)[0]
+    bad = EnumeratedGroup(sp, TAG_SP_F, np.concatenate([anti_involutions(3, 1, CAP).arr, gen.mat.a[None]]))
+    monkeypatch.setattr(involutions, "_anti_involutions", lambda q, n: bad)
+    involutions._anti_involution_suite.cache_clear()
+    try:
+        rec = run_check("involutions", 3, 1, CAP, 10**4)
+    finally:
+        involutions._anti_involution_suite.cache_clear()
+    assert rec["status"] == "fail"
+    assert not rec["data"]["subchecks"]["eigenspace_suite"]
+    assert not rec["data"]["correspondence"]["equivariant"]
+    with pytest.raises(ParameterError):
+        eigenspace_model(gen)
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (7, 1), (3, 2)])
+def test_stacked_pairing_identity_matches_the_scalar_pairs(q, n):
+    """All 81 rational pairs for each anti-involution at (3,1); 200 seeded (T, v, w) elsewhere."""
+    sp = make_space(q, n)
+    fp = sp.fp
+    ants = anti_involutions(q, n, CAP)
+    rng = random.Random(f"pairing:{q}:{n}")
+    col = lambda: Mat.column(fp, [fp.e(rng.randrange(q)) for _ in range(sp.dim)])  # noqa: E731
+    if (q, n) == (3, 1):
+        vecs = [Mat.column(fp, [fp.e(a), fp.e(b)]) for a in range(3) for b in range(3)]
+        pairs = [(v, w) for v in vecs for w in vecs]
+        triples = [(t, pairs) for t in ants]
+    else:
+        triples = [(ants[rng.randrange(len(ants))], [(col(), col())]) for _ in range(200)]
+        pairs = [p for _, (p,) in triples]
+    assert _pairing_identity(sp, ants.arr).all()
+    assert all(pairing_identity_holds(t, ps) for t, ps in triples)
+    # the identity is no anti-involution: both routes reject it
+    assert not _pairing_identity(sp, np.concatenate([ants.arr, sp.identity.a[None]]))[-1]
+    assert not pairing_identity_holds(GroupElement(sp.identity, TAG_SP_F), pairs)
+
+
+def _scalar_classification(q, n):
+    """Per involution: nondegenerate eigenspaces, reconstruction, and classes by fixed dimension."""
+    sp = make_space(q, n)
+    fp = sp.fp
+    classes: dict[int, int] = {}
+    nondeg_ok = rebuild_ok = True
+    for t in scaled_involutions(q, n, 1, CAP):
+        plus = _scalar_eigenspace(sp, t.mat, fp.one)
+        minus = _scalar_eigenspace(sp, t.mat, -fp.one)
+        classes[plus.cols] = classes.get(plus.cols, 0) + 1
+        for base in (plus, minus):
+            if base.cols:
+                nondeg_ok &= (base.T @ sp.j @ base).rank() == base.cols
+        basis = Mat(fp, np.concatenate([plus.a, minus.a], axis=1))
+        signs = Mat.diag(fp, [fp.one] * plus.cols + [-fp.one] * minus.cols)
+        inv_basis = basis.inv()
+        rebuild_ok &= inv_basis is not None and basis @ signs @ inv_basis == t.mat
+    return nondeg_ok, rebuild_ok, classes
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_classification_matches_the_scalar_loop(q, n):
+    rep = classify_involutions(q, n, CAP)
+    nondeg_ok, rebuild_ok, classes = _scalar_classification(q, n)
+    assert rep["eigenspaces_nondegenerate"] is nondeg_ok is True
+    assert rep["reconstruction"] is rebuild_ok is True
+    assert rep["observed_k"] == sorted(classes)
+    assert {c["k"]: c["size"] for c in rep["classes"]} == classes
