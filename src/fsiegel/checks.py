@@ -326,73 +326,80 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
     group element (A, B; C, D), the block C Z + D must be invertible;
     for degenerate Z both an invertible and a singular denominator must
     occur.  Exhaustive for n = 1 and q <= 5, seeded samples otherwise.
+    The denominators are ranked as stacks: over the group table for each
+    z, or over the products of seeded 12-letter words.
     """
     sp = make_space(q, n)
     fp = sp.fp
     rng = _rng("siegel-criterion", q, n)
     gens = generators(sp, TAG_SP_F)
+    mats = np.stack([g.mat.a for g in gens])
 
-    def denominator(g: Mat, z: Mat) -> Mat:
-        _, _, c, d = sp.blocks(g)
-        return c @ z + d
+    def ranks(gs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Rank of C Z + D for each element (A, B; C, D) of a stack, Z broadcast."""
+        return rank_stack(fp, mm(fp, gs[:, n:, :n], zs) + gs[:, n:, n:])
+
+    def draw(count: int) -> np.ndarray:
+        return np.array([[rng.randrange(len(gens)) for _ in range(12)] for _ in range(count)])
+
+    def products(letters: np.ndarray) -> np.ndarray:
+        g = mats[letters[:, 0]]
+        for col in letters.T[1:]:
+            g = mm(fp, g, mats[col])
+        return g
 
     exhaustive = n == 1 and q <= 5
-    data = {"mode": "exhaustive" if exhaustive else "sampled"}
-    invertible_ok = True
+    witnesses = []  # (z, an invertible denominator found, a singular one found)
     if exhaustive:
-        # C z + D for every group element (A, B; C, D), as one stack per z
         arr = enumerate_symplectic(sp, TAG_SP_F, cap_group).arr
-
-        def denominator_ranks(z: Mat) -> np.ndarray:
-            return rank_stack(fp, mm(fp, arr[:, n:, :n], z.a) + arr[:, n:, n:])
-
         zs = [Mat.diag(fp, [x]) for x in fp.elements()]
         nondeg = [z for z in zs if (z - z.conj()).rank() == n]
         degen = [z for z in zs if (z - z.conj()).rank() < n]
-        invertible_ok = all(bool(np.all(denominator_ranks(z) == n)) for z in nondeg)
-        data["cases"] = len(nondeg) * len(arr)
-        converse = []
+        invertible_ok = all(bool(np.all(ranks(arr, z.a) == n)) for z in nondeg)
+        cases = len(nondeg) * len(arr)
         for z in degen:
-            ranks = denominator_ranks(z)
-            converse.append({"z": z.encode(), "invertible_found": bool(np.any(ranks == n)),
-                             "singular_found": bool(np.any(ranks < n))})
-        data["degenerate_witnesses"] = converse
-        converse_ok = all(c["invertible_found"] and c["singular_found"] for c in converse)
+            rk = ranks(arr, z.a)
+            witnesses.append((z, bool(np.any(rk == n)), bool(np.any(rk < n))))
     else:
-        samples = 0
-        while samples < 1000:
+        zs, letters = [], []
+        while len(zs) < 1000:
             z = _random_symmetric(sp, rng)
-            if (z - z.conj()).rank() != n:
-                continue
-            g = _random_word(sp, gens, rng)
-            samples += 1
-            if denominator(g, z).rank() != n:
-                invertible_ok = False
-        data["cases"] = samples
-        converse = []
-        found_deg = 0
-        while found_deg < 10:
+            if (z - z.conj()).rank() == n:
+                zs.append(z.a)
+                letters.append(draw(1)[0])
+        invertible_ok = bool(np.all(ranks(products(np.array(letters)), np.array(zs)) == n))
+        cases = len(zs)
+        while len(witnesses) < 10:
             z = _random_symmetric(sp, rng)
             if (z - z.conj()).rank() == n:
                 continue
-            found_deg += 1
+            # up to 4000 words, 64 at a time, stopping at the first word that
+            # completes the pair: its batch is drawn again up to that word
             has_inv = has_sing = False
-            for _ in range(4000):
-                g = _random_word(sp, gens, rng)
-                rk = denominator(g, z).rank()
-                has_inv |= rk == n
-                has_sing |= rk < n
+            for lo in range(0, 4000, 64):
+                state = rng.getstate()
+                rk = ranks(products(draw(min(64, 4000 - lo))), z.a)
+                inv = has_inv | np.logical_or.accumulate(rk == n)
+                sing = has_sing | np.logical_or.accumulate(rk < n)
+                has_inv, has_sing = bool(inv[-1]), bool(sing[-1])
                 if has_inv and has_sing:
+                    rng.setstate(state)
+                    draw(int(np.argmax(inv & sing)) + 1)
                     break
-            converse.append({"z": z.encode(), "invertible_found": has_inv, "singular_found": has_sing})
-        data["degenerate_witnesses"] = converse
-        converse_ok = all(c["invertible_found"] and c["singular_found"] for c in converse)
-    data["subchecks"] = {
-        "denominator_always_invertible": invertible_ok,
-        "degenerate_converse_witnesses": converse_ok,
+            witnesses.append((z, has_inv, has_sing))
+    converse_ok = all(inv and sing for _, inv, sing in witnesses)
+    return {
+        "mode": "exhaustive" if exhaustive else "sampled",
+        "cases": cases,
+        "degenerate_witnesses": [
+            {"z": z.encode(), "invertible_found": inv, "singular_found": sing} for z, inv, sing in witnesses
+        ],
+        "subchecks": {
+            "denominator_always_invertible": invertible_ok,
+            "degenerate_converse_witnesses": converse_ok,
+        },
+        "ok": invertible_ok and converse_ok,
     }
-    data["ok"] = invertible_ok and converse_ok
-    return data
 
 
 def _random_symmetric(sp, rng) -> Mat:
@@ -404,13 +411,6 @@ def _random_symmetric(sp, rng) -> Mat:
             grid[i][j] = x
             grid[j][i] = x
     return Mat.build(fp, grid)
-
-
-def _random_word(sp, gens, rng, length: int = 12) -> Mat:
-    g = sp.identity
-    for _ in range(length):
-        g = g @ gens[rng.randrange(len(gens))].mat
-    return g
 
 
 _CHECKS = {

@@ -197,6 +197,8 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
         selected = list(CHECK_IDS)
     else:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not selected:
+            raise UsageError("empty --checks list")
         unknown = [c for c in selected if c not in CHECK_IDS]
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")

@@ -38,10 +38,22 @@ def _space_of(t: GroupElement) -> SpaceParams:
 
 
 @lru_cache(maxsize=None)
+def _square_scalars(q: int, n: int) -> np.ndarray:
+    """The a in F with T^2 = a I, or -1, per row T of the rational group: one squaring per cell."""
+    sp = make_space(q, n)
+    g = enumerate_symplectic(sp, TAG_SP_F, group_order(TAG_SP_F, q, n))
+    squares = mm(sp.fp, g.arr, g.arr)
+    a = squares[:, 0, 0, 0]
+    out = np.where(np.all(squares == a[:, None, None, None] * sp.identity.a, axis=(1, 2, 3)), a, -1)
+    out.setflags(write=False)  # every filter T^2 = a I is a mask over it
+    return out
+
+
+@lru_cache(maxsize=None)
 def _anti_involutions(q: int, n: int) -> EnumeratedGroup:
     sp = make_space(q, n)
     g = enumerate_symplectic(sp, TAG_SP_F, group_order(TAG_SP_F, q, n))
-    is_anti = np.all(mm(sp.fp, g.arr, g.arr) == (-sp.identity).a, axis=(1, 2, 3))
+    is_anti = _square_scalars(q, n) == q - 1
     jg = mm(sp.fp, sp.j.a, g.arr)
     jg_symmetric = np.all(jg == jg.swapaxes(1, 2), axis=(1, 2, 3))
     if not np.array_equal(is_anti, jg_symmetric):
@@ -285,8 +297,7 @@ def scaled_involutions(q: int, n: int, a: int, cap_group: int) -> EnumeratedGrou
     """All group members with T^2 = a I, as a sub-table of the group's rows."""
     sp = make_space(q, n)
     g = enumerate_symplectic(sp, TAG_SP_F, cap_group)
-    target = (sp.fp.e(a) * sp.identity).a
-    return g.where(np.all(mm(sp.fp, g.arr, g.arr) == target, axis=(1, 2, 3)))
+    return g.where(_square_scalars(q, n) == a % q)
 
 
 def classify_involutions(q: int, n: int, cap_group: int) -> dict:

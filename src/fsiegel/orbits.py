@@ -21,11 +21,8 @@ import numpy as np
 
 from .errors import VerificationFailure
 from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
-from .linalg import Mat, mm
+from .linalg import Mat, mm, rcef_stack
 from .symplectic import EnumeratedGroup, GroupElement, frontier_closure
-
-# every _CHECK_STRIDE-th transporter word of an orbit is re-applied with the scalar `act`
-_CHECK_STRIDE = 100
 
 
 def _mat(g) -> Mat:
@@ -49,20 +46,21 @@ class OrbitRecord:
 
     Built from a BFS over the table's rows: found[0] is the seed, and row
     found[i], i > 0, is the image of row found[parent[i]] under generator
-    via[i].  Every _CHECK_STRIDE-th member's word is re-applied from the
-    seed with the scalar `act`.  The `Lagrangian` views are built on demand.
+    via[i], checked for every i on the generator stack `mats`, so by
+    induction every word reproduces its point.  Words and the `Lagrangian`
+    views are built on demand.
     """
 
-    __slots__ = ("table", "rows", "found", "words")
+    __slots__ = ("table", "rows", "found", "parent", "via")
 
-    def __init__(self, table: PointTable, found: np.ndarray, parent: np.ndarray, via: np.ndarray, gens):
+    def __init__(self, table: PointTable, found: np.ndarray, parent: np.ndarray, via: np.ndarray, mats):
         self.table, self.rows, self.found = table, np.sort(found), found
-        self.words = [()]
-        for p, i in zip(parent[1:].tolist(), via[1:].tolist()):
-            self.words.append(self.words[p] + (i,))
-        seed = self.representative
-        for idx in range(0, len(found), _CHECK_STRIDE):
-            if apply_word(self.words[idx], seed, gens) != table[found[idx]]:
+        self.parent, self.via = parent, via
+        fp, bases = table.space.fp, table.bases
+        for lo in range(1, len(found), _POINT_CHUNK):  # a block of members at a time
+            i = slice(lo, lo + _POINT_CHUNK)
+            images = rcef_stack(fp, mm(fp, mats[via[i]], bases[found[parent[i]]]))[0]
+            if not np.array_equal(images, bases[found[i]]):
                 raise VerificationFailure("transporter word does not reproduce its point")
 
     @property
@@ -79,32 +77,34 @@ class OrbitRecord:
 
     @property
     def transporters(self) -> dict:
-        """Word per member, keyed by `Lagrangian.key`."""
-        return {self.table.bases[i].tobytes(): w for i, w in zip(self.found.tolist(), self.words)}
+        """Word per member, keyed by `Lagrangian.key`, read off the parent pointers."""
+        words = [()]
+        for p, i in zip(self.parent[1:].tolist(), self.via[1:].tolist()):
+            words.append(words[p] + (i,))
+        return {self.table.bases[i].tobytes(): w for i, w in zip(self.found.tolist(), words)}
 
     def member_keys(self) -> frozenset:
         return frozenset(self.table.bases[i].tobytes() for i in self.rows.tolist())
 
 
 def _gen_stack(sp, gens) -> np.ndarray:
-    return np.array([_mat(g).a for g in gens], dtype=np.int64).reshape(len(gens), sp.dim, sp.dim, 2)
+    mats = [_mat(g).a for g in gens]
+    return np.array(mats, dtype=np.int64).reshape(len(mats), sp.dim, sp.dim, 2)
 
 
 def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     """BFS orbit of the seed, one stacked canonicalization per frontier.
 
     The members become the rows of their own sorted table.  Transporter
-    words follow the BFS parent pointers (a Schreier vector); every
-    _CHECK_STRIDE-th member's word is re-applied with the scalar `act`.
+    words follow the BFS parent pointers (a Schreier vector).
     """
-    gens = list(gens)
     sp = seed.space
     mats = _gen_stack(sp, gens)
     bases, parent, via = frontier_closure(
         seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
     )
     table = PointTable(sp, bases)
-    return OrbitRecord(table, table.rows(bases), parent, via, gens)
+    return OrbitRecord(table, table.rows(bases), parent, via, mats)
 
 
 class PartitionReport:
@@ -149,8 +149,8 @@ def partition(table: PointTable, gens, invariant: str | None = None) -> Partitio
     conflicts, never silently dropped.  The orbits are BFS components over
     the generators' action tables on the table's rows.
     """
-    gens = list(gens)
-    action = _action_table(table, _gen_stack(table.space, gens))
+    mats = _gen_stack(table.space, gens)
+    action = _action_table(table, mats)
 
     def label(i) -> StratumLabel:
         return StratumLabel(int(table.h_rank[i]), int(table.o_type[i]))
@@ -163,7 +163,7 @@ def partition(table: PointTable, gens, invariant: str | None = None) -> Partitio
         if seen[s]:
             continue
         found, parent, via = frontier_closure(np.array([s]), lambda f: action[f[:, 0], :, None])
-        rec = OrbitRecord(table, found[:, 0], parent, via, gens)
+        rec = OrbitRecord(table, found[:, 0], parent, via, mats)
         seen[rec.rows] = True
         if invariant is not None:
             inv = getattr(table, invariant)

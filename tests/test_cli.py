@@ -198,6 +198,12 @@ def test_n_below_one_is_a_usage_error(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("text", [",", ""])
+def test_empty_checks_list_is_a_usage_error(capsys, text):
+    err = _usage_error(capsys, ["verify", "--checks", text, "--q", "3", "--n", "1"])
+    assert "empty --checks list" in err
+
+
 def test_non_integer_cap_env_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("FSIEGEL_CAP_GROUP", "abc")
     err = _usage_error(capsys, ["verify", "--checks", "lemma4", "--q", "3", "--n", "1"])

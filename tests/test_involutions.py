@@ -33,6 +33,8 @@ from fsiegel.involutions import (
     scaled_involutions,
 )
 
+from oracles import smallest_nonresidue
+
 CAP = 10**5
 
 
@@ -211,6 +213,19 @@ def test_conjugation_invariance_of_the_set():
         ginv = g.mat.inv()
         for t in anti_involutions(3, 1, CAP):
             assert (g.mat @ t.mat @ ginv).key() in keys
+
+
+@pytest.mark.parametrize("q", [3, 7, 23])
+def test_square_filters_match_a_direct_filter(q):
+    sp = make_space(q, 1)
+    g = enumerate_symplectic(sp, TAG_SP_F, CAP)
+    squares = [Mat(sp.fp, t) @ Mat(sp.fp, t) for t in g.arr]
+    for a in (1, -1, smallest_nonresidue(q)):
+        target = sp.fp.e(a) * sp.identity
+        want = g.arr[[s == target for s in squares]]
+        assert np.array_equal(scaled_involutions(q, 1, a, CAP).arr, want)
+    assert np.array_equal(anti_involutions(q, 1, CAP).arr, scaled_involutions(q, 1, -1, CAP).arr)
+    assert not involutions._square_scalars(q, 1).flags.writeable
 
 
 def test_scaled_involutions_examples():

@@ -369,3 +369,116 @@ def test_witness_transporter_moves_into_image():
     moved = recs["coordinate_span_k1_transported"]
     assert not start.lagrangian.in_siegel_image()
     assert moved.lagrangian.in_siegel_image()
+
+
+# -- the Siegel criterion's sampled branch against its scalar loop --------------
+
+def _scalar_siegel_criterion(q: int, n: int) -> dict:
+    """The sampled `check_siegel_criterion`, one scalar product per letter and one
+    scalar rank per word: the reference for its stacked route."""
+    from fsiegel import checks
+
+    sp = make_space(q, n)
+    rng = checks._rng("siegel-criterion", q, n)
+    gens = checks.generators(sp, TAG_SP_F)
+
+    def denominator(g: Mat, z: Mat) -> Mat:
+        _, _, c, d = sp.blocks(g)
+        return c @ z + d
+
+    def random_word() -> Mat:
+        g = sp.identity
+        for _ in range(12):
+            g = g @ gens[rng.randrange(len(gens))].mat
+        return g
+
+    invertible_ok = True
+    samples = 0
+    while samples < 1000:
+        z = checks._random_symmetric(sp, rng)
+        if (z - z.conj()).rank() != n:
+            continue
+        g = random_word()
+        samples += 1
+        if denominator(g, z).rank() != n:
+            invertible_ok = False
+    converse = []
+    while len(converse) < 10:
+        z = checks._random_symmetric(sp, rng)
+        if (z - z.conj()).rank() == n:
+            continue
+        has_inv = has_sing = False
+        for _ in range(4000):
+            rk = denominator(random_word(), z).rank()
+            has_inv |= rk == n
+            has_sing |= rk < n
+            if has_inv and has_sing:
+                break
+        converse.append({"z": z.encode(), "invertible_found": has_inv, "singular_found": has_sing})
+    converse_ok = all(c["invertible_found"] and c["singular_found"] for c in converse)
+    return {
+        "mode": "sampled",
+        "cases": samples,
+        "degenerate_witnesses": converse,
+        "subchecks": {
+            "denominator_always_invertible": invertible_ok,
+            "degenerate_converse_witnesses": converse_ok,
+        },
+        "ok": invertible_ok and converse_ok,
+    }
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (7, 1), (7, 2)])
+def test_sampled_siegel_criterion_matches_scalar_loop(q, n):
+    from fsiegel.checks import check_siegel_criterion
+
+    assert check_siegel_criterion(q, n, 10**5, 10**5) == _scalar_siegel_criterion(q, n)
+
+
+def test_siegel_criterion_draws_every_word_when_no_denominator_is_singular(monkeypatch):
+    # with the identity as the only generator every word is I and C Z + D = I,
+    # so no degenerate Z completes its pair and all 4000 words are drawn for each
+    from fsiegel import checks
+    from fsiegel.symplectic import GroupElement
+
+    letters = []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            if args == (1,):
+                letters.append(1)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(checks, "generators", lambda sp, tag: [GroupElement(sp.identity, tag)])
+    monkeypatch.setattr(checks, "_rng", lambda check, q, n: Counting(f"fsiegel:{check}:{q}:{n}"))
+    data = checks.check_siegel_criterion(7, 1, 10**5, 10**5)
+    assert len(letters) == 12 * (1000 + 10 * 4000)
+    assert [w["singular_found"] for w in data["degenerate_witnesses"]] == [False] * 10
+    assert all(w["invertible_found"] for w in data["degenerate_witnesses"])
+    letters.clear()
+    assert _scalar_siegel_criterion(7, 1) == data  # the same later Z's
+    assert len(letters) == 12 * (1000 + 10 * 4000)
+
+
+def test_sampled_siegel_criterion_makes_no_scalar_products(monkeypatch):
+    from fsiegel import checks
+
+    sp = make_space(7, 1)
+    gens = generators(sp, TAG_SP_F)  # built outside the counted cell
+    calls = {"matmul": 0, "rank": 0, "z": 0}
+    matmul, rank, random_symmetric = Mat.__matmul__, Mat.rank, checks._random_symmetric
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(checks, "generators", lambda sp, tag: gens)
+    monkeypatch.setattr(Mat, "__matmul__", counted("matmul", matmul))
+    monkeypatch.setattr(Mat, "rank", counted("rank", rank))
+    monkeypatch.setattr(checks, "_random_symmetric", counted("z", random_symmetric))
+    rec = checks.run_check("siegel-criterion", 7, 1, 10**5, 10**5)
+    assert rec["status"] == "pass" and rec["data"]["mode"] == "sampled"
+    assert calls["matmul"] == 0
+    assert 1010 <= calls["rank"] <= calls["z"]  # one per drawn Z

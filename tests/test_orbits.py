@@ -269,3 +269,39 @@ def test_orbit_stabilizer_consistency(q, n):
         orb = orbit(point, generators(sp, TAG_SP_0))
         assert len(stab) * orb.size == group_order(TAG_SP_0, q, n)
         assert orb.size == len(o_str[n - k])
+
+
+@pytest.mark.parametrize("i", [101, -1])  # 101 is off any every-100th stride; -1 is past the first block
+def test_a_wrong_bfs_edge_is_caught(i):
+    from fsiegel.lagrangian import span_images
+    from fsiegel.orbits import OrbitRecord, _gen_stack
+    from fsiegel.symplectic import frontier_closure
+
+    sp = make_space(3, 2)
+    mats = _gen_stack(sp, generators(sp, TAG_SP_0))
+    bases, parent, via = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, mats, f))
+    table = PointTable(sp, bases)
+    OrbitRecord(table, table.rows(bases), parent, via, mats)  # the true edges pass
+    i %= len(bases)
+    assert i % 100 and len(bases) > 257  # more than one block of 256 edges
+    images = span_images(sp, mats, bases[parent[i]][None])[0]
+    bad = via.copy()
+    bad[i] = next(g for g in range(len(mats)) if not np.array_equal(images[g], bases[i]))
+    with pytest.raises(VerificationFailure, match="transporter word does not reproduce its point"):
+        OrbitRecord(table, table.rows(bases), parent, bad, mats)
+
+
+def test_theorem1_builds_its_orbits_without_scalar_act(monkeypatch):
+    from fsiegel import checks, orbits
+
+    calls = []
+    act_ = orbits.act
+
+    def counting(g, w):
+        calls.append(1)
+        return act_(g, w)
+
+    monkeypatch.setattr(orbits, "act", counting)
+    rec = checks.run_check("theorem1", 3, 2, 10**5, 10**5)
+    assert rec["status"] != "skipped-resource" and "error" not in rec["data"]
+    assert calls == []
