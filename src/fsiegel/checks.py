@@ -348,13 +348,21 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
             g = mm(fp, g, mats[col])
         return g
 
+    nondegenerate_im = {}  # Z - conj(Z) = 2s Im(Z): its rank depends on Im(Z) alone
+
+    def nondegenerate(z: Mat) -> bool:
+        key = z.a[..., 1].tobytes()
+        if key not in nondegenerate_im:
+            nondegenerate_im[key] = (z - z.conj()).rank() == n
+        return nondegenerate_im[key]
+
     exhaustive = n == 1 and q <= 5
     witnesses = []  # (z, an invertible denominator found, a singular one found)
     if exhaustive:
         arr = enumerate_symplectic(sp, TAG_SP_F, cap_group).arr
         zs = [Mat.diag(fp, [x]) for x in fp.elements()]
-        nondeg = [z for z in zs if (z - z.conj()).rank() == n]
-        degen = [z for z in zs if (z - z.conj()).rank() < n]
+        nondeg = [z for z in zs if nondegenerate(z)]
+        degen = [z for z in zs if not nondegenerate(z)]
         invertible_ok = all(bool(np.all(ranks(arr, z.a) == n)) for z in nondeg)
         cases = len(nondeg) * len(arr)
         for z in degen:
@@ -364,14 +372,14 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
         zs, letters = [], []
         while len(zs) < 1000:
             z = _random_symmetric(sp, rng)
-            if (z - z.conj()).rank() == n:
+            if nondegenerate(z):
                 zs.append(z.a)
                 letters.append(draw(1)[0])
         invertible_ok = bool(np.all(ranks(products(np.array(letters)), np.array(zs)) == n))
         cases = len(zs)
         while len(witnesses) < 10:
             z = _random_symmetric(sp, rng)
-            if (z - z.conj()).rank() == n:
+            if nondegenerate(z):
                 continue
             # up to 4000 words, 64 at a time, stopping at the first word that
             # completes the pair: its batch is drawn again up to that word

@@ -19,7 +19,9 @@ import numpy as np
 from .errors import ParameterError, ResourceLimitError, VerificationFailure
 from .field import epsilon_f
 from .lagrangian import Lagrangian, _grams, enumerate_lagrangians, span_images
-from .linalg import Mat, block, conj_arr, kernel_stack, mm, rank_stack, rcef_stack, scalar_mm, stack_keys
+from .linalg import (
+    Mat, block, conj_arr, det_stack, kernel_stack, mm, rank_stack, rcef_stack, scalar_mm, stack_keys,
+)
 from .symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
@@ -82,11 +84,9 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
     fp = sp.fp
     ants = anti_involutions(q, n, cap_group)
     forms = mm(fp, sp.j.a, ants.arr)
-    det_ok = disc_ok = True
-    for bt in forms:  # there is no stacked determinant
-        det = Mat(fp, bt).det()
-        det_ok &= det == fp.one
-        disc_ok &= det.is_rational and fp.is_square_in_f(det.re)
+    dets = det_stack(fp, forms)
+    det_ok = bool(np.all(dets == (1, 0)))
+    disc_ok = not dets[:, 1].any() and all(fp.is_square_in_f(d) for d in set(dets[:, 0].tolist()))
     # J (g T g^-1) = t(g^-1) (J T) g^-1 for every pair (T, g), both sides as one stack
     mats, invs = _gen_stacks(generators(sp, TAG_SP_F))
     lhs = mm(fp, sp.j.a, _conjugates(fp, mats, invs, ants.arr))
@@ -322,7 +322,7 @@ def classify_involutions(q: int, n: int, cap_group: int) -> dict:
         mm(fp, invs.arr, both), np.concatenate([plus, (-minus) % q], axis=2)
     )
     per_class = []
-    for k in np.unique(dims).tolist():
+    for k in np.flatnonzero(np.bincount(dims)).tolist():
         rows = np.flatnonzero(dims == k)
         closure = _conjugation_closure(invs[rows[0]].mat, gens, cap=len(rows) + 1)
         one_orbit = np.array_equal(closure, invs.keys[rows])

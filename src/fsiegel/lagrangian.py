@@ -38,14 +38,7 @@ from .field import epsilon_f
 from .linalg import (
     Mat, block, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, stack_keys,
 )
-from .symplectic import (
-    TAG_SP_E,
-    SpaceParams,
-    form_gram,
-    frontier_closure,
-    generators,
-    make_space,
-)
+from .symplectic import SpaceParams, form_gram, make_space
 
 
 class StratumLabel(NamedTuple):
@@ -275,12 +268,73 @@ def lagrangian_count(q: int, n: int) -> int:
     return count
 
 
+def _swaps(sp: SpaceParams) -> np.ndarray:
+    """The signed swaps sigma_S for every S in {1..n}, S read as a bitmask: (2^n, 2n, 2n, 2).
+
+    sigma_S sends e_i to e_{n+i} and e_{n+i} to -e_i for i in S and fixes
+    the rest; it is rational and symplectic, and its inverse is its transpose.
+    """
+    n = sp.n
+    in_s = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    p = in_s[:, :, None] * np.eye(n, dtype=np.int64)
+    keep = np.eye(n, dtype=np.int64) - p
+    out = np.zeros((2**n, sp.dim, sp.dim, 2), dtype=np.int64)
+    out[..., 0] = np.block([[keep, -p], [p, keep]]) % sp.q
+    return out
+
+
+def _siegel_bases(sp: SpaceParams, lo: int, hi: int) -> np.ndarray:
+    """(Z; I) for the symmetric Z numbered lo..hi-1, each number read as the digits
+    base q of the (re, im) pairs of Z's upper triangle: (hi - lo, 2n, n, 2)."""
+    n = sp.n
+    iu = np.triu_indices(n)
+    digits = np.unravel_index(np.arange(lo, hi), (sp.q,) * (2 * len(iu[0])))
+    out = np.zeros((hi - lo, sp.dim, n, 2), dtype=np.int64)
+    entries = np.stack(digits, axis=-1).reshape(hi - lo, -1, 2)
+    out[:, iu[0], iu[1]] = entries
+    out[:, iu[1], iu[0]] = entries
+    out[:, n + np.arange(n), np.arange(n), 0] = 1
+    return out
+
+
+def _outside_charts(sp: SpaceParams, swaps: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Mask of the spans W that lie in none of the charts sigma_T span(Z; I), T over `swaps`.
+
+    W lies in chart T when the bottom n x n block of sigma_T^-1 W is
+    invertible; one `rank_stack` per chart, over the spans still outside.
+    """
+    n = sp.n
+    out = np.ones(len(spans), dtype=bool)
+    for swap in swaps:
+        rows = np.flatnonzero(out)
+        out[rows] = rank_stack(sp.fp, mm(sp.fp, swap.swapaxes(0, 1)[n:], spans[rows])) < n
+    return out
+
+
+# symmetric Z per block of the chart builder: peak memory is the table plus one block
+_CHART_BLOCK = 1 << 14
+
+
 @lru_cache(maxsize=None)
 def _point_table(q: int, n: int) -> PointTable:
-    """The cell's table: the closure of L+ under the generators of Sp(n, E)."""
+    """The cell's table, chart by chart: every Lagrangian is sigma_S span(Z; I) for a
+    symmetric Z, and is kept in the first chart S (in bitmask order) that holds it.
+
+    The closure of L+ under Sp(n, E) (`frontier_closure`) is the test oracle.
+    """
     sp = make_space(q, n)
-    gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_E)])
-    bases = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, gens, f))[0]
+    swaps = _swaps(sp)
+    total = q ** (n * (n + 1))
+    found = []
+    for s, swap in enumerate(swaps):
+        for lo in range(0, total, _CHART_BLOCK):
+            spans = mm(sp.fp, swap, _siegel_bases(sp, lo, min(lo + _CHART_BLOCK, total)))
+            spans = spans[_outside_charts(sp, swaps[:s], spans)]
+            red, rank = rcef_stack(sp.fp, spans)
+            if np.any(rank != n):
+                raise RankDeficientError(f"a chart span has rank below {n}")
+            found.append(red)
+    bases = np.concatenate(found)
     expected = lagrangian_count(q, n)
     if len(bases) != expected:
         raise ConsistencyError(

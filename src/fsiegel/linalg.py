@@ -94,7 +94,7 @@ def rcef(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 # matrices per pass of the column loop: bounds the temporaries of a big stack
-_STACK_CHUNK = 256
+_STACK_CHUNK = 4096
 
 
 def rref_stack(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,18 +106,41 @@ def rref_stack(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (argmax over a nonzero mask), exactly the scalar kernel's choice, and
     inverses come from the field's q x q table.
     """
+    red, rank, _ = _eliminate(fp, a, with_det=False)
+    return red, rank
+
+
+def det_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
+    """Determinant of every square matrix in a stack (..., m, m, 2), as (re, im) pairs (..., 2).
+
+    One pass of the stacked elimination: the product of the pivots before
+    they are normalized, negated once per row swap, and zero below full
+    rank.  Each entry equals `det_arr` of that matrix alone.
+    """
+    red, rank, det = _eliminate(fp, a, with_det=True)
+    return det.reshape(*rank.shape, 2) * (rank == red.shape[-2])[..., None]
+
+
+def _eliminate(fp: FieldParams, a: np.ndarray, with_det: bool):
+    """Reduce a stack in blocks of `_STACK_CHUNK`; returns (stack, ranks, pivot products or None)."""
     a = np.asarray(a, dtype=_I64)
     lead, (m, ncols) = a.shape[:-3], a.shape[-3:-1]
     num = int(np.prod(lead, dtype=_I64))
     a = a.reshape(num, m, ncols, 2) % fp.q
     rank = np.zeros(num, dtype=_I64)
+    det = np.tile(np.array([1, 0], dtype=_I64), (num, 1)) if with_det else None
     for lo in range(0, num, _STACK_CHUNK):
-        _rref_block(fp, a[lo : lo + _STACK_CHUNK], rank[lo : lo + _STACK_CHUNK])
-    return a.reshape(*lead, m, ncols, 2), rank.reshape(lead)
+        part = slice(lo, lo + _STACK_CHUNK)
+        _rref_block(fp, a[part], rank[part], None if det is None else det[part])
+    return a.reshape(*lead, m, ncols, 2), rank.reshape(lead), det
 
 
-def _rref_block(fp: FieldParams, a: np.ndarray, rank: np.ndarray) -> None:
-    """Reduce a (num, rows, cols, 2) block in place, counting ranks into `rank`."""
+def _rref_block(fp: FieldParams, a: np.ndarray, rank: np.ndarray, det: np.ndarray | None) -> None:
+    """Reduce a (num, rows, cols, 2) block in place, counting ranks into `rank`.
+
+    When `det` is given, each matrix's pivots (before normalization) are
+    multiplied into its entry, which is negated on every row swap.
+    """
     q, eps = fp.q, fp.eps
     num, m, ncols = a.shape[:3]
     rows = np.arange(m)
@@ -135,6 +158,12 @@ def _rref_block(fp: FieldParams, a: np.ndarray, rank: np.ndarray) -> None:
         r = rank[act]
         piv = nz[act].argmax(axis=1)
         top = sub[k, piv]
+        if det is not None:
+            dr, di = det[act, 0], det[act, 1]
+            pr, pi = top[:, c, 0], top[:, c, 1]
+            sign = np.where(piv == r, 1, -1)
+            det[act, 0] = sign * (dr * pr + eps * di * pi) % q
+            det[act, 1] = sign * (dr * pi + di * pr) % q
         sub[k, piv] = sub[k, r]
         inv = fp.inv_table()[top[:, c, 0], top[:, c, 1]]
         ir, ii = inv[:, 0:1], inv[:, 1:2]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +277,14 @@ def test_consistency_error_writes_finished_records_to_stderr(capsys, monkeypatch
     records = json.loads(lines[0][len("partial records: "):])
     assert [(r["check"], r["q"], r["n"], r["status"]) for r in records] == [("lemma4", 3, 1, "pass")]
     assert records[0]["data"] == {"points": 10}
+
+
+def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique without counts or indices imports numpy.ma, 13 ms in a cold process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["verify", "--q", "23", "--n", "1", "--checks", "cayley,stabilizers,involutions", "--jobs", "1",
+            "--cap-group", "100000", "--cap-points", "20000", "--out", str(tmp_path / "report.json")]
+    child = "import sys; from fsiegel.cli import main; code = main(sys.argv[1:]); print('numpy.ma' in sys.modules, code)"
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["False", "1"], proc.stderr

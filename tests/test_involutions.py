@@ -7,7 +7,7 @@ from fsiegel import involutions
 from fsiegel.checks import run_check
 from fsiegel.errors import ParameterError, ResourceLimitError
 from fsiegel.field import epsilon_f, make_fields, sqrt_in_e
-from fsiegel.linalg import Mat
+from fsiegel.linalg import Mat, det_arr, det_stack, mm
 from fsiegel.symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
@@ -81,6 +81,14 @@ def test_involution_form_discriminants_exhaustive(q):
         det = bt.det()
         assert det == fp.one
         assert fp.is_square_in_f(det.re)
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (3, 2), (23, 1)])
+def test_det_stack_matches_det_arr_on_every_involution_form(q, n):
+    sp = make_space(q, n)
+    forms = mm(sp.fp, sp.j.a, anti_involutions(q, n, CAP).arr)
+    assert len(forms)
+    assert det_stack(sp.fp, forms).tolist() == [list(det_arr(sp.fp, f)) for f in forms]
 
 
 def test_eigenline_of_j_q3():

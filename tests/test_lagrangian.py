@@ -236,7 +236,9 @@ def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch):
     finally:
         lagrangian._point_table.cache_clear()
     assert rec["data"]["rational_orbit_sizes"] == [40, 240, 540]
-    assert 0 < len(built) < lagrangian_count(3, 2)
+    assert built == []  # the chart builder and the partitions work on rows alone
+    l_plus(make_space(3, 2))
+    assert built  # the counter is live
 
 
 def test_enumeration_cap():
@@ -253,6 +255,41 @@ def test_wrong_enumeration_count_is_an_inconsistency(monkeypatch):
     try:
         with pytest.raises(ConsistencyError, match="count formula gives 11"):
             checks.run_check("lemma4", 3, 1, 10**5, 10**5)
+    finally:
+        lagrangian._point_table.cache_clear()
+
+
+CHART_CELLS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("q,n", CHART_CELLS)
+def test_chart_table_matches_closure_of_l_plus(q, n):
+    from fsiegel.lagrangian import span_images
+    from fsiegel.symplectic import TAG_SP_E, frontier_closure
+
+    sp = make_space(q, n)
+    gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_E)])
+    closure = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, gens, f))[0]
+    assert _point_table(q, n).bases.tobytes() == PointTable(sp, closure).bases.tobytes()
+
+
+@pytest.mark.parametrize("q,n", CHART_CELLS)
+def test_chart_table_rows_are_isotropic(q, n):
+    from fsiegel.linalg import mm
+
+    sp = make_space(q, n)
+    bases = _point_table(q, n).bases
+    assert not mm(sp.fp, mm(sp.fp, bases.swapaxes(1, 2), sp.j.a), bases).any()
+
+
+def test_chart_filter_that_keeps_duplicates_is_an_inconsistency(monkeypatch):
+    from fsiegel import lagrangian
+
+    monkeypatch.setattr(lagrangian, "_outside_charts", lambda sp, swaps, spans: np.ones(len(spans), bool))
+    lagrangian._point_table.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="count formula gives 10"):
+            lagrangian._point_table(3, 1)
     finally:
         lagrangian._point_table.cache_clear()
 
@@ -428,7 +465,7 @@ def _scalar_siegel_criterion(q: int, n: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (7, 1), (7, 2)])
+@pytest.mark.parametrize("q,n", [(3, 2), (7, 1), (7, 2), (3, 3)])
 def test_sampled_siegel_criterion_matches_scalar_loop(q, n):
     from fsiegel.checks import check_siegel_criterion
 
@@ -481,4 +518,5 @@ def test_sampled_siegel_criterion_makes_no_scalar_products(monkeypatch):
     rec = checks.run_check("siegel-criterion", 7, 1, 10**5, 10**5)
     assert rec["status"] == "pass" and rec["data"]["mode"] == "sampled"
     assert calls["matmul"] == 0
-    assert 1010 <= calls["rank"] <= calls["z"]  # one per drawn Z
+    assert 1010 <= calls["z"]
+    assert 0 < calls["rank"] <= 7  # one per distinct Im(Z), an element of F

@@ -11,6 +11,8 @@ from fsiegel.linalg import (
     Mat,
     block,
     column_echelon_canonical,
+    det_arr,
+    det_stack,
     kernel_arr,
     kernel_stack,
     lookup_rows,
@@ -289,6 +291,26 @@ def _stacks(draw):
 def test_stacked_kernel_matches_scalar_on_random_stacks(case):
     fp, stack = case
     _assert_stack_matches_scalar(fp, stack)
+
+
+@st.composite
+def _square_stacks(draw):
+    q = draw(st.sampled_from([3, 5, 7, 23]))
+    m, size = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    flat = draw(st.lists(st.integers(0, q - 1), min_size=size * m * m * 2, max_size=size * m * m * 2))
+    stack = np.array(flat, dtype=np.int64).reshape(size, m, m, 2)
+    # zero the top of the first column in some matrices, so their pivots need row swaps
+    for i in range(size):
+        if m and draw(st.booleans()):
+            stack[i, : draw(st.integers(1, m)), 0] = 0
+    return make_fields(q), stack
+
+
+@given(_square_stacks())
+@settings(max_examples=300, deadline=None)
+def test_det_stack_matches_det_arr_on_random_stacks(case):
+    fp, stack = case
+    assert det_stack(fp, stack).tolist() == [list(det_arr(fp, a)) for a in stack]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 23])
