@@ -47,6 +47,7 @@ from .orbits import partition
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_F,
+    _generator_stack,
     check_group_cap,
     enumerate_symplectic,
     generators,
@@ -333,7 +334,7 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
     fp = sp.fp
     rng = _rng("siegel-criterion", q, n)
     gens = generators(sp, TAG_SP_F)
-    mats = np.stack([g.mat.a for g in gens])
+    mats = _generator_stack(sp, gens)
 
     def ranks(gs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Rank of C Z + D for each element (A, B; C, D) of a stack, Z broadcast."""
@@ -411,14 +412,12 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
 
 
 def _random_symmetric(sp, rng) -> Mat:
-    fp, n = sp.fp, sp.n
-    grid = [[fp.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            x = fp.e(rng.randrange(fp.q), rng.randrange(fp.q))
-            grid[i][j] = x
-            grid[j][i] = x
-    return Mat.build(fp, grid)
+    """A symmetric Z over E: the upper triangle row by row, each entry drawn re then im."""
+    z = np.zeros((sp.n, sp.n, 2), dtype=np.int64)
+    for i in range(sp.n):
+        for j in range(i, sp.n):
+            z[i, j] = z[j, i] = rng.randrange(sp.q), rng.randrange(sp.q)
+    return Mat(sp.fp, z)
 
 
 _CHECKS = {

@@ -106,11 +106,7 @@ class EScalar:
         return out
 
     def inverse(self) -> "EScalar":
-        nrm = (self.re * self.re - self.fp.eps * self.im * self.im) % self.fp.q
-        if nrm == 0:
-            raise ZeroDivisionError("zero element of E has no inverse")
-        ninv = pow(nrm, self.fp.q - 2, self.fp.q)
-        return EScalar(self.fp, self.re * ninv, -self.im * ninv)
+        return EScalar(self.fp, *self.fp.inv_pair(self.re, self.im))
 
     # -- Galois structure -----------------------------------------------
 
@@ -258,12 +254,6 @@ class FieldParams:
             pairs = [[self.inv_pair(re, im) if re or im else (0, 0) for im in range(q)] for re in range(q)]
             self._inv_table = np.array(pairs, dtype=np.int64)
         return self._inv_table
-
-    def mul_pair(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        return (
-            (a[0] * b[0] + self.eps * a[1] * b[1]) % self.q,
-            (a[0] * b[1] + a[1] * b[0]) % self.q,
-        )
 
     # -- text -------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from .symplectic import (
     EnumeratedGroup,
     GroupElement,
     SpaceParams,
+    _generator_stack,
     enumerate_symplectic,
     frontier_closure,
     generators,
@@ -88,7 +89,7 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
     det_ok = bool(np.all(dets == (1, 0)))
     disc_ok = not dets[:, 1].any() and all(fp.is_square_in_f(d) for d in set(dets[:, 0].tolist()))
     # J (g T g^-1) = t(g^-1) (J T) g^-1 for every pair (T, g), both sides as one stack
-    mats, invs = _gen_stacks(generators(sp, TAG_SP_F))
+    mats, invs = _gen_stacks(sp, generators(sp, TAG_SP_F))
     lhs = mm(fp, sp.j.a, _conjugates(fp, mats, invs, ants.arr))
     rhs = mm(fp, mm(fp, invs.swapaxes(1, 2)[None], forms[:, None]), invs[None])
     return {
@@ -200,9 +201,9 @@ def pairing_identity_holds(t: GroupElement, samples) -> bool:
 # the correspondence with the Lagrangian strata
 # ---------------------------------------------------------------------------
 
-def _gen_stacks(gens) -> tuple[np.ndarray, np.ndarray]:
+def _gen_stacks(sp: SpaceParams, gens) -> tuple[np.ndarray, np.ndarray]:
     """The generators and their inverses, as two stacks (G, 2n, 2n, 2)."""
-    return np.stack([g.mat.a for g in gens]), np.stack([g.mat.inv().a for g in gens])
+    return _generator_stack(sp, gens), _generator_stack(sp, [g.mat.inv() for g in gens])
 
 
 def _conjugates(fp, mats: np.ndarray, invs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -210,10 +211,10 @@ def _conjugates(fp, mats: np.ndarray, invs: np.ndarray, ts: np.ndarray) -> np.nd
     return mm(fp, mm(fp, mats[None], ts[:, None]), invs[None])
 
 
-def _conjugation_closure(seed: Mat, gens, cap: int) -> np.ndarray:
+def _conjugation_closure(sp: SpaceParams, seed: Mat, gens, cap: int) -> np.ndarray:
     """The sorted keys of the seed's conjugates under the generated group."""
-    mats, invs = _gen_stacks(gens)
-    step = lambda frontier: _conjugates(seed.fp, mats, invs, frontier)  # noqa: E731
+    mats, invs = _gen_stacks(sp, gens)
+    step = lambda frontier: _conjugates(sp.fp, mats, invs, frontier)  # noqa: E731
     try:
         members = frontier_closure(seed.a, step, cap, "conjugation closure")[0]
     except ResourceLimitError:
@@ -226,7 +227,7 @@ def _equivariant(sp: SpaceParams, ants: EnumeratedGroup, models: np.ndarray, gen
 
     A g T g^-1 missing from `ants` counts as not equivariant.
     """
-    mats, invs = _gen_stacks(gens)
+    mats, invs = _gen_stacks(sp, gens)
     j = ants.rows(_conjugates(sp.fp, mats, invs, ants.arr).reshape(-1, sp.dim, sp.dim, 2))
     moved = span_images(sp, mats, models).reshape(-1, sp.dim, sp.n, 2)
     return bool(np.all(j >= 0) and np.array_equal(moved, models[j]))
@@ -269,7 +270,7 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     i = fp.sqrt(fp.e(-1))
     eye = Mat.identity(fp, n)
     h_seed = block(fp, [[i * eye, Mat.zeros(fp, n, n)], [Mat.zeros(fp, n, n), (-i) * eye]])
-    closure = _conjugation_closure(h_seed, gens, cap=len(ants) + 1)
+    closure = _conjugation_closure(sp, h_seed, gens, cap=len(ants) + 1)
     out["single_orbit"] = np.array_equal(closure, ants.keys)
 
     # the isotropy of the seed and the block-diagonal subgroup, as masks over the group's rows
@@ -324,7 +325,7 @@ def classify_involutions(q: int, n: int, cap_group: int) -> dict:
     per_class = []
     for k in np.flatnonzero(np.bincount(dims)).tolist():
         rows = np.flatnonzero(dims == k)
-        closure = _conjugation_closure(invs[rows[0]].mat, gens, cap=len(rows) + 1)
+        closure = _conjugation_closure(sp, invs[rows[0]].mat, gens, cap=len(rows) + 1)
         one_orbit = np.array_equal(closure, invs.keys[rows])
         per_class.append({"k": k, "size": len(rows), "single_orbit": one_orbit})
     return {

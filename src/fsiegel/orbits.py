@@ -22,11 +22,7 @@ import numpy as np
 from .errors import VerificationFailure
 from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
 from .linalg import Mat, mm, rcef_stack
-from .symplectic import EnumeratedGroup, GroupElement, frontier_closure
-
-
-def _mat(g) -> Mat:
-    return g.mat if isinstance(g, GroupElement) else g
+from .symplectic import EnumeratedGroup, GroupElement, _generator_stack, _mat, frontier_closure
 
 
 def act(g, w: Lagrangian) -> Lagrangian:
@@ -87,11 +83,6 @@ class OrbitRecord:
         return frozenset(self.table.bases[i].tobytes() for i in self.rows.tolist())
 
 
-def _gen_stack(sp, gens) -> np.ndarray:
-    mats = [_mat(g).a for g in gens]
-    return np.array(mats, dtype=np.int64).reshape(len(mats), sp.dim, sp.dim, 2)
-
-
 def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     """BFS orbit of the seed, one stacked canonicalization per frontier.
 
@@ -99,7 +90,7 @@ def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     words follow the BFS parent pointers (a Schreier vector).
     """
     sp = seed.space
-    mats = _gen_stack(sp, gens)
+    mats = _generator_stack(sp, gens)
     bases, parent, via = frontier_closure(
         seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
     )
@@ -149,7 +140,7 @@ def partition(table: PointTable, gens, invariant: str | None = None) -> Partitio
     conflicts, never silently dropped.  The orbits are BFS components over
     the generators' action tables on the table's rows.
     """
-    mats = _gen_stack(table.space, gens)
+    mats = _generator_stack(table.space, gens)
     action = _action_table(table, mats)
 
     def label(i) -> StratumLabel:
@@ -199,11 +190,6 @@ def stabilizer_elements(point: Lagrangian, group) -> EnumeratedGroup | list[Grou
     return [g for g in group if act(g, point) == point]
 
 
-def _pivot_rows(basis: Mat) -> list[int]:
-    """Rows of the leading ones of a reduced column-echelon basis."""
-    rows = []
-    arr = basis.a
-    for c in range(basis.cols):
-        nz = np.flatnonzero((arr[:, c, 0] != 0) | (arr[:, c, 1] != 0))
-        rows.append(int(nz[0]))
-    return rows
+def _pivot_rows(basis: Mat) -> np.ndarray:
+    """Rows of the leading ones of a reduced column-echelon basis: each column's first nonzero row."""
+    return np.argmax(basis.a.any(axis=-1), axis=0)

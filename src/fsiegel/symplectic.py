@@ -186,6 +186,16 @@ class GroupElement:
         return f"GroupElement({self.tag}, {self.mat.encode()})"
 
 
+def _mat(g) -> Mat:
+    return g.mat if isinstance(g, GroupElement) else g
+
+
+def _generator_stack(sp: SpaceParams, gens) -> np.ndarray:
+    """Generators, as `GroupElement`s or `Mat`s, in one stack (G, 2n, 2n, 2); G may be 0."""
+    mats = [_mat(g).a for g in gens]
+    return np.array(mats, dtype=np.int64).reshape(len(mats), sp.dim, sp.dim, 2)
+
+
 def group_element(sp: SpaceParams, mat: Mat, tag: str) -> GroupElement:
     if not is_member(sp, mat, tag):
         raise ParameterError(f"matrix is not a member of {tag}")
@@ -214,12 +224,14 @@ def symmetric_basis(fp: FieldParams, n: int, over_e: bool) -> list[Mat]:
     return out
 
 
-def generators(sp: SpaceParams, tag: str) -> list[GroupElement]:
+@lru_cache(maxsize=None)
+def generators(sp: SpaceParams, tag: str) -> tuple[GroupElement, ...]:
     """Standard generating set: the two opposite unipotent families.
 
     For "sp0" the generators are the conjugates of the "spf" family under
     the similitude that exchanges the two groups; the closure-order
-    contract is enforced empirically by the test suite.
+    contract is enforced empirically by the test suite.  Each set is built
+    and verified once per (space, tag).
     """
     fp, n = sp.fp, sp.n
     if tag in (TAG_SP_E, TAG_SP_F):
@@ -229,17 +241,13 @@ def generators(sp: SpaceParams, tag: str) -> list[GroupElement]:
             gens.append(group_element(sp, block(fp, [[eye, b], [zero, eye]]), tag))
         for b in symmetric_basis(fp, n, over_e=(tag == TAG_SP_E)):
             gens.append(group_element(sp, block(fp, [[eye, zero], [b, eye]]), tag))
-        return gens
+        return tuple(gens)
     if tag == TAG_SP_0:
         from .cayley import cayley  # deferred: cayley builds on this module
 
-        cd = cayley(sp.q, sp.n)
-        m = cd.m
+        m = cayley(sp.q, sp.n).m
         m_inv = m.inv()
-        out = []
-        for g in generators(sp, TAG_SP_F):
-            out.append(group_element(sp, m @ g.mat @ m_inv, TAG_SP_0))
-        return out
+        return tuple(group_element(sp, m @ g.mat @ m_inv, TAG_SP_0) for g in generators(sp, TAG_SP_F))
     raise ParameterError(f"unknown group tag {tag!r}")
 
 
@@ -310,7 +318,7 @@ def frontier_closure(seed: np.ndarray, step, cap: int | None = None, what: str =
     closure would hold more than `cap` elements.
     """
     seed = np.ascontiguousarray(seed)
-    seen = {seed.tobytes()}
+    seen = set(stack_keys(seed[None]).tolist())
     found, parent, via = [seed[None]], [np.array([-1])], [np.array([-1])]
     frontier, start = seed[None], 0
     while len(frontier):
@@ -320,8 +328,7 @@ def frontier_closure(seed: np.ndarray, step, cap: int | None = None, what: str =
             width = images.shape[1]
             flat = images.reshape((-1,) + seed.shape)
             new = []
-            for j, row in enumerate(flat):
-                key = row.tobytes()
+            for j, key in enumerate(stack_keys(flat).tolist()):
                 if key not in seen:
                     if cap is not None and len(seen) >= cap:
                         raise ResourceLimitError(f"{what} exceeds cap {cap}")
@@ -339,7 +346,7 @@ def frontier_closure(seed: np.ndarray, step, cap: int | None = None, what: str =
 @lru_cache(maxsize=None)
 def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     sp = make_space(q, n)
-    mats = np.stack([g.mat.a for g in generators(sp, tag)])
+    mats = _generator_stack(sp, generators(sp, tag))
     step = lambda frontier: mm(sp.fp, frontier[:, None], mats[None])  # noqa: E731
     expected = group_order(tag, q, n)
     rows = frontier_closure(sp.identity.a, step, expected + 1, "group closure")[0]

@@ -2,11 +2,16 @@
 
 Everything here recomputes results through a different route than the
 package: plain Python scalar pairs, exhaustive scans, Schubert-cell
-subspace enumeration, permutation-expansion determinants, and a
-constructive orthonormalization for hermitian form types.
+subspace enumeration, permutation-expansion determinants, a
+constructive orthonormalization for hermitian form types, and a
+breadth-first closure that keys each image on its own.
 """
 
 from itertools import combinations, permutations, product
+
+import numpy as np
+
+from fsiegel.errors import ResourceLimitError
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -223,3 +228,38 @@ def hermitian_type(q, eps, gram):
         current = nxt
         r += 1
     return r
+
+
+# -- breadth-first closure, one image at a time --------------------------------
+
+def frontier_closure_by_rows(seed, step, cap=None, what="closure", chunk=64):
+    """`symplectic.frontier_closure` with every image keyed by its own `tobytes()`.
+
+    Same contract: (members, parent, via) in discovery order, and
+    ResourceLimitError as soon as the closure would exceed `cap`.
+    """
+    seed = np.ascontiguousarray(seed)
+    seen = {seed.tobytes()}
+    found, parent, via = [seed[None]], [np.array([-1])], [np.array([-1])]
+    frontier, start = seed[None], 0
+    while len(frontier):
+        level = []
+        for lo in range(0, len(frontier), chunk):
+            images = np.ascontiguousarray(step(frontier[lo : lo + chunk]))
+            width = images.shape[1]
+            flat = images.reshape((-1,) + seed.shape)
+            new = []
+            for j, row in enumerate(flat):
+                key = row.tobytes()
+                if key not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise ResourceLimitError(f"{what} exceeds cap {cap}")
+                    seen.add(key)
+                    new.append(j)
+            point, gen = np.divmod(np.array(new, dtype=np.int64), width)
+            parent.append(start + lo + point)
+            via.append(gen)
+            level.append(flat[new])
+        frontier, start = np.concatenate(level), start + len(frontier)
+        found.append(frontier)
+    return np.concatenate(found), np.concatenate(parent), np.concatenate(via)

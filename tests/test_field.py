@@ -11,7 +11,7 @@ from fsiegel.field import (
     tau_f,
 )
 
-from oracles import smallest_nonresidue
+from oracles import pinv, smallest_nonresidue
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
@@ -171,6 +171,16 @@ def test_inverse_law(a, b):
             x.inverse()
     else:
         assert x * x.inverse() == fp.one
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 23])
+def test_inverse_matches_the_pair_oracle_on_every_unit(q):
+    fp = make_fields(q)
+    for x in fp.units():
+        inv = x.inverse()
+        assert (inv.re, inv.im) == pinv(q, fp.eps, (x.re, x.im))
+    with pytest.raises(ZeroDivisionError):
+        fp.zero.inverse()
 
 
 def test_norm_surjective_on_units():

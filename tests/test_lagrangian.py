@@ -497,6 +497,20 @@ def test_siegel_criterion_draws_every_word_when_no_denominator_is_singular(monke
     assert len(letters) == 12 * (1000 + 10 * 4000)
 
 
+def test_random_symmetric_draws_the_upper_triangle_re_then_im():
+    from fsiegel import checks
+
+    sp = make_space(7, 3)
+    rng, twin = random.Random(1), random.Random(1)
+    for _ in range(20):
+        z = checks._random_symmetric(sp, rng)
+        for i in range(3):
+            for j in range(i, 3):
+                x = sp.fp.e(twin.randrange(7), twin.randrange(7))
+                assert z[i, j] == x == z[j, i]
+    assert rng.getstate() == twin.getstate()
+
+
 def test_sampled_siegel_criterion_makes_no_scalar_products(monkeypatch):
     from fsiegel import checks
 

@@ -72,18 +72,28 @@ def test_det_examples():
     assert Mat.build(fp, [[0], [0]]).rank() == 0
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 5, 7])
 def test_det_against_permutation_expansion(q):
     fp = make_fields(q)
     rng = random.Random(q)
+    swaps = singular = 0
     for _ in range(200):
         n = rng.randrange(1, 4)
         m = _random_mat(fp, n, n, rng)
-        rows = tuple(
-            tuple((int(m.a[i, j, 0]), int(m.a[i, j, 1])) for j in range(n)) for i in range(n)
-        )
-        d = det_by_permutations(q, fp.eps, rows)
-        assert (m.det().re, m.det().im) == d
+        swapped = m.a.copy()
+        swapped[0, 0] = 0  # the first pivot comes from a lower row
+        repeated = m.a.copy()
+        repeated[-1] = repeated[0]
+        for a in (m.a, swapped, repeated):
+            rows = tuple(tuple((int(a[i, j, 0]), int(a[i, j, 1])) for j in range(n)) for i in range(n))
+            d = det_by_permutations(q, fp.eps, rows)
+            assert det_arr(fp, a) == d
+            assert (Mat(fp, a).det().re, Mat(fp, a).det().im) == d
+        swaps += bool(swapped[1:, 0].any()) and det_arr(fp, swapped) != (0, 0)
+        if n > 1:
+            assert det_arr(fp, repeated) == (0, 0)
+            singular += 1
+    assert swaps > 20 and singular > 20
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])

@@ -31,6 +31,15 @@ def _table(points) -> PointTable:
     return PointTable(points[0].space, np.stack([w.basis.a for w in points]))
 
 
+def test_pivot_rows_are_the_rcef_pivots():
+    from fsiegel.linalg import rcef
+    from fsiegel.orbits import _pivot_rows
+
+    sp = make_space(3, 2)
+    for w in enumerate_lagrangians(3, 2, 20000):
+        assert _pivot_rows(w.basis).tolist() == rcef(sp.fp, w.basis.a)[1]
+
+
 def test_act_examples():
     sp = make_space(3, 1)
     assert act(GroupElement(sp.identity, TAG_SP_F), l_plus(sp)) == l_plus(sp)
@@ -274,11 +283,11 @@ def test_orbit_stabilizer_consistency(q, n):
 @pytest.mark.parametrize("i", [101, -1])  # 101 is off any every-100th stride; -1 is past the first block
 def test_a_wrong_bfs_edge_is_caught(i):
     from fsiegel.lagrangian import span_images
-    from fsiegel.orbits import OrbitRecord, _gen_stack
-    from fsiegel.symplectic import frontier_closure
+    from fsiegel.orbits import OrbitRecord
+    from fsiegel.symplectic import _generator_stack, frontier_closure
 
     sp = make_space(3, 2)
-    mats = _gen_stack(sp, generators(sp, TAG_SP_0))
+    mats = _generator_stack(sp, generators(sp, TAG_SP_0))
     bases, parent, via = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, mats, f))
     table = PointTable(sp, bases)
     OrbitRecord(table, table.rows(bases), parent, via, mats)  # the true edges pass

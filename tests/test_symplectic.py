@@ -3,12 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from fsiegel import symplectic
 from fsiegel.errors import ParameterError, ResourceLimitError, ShapeError
-from fsiegel.linalg import Mat, mm
+from fsiegel.linalg import Mat, mm, stack_keys
 from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
     TAG_SP_F,
+    _generator_stack,
     enumerate_symplectic,
     frontier_closure,
     generators,
@@ -21,6 +23,8 @@ from fsiegel.symplectic import (
     omega,
     permutation_embed,
 )
+
+from oracles import frontier_closure_by_rows
 
 
 def _random_mat(fp, n, rng):
@@ -155,6 +159,104 @@ def test_frontier_closure_basics():
     gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_F)])
     with pytest.raises(ResourceLimitError, match="closure exceeds cap 10"):
         frontier_closure(eye, step(gens), cap=10)
+
+
+def _assert_closures_agree(seed, step, cap=None):
+    """`frontier_closure` and the per-row oracle: the same (members, parent, via),
+    or the same error after the same frontier chunks; returns the members or the error."""
+    out = []
+    for route in (frontier_closure, frontier_closure_by_rows):
+        chunks = []
+
+        def logged(frontier):
+            chunks.append(frontier.tobytes())
+            return step(frontier)
+
+        try:
+            out.append((route(seed, logged, cap), chunks))
+        except ResourceLimitError as exc:
+            out.append((str(exc), chunks))
+    (got, got_chunks), (ref, ref_chunks) = out
+    assert got_chunks == ref_chunks
+    if isinstance(ref, str):
+        assert got == ref
+        return ref
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got[0]
+
+
+def _group_step(sp, tag):
+    mats = _generator_stack(sp, generators(sp, tag))
+    return lambda frontier: mm(sp.fp, frontier[:, None], mats[None])
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (23, 1), (3, 2)])
+@pytest.mark.parametrize("tag", [TAG_SP_F, TAG_SP_0])
+def test_group_closure_matches_the_per_row_oracle(q, n, tag):
+    sp = make_space(q, n)
+    members = _assert_closures_agree(sp.identity.a, _group_step(sp, tag))
+    assert len(members) == group_order(tag, q, n)
+
+
+def test_orbit_closures_match_the_per_row_oracle():
+    from fsiegel.cayley import v_k
+    from fsiegel.lagrangian import span_images
+
+    sp = make_space(5, 2)
+    mats = _generator_stack(sp, generators(sp, TAG_SP_0))
+    sizes = [
+        len(_assert_closures_agree(v_k(sp, k).basis.a, lambda f: span_images(sp, mats, f)))
+        for k in range(3)
+    ]
+    assert sorted(sizes) == [156, 3120, 13000]
+
+
+def test_int_row_closures_match_the_per_row_oracle():
+    from fsiegel.lagrangian import enumerate_lagrangians
+    from fsiegel.orbits import _action_table
+
+    sp = make_space(3, 2)
+    table = enumerate_lagrangians(3, 2, 20000)
+    action = _action_table(table, _generator_stack(sp, generators(sp, TAG_SP_F)))
+    assert stack_keys(np.array([[0]])).tolist() == [b""]  # row 0's key is all NUL bytes
+    sizes = set()
+    for s in (0, 1, 2, 100, len(table) - 1):
+        sizes.add(len(_assert_closures_agree(np.array([s]), lambda f: action[f[:, 0], :, None])))
+    assert sizes == {40, 240, 540}
+
+
+def test_capped_closure_raises_at_the_same_element():
+    sp = make_space(23, 1)
+    step = _group_step(sp, TAG_SP_0)
+    order = group_order(TAG_SP_0, 23, 1)
+    for cap in (1, 21, 1000, order - 1):
+        assert _assert_closures_agree(sp.identity.a, step, cap) == f"closure exceeds cap {cap}"
+    assert len(_assert_closures_agree(sp.identity.a, step, order)) == order
+
+
+def test_generators_are_built_and_verified_once(monkeypatch):
+    sp = make_space(5, 1)
+    generators.cache_clear()
+    checked = []
+    real = symplectic.is_member
+    monkeypatch.setattr(symplectic, "is_member", lambda *args: checked.append(args[2]) or real(*args))
+    first = {tag: generators(sp, tag) for tag in (TAG_SP_F, TAG_SP_0)}
+    assert checked and TAG_SP_0 in checked
+    checked.clear()
+    for tag in (TAG_SP_F, TAG_SP_0):
+        assert generators(sp, tag) is first[tag] and isinstance(first[tag], tuple)
+    assert checked == []
+
+
+def test_generator_stack_takes_elements_matrices_and_an_empty_list():
+    sp = make_space(3, 2)
+    gens = generators(sp, TAG_SP_F)
+    stack = _generator_stack(sp, gens)
+    assert stack.shape == (len(gens), 4, 4, 2)
+    assert np.array_equal(stack, np.stack([g.mat.a for g in gens]))
+    assert np.array_equal(_generator_stack(sp, [g.mat for g in gens]), stack)
+    assert _generator_stack(sp, []).shape == (0, 4, 4, 2)
 
 
 def test_enumeration_cap_precheck():
