@@ -55,6 +55,7 @@ from .symplectic import (
     make_space,
 )
 from .cayley import (
+    _cell_actions,
     cayley,
     map_strata,
     stabilizer_structure,
@@ -122,8 +123,9 @@ def census_payload(q: int, n: int, cap_points: int) -> dict:
 def check_theorem1(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     sp = make_space(q, n)
     table, rows = _census_tables(q, n, cap_points)
-    part_f = partition(table, generators(sp, TAG_SP_F), invariant="h_rank")
-    part_0 = partition(table, generators(sp, TAG_SP_0), invariant="o_type")
+    actions = _cell_actions(q, n)
+    part_f = partition(table, generators(sp, TAG_SP_F), invariant="h_rank", action=actions[TAG_SP_F])
+    part_0 = partition(table, generators(sp, TAG_SP_0), invariant="o_type", action=actions[TAG_SP_0])
 
     def orbits_are_strata(part, labels) -> bool:
         """The orbits' sets of rows are the strata's, and no orbit has a conflict."""
@@ -186,7 +188,7 @@ def check_cayley(q: int, n: int, cap_group: int, cap_points: int) -> dict:
         sub["normalized_exists"] = cd.normalized
     data = {
         "cayley": cd.report(),
-        "conjugation": {k: v for k, v in conj.items() if k != "failing_generators"},
+        "conjugation": conj,
         "conformal_pairs_checked": len(vs),
         "conformal_pair_mode": mode,
         "subchecks": sub,

@@ -169,7 +169,8 @@ def eigenspace_report(t: GroupElement) -> dict:
 def _pairing_identity(sp: SpaceParams, ts: np.ndarray) -> np.ndarray:
     """t(X) J conj(X) = 2 (J + i J T), with X = I - iT, for every T in a stack; one bool per row.
 
-    On rational v, w this is `pairing_identity_holds` for every pair at once;
+    On rational v, w this is the scalar identity h_e(v - iTv, w - iTw) =
+    2 omega(v, w) + 2i t(v) J T w for every pair at once;
     it needs conj(i) = -i, that is -1 a non-square in the base field.
     """
     fp = sp.fp
@@ -178,23 +179,6 @@ def _pairing_identity(sp: SpaceParams, ts: np.ndarray) -> np.ndarray:
     lhs = mm(fp, mm(fp, x.swapaxes(1, 2), sp.j.a), conj_arr(x, fp.q))
     rhs = scalar_mm(fp, (2, 0), sp.j.a + scalar_mm(fp, (i.re, i.im), mm(fp, sp.j.a, ts)))
     return np.all(lhs == rhs, axis=(1, 2, 3))
-
-
-def pairing_identity_holds(t: GroupElement, samples) -> bool:
-    """h_e(v - iTv, w - iTw) = 2 omega(v, w) + 2i b_T(v, w) on sample pairs."""
-    sp = _space_of(t)
-    fp = sp.fp
-    i = fp.sqrt(fp.e(-1))
-    bt = sp.j @ t.mat
-    for v, w in samples:
-        xv = v - i * (t.mat @ v)
-        xw = w - i * (t.mat @ w)
-        lhs = (xv.T @ sp.j @ xw.conj()).at(0, 0)
-        om = (v.T @ sp.j @ w).at(0, 0)
-        bform = (v.T @ bt @ w).at(0, 0)
-        if lhs != fp.e(2) * om + fp.e(2) * i * bform:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

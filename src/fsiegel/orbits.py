@@ -13,15 +13,23 @@ generator's action is one int table (row -> image row), and each orbit
 is a BFS component over the tables, its words read off the parent
 pointers, a Schreier vector (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, section 4.1).
+
+Only one generator family is canonicalized: the upper translations
+u_b = (I, b; 0, I).  Every other column is a row permutation.  The lower
+generator l_b = (I, 0; b, I) is J u_b^-1 J^-1 (checked as l_b J u_b = J),
+so its column is read through the rows of J W and the inverse of u_b's
+column (`_translation_action`); the h_0-unitary generators are M g M^-1
+(checked as h_g M = M g), so their table is the rational one read through
+the rows of M W (`cayley._cell_actions`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import VerificationFailure
+from .errors import ConsistencyError, VerificationFailure
 from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
-from .linalg import Mat, mm, rcef_stack
+from .linalg import Mat, lookup_rows, mm, rcef_stack, stack_keys
 from .symplectic import EnumeratedGroup, GroupElement, _generator_stack, _mat, frontier_closure
 
 
@@ -30,34 +38,22 @@ def act(g, w: Lagrangian) -> Lagrangian:
     return _from_span(w.space, mm(w.space.fp, _mat(g).a, w.basis.a))
 
 
-def apply_word(word, seed: Lagrangian, gens) -> Lagrangian:
-    out = seed
-    for i in word:
-        out = act(gens[i], out)
-    return out
-
-
 class OrbitRecord:
     """One orbit: its rows in a point table, sorted, and words over generator indices.
 
     Built from a BFS over the table's rows: found[0] is the seed, and row
     found[i], i > 0, is the image of row found[parent[i]] under generator
-    via[i], checked for every i on the generator stack `mats`, so by
-    induction every word reproduces its point.  Words and the `Lagrangian`
+    via[i].  Whoever builds the record checks that for every i, so by
+    induction every word reproduces its point: `partition` in its action
+    table, `orbit` on the generator stack.  Words and the `Lagrangian`
     views are built on demand.
     """
 
     __slots__ = ("table", "rows", "found", "parent", "via")
 
-    def __init__(self, table: PointTable, found: np.ndarray, parent: np.ndarray, via: np.ndarray, mats):
+    def __init__(self, table: PointTable, found: np.ndarray, parent: np.ndarray, via: np.ndarray):
         self.table, self.rows, self.found = table, np.sort(found), found
         self.parent, self.via = parent, via
-        fp, bases = table.space.fp, table.bases
-        for lo in range(1, len(found), _POINT_CHUNK):  # a block of members at a time
-            i = slice(lo, lo + _POINT_CHUNK)
-            images = rcef_stack(fp, mm(fp, mats[via[i]], bases[found[parent[i]]]))[0]
-            if not np.array_equal(images, bases[found[i]]):
-                raise VerificationFailure("transporter word does not reproduce its point")
 
     @property
     def size(self) -> int:
@@ -94,8 +90,13 @@ def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     bases, parent, via = frontier_closure(
         seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
     )
+    for lo in range(1, len(bases), _POINT_CHUNK):  # every edge, a block at a time
+        i = slice(lo, lo + _POINT_CHUNK)
+        images = rcef_stack(sp.fp, mm(sp.fp, mats[via[i]], bases[parent[i]]))[0]
+        if not np.array_equal(images, bases[i]):
+            raise VerificationFailure("transporter word does not reproduce its point")
     table = PointTable(sp, bases)
-    return OrbitRecord(table, table.rows(bases), parent, via, mats)
+    return OrbitRecord(table, table.rows(bases), parent, via)
 
 
 class PartitionReport:
@@ -121,16 +122,65 @@ def _action_table(table: PointTable, mats: np.ndarray) -> np.ndarray:
     Raises VerificationFailure when an image lies outside the table.
     """
     out = np.empty((len(table), len(mats)), dtype=np.int64)
-    for lo in range(0, len(table), _POINT_CHUNK):
-        images = span_images(table.space, mats, table.bases[lo : lo + _POINT_CHUNK])
+    # blocks of at least _POINT_CHUNK points and 4 * _POINT_CHUNK images, so a row
+    # map's one column is not canonicalized in blocks a quarter the size
+    step = max(_POINT_CHUNK, -(-4 * _POINT_CHUNK // max(len(mats), 1)))
+    for lo in range(0, len(table), step):
+        images = span_images(table.space, mats, table.bases[lo : lo + step])
         rows = table.rows(images.reshape(-1, *table.bases.shape[1:]))
         if np.any(rows < 0):
             raise VerificationFailure("orbit escaped the supplied point set")
-        out[lo : lo + _POINT_CHUNK] = rows.reshape(-1, len(mats))
+        out[lo : lo + step] = rows.reshape(-1, len(mats))
     return out
 
 
-def partition(table: PointTable, gens, invariant: str | None = None) -> PartitionReport:
+def _inverse_rows(perm: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation of table rows; VerificationFailure if it is none."""
+    inv = np.full(len(perm), -1, dtype=np.int64)
+    inv[perm] = np.arange(len(perm))
+    if np.any(inv < 0):
+        raise VerificationFailure("a group element does not permute the point set")
+    return inv
+
+
+def _row_map(table: PointTable, mat: np.ndarray) -> np.ndarray:
+    """Row of g W for each row W of the table, for one matrix g, checked to be a permutation."""
+    rows = _action_table(table, mat[None])[:, 0]
+    _inverse_rows(rows)
+    return rows
+
+
+def _translation_action(table: PointTable, mats: np.ndarray) -> np.ndarray:
+    """`_action_table` of a generator stack, canonicalizing its upper family alone.
+
+    The upper family is the generators with a zero lower-left block, the
+    translations u_b = (I, b; 0, I).  Each other generator l is paired with
+    the u_b whose b is its lower-left block and must satisfy l J u_b = J,
+    that is l = J u_b^-1 J^-1 (ConsistencyError otherwise).  So its column
+    is read off by row permutations: l W_i = jrow[inv_u[jinv[i]]], where
+    jrow holds the rows of J W, jinv is its inverse and inv_u the inverse
+    of u_b's column.
+    """
+    sp = table.space
+    n, fp, j = sp.n, sp.fp, sp.j.a
+    upper = ~mats[:, n:, :n].any(axis=(1, 2, 3))
+    ups, lows = np.flatnonzero(upper), np.flatnonzero(~upper)
+    b_keys = stack_keys(mats[ups, :n, n:])
+    order = np.argsort(b_keys)
+    partner = lookup_rows(b_keys[order], mats[lows, n:, :n])
+    if np.any(partner < 0) or not np.all(mm(fp, mm(fp, mats[lows], j), mats[ups[order[partner]]]) == j):
+        raise ConsistencyError("a lower generator is not J u_b^-1 J^-1 for an upper generator u_b")
+    out = np.empty((len(table), len(mats)), dtype=np.int64)
+    out[:, ups] = _action_table(table, mats[ups])
+    inv_up = np.stack([_inverse_rows(col) for col in out[:, ups].T], axis=1)
+    jrow = _row_map(table, j)
+    out[:, lows] = jrow[inv_up[_inverse_rows(jrow)][:, order[partner]]]
+    return out
+
+
+def partition(
+    table: PointTable, gens, invariant: str | None = None, action: np.ndarray | None = None
+) -> PartitionReport:
     """Orbit partition of a point table, seeds swept in row order.
 
     Each orbit's representative is its smallest member.  `invariant`
@@ -138,10 +188,11 @@ def partition(table: PointTable, gens, invariant: str | None = None) -> Partitio
     for the rational group, "o_type" for the h_0-unitary one); members
     disagreeing with their representative in that column are recorded as
     conflicts, never silently dropped.  The orbits are BFS components over
-    the generators' action tables on the table's rows.
+    the generators' action table on the table's rows: `action` when given
+    (a cell's derived table, `cayley._cell_actions`), else `_action_table`.
     """
-    mats = _generator_stack(table.space, gens)
-    action = _action_table(table, mats)
+    if action is None:
+        action = _action_table(table, _generator_stack(table.space, gens))
 
     def label(i) -> StratumLabel:
         return StratumLabel(int(table.h_rank[i]), int(table.o_type[i]))
@@ -154,7 +205,10 @@ def partition(table: PointTable, gens, invariant: str | None = None) -> Partitio
         if seen[s]:
             continue
         found, parent, via = frontier_closure(np.array([s]), lambda f: action[f[:, 0], :, None])
-        rec = OrbitRecord(table, found[:, 0], parent, via, mats)
+        found = found[:, 0]
+        if not np.array_equal(action[found[parent[1:]], via[1:]], found[1:]):
+            raise VerificationFailure("transporter word does not reproduce its point")
+        rec = OrbitRecord(table, found, parent, via)
         seen[rec.rows] = True
         if invariant is not None:
             inv = getattr(table, invariant)

@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the
 package: plain Python scalar pairs, exhaustive scans, Schubert-cell
 subspace enumeration, permutation-expansion determinants, a
-constructive orthonormalization for hermitian form types, and a
-breadth-first closure that keys each image on its own.
+constructive orthonormalization for hermitian form types, a
+breadth-first closure that keys each image on its own, and the scalar or
+per-stratum routes that the package's row and stack routes replaced.
 """
 
 from itertools import combinations, permutations, product
@@ -12,6 +13,9 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from fsiegel.errors import ResourceLimitError
+from fsiegel.lagrangian import enumerate_lagrangians, span_images
+from fsiegel.orbits import act
+from fsiegel.symplectic import make_space
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -263,3 +267,52 @@ def frontier_closure_by_rows(seed, step, cap=None, what="closure", chunk=64):
         frontier, start = np.concatenate(level), start + len(frontier)
         found.append(frontier)
     return np.concatenate(found), np.concatenate(parent), np.concatenate(via)
+
+
+# -- scalar words and identities ----------------------------------------------
+
+def apply_word(word, seed, gens):
+    """The point a transporter word reaches from the seed, one scalar `act` per letter."""
+    out = seed
+    for i in word:
+        out = act(gens[i], out)
+    return out
+
+
+def pairing_identity_holds(t, samples) -> bool:
+    """h_e(v - iTv, w - iTw) = 2 omega(v, w) + 2i b_T(v, w) on sample pairs."""
+    sp = make_space(t.mat.fp.q, t.mat.rows // 2)
+    fp = sp.fp
+    i = fp.sqrt(fp.e(-1))
+    bt = sp.j @ t.mat
+    for v, w in samples:
+        xv = v - i * (t.mat @ v)
+        xw = w - i * (t.mat @ w)
+        lhs = (xv.T @ sp.j @ xw.conj()).at(0, 0)
+        om = (v.T @ sp.j @ w).at(0, 0)
+        bform = (v.T @ bt @ w).at(0, 0)
+        if lhs != fp.e(2) * om + fp.e(2) * i * bform:
+            return False
+    return True
+
+
+# -- the stratum map, one span_images pass per stratum -------------------------
+
+def map_strata_by_images(cd, q, n, cap_points):
+    """`cayley.map_strata`'s per-stratum rows: M applied to each h_e stratum by `span_images`."""
+    table = enumerate_lagrangians(q, n, cap_points)
+    per = []
+    for j in range(n + 1):
+        h_rows = np.flatnonzero(table.h_rank == j)
+        o_rows = np.flatnonzero(table.o_type == j)
+        images = span_images(cd.space, cd.m.a[None], table.bases[h_rows])[:, 0]
+        per.append(
+            {
+                "r": j,
+                "h_count": len(h_rows),
+                "o_count": len(o_rows),
+                "image_equals_o_stratum": np.array_equal(np.sort(table.rows(images)), o_rows),
+                "strata_literally_equal": np.array_equal(h_rows, o_rows),
+            }
+        )
+    return per

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,22 +7,26 @@ import pytest
 
 from fsiegel import checks
 from fsiegel.checks import _conformal_pairs, _rng, run_check
-from fsiegel.errors import ParameterError
+from fsiegel.errors import ConsistencyError, ParameterError
 from fsiegel.field import make_fields, tau_f
 from fsiegel.linalg import Mat, block
 from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
     TAG_SP_F,
+    GroupElement,
+    _generator_stack,
     enumerate_symplectic,
     generators,
     is_member,
     make_space,
 )
-from fsiegel.lagrangian import l_plus, strata
-from fsiegel.orbits import act
+from fsiegel.lagrangian import enumerate_lagrangians, l_plus, strata
+from fsiegel.orbits import _action_table, act
 from fsiegel.cayley import (
     CayleyData,
+    _cell_actions,
+    _m_rows,
     cayley,
     map_strata,
     orthogonal_group_elements,
@@ -32,6 +37,8 @@ from fsiegel.cayley import (
     v_k,
     verify_conjugation,
 )
+
+from oracles import map_strata_by_images
 
 
 def test_cayley_3_1_closed_form():
@@ -105,6 +112,31 @@ def test_conjugation_forward_backward(q, n):
     cd = cayley(q, n)
     rep = verify_conjugation(cd, q, n, cap_group=10**5)
     assert rep["forward_ok"] and rep["backward_ok"] and rep["identity_fixed"]
+
+
+def test_conjugation_reads_no_membership_again(monkeypatch):
+    """`cayley` raises when a conjugated generator leaves sp0 or spf, so the report asks no `is_member`."""
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+
+    cd = cayley(3, 2)
+    verify_conjugation(cd, 3, 2, 10**5)  # fills the group tables
+    calls = []
+    monkeypatch.setattr(cayley_mod, "is_member", lambda *a: calls.append(a) or is_member(*a))
+    rep = verify_conjugation(cd, 3, 2, 10**5)
+    assert calls == [] and rep["forward_ok"] and rep["backward_ok"] and rep["generators"] == 6
+
+
+@pytest.mark.parametrize("tag", [TAG_SP_0, TAG_SP_F])
+def test_cayley_refuses_a_generator_that_does_not_conjugate(tag, monkeypatch):
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+
+    monkeypatch.setattr(cayley_mod, "is_member", lambda sp, g, t: t != tag and is_member(sp, g, t))
+    cayley.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="unitary group" if tag == TAG_SP_0 else "round-trip"):
+            cayley(3, 1)
+    finally:
+        cayley.cache_clear()
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2)])
@@ -284,6 +316,72 @@ def test_map_strata_exact(q, n):
     rep = map_strata(q, n, cap_points=2 * 10**4)
     assert rep["all_mapped"] and rep["counts_match"]
     assert all(not row["strata_literally_equal"] for row in rep["strata"] if row["h_count"])
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 2)])
+def test_map_strata_matches_the_per_stratum_images(q, n):
+    assert map_strata(q, n, 10**5)["strata"] == map_strata_by_images(cayley(q, n), q, n, 10**5)
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_cell_actions_equal_the_direct_tables(q, n):
+    sp = make_space(q, n)
+    cell = enumerate_lagrangians(q, n)
+    actions = _cell_actions(q, n)
+    for tag in (TAG_SP_F, TAG_SP_0):
+        direct = _action_table(cell, _generator_stack(sp, generators(sp, tag)))
+        assert np.array_equal(actions[tag], direct)
+        assert not actions[tag].flags.writeable
+    assert not _m_rows(q, n).flags.writeable
+
+
+@pytest.mark.parametrize("tag,match", [(TAG_SP_F, "lower generator"), (TAG_SP_0, "sp0 generator")])
+def test_a_perturbed_generator_breaks_the_table_build(tag, match, monkeypatch):
+    """One changed entry fails l_b J u_b = J (spf, sp0 still conjugate to it) or h_g M = M g (sp0)."""
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+
+    sp = make_space(3, 2)
+    m = cayley(3, 2).m
+    gens = {t: list(generators(sp, t)) for t in (TAG_SP_F, TAG_SP_0)}
+    g = gens[tag][-1]  # in spf the last lower generator: its lower-left block still finds its partner
+    bad = g.mat.a.copy()
+    bad[0, 0, 0] = (bad[0, 0, 0] + 1) % 3
+    gens[tag][-1] = GroupElement(Mat(sp.fp, bad), tag)
+    if tag == TAG_SP_F:
+        gens[TAG_SP_0] = [GroupElement(m @ h.mat @ m.inv(), TAG_SP_0) for h in gens[TAG_SP_F]]
+    monkeypatch.setattr(cayley_mod, "generators", lambda sp_, t: tuple(gens[t]))
+    _cell_actions.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=match):
+            _cell_actions(3, 2)
+    finally:
+        _cell_actions.cache_clear()
+
+
+def test_theorem1_and_strata_map_canonicalize_five_images_per_point(monkeypatch):
+    """Three upper translations, J and M: 820 x 5 images at (3,2), against 820 x 13 before."""
+    images = []
+
+    def counting(real):
+        def wrapper(sp, mats, bases):
+            images.append(len(mats) * len(bases))
+            return real(sp, mats, bases)
+        return wrapper
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fsiegel") and hasattr(mod, "span_images"):
+            monkeypatch.setattr(mod, "span_images", counting(mod.span_images))
+    _cell_actions.cache_clear()
+    _m_rows.cache_clear()
+    try:
+        rec = run_check("theorem1", 3, 2, 10**5, 10**5)
+        assert rec["data"]["rational_orbit_sizes"] == [40, 240, 540]
+        assert sum(images) == 820 * 5 == 4100
+        assert run_check("strata-map", 3, 2, 10**5, 10**5)["status"] == "pass"
+        assert sum(images) == 4100
+    finally:
+        _cell_actions.cache_clear()
+        _m_rows.cache_clear()
 
 
 def test_map_strata_is_bijection_on_points():

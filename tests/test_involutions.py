@@ -29,11 +29,10 @@ from fsiegel.involutions import (
     eigenspace_report,
     involution_form,
     involution_form_report,
-    pairing_identity_holds,
     scaled_involutions,
 )
 
-from oracles import smallest_nonresidue
+from oracles import pairing_identity_holds, smallest_nonresidue
 
 CAP = 10**5
 

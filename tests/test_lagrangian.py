@@ -221,6 +221,7 @@ def test_empty_point_table_finds_no_row():
 
 def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch):
     from fsiegel import checks, lagrangian
+    from fsiegel.cayley import _cell_actions, _m_rows
 
     built = []
     init = lagrangian.Lagrangian.__init__
@@ -230,13 +231,16 @@ def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch):
         init(self, space, basis)
 
     monkeypatch.setattr(lagrangian.Lagrangian, "__init__", counting)
-    lagrangian._point_table.cache_clear()
+    caches = (lagrangian._point_table, _cell_actions, _m_rows)
+    for cache in caches:
+        cache.cache_clear()
     try:
         rec = checks.run_check("theorem1", 3, 2, 10**5, 10**5)
     finally:
-        lagrangian._point_table.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert rec["data"]["rational_orbit_sizes"] == [40, 240, 540]
-    assert built == []  # the chart builder and the partitions work on rows alone
+    assert built == []  # the chart builder, the derived action tables and the partitions work on rows
     l_plus(make_space(3, 2))
     assert built  # the counter is live
 

@@ -17,13 +17,14 @@ from fsiegel.symplectic import (
 from fsiegel.lagrangian import PointTable, enumerate_lagrangians, l_minus, l_plus, strata
 from fsiegel.orbits import (
     act,
-    apply_word,
     orbit,
     partition,
     stabilizer_elements,
     stabilizer_order,
 )
 from fsiegel.cayley import v_k
+
+from oracles import apply_word
 
 
 def _table(points) -> PointTable:
@@ -212,6 +213,19 @@ def test_partition_of_repeated_points_raises():
         partition(_table([l_plus(sp), l_plus(sp)]), [eye])
 
 
+def test_a_map_that_does_not_permute_the_rows_is_caught():
+    from fsiegel.orbits import _inverse_rows, _translation_action
+    from fsiegel.symplectic import _generator_stack
+
+    with pytest.raises(VerificationFailure, match="does not permute the point set"):
+        _inverse_rows(np.array([0, 0, 1]))
+    sp = make_space(3, 1)
+    mats = _generator_stack(sp, generators(sp, TAG_SP_F))
+    # the translations fix L+, so on a table holding it twice they send both rows to one
+    with pytest.raises(VerificationFailure, match="does not permute the point set"):
+        _translation_action(_table([l_plus(sp), l_plus(sp)]), mats)
+
+
 def test_transporter_words():
     sp = make_space(3, 2)
     gens = generators(sp, TAG_SP_0)
@@ -281,23 +295,54 @@ def test_orbit_stabilizer_consistency(q, n):
 
 
 @pytest.mark.parametrize("i", [101, -1])  # 101 is off any every-100th stride; -1 is past the first block
-def test_a_wrong_bfs_edge_is_caught(i):
+def test_a_wrong_bfs_edge_is_caught(i, monkeypatch):
+    """`orbit()` recomputes every edge on the generator stack; one corrupted `via` fails it."""
+    from fsiegel import orbits
     from fsiegel.lagrangian import span_images
-    from fsiegel.orbits import OrbitRecord
     from fsiegel.symplectic import _generator_stack, frontier_closure
 
     sp = make_space(3, 2)
-    mats = _generator_stack(sp, generators(sp, TAG_SP_0))
+    gens = generators(sp, TAG_SP_0)
+    mats = _generator_stack(sp, gens)
     bases, parent, via = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, mats, f))
-    table = PointTable(sp, bases)
-    OrbitRecord(table, table.rows(bases), parent, via, mats)  # the true edges pass
     i %= len(bases)
     assert i % 100 and len(bases) > 257  # more than one block of 256 edges
     images = span_images(sp, mats, bases[parent[i]][None])[0]
     bad = via.copy()
     bad[i] = next(g for g in range(len(mats)) if not np.array_equal(images[g], bases[i]))
+    for edges, ok in ((via, True), (bad, False)):
+        monkeypatch.setattr(orbits, "frontier_closure", lambda *a, _e=edges: (bases, parent, _e))
+        if ok:
+            assert orbit(l_plus(sp), gens).size == len(bases)  # the true edges pass
+        else:
+            with pytest.raises(VerificationFailure, match="transporter word does not reproduce its point"):
+                orbit(l_plus(sp), gens)
+
+
+@pytest.mark.parametrize("i", [101, -1])
+def test_a_wrong_partition_edge_is_caught(i, monkeypatch):
+    """`partition` looks every edge up in its action table; one corrupted `via` fails it."""
+    from fsiegel import orbits
+    from fsiegel.cayley import _cell_actions
+
+    sp = make_space(3, 2)
+    action = _cell_actions(3, 2)[TAG_SP_0]
+    closure = orbits.frontier_closure
+    corrupted = []
+
+    def corrupting(seed, step, *args):
+        found, parent, via = closure(seed, step, *args)
+        k = i % len(found)
+        if len(found) > 257 and not corrupted:
+            via = via.copy()
+            via[k] = next(g for g in range(action.shape[1]) if action[found[parent[k], 0], g] != found[k, 0])
+            corrupted.append(k)
+        return found, parent, via
+
+    monkeypatch.setattr(orbits, "frontier_closure", corrupting)
     with pytest.raises(VerificationFailure, match="transporter word does not reproduce its point"):
-        OrbitRecord(table, table.rows(bases), parent, bad, mats)
+        partition(enumerate_lagrangians(3, 2), generators(sp, TAG_SP_0), invariant="o_type", action=action)
+    assert corrupted and corrupted[0] % 100
 
 
 def test_theorem1_builds_its_orbits_without_scalar_act(monkeypatch):
