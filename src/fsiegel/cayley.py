@@ -33,7 +33,7 @@ from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
 from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, l_plus
 from .linalg import Mat, block, mm, stack_keys
-from .orbits import _inverse_rows, _row_map, _translation_action, act, orbit, stabilizer_elements
+from .orbits import _row_map, _translation_action, act, orbit, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_E,
@@ -142,18 +142,21 @@ def cayley(q: int, n: int) -> CayleyData:
 def verify_conjugation(cd: CayleyData, q: int, n: int, cap_group: int) -> dict:
     """Generator-level and, when enumerable, element-level conjugation checks.
 
-    `cayley` builds `cd` only after every conjugated generator M g M^-1 has
-    passed `is_member` for sp0 and its round trip for spf (ConsistencyError
-    otherwise), so those two results are reported as established.  The
-    element level compares the conjugated rational group with the sp0
-    closure of sp0's own generators, an independent enumeration.
+    `cayley` builds the cell's `cd` only after every conjugated generator
+    M g M^-1 has passed `is_member` for sp0 and its round trip for spf
+    (ConsistencyError otherwise), so `forward_ok` and `backward_ok` read
+    true exactly when `cd` is that cached `cayley(q, n)`; any other `cd`
+    is unchecked at this level and reads false.  The element level compares
+    the conjugated rational group with the sp0 closure of sp0's own
+    generators, an independent enumeration.
     """
     sp = cd.space
     m, m_inv = cd.m, cd.m.inv()
+    checked = cd is cayley(q, n)
     out = {
         "generators": len(generators(sp, TAG_SP_F)),
-        "forward_ok": True,
-        "backward_ok": True,
+        "forward_ok": checked,
+        "backward_ok": checked,
         "identity_fixed": m @ sp.identity @ m_inv == sp.identity,
     }
     order = group_order(TAG_SP_F, q, n)
@@ -376,10 +379,11 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _m_rows(q: int, n: int) -> np.ndarray:
-    """Row of M W for each row W of the cell's point table, a checked permutation; read-only."""
+def _m_rows(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row of M W for each row W of the cell's point table, and its inverse permutation; read-only."""
     rows = _row_map(enumerate_lagrangians(q, n), cayley(q, n).m.a)
-    rows.setflags(write=False)
+    for a in rows:
+        a.setflags(write=False)
     return rows
 
 
@@ -399,8 +403,8 @@ def _cell_actions(q: int, n: int) -> dict[str, np.ndarray]:
     if g_f.shape != g_0.shape or not np.array_equal(mm(sp.fp, g_0, m), mm(sp.fp, m, g_f)):
         raise ConsistencyError("an sp0 generator is not M g M^-1 for the spf generator in its place")
     act_f = _translation_action(enumerate_lagrangians(q, n), g_f)
-    mrow = _m_rows(q, n)
-    act_0 = mrow[act_f[_inverse_rows(mrow)]]
+    mrow, minv = _m_rows(q, n)
+    act_0 = mrow[act_f[minv]]
     for a in (act_f, act_0):
         a.setflags(write=False)
     return {TAG_SP_F: act_f, TAG_SP_0: act_0}
@@ -410,7 +414,7 @@ def map_strata(q: int, n: int, cap_points: int) -> dict:
     """Compare the images of the h_e strata under M with the h_0 strata."""
     cd = cayley(q, n)
     table = enumerate_lagrangians(q, n, cap_points)
-    mrow = _m_rows(q, n)
+    mrow = _m_rows(q, n)[0]
     per = []
     for j in range(n + 1):
         h_rows = np.flatnonzero(table.h_rank == j)

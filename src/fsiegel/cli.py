@@ -41,7 +41,7 @@ from .symplectic import (
     group_order,
     make_space,
 )
-from .cayley import cayley
+from .cayley import _cell_actions, cayley
 
 SCHEMA_VERSION = "fsiegel-report/1"
 
@@ -224,7 +224,8 @@ def _cmd_orbits(args, caps) -> tuple[dict, int]:
 
     def body(q, n):
         pts = enumerate_lagrangians(q, n, caps["points"])
-        part = partition(pts, generators(make_space(q, n), args.group), invariant=invariant)
+        gens = generators(make_space(q, n), args.group)
+        part = partition(pts, gens, invariant=invariant, action=_cell_actions(q, n)[args.group])
         orbits = [
             {
                 "size": orb.size,

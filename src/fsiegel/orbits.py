@@ -143,11 +143,13 @@ def _inverse_rows(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _row_map(table: PointTable, mat: np.ndarray) -> np.ndarray:
-    """Row of g W for each row W of the table, for one matrix g, checked to be a permutation."""
+def _row_map(table: PointTable, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of g W for each row W of the table, for one matrix g, and its inverse permutation.
+
+    Raises VerificationFailure when g does not permute the table's rows.
+    """
     rows = _action_table(table, mat[None])[:, 0]
-    _inverse_rows(rows)
-    return rows
+    return rows, _inverse_rows(rows)
 
 
 def _translation_action(table: PointTable, mats: np.ndarray) -> np.ndarray:
@@ -173,8 +175,8 @@ def _translation_action(table: PointTable, mats: np.ndarray) -> np.ndarray:
     out = np.empty((len(table), len(mats)), dtype=np.int64)
     out[:, ups] = _action_table(table, mats[ups])
     inv_up = np.stack([_inverse_rows(col) for col in out[:, ups].T], axis=1)
-    jrow = _row_map(table, j)
-    out[:, lows] = jrow[inv_up[_inverse_rows(jrow)][:, order[partner]]]
+    jrow, jinv = _row_map(table, j)
+    out[:, lows] = jrow[inv_up[jinv][:, order[partner]]]
     return out
 
 

@@ -243,7 +243,7 @@ def test_verification_failure_becomes_a_fail_record(capsys, monkeypatch):
 
 
 def test_verification_failure_in_orbits_becomes_a_fail_record(capsys, monkeypatch):
-    def broken(points, gens, invariant=None):
+    def broken(points, gens, invariant=None, action=None):
         raise VerificationFailure("orbit escaped the supplied point set")
 
     monkeypatch.setattr(cli, "partition", broken)
