@@ -33,7 +33,7 @@ from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
 from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, l_plus
 from .linalg import Mat, block, mm, stack_keys
-from .orbits import _row_map, _translation_action, act, orbit, stabilizer_elements
+from .orbits import _action_table, _inverse_rows, act, orbit, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_E,
@@ -381,28 +381,40 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
 @lru_cache(maxsize=None)
 def _m_rows(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row of M W for each row W of the cell's point table, and its inverse permutation; read-only."""
-    rows = _row_map(enumerate_lagrangians(q, n), cayley(q, n).m.a)
-    for a in rows:
+    rows = _action_table(enumerate_lagrangians(q, n), cayley(q, n).m.a[None])
+    out = rows[:, 0], _inverse_rows(rows)[:, 0]
+    for a in out:
         a.setflags(write=False)
-    return rows
+    return out
 
 
 @lru_cache(maxsize=None)
 def _cell_actions(q: int, n: int) -> dict[str, np.ndarray]:
     """The spf and sp0 action tables on the cell's point table, by tag; read-only.
 
-    The rational table canonicalizes the upper translations alone
-    (`orbits._translation_action`).  Each sp0 generator h_g is M g M^-1 for
-    the spf generator g in its place, checked as h_g M = M g
-    (ConsistencyError otherwise), so h_g W_i = mrow[actionF[minv[i], g]],
-    where mrow holds the rows of M W and minv is its inverse.
+    Only the upper translations u_b, the first half of the spf generators,
+    are canonicalized; every other column is a row permutation.  The lower
+    generator in u_b's place in the second half is l_b = J u_b^-1 J^-1,
+    checked as l_b J u_b = J, so l_b W_i = jrow[inv_u[jinv[i]]]: jrow holds
+    the rows of J W, jinv its inverse and inv_u the inverse of u_b's column.
+    Each sp0 generator h_g is M g M^-1 for the spf generator in its place,
+    checked as h_g M = M g, so h_g W_i = mrow[act_f[minv[i]]], likewise for
+    M.  A failed identity raises ConsistencyError.
     """
     sp = make_space(q, n)
-    m = cayley(q, n).m.a
+    fp, j, m = sp.fp, sp.j.a, cayley(q, n).m.a
     g_f, g_0 = (_generator_stack(sp, generators(sp, tag)) for tag in (TAG_SP_F, TAG_SP_0))
-    if g_f.shape != g_0.shape or not np.array_equal(mm(sp.fp, g_0, m), mm(sp.fp, m, g_f)):
+    if g_f.shape != g_0.shape or not np.array_equal(mm(fp, g_0, m), mm(fp, m, g_f)):
         raise ConsistencyError("an sp0 generator is not M g M^-1 for the spf generator in its place")
-    act_f = _translation_action(enumerate_lagrangians(q, n), g_f)
+    ups, lows = np.split(g_f, [len(g_f) // 2])
+    if ups.shape != lows.shape or not np.all(mm(fp, mm(fp, lows, j), ups) == j):
+        raise ConsistencyError("a lower generator is not J u_b^-1 J^-1 for the u_b in its place")
+    table = enumerate_lagrangians(q, n)
+    act_u = _action_table(table, ups)
+    inv_u = _inverse_rows(act_u)
+    jrow = _action_table(table, j[None])
+    jinv = _inverse_rows(jrow)
+    act_f = np.concatenate([act_u, jrow[inv_u[jinv[:, 0]], 0]], axis=1)
     mrow, minv = _m_rows(q, n)
     act_0 = mrow[act_f[minv]]
     for a in (act_f, act_0):

@@ -43,7 +43,7 @@ from .lagrangian import (
     lagrangian_count,
 )
 from .linalg import Mat, conj_arr, mm, rank_stack, scalar_mm
-from .orbits import partition
+from .orbits import PartitionReport, partition
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_F,
@@ -120,12 +120,17 @@ def census_payload(q: int, n: int, cap_points: int) -> dict:
 # individual checks
 # ---------------------------------------------------------------------------
 
+def cell_partition(q: int, n: int, tag: str, cap_points: int) -> PartitionReport:
+    """The orbits of the spf or sp0 generators on the cell's point table, read from the
+    cell's derived action table; the invariant is h_rank for spf and o_type for sp0."""
+    table = enumerate_lagrangians(q, n, cap_points)
+    invariant = {TAG_SP_F: "h_rank", TAG_SP_0: "o_type"}[tag]
+    return partition(table, generators(make_space(q, n), tag), invariant, action=_cell_actions(q, n)[tag])
+
+
 def check_theorem1(q: int, n: int, cap_group: int, cap_points: int) -> dict:
-    sp = make_space(q, n)
     table, rows = _census_tables(q, n, cap_points)
-    actions = _cell_actions(q, n)
-    part_f = partition(table, generators(sp, TAG_SP_F), invariant="h_rank", action=actions[TAG_SP_F])
-    part_0 = partition(table, generators(sp, TAG_SP_0), invariant="o_type", action=actions[TAG_SP_0])
+    part_f, part_0 = (cell_partition(q, n, tag, cap_points) for tag in (TAG_SP_F, TAG_SP_0))
 
     def orbits_are_strata(part, labels) -> bool:
         """The orbits' sets of rows are the strata's, and no orbit has a conflict."""
@@ -261,7 +266,7 @@ def check_involutions(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     classification = classify_involutions(q, n, cap_group)
 
     sub = {
-        "square_symmetry_equivalence": True,  # asserted group-wide inside anti_involutions
+        "square_symmetry_equivalence": True,  # asserted group-wide inside _square_scalars
         "form_suite": all(
             form_rep[k] for k in ("symmetric", "determinant_one", "discriminant_square", "equivariant")
         ),

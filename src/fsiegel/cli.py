@@ -23,6 +23,7 @@ from .checks import (
     CHECK_IDS,
     DEFAULT_CAP_GROUP,
     DEFAULT_CAP_POINTS,
+    cell_partition,
     census_payload,
     run_cell,
     run_check,
@@ -30,8 +31,6 @@ from .checks import (
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import epsilon_f, make_fields, tau_f
 from .lagrangian import lagrangian_count, witnesses
-from .orbits import partition
-from .lagrangian import enumerate_lagrangians
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_E,
@@ -41,7 +40,7 @@ from .symplectic import (
     group_order,
     make_space,
 )
-from .cayley import _cell_actions, cayley
+from .cayley import cayley
 
 SCHEMA_VERSION = "fsiegel-report/1"
 
@@ -220,12 +219,9 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
 def _cmd_orbits(args, caps) -> tuple[dict, int]:
     if args.group not in (TAG_SP_F, TAG_SP_0):
         raise UsageError(f"--group must be {TAG_SP_F} or {TAG_SP_0}")
-    invariant = "h_rank" if args.group == TAG_SP_F else "o_type"
 
     def body(q, n):
-        pts = enumerate_lagrangians(q, n, caps["points"])
-        gens = generators(make_space(q, n), args.group)
-        part = partition(pts, gens, invariant=invariant, action=_cell_actions(q, n)[args.group])
+        part = cell_partition(q, n, args.group, caps["points"])
         orbits = [
             {
                 "size": orb.size,

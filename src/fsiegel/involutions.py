@@ -42,33 +42,27 @@ def _space_of(t: GroupElement) -> SpaceParams:
 
 @lru_cache(maxsize=None)
 def _square_scalars(q: int, n: int) -> np.ndarray:
-    """The a in F with T^2 = a I, or -1, per row T of the rational group: one squaring per cell."""
+    """The a in F with T^2 = a I, or -1, per row T of the rational group: one squaring per cell.
+
+    Cross-checked across the group: T^2 = -I exactly when J T is symmetric
+    (VerificationFailure otherwise).
+    """
     sp = make_space(q, n)
     g = enumerate_symplectic(sp, TAG_SP_F, group_order(TAG_SP_F, q, n))
     squares = mm(sp.fp, g.arr, g.arr)
     a = squares[:, 0, 0, 0]
     out = np.where(np.all(squares == a[:, None, None, None] * sp.identity.a, axis=(1, 2, 3)), a, -1)
+    del squares, a  # the group-sized squares go before the group-sized J T comes
+    jg = mm(sp.fp, sp.j.a, g.arr)
+    if not np.array_equal(out == q - 1, np.all(jg == jg.swapaxes(1, 2), axis=(1, 2, 3))):
+        raise VerificationFailure("T^2 = -I and symmetry of J T disagree on some group element")
     out.setflags(write=False)  # every filter T^2 = a I is a mask over it
     return out
 
 
-@lru_cache(maxsize=None)
-def _anti_involutions(q: int, n: int) -> EnumeratedGroup:
-    sp = make_space(q, n)
-    g = enumerate_symplectic(sp, TAG_SP_F, group_order(TAG_SP_F, q, n))
-    is_anti = _square_scalars(q, n) == q - 1
-    jg = mm(sp.fp, sp.j.a, g.arr)
-    jg_symmetric = np.all(jg == jg.swapaxes(1, 2), axis=(1, 2, 3))
-    if not np.array_equal(is_anti, jg_symmetric):
-        raise VerificationFailure("T^2 = -I and symmetry of J T disagree on some group element")
-    return g.where(is_anti)
-
-
 def anti_involutions(q: int, n: int, cap_group: int) -> EnumeratedGroup:
     """The anti-involutions, as the sub-table of the rational group's rows with T^2 = -I."""
-    sp = make_space(q, n)
-    enumerate_symplectic(sp, TAG_SP_F, cap_group)  # enforces the cap
-    return _anti_involutions(q, n)
+    return scaled_involutions(q, n, -1, cap_group)
 
 
 def involution_form(t: GroupElement) -> Mat:
@@ -145,7 +139,8 @@ def eigenspace_suite(sp: SpaceParams, ts: np.ndarray) -> tuple[np.ndarray, dict]
 @lru_cache(maxsize=None)
 def _anti_involution_suite(q: int, n: int) -> tuple[np.ndarray, dict]:
     """The eigenspace suite of the cell's anti-involutions, taken once per cell."""
-    models, rep = eigenspace_suite(make_space(q, n), _anti_involutions(q, n).arr)
+    ants = scaled_involutions(q, n, -1, group_order(TAG_SP_F, q, n)).arr
+    models, rep = eigenspace_suite(make_space(q, n), ants)
     for arr in (models, *rep.values()):
         arr.setflags(write=False)  # shared by the correspondence and the check
     return models, rep

@@ -14,22 +14,19 @@ is a BFS component over the tables, its words read off the parent
 pointers, a Schreier vector (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, section 4.1).
 
-Only one generator family is canonicalized: the upper translations
-u_b = (I, b; 0, I).  Every other column is a row permutation.  The lower
-generator l_b = (I, 0; b, I) is J u_b^-1 J^-1 (checked as l_b J u_b = J),
-so its column is read through the rows of J W and the inverse of u_b's
-column (`_translation_action`); the h_0-unitary generators are M g M^-1
-(checked as h_g M = M g), so their table is the rational one read through
-the rows of M W (`cayley._cell_actions`).
+A cell's generator tables are built once, by `cayley._cell_actions`: only
+the upper translations are canonicalized, and every other column is a row
+permutation read through `_inverse_rows`.  `_action_table` serves any
+other generator list and is the tests' oracle for the cell's tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, VerificationFailure
+from .errors import VerificationFailure
 from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
-from .linalg import Mat, lookup_rows, mm, rcef_stack, stack_keys
+from .linalg import Mat, mm, rcef_stack
 from .symplectic import EnumeratedGroup, GroupElement, _generator_stack, _mat, frontier_closure
 
 
@@ -135,49 +132,15 @@ def _action_table(table: PointTable, mats: np.ndarray) -> np.ndarray:
 
 
 def _inverse_rows(perm: np.ndarray) -> np.ndarray:
-    """The inverse of a permutation of table rows; VerificationFailure if it is none."""
-    inv = np.full(len(perm), -1, dtype=np.int64)
-    inv[perm] = np.arange(len(perm))
+    """The inverse of each column of an (N, G) table of row permutations.
+
+    Raises VerificationFailure when some column is not a permutation.
+    """
+    inv = np.full(perm.shape, -1, dtype=np.int64)
+    inv[perm, np.arange(perm.shape[1])] = np.arange(len(perm))[:, None]
     if np.any(inv < 0):
         raise VerificationFailure("a group element does not permute the point set")
     return inv
-
-
-def _row_map(table: PointTable, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row of g W for each row W of the table, for one matrix g, and its inverse permutation.
-
-    Raises VerificationFailure when g does not permute the table's rows.
-    """
-    rows = _action_table(table, mat[None])[:, 0]
-    return rows, _inverse_rows(rows)
-
-
-def _translation_action(table: PointTable, mats: np.ndarray) -> np.ndarray:
-    """`_action_table` of a generator stack, canonicalizing its upper family alone.
-
-    The upper family is the generators with a zero lower-left block, the
-    translations u_b = (I, b; 0, I).  Each other generator l is paired with
-    the u_b whose b is its lower-left block and must satisfy l J u_b = J,
-    that is l = J u_b^-1 J^-1 (ConsistencyError otherwise).  So its column
-    is read off by row permutations: l W_i = jrow[inv_u[jinv[i]]], where
-    jrow holds the rows of J W, jinv is its inverse and inv_u the inverse
-    of u_b's column.
-    """
-    sp = table.space
-    n, fp, j = sp.n, sp.fp, sp.j.a
-    upper = ~mats[:, n:, :n].any(axis=(1, 2, 3))
-    ups, lows = np.flatnonzero(upper), np.flatnonzero(~upper)
-    b_keys = stack_keys(mats[ups, :n, n:])
-    order = np.argsort(b_keys)
-    partner = lookup_rows(b_keys[order], mats[lows, n:, :n])
-    if np.any(partner < 0) or not np.all(mm(fp, mm(fp, mats[lows], j), mats[ups[order[partner]]]) == j):
-        raise ConsistencyError("a lower generator is not J u_b^-1 J^-1 for an upper generator u_b")
-    out = np.empty((len(table), len(mats)), dtype=np.int64)
-    out[:, ups] = _action_table(table, mats[ups])
-    inv_up = np.stack([_inverse_rows(col) for col in out[:, ups].T], axis=1)
-    jrow, jinv = _row_map(table, j)
-    out[:, lows] = jrow[inv_up[jinv][:, order[partner]]]
-    return out
 
 
 def partition(

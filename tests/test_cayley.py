@@ -326,7 +326,7 @@ def test_map_strata_matches_the_per_stratum_images(q, n):
     assert map_strata(q, n, 10**5)["strata"] == map_strata_by_images(cayley(q, n), q, n, 10**5)
 
 
-@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (23, 1), (3, 2), (5, 2)])
 def test_cell_actions_equal_the_direct_tables(q, n):
     sp = make_space(q, n)
     cell = enumerate_lagrangians(q, n)
@@ -346,7 +346,7 @@ def test_a_perturbed_generator_breaks_the_table_build(tag, match, monkeypatch):
     sp = make_space(3, 2)
     m = cayley(3, 2).m
     gens = {t: list(generators(sp, t)) for t in (TAG_SP_F, TAG_SP_0)}
-    g = gens[tag][-1]  # in spf the last lower generator: its lower-left block still finds its partner
+    g = gens[tag][-1]  # in spf the last lower generator, paired by place with the last upper one
     bad = g.mat.a.copy()
     bad[0, 0, 0] = (bad[0, 0, 0] + 1) % 3
     gens[tag][-1] = GroupElement(Mat(sp.fp, bad), tag)
@@ -356,6 +356,25 @@ def test_a_perturbed_generator_breaks_the_table_build(tag, match, monkeypatch):
     _cell_actions.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match=match):
+            _cell_actions(3, 2)
+    finally:
+        _cell_actions.cache_clear()
+
+
+def test_a_reordered_lower_family_breaks_the_table_build(monkeypatch):
+    """Each lower generator pairs with the upper one in its place, not with the one of the same b."""
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+
+    sp = make_space(3, 2)
+    m = cayley(3, 2).m
+    spf = list(generators(sp, TAG_SP_F))
+    half = len(spf) // 2
+    spf[half:] = spf[half:][1:] + spf[half:][:1]  # the same lower family, rotated by one
+    gens = {TAG_SP_F: spf, TAG_SP_0: [GroupElement(m @ g.mat @ m.inv(), TAG_SP_0) for g in spf]}
+    monkeypatch.setattr(cayley_mod, "generators", lambda sp_, t: tuple(gens[t]))
+    _cell_actions.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="lower generator"):
             _cell_actions(3, 2)
     finally:
         _cell_actions.cache_clear()

@@ -246,7 +246,7 @@ def test_verification_failure_in_orbits_becomes_a_fail_record(capsys, monkeypatc
     def broken(points, gens, invariant=None, action=None):
         raise VerificationFailure("orbit escaped the supplied point set")
 
-    monkeypatch.setattr(cli, "partition", broken)
+    monkeypatch.setattr(checks, "partition", broken)
     code, payload = run_json(capsys, "orbits", "--q", "3", "--n", "1,2")
     assert code == 1
     assert [(r["n"], r["status"], r["data"]) for r in payload["checks"]] == [

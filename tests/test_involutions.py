@@ -198,7 +198,7 @@ def test_involutions_refuse_over_either_cap_before_any_work(monkeypatch):
     def fail(q, n):
         raise AssertionError("the anti-involutions were computed")
 
-    monkeypatch.setattr(involutions, "_anti_involutions", fail)
+    monkeypatch.setattr(involutions, "_square_scalars", fail)
     rec = run_check("involutions", 3, 2, 10**5, 100)
     assert rec["status"] == "skipped-resource"
     assert rec["data"] == {"reason": "820 Lagrangians exceed cap 100"}
@@ -368,7 +368,10 @@ def test_a_non_lagrangian_eigenspace_is_a_fail_record(monkeypatch):
     sp = make_space(3, 1)
     gen = generators(sp, TAG_SP_F)[0]
     bad = EnumeratedGroup(sp, TAG_SP_F, np.concatenate([anti_involutions(3, 1, CAP).arr, gen.mat.a[None]]))
-    monkeypatch.setattr(involutions, "_anti_involutions", lambda q, n: bad)
+    real = involutions.scaled_involutions
+    monkeypatch.setattr(
+        involutions, "scaled_involutions", lambda q, n, a, cap: bad if a % q == q - 1 else real(q, n, a, cap)
+    )
     involutions._anti_involution_suite.cache_clear()
     try:
         rec = run_check("involutions", 3, 1, CAP, 10**4)

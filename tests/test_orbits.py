@@ -213,17 +213,60 @@ def test_partition_of_repeated_points_raises():
         partition(_table([l_plus(sp), l_plus(sp)]), [eye])
 
 
-def test_a_map_that_does_not_permute_the_rows_is_caught():
-    from fsiegel.orbits import _inverse_rows, _translation_action
+def test_a_map_that_does_not_permute_the_rows_is_caught(monkeypatch):
+    import importlib
+
+    from fsiegel.orbits import _inverse_rows
+
+    cayley = importlib.import_module("fsiegel.cayley")
+    with pytest.raises(VerificationFailure, match="does not permute the point set"):
+        _inverse_rows(np.array([[0], [0], [1]]))
+    sp = make_space(3, 1)
+    # the upper translations fix L+, so on a table holding it twice they send both rows
+    # to one; the upper columns are inverted before J, which would escape, is canonicalized
+    doubled = _table([l_plus(sp), l_plus(sp)])
+    monkeypatch.setattr(cayley, "enumerate_lagrangians", lambda q, n, *cap: doubled)
+    cayley._cell_actions.cache_clear()
+    try:
+        with pytest.raises(VerificationFailure, match="does not permute the point set"):
+            cayley._cell_actions(3, 1)
+    finally:
+        cayley._cell_actions.cache_clear()
+
+
+def test_inverse_rows_inverts_every_column():
+    from fsiegel.orbits import _inverse_rows
+
+    rng = np.random.default_rng(5)
+    perm = np.stack([rng.permutation(7) for _ in range(4)], axis=1)
+    inv = _inverse_rows(perm)
+    for g in range(4):
+        assert np.array_equal(inv[perm[:, g], g], np.arange(7))
+        assert np.array_equal(perm[inv[:, g], g], np.arange(7))
+    perm[:, 2] = perm[0, 2]  # one column that is not a permutation
+    with pytest.raises(VerificationFailure, match="does not permute the point set"):
+        _inverse_rows(perm)
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2)])
+def test_cell_partition_agrees_with_the_direct_tables(q, n):
+    """`checks.cell_partition` reads the derived cell table; the direct `_action_table` route agrees."""
+    from fsiegel.checks import cell_partition
+    from fsiegel.orbits import _action_table
     from fsiegel.symplectic import _generator_stack
 
-    with pytest.raises(VerificationFailure, match="does not permute the point set"):
-        _inverse_rows(np.array([0, 0, 1]))
-    sp = make_space(3, 1)
-    mats = _generator_stack(sp, generators(sp, TAG_SP_F))
-    # the translations fix L+, so on a table holding it twice they send both rows to one
-    with pytest.raises(VerificationFailure, match="does not permute the point set"):
-        _translation_action(_table([l_plus(sp), l_plus(sp)]), mats)
+    sp = make_space(q, n)
+    table = enumerate_lagrangians(q, n)
+    for tag, invariant in ((TAG_SP_F, "h_rank"), (TAG_SP_0, "o_type")):
+        gens = generators(sp, tag)
+        direct = partition(table, gens, invariant, action=_action_table(table, _generator_stack(sp, gens)))
+        cell = cell_partition(q, n, tag, 10**5)
+        assert cell.sizes() == direct.sizes()
+        assert [o.rows.tolist() for o in cell.orbits] == [o.rows.tolist() for o in direct.orbits]
+        assert cell.labels == direct.labels
+        assert [(a.key, b.key, lab) for a, b, lab in cell.conflicts] == [
+            (a.key, b.key, lab) for a, b, lab in direct.conflicts
+        ]
 
 
 def test_transporter_words():
