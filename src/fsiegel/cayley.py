@@ -29,10 +29,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError, ResourceLimitError
+from .errors import ConsistencyError, ParameterError, ResourceLimitError, count_text
 from .field import EScalar, epsilon_f, tau_f
-from .lagrangian import Lagrangian, enumerate_lagrangians, from_basis, l_plus
-from .linalg import Mat, block, mm, stack_keys
+from .lagrangian import Lagrangian, _span_of, enumerate_lagrangians, l_plus
+from .linalg import Mat, block, block_diag, mm, stack_keys
 from .orbits import _action_table, _inverse_rows, act, orbit, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
@@ -47,6 +47,7 @@ from .symplectic import (
     group_order,
     is_member,
     make_space,
+    symmetric_basis,
 )
 
 
@@ -201,17 +202,11 @@ def partial_cayley(sp: SpaceParams, k: int) -> GroupElement:
 
 
 def v_k(sp: SpaceParams, k: int) -> Lagrangian:
-    """Span of e_j + e_{n+j} for j < k and e_j for k <= j < n."""
+    """Span of (I; diag(1_k, 0)): e_j + e_{n+j} for j < k and e_j for k <= j < n."""
     if not 0 <= k <= sp.n:
         raise ParameterError(f"k must lie in 0..{sp.n}, got {k}")
     n = sp.n
-    cols = np.zeros((2 * n, n, 2), dtype=np.int64)
-    for j in range(k):
-        cols[j, j, 0] = 1
-        cols[n + j, j, 0] = 1
-    for j in range(k, n):
-        cols[j, j, 0] = 1
-    w = from_basis(sp, Mat(sp.fp, cols))
+    w = _span_of(sp, Mat.identity(sp.fp, n), Mat.diag(sp.fp, [1] * k + [0] * (n - k)))
     if act(partial_cayley(sp, k), l_plus(sp)) != w:
         raise ConsistencyError("partial transform does not carry the seed onto V_k")
     return w
@@ -228,7 +223,7 @@ def _scan_size(fp, m: int, over_e: bool) -> int:
     """Candidate m x m matrices a scan tries, refused over _SCAN_LIMIT."""
     total = fp.q ** (2 * m * m if over_e else m * m)
     if total > _SCAN_LIMIT:
-        raise ResourceLimitError(f"scan of {total} candidate matrices exceeds limit")
+        raise ResourceLimitError(f"scan of {count_text(total)} candidate matrices exceeds limit")
     return total
 
 
@@ -282,17 +277,6 @@ def unitary_group_elements(fp, m: int) -> list[Mat]:
 # stabilizer structure
 # ---------------------------------------------------------------------------
 
-def _imaginary_symmetric(fp, k: int):
-    """All purely imaginary symmetric k x k matrices."""
-    slots = [(i, j) for i in range(k) for j in range(i, k)]
-    for vals in product(range(fp.q), repeat=len(slots)):
-        arr = np.zeros((k, k, 2), dtype=np.int64)
-        for (i, j), v in zip(slots, vals):
-            arr[i, j, 1] = v
-            arr[j, i, 1] = v
-        yield Mat(fp, arr)
-
-
 def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int) -> dict:
     """Order and subgroup checks for the stabilizer of V_k in the unitary group.
 
@@ -304,11 +288,11 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
     """
     sp = make_space(q, n)
     fp = sp.fp
-    tk = partial_cayley(sp, k)
-    vk = v_k(sp, k)
-    # refuse before scanning: both scan sizes, then the capped orbit
+    # refuse before building anything: both scan sizes, then the capped orbit
     _scan_size(fp, k, over_e=False)
     _scan_size(fp, n - k, over_e=True)
+    tk = partial_cayley(sp, k)
+    vk = v_k(sp, k)
     orb = orbit(vk, generators(sp, TAG_SP_0), cap=cap_points)
     o_elems = orthogonal_group_elements(fp, k)
     u_elems = unitary_group_elements(fp, n - k)
@@ -336,26 +320,20 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
 
     # the Levi factor diag(S, T, S, conj T) and the unipotent factor
     # T_k (I, diag(B, 0); 0, I) T_k^-1 are looked up in the stabilizer's rows
-    levi = [
-        _block_diag(fp, _block_diag(fp, s, t), _block_diag(fp, s, t.conj())) for s in o_elems for t in u_elems
-    ]
+    levi = [block_diag(fp, s, t, s, t.conj()) for s in o_elems for t in u_elems]
     found = stab.rows(np.stack([g.a for g in levi])) >= 0
     out["levi_contained"] = bool(found.all()) and all(is_member(sp, g, TAG_SP_0) for g in levi)
 
-    eye_n, zero_n = Mat.identity(fp, n), Mat.zeros(fp, n, n)
-    uni = np.stack([
-        block(fp, [[eye_n, _block_diag(fp, b1, Mat.zeros(fp, n - k, n - k))], [zero_n, eye_n]]).a
-        for b1 in _imaginary_symmetric(fp, k)
-    ])
+    # every B is an F-combination of the imaginary half of the basis over E
+    dim = k * (k + 1) // 2
+    imag = [b.a for b in symmetric_basis(fp, k, over_e=True)[dim:]]
+    basis = np.array(imag, dtype=np.int64).reshape(dim, k, k, 2)
+    coeffs = np.array(list(product(range(q), repeat=dim)), dtype=np.int64).reshape(q**dim, dim)
+    uni = np.tile(sp.identity.a, (q**dim, 1, 1, 1))
+    uni[:, :k, n : n + k] = np.tensordot(coeffs, basis, axes=1) % q
     found = stab.rows(mm(fp, mm(fp, tk.mat.a, uni), tk.mat.inv().a)) >= 0
     out["unipotent_contained"] = bool(found.all())
     return out
-
-
-def _block_diag(fp, a: Mat, b: Mat) -> Mat:
-    z1 = Mat.zeros(fp, a.rows, b.cols)
-    z2 = Mat.zeros(fp, b.rows, a.cols)
-    return block(fp, [[a, z1], [z2, b]])
 
 
 def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
@@ -366,7 +344,7 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
     g0 = enumerate_symplectic(sp, TAG_SP_0, cap_group)
     zero_c = g0.where(~g0.arr[:, n:, :n].any(axis=(1, 2, 3)))
     u_elems = unitary_group_elements(fp, n)
-    want = np.sort(stack_keys(np.stack([_block_diag(fp, a, a.conj()).a for a in u_elems])))
+    want = np.sort(stack_keys(np.stack([block_diag(fp, a, a.conj()).a for a in u_elems])))
     return {
         "matches": np.array_equal(zero_c.keys, want),
         "count": len(zero_c),
@@ -424,8 +402,8 @@ def _cell_actions(q: int, n: int) -> dict[str, np.ndarray]:
 
 def map_strata(q: int, n: int, cap_points: int) -> dict:
     """Compare the images of the h_e strata under M with the h_0 strata."""
-    cd = cayley(q, n)
     table = enumerate_lagrangians(q, n, cap_points)
+    cd = cayley(q, n)
     mrow = _m_rows(q, n)[0]
     per = []
     for j in range(n + 1):

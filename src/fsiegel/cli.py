@@ -28,7 +28,7 @@ from .checks import (
     run_cell,
     run_check,
 )
-from .errors import ConsistencyError, ParameterError, ResourceLimitError
+from .errors import ConsistencyError, ParameterError, ResourceLimitError, count_text
 from .field import epsilon_f, make_fields, tau_f
 from .lagrangian import lagrangian_count, witnesses
 from .symplectic import (
@@ -184,7 +184,7 @@ def _cmd_census(args, caps) -> tuple[dict, int]:
     def body(q, n):
         expected = lagrangian_count(q, n)
         if expected > caps["points"]:
-            raise ResourceLimitError(f"{expected} points exceed cap {caps['points']}")
+            raise ResourceLimitError(f"{count_text(expected)} points exceed cap {caps['points']}")
         data = census_payload(q, n, caps["points"])
         return ("pass" if data["total_matches_formula"] else "fail"), data
 

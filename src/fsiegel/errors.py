@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ParameterError(ValueError):
     """An argument violates a documented precondition."""
@@ -19,6 +21,14 @@ class NotIsotropicError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured size cap."""
+
+
+def count_text(count: int) -> str:
+    """A count for a refusal message: its digits, or ~10^e past the interpreter's digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"~10^{int(math.log10(count))}"
 
 
 class ConsistencyError(RuntimeError):

@@ -20,7 +20,8 @@ from .errors import ParameterError, ResourceLimitError, VerificationFailure
 from .field import epsilon_f
 from .lagrangian import Lagrangian, _grams, enumerate_lagrangians, span_images
 from .linalg import (
-    Mat, block, conj_arr, det_stack, kernel_stack, mm, rank_stack, rcef_stack, scalar_mm, stack_keys,
+    Mat, block, block_diag, conj_arr, det_stack, kernel_stack, mm, rank_stack, rcef_stack, scalar_mm,
+    stack_keys,
 )
 from .symplectic import (
     TAG_SP_F,
@@ -248,7 +249,7 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
 
     i = fp.sqrt(fp.e(-1))
     eye = Mat.identity(fp, n)
-    h_seed = block(fp, [[i * eye, Mat.zeros(fp, n, n)], [Mat.zeros(fp, n, n), (-i) * eye]])
+    h_seed = block_diag(fp, i * eye, (-i) * eye)
     closure = _conjugation_closure(sp, h_seed, gens, cap=len(ants) + 1)
     out["single_orbit"] = np.array_equal(closure, ants.keys)
 

@@ -33,10 +33,11 @@ from .errors import (
     ParameterError,
     RankDeficientError,
     ResourceLimitError,
+    count_text,
 )
 from .field import epsilon_f
 from .linalg import (
-    Mat, block, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, stack_keys,
+    Mat, block, block_diag, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, stack_keys,
 )
 from .symplectic import SpaceParams, form_gram, make_space
 
@@ -183,12 +184,17 @@ def from_basis(sp: SpaceParams, m: Mat) -> Lagrangian:
     return _from_span(sp, m.a)
 
 
+def _span_of(sp: SpaceParams, top: Mat, bottom: Mat) -> Lagrangian:
+    """The Lagrangian spanned by the columns of (top; bottom), validated and canonicalized."""
+    return from_basis(sp, block(sp.fp, [[top], [bottom]]))
+
+
 def l_plus(sp: SpaceParams) -> Lagrangian:
-    return from_basis(sp, block(sp.fp, [[Mat.identity(sp.fp, sp.n)], [Mat.zeros(sp.fp, sp.n, sp.n)]]))
+    return _span_of(sp, Mat.identity(sp.fp, sp.n), Mat.zeros(sp.fp, sp.n, sp.n))
 
 
 def l_minus(sp: SpaceParams) -> Lagrangian:
-    return from_basis(sp, block(sp.fp, [[Mat.zeros(sp.fp, sp.n, sp.n)], [Mat.identity(sp.fp, sp.n)]]))
+    return _span_of(sp, Mat.zeros(sp.fp, sp.n, sp.n), Mat.identity(sp.fp, sp.n))
 
 
 def siegel(sp: SpaceParams, z: Mat) -> Lagrangian:
@@ -197,7 +203,7 @@ def siegel(sp: SpaceParams, z: Mat) -> Lagrangian:
         raise ParameterError(f"expected an {sp.n}x{sp.n} matrix, got {z.shape}")
     if not z.is_symmetric():
         raise ParameterError("Siegel coordinates must be symmetric")
-    return from_basis(sp, block(sp.fp, [[z], [Mat.identity(sp.fp, sp.n)]]))
+    return _span_of(sp, z, Mat.identity(sp.fp, sp.n))
 
 
 def conjugate_pair_dims(w: Lagrangian) -> tuple[int, int]:
@@ -347,7 +353,7 @@ def enumerate_lagrangians(q: int, n: int, cap: int | None = None) -> PointTable:
     """Every Lagrangian, as the cell's sorted point table; refused over the cap first."""
     expected = lagrangian_count(q, n)
     if cap is not None and expected > cap:
-        raise ResourceLimitError(f"{expected} Lagrangians exceed cap {cap}")
+        raise ResourceLimitError(f"{count_text(expected)} Lagrangians exceed cap {cap}")
     return _point_table(q, n)
 
 
@@ -405,59 +411,32 @@ def witnesses(q: int, n: int) -> list[WitnessRecord]:
 
     # mixed spans e_1..e_r, d e_{r+j} + e_{n+r+j}: o_type r, never in image
     for r in range(1, n + 1):
-        cols = np.zeros((2 * n, n, 2), dtype=np.int64)
-        for j in range(r):
-            cols[j, j, 0] = 1
-        for j in range(n - r):
-            cols[r + j, r + j] = (d.re, d.im)
-            cols[n + r + j, r + j, 0] = 1
-        w = from_basis(sp, Mat(fp, cols))
+        w = _span_of(sp, Mat.diag(fp, [1] * r + [d] * (n - r)), Mat.diag(fp, [0] * r + [1] * (n - r)))
         out.append(_verify(f"mixed_nonimage_o{r}", sp, w, r, False, {"d": d.encode()}))
 
     # odd-dimension null-stratum point outside the image
     if n % 2 == 1 and n >= 3:
+        found = None
         if epsilon_f(q) == 1:
-            out.append(
-                WitnessRecord(
-                    "odd_null_nonimage",
-                    "unavailable",
-                    None,
-                    0,
-                    None,
-                    {},
-                    "construction assumes -1 is a non-square in the base field",
-                )
-            )
+            reason = "construction assumes -1 is a non-square in the base field"
         else:
-            found = None
-            for c in fp.units():
-                for dd in fp.units():
-                    if (fp.one + c.norm() + dd.norm()).is_zero and (c * dd.conj()).is_rational:
-                        found = (c, dd)
-                        break
-                if found:
-                    break
-            if found is None:
-                out.append(
-                    WitnessRecord(
-                        "odd_null_nonimage", "unavailable", None, 0, None, {},
-                        "no (c, d) with 1 + N(c) + N(d) = 0 and c*conj(d) rational",
-                    )
-                )
-            else:
-                c, dd = found
-                cols = np.zeros((2 * n, n, 2), dtype=np.int64)
-                a3 = Mat.build(fp, [[1, 0, -c], [0, 1, -dd], [c.conj(), dd.conj(), 1]])
-                b3 = Mat.build(fp, [[1, 0, 0], [0, 1, 0], [c, dd, 0]])
-                cols[0:3, 0:3] = a3.a
-                cols[n : n + 3, 0:3] = b3.a
-                for j in range(3, n):
-                    cols[j, j, 0] = 1
-                    cols[n + j, j, 0] = 1
-                w = from_basis(sp, Mat(fp, cols))
-                out.append(
-                    _verify("odd_null_nonimage", sp, w, 0, False, {"c": c.encode(), "d": dd.encode()})
-                )
+            reason = "no (c, d) with 1 + N(c) + N(d) = 0 and c*conj(d) rational"
+            found = next(
+                (
+                    (c, dd) for c in fp.units() for dd in fp.units()
+                    if (fp.one + c.norm() + dd.norm()).is_zero and (c * dd.conj()).is_rational
+                ),
+                None,
+            )
+        if found is None:
+            out.append(WitnessRecord("odd_null_nonimage", "unavailable", None, 0, None, {}, reason))
+        else:
+            c, dd = found
+            a3 = Mat.build(fp, [[1, 0, -c], [0, 1, -dd], [c.conj(), dd.conj(), 1]])
+            b3 = Mat.build(fp, [[1, 0, 0], [0, 1, 0], [c, dd, 0]])
+            rest = Mat.identity(fp, n - 3)
+            w = _span_of(sp, block_diag(fp, a3, rest), block_diag(fp, b3, rest))
+            out.append(_verify("odd_null_nonimage", sp, w, 0, False, {"c": c.encode(), "d": dd.encode()}))
 
     # even-dimension null-stratum point outside the image
     if n % 2 == 0:
@@ -465,50 +444,25 @@ def witnesses(q: int, n: int) -> list[WitnessRecord]:
         c = fp.zero
         a2 = Mat.build(fp, [[-b * c, -b], [c, 1]])
         b2 = Mat.build(fp, [[1, 0], [b, 0]])
-        cols = np.zeros((2 * n, n, 2), dtype=np.int64)
-        for t in range(n // 2):
-            rows = [2 * t, 2 * t + 1]
-            cs = [2 * t, 2 * t + 1]
-            cols[np.ix_(rows, cs)] = a2.a
-            cols[np.ix_([n + r for r in rows], cs)] = b2.a
-        w = from_basis(sp, Mat(fp, cols))
-        out.append(
-            _verify("even_null_nonimage", sp, w, 0, False, {"b": b.encode(), "c": c.encode()})
-        )
+        w = _span_of(sp, block_diag(fp, *[a2] * (n // 2)), block_diag(fp, *[b2] * (n // 2)))
+        out.append(_verify("even_null_nonimage", sp, w, 0, False, {"b": b.encode(), "c": c.encode()}))
 
     # coordinate spans e_1..e_k, e_{n+k+1}..e_{2n}: full type, not in image,
     # plus the scalar element that carries them into the image
     beta = fp.one
     alpha = fp.solve_norm(fp.one + beta.norm())
+    eye = Mat.identity(fp, n)
+    g = block(fp, [[alpha * eye, beta * eye], [beta.conj() * eye, alpha.conj() * eye]])
     for k in range(1, n):
-        cols = np.zeros((2 * n, n, 2), dtype=np.int64)
-        for j in range(k):
-            cols[j, j, 0] = 1
-        for j in range(n - k):
-            cols[n + k + j, k + j, 0] = 1
-        w = from_basis(sp, Mat(fp, cols))
+        w = _span_of(sp, Mat.diag(fp, [1] * k + [0] * (n - k)), Mat.diag(fp, [0] * k + [1] * (n - k)))
         rec = _verify(f"coordinate_span_k{k}", sp, w, n, False, {})
         out.append(rec)
         if rec.status == "verified":
-            eye = Mat.identity(fp, n)
-            g = block(
-                fp,
-                [
-                    [alpha * eye, beta * eye],
-                    [beta.conj() * eye, alpha.conj() * eye],
-                ],
-            )
             moved = _from_span(sp, mm(fp, g.a, w.basis.a))
             ok = moved.in_siegel_image()
+            params = {"alpha": alpha.encode(), "beta": beta.encode()}
+            status = "verified" if ok else "failed"
             out.append(
-                WitnessRecord(
-                    f"coordinate_span_k{k}_transported",
-                    "verified" if ok else "failed",
-                    moved,
-                    None,
-                    ok,
-                    {"alpha": alpha.encode(), "beta": beta.encode()},
-                    f"in_image={ok}",
-                )
+                WitnessRecord(f"{rec.name}_transported", status, moved, None, ok, params, f"in_image={ok}")
             )
     return out

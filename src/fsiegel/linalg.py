@@ -31,9 +31,11 @@ def mm(fp: FieldParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of coefficient-pair arrays; broadcasts over stacks."""
     ar, ai = a[..., 0], a[..., 1]
     br, bi = b[..., 0], b[..., 1]
-    re = (ar @ br + fp.eps * (ai @ bi)) % fp.q
-    im = (ar @ bi + ai @ br) % fp.q
-    return np.stack([re, im], axis=-1)
+    re = ar @ br + fp.eps * (ai @ bi)
+    out = np.empty(re.shape + (2,), dtype=re.dtype)
+    np.remainder(re, fp.q, out=out[..., 0])
+    np.remainder(ar @ bi + ai @ br, fp.q, out=out[..., 1])
+    return out
 
 
 def scalar_mm(fp: FieldParams, c: tuple[int, int], a: np.ndarray) -> np.ndarray:
@@ -463,6 +465,16 @@ def block(fp: FieldParams, grid) -> Mat:
     """Assemble a matrix from a grid of conforming blocks."""
     rows = [np.concatenate([b.a for b in row], axis=1) for row in grid]
     return Mat(fp, np.concatenate(rows, axis=0))
+
+
+def block_diag(fp: FieldParams, *blocks: Mat) -> Mat:
+    """diag(B_1, ..., B_m): the blocks down the diagonal, zero elsewhere; a block may be empty."""
+    out = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks), 2), dtype=_I64)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.rows, c : c + b.cols] = b.a
+        r, c = r + b.rows, c + b.cols
+    return Mat(fp, out)
 
 
 def column_echelon_canonical(m: Mat) -> Mat:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import VerificationFailure
 from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
 from .linalg import Mat, mm, rcef_stack
-from .symplectic import EnumeratedGroup, GroupElement, _generator_stack, _mat, frontier_closure
+from .symplectic import EnumeratedGroup, _generator_stack, _mat, frontier_closure
 
 
 def act(g, w: Lagrangian) -> Lagrangian:
@@ -114,11 +114,11 @@ class PartitionReport:
 
 
 def _action_table(table: PointTable, mats: np.ndarray) -> np.ndarray:
-    """Row of g W for each row W of the table and each generator g: (N, G).
+    """Row of g W for each row W of the table and each generator g: (N, G) int32.
 
     Raises VerificationFailure when an image lies outside the table.
     """
-    out = np.empty((len(table), len(mats)), dtype=np.int64)
+    out = np.empty((len(table), len(mats)), dtype=np.int32)
     # blocks of at least _POINT_CHUNK points and 4 * _POINT_CHUNK images, so a row
     # map's one column is not canonicalized in blocks a quarter the size
     step = max(_POINT_CHUNK, -(-4 * _POINT_CHUNK // max(len(mats), 1)))
@@ -136,7 +136,7 @@ def _inverse_rows(perm: np.ndarray) -> np.ndarray:
 
     Raises VerificationFailure when some column is not a permutation.
     """
-    inv = np.full(perm.shape, -1, dtype=np.int64)
+    inv = np.full(perm.shape, -1, dtype=perm.dtype)
     inv[perm, np.arange(perm.shape[1])] = np.arange(len(perm))[:, None]
     if np.any(inv < 0):
         raise VerificationFailure("a group element does not permute the point set")
@@ -169,7 +169,8 @@ def partition(
     for s in range(len(table)):
         if seen[s]:
             continue
-        found, parent, via = frontier_closure(np.array([s]), lambda f: action[f[:, 0], :, None])
+        seed = np.array([s], dtype=action.dtype)  # the table's dtype, so equal rows have equal bytes
+        found, parent, via = frontier_closure(seed, lambda f: action[f[:, 0], :, None])
         found = found[:, 0]
         if not np.array_equal(action[found[parent[1:]], via[1:]], found[1:]):
             raise VerificationFailure("transporter word does not reproduce its point")
@@ -195,18 +196,15 @@ def stabilizer_order(group_order: int, orbit_size: int) -> int:
     return group_order // orbit_size
 
 
-def stabilizer_elements(point: Lagrangian, group) -> EnumeratedGroup | list[GroupElement]:
-    """Members fixing the subspace: of a group table, the sub-table one mask keeps;
-    of any other iterable of elements, the list that `act` fixes (the reference path).
+def stabilizer_elements(point: Lagrangian, group: EnumeratedGroup) -> EnumeratedGroup:
+    """The sub-table of the group's rows fixing the subspace, kept by one mask.
 
     g W = W exactly when W's basis times the rows of g W at W's pivots gives back g W.
     """
-    if isinstance(group, EnumeratedGroup):
-        sp = point.space
-        gm = mm(sp.fp, group.arr, point.basis.a)
-        back = mm(sp.fp, point.basis.a, gm[:, _pivot_rows(point.basis)])
-        return group.where(np.all(back == gm, axis=(1, 2, 3)))
-    return [g for g in group if act(g, point) == point]
+    sp = point.space
+    gm = mm(sp.fp, group.arr, point.basis.a)
+    back = mm(sp.fp, point.basis.a, gm[:, _pivot_rows(point.basis)])
+    return group.where(np.all(back == gm, axis=(1, 2, 3)))
 
 
 def _pivot_rows(basis: Mat) -> np.ndarray:

@@ -20,12 +20,13 @@ arithmetic bug.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError
+from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
 from .field import EScalar, FieldParams, make_fields
-from .linalg import Mat, block, lookup_rows, mm, stack_keys
+from .linalg import Mat, block, block_diag, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
 TAG_SP_F = "spf"
@@ -45,7 +46,7 @@ class SpaceParams:
         self.dim = 2 * n
         fp, eye, zero = self.fp, Mat.identity(self.fp, n), Mat.zeros(self.fp, n, n)
         self.j = block(fp, [[zero, eye], [-eye, zero]])
-        self.d_form = block(fp, [[-eye, zero], [zero, eye]])
+        self.d_form = block_diag(fp, -eye, eye)
         self.identity = Mat.identity(fp, self.dim)
 
     def __repr__(self):
@@ -53,9 +54,7 @@ class SpaceParams:
 
     def e_vec(self, j: int) -> Mat:
         """Canonical basis column vector e_j, 0-indexed."""
-        a = np.zeros((self.dim, 1, 2), dtype=np.int64)
-        a[j, 0, 0] = 1
-        return Mat(self.fp, a)
+        return self.identity.col(j)
 
     def blocks(self, g: Mat) -> tuple[Mat, Mat, Mat, Mat]:
         n = self.n
@@ -126,24 +125,25 @@ def is_member(sp: SpaceParams, g: Mat, tag: str) -> bool:
         raise ShapeError(f"expected a {sp.dim}x{sp.dim} matrix, got {g.shape}")
     if tag == TAG_SP_F:
         return g.is_rational and is_member(sp, g, TAG_SP_E)
+    eye = Mat.identity(sp.fp, sp.n)
+    g_t = g.T
     if tag == TAG_SP_E:
         a, b, c, d = sp.blocks(g)
-        eye = Mat.identity(sp.fp, sp.n)
-        by_blocks = (a.T @ c == c.T @ a) and (d.T @ b == b.T @ d) and (a.T @ d - c.T @ b == eye)
-        direct = g.T @ sp.j @ g == sp.j
+        a_t = a.T
+        by_blocks = (a_t @ c).is_symmetric() and (d.T @ b).is_symmetric() and a_t @ d - c.T @ b == eye
+        direct = g_t @ sp.j @ g == sp.j
         if by_blocks != direct:
             raise ConsistencyError("symplectic block conditions disagree with t(g)Jg = J")
         return direct
     if tag == TAG_SP_0:
         r, s_, t, v = sp.blocks(g)
-        eye = Mat.identity(sp.fp, sp.n)
         closed = (
             t == s_.conj()
             and v == r.conj()
-            and r @ s_.T == s_ @ r.T
-            and r @ r.conj().T - s_ @ s_.conj().T == eye
+            and (r @ s_.T).is_symmetric()
+            and r @ r.star() - s_ @ s_.star() == eye
         )
-        direct = (g.T @ sp.j @ g == sp.j) and (g.T @ sp.d_form @ g.conj() == sp.d_form)
+        direct = (g_t @ sp.j @ g == sp.j) and (g_t @ sp.d_form @ g.conj() == sp.d_form)
         if closed != direct:
             raise ConsistencyError("closed-form h_0-unitary conditions disagree with form preservation")
         return direct
@@ -207,20 +207,17 @@ def group_element(sp: SpaceParams, mat: Mat, tag: str) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 def symmetric_basis(fp: FieldParams, n: int, over_e: bool) -> list[Mat]:
-    """Basis of symmetric n x n matrices over F, doubled by s for E."""
+    """Basis of symmetric n x n matrices over F, doubled by s for E.
+
+    For each scalar (1, then s over E) the diagonal units come first, then
+    the off-diagonal pairs E_ij + E_ji, i < j, in row order.
+    """
     out = []
-    scalars = [fp.one, fp.s] if over_e else [fp.one]
-    for c in scalars:
-        for i in range(n):
-            m = Mat.zeros(fp, n, n).a.copy()
-            m[i, i] = (c.re, c.im)
+    for c in [fp.one, fp.s] if over_e else [fp.one]:
+        for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
+            m = np.zeros((n, n, 2), dtype=np.int64)
+            m[i, j] = m[j, i] = (c.re, c.im)
             out.append(Mat(fp, m))
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = Mat.zeros(fp, n, n).a.copy()
-                m[i, j] = (c.re, c.im)
-                m[j, i] = (c.re, c.im)
-                out.append(Mat(fp, m))
     return out
 
 
@@ -361,7 +358,7 @@ def check_group_cap(tag: str, q: int, n: int, cap: int) -> None:
     """Refuse a group of order above the cap, from the order formula."""
     order = group_order(tag, q, n)
     if order > cap:
-        raise ResourceLimitError(f"group order {order} exceeds cap {cap}")
+        raise ResourceLimitError(f"group order {count_text(order)} exceeds cap {cap}")
 
 
 def enumerate_symplectic(sp: SpaceParams, tag: str, cap: int) -> EnumeratedGroup:
@@ -389,7 +386,7 @@ def permutation_embed(sp: SpaceParams, t: Mat) -> GroupElement:
     if not ok:
         raise ParameterError("not a permutation matrix")
     inv_t = t.inv()
-    g = block(sp.fp, [[inv_t.T, Mat.zeros(sp.fp, n, n)], [Mat.zeros(sp.fp, n, n), t]])
+    g = block_diag(sp.fp, inv_t.T, t)
     if not (is_member(sp, g, TAG_SP_F) and is_member(sp, g, TAG_SP_0)):
         raise ConsistencyError("permutation embedding failed membership")
     return GroupElement(g, TAG_SP_F)

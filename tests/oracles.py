@@ -14,6 +14,7 @@ import numpy as np
 
 from fsiegel.errors import ResourceLimitError
 from fsiegel.lagrangian import enumerate_lagrangians, span_images
+from fsiegel.linalg import Mat, block
 from fsiegel.orbits import act
 from fsiegel.symplectic import make_space
 
@@ -316,3 +317,137 @@ def map_strata_by_images(cd, q, n, cap_points):
             }
         )
     return per
+
+
+# -- stabilizers by the scalar action ------------------------------------------
+
+def stabilizer_by_act(point, group):
+    """The elements of any iterable that fix the point, one scalar `act` each."""
+    return [g for g in group if act(g, point) == point]
+
+
+# -- coordinate matrices written entry by entry ---------------------------------
+
+def v_k_span_by_hand(n, k):
+    """A spanning 2n x n array of V_k: e_j + e_{n+j} for j < k, e_j for k <= j < n."""
+    cols = np.zeros((2 * n, n, 2), dtype=np.int64)
+    for j in range(k):
+        cols[j, j, 0] = 1
+        cols[n + j, j, 0] = 1
+    for j in range(k, n):
+        cols[j, j, 0] = 1
+    return cols
+
+
+def witness_spans_by_hand(fp, n):
+    """Spanning 2n x n arrays of the witnesses `lagrangian.witnesses` builds, by name.
+
+    Each is written into a zero array entry by entry.  The odd null point
+    is there only when -1 is a non-square in F and its (c, d) exists; a
+    transported span is g times the coordinate span, with g = (alpha I,
+    I; I, conj(alpha) I) and N(alpha) = 2.
+    """
+    q = fp.q
+    out = {}
+    d = fp.solve_norm(1)
+    for r in range(n + 1):
+        cols = np.zeros((2 * n, n, 2), dtype=np.int64)
+        for j in range(r, n):
+            cols[j, j] = (d.re, d.im)
+        for j in range(n):
+            cols[n + j, j, 0] = 1
+        out[f"diag_image_o{r}"] = cols
+    for r in range(1, n + 1):
+        cols = np.zeros((2 * n, n, 2), dtype=np.int64)
+        for j in range(r):
+            cols[j, j, 0] = 1
+        for j in range(n - r):
+            cols[r + j, r + j] = (d.re, d.im)
+            cols[n + r + j, r + j, 0] = 1
+        out[f"mixed_nonimage_o{r}"] = cols
+    minus_one_nonsquare = (q - 1) not in {(a * a) % q for a in range(q)}
+    if n % 2 == 1 and n >= 3 and minus_one_nonsquare:
+        found = None
+        for c in fp.units():
+            for dd in fp.units():
+                if (fp.one + c.norm() + dd.norm()).is_zero and (c * dd.conj()).is_rational:
+                    found = (c, dd)
+                    break
+            if found:
+                break
+        if found is not None:
+            c, dd = ((x.re, x.im) for x in found)
+            cols = np.zeros((2 * n, n, 2), dtype=np.int64)
+            cols[0:3, 0:3] = [
+                [(1, 0), (0, 0), pneg(q, c)],
+                [(0, 0), (1, 0), pneg(q, dd)],
+                [pconj(q, c), pconj(q, dd), (1, 0)],
+            ]
+            cols[n : n + 3, 0:3] = [[(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [c, dd, (0, 0)]]
+            for j in range(3, n):
+                cols[j, j, 0] = 1
+                cols[n + j, j, 0] = 1
+            out["odd_null_nonimage"] = cols
+    if n % 2 == 0:
+        b = fp.solve_norm(-1)
+        cols = np.zeros((2 * n, n, 2), dtype=np.int64)
+        for t in range(0, n, 2):
+            cols[t, t + 1] = pneg(q, (b.re, b.im))
+            cols[t + 1, t + 1, 0] = 1
+            cols[n + t, t, 0] = 1
+            cols[n + t + 1, t] = (b.re, b.im)
+        out["even_null_nonimage"] = cols
+    alpha = fp.solve_norm(2)
+    g = np.zeros((2 * n, 2 * n, 2), dtype=np.int64)
+    for j in range(n):
+        g[j, j] = (alpha.re, alpha.im)
+        g[j, n + j, 0] = 1
+        g[n + j, j, 0] = 1
+        g[n + j, n + j] = pconj(q, (alpha.re, alpha.im))
+    for k in range(1, n):
+        cols = np.zeros((2 * n, n, 2), dtype=np.int64)
+        for j in range(k):
+            cols[j, j, 0] = 1
+        for j in range(n - k):
+            cols[n + k + j, k + j, 0] = 1
+        out[f"coordinate_span_k{k}"] = cols
+        # cols is rational, so g cols takes the re and im parts of g column by column
+        out[f"coordinate_span_k{k}_transported"] = np.einsum("ijt,jc->ict", g, cols[..., 0]) % q
+    return out
+
+
+# -- the stabilizer factors of V_k, block by block and slot by slot ---------------
+
+def _two_block_diag(fp, a, b):
+    z1 = Mat.zeros(fp, a.rows, b.cols)
+    z2 = Mat.zeros(fp, b.rows, a.cols)
+    return block(fp, [[a, z1], [z2, b]])
+
+
+def levi_by_two_blocks(fp, o_elems, u_elems):
+    """diag(S, T, S, conj T) for every S and T, nested from two-block diagonals: a stack."""
+    return np.stack([
+        _two_block_diag(fp, _two_block_diag(fp, s, t), _two_block_diag(fp, s, t.conj())).a
+        for s in o_elems for t in u_elems
+    ])
+
+
+def imaginary_symmetric(fp, k):
+    """All purely imaginary symmetric k x k matrices, the upper triangle slot by slot."""
+    slots = [(i, j) for i in range(k) for j in range(i, k)]
+    for vals in product(range(fp.q), repeat=len(slots)):
+        arr = np.zeros((k, k, 2), dtype=np.int64)
+        for (i, j), v in zip(slots, vals):
+            arr[i, j, 1] = v
+            arr[j, i, 1] = v
+        yield Mat(fp, arr)
+
+
+def unipotent_by_slots(sp, k):
+    """(I, diag(B, 0); 0, I) for every B from `imaginary_symmetric`: a stack."""
+    fp, n = sp.fp, sp.n
+    eye_n, zero_n = Mat.identity(fp, n), Mat.zeros(fp, n, n)
+    return np.stack([
+        block(fp, [[eye_n, _two_block_diag(fp, b1, Mat.zeros(fp, n - k, n - k))], [zero_n, eye_n]]).a
+        for b1 in imaginary_symmetric(fp, k)
+    ])

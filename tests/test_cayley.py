@@ -9,11 +9,12 @@ from fsiegel import checks
 from fsiegel.checks import _conformal_pairs, _rng, run_check
 from fsiegel.errors import ConsistencyError, ParameterError
 from fsiegel.field import make_fields, tau_f
-from fsiegel.linalg import Mat, block
+from fsiegel.linalg import Mat, block, mm, stack_keys
 from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
     TAG_SP_F,
+    EnumeratedGroup,
     GroupElement,
     _generator_stack,
     enumerate_symplectic,
@@ -21,7 +22,7 @@ from fsiegel.symplectic import (
     is_member,
     make_space,
 )
-from fsiegel.lagrangian import enumerate_lagrangians, l_plus, strata
+from fsiegel.lagrangian import enumerate_lagrangians, from_basis, l_plus, strata, witnesses
 from fsiegel.orbits import _action_table, act
 from fsiegel.cayley import (
     CayleyData,
@@ -38,7 +39,13 @@ from fsiegel.cayley import (
     verify_conjugation,
 )
 
-from oracles import map_strata_by_images
+from oracles import (
+    levi_by_two_blocks,
+    map_strata_by_images,
+    unipotent_by_slots,
+    v_k_span_by_hand,
+    witness_spans_by_hand,
+)
 
 
 def test_cayley_3_1_closed_form():
@@ -202,6 +209,50 @@ def test_v_k_range_errors():
         v_k(sp, 3)
     with pytest.raises(ParameterError):
         partial_cayley(sp, -1)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_v_k_equals_the_entry_by_entry_span(q):
+    for n in range(1, 5):
+        sp = make_space(q, n)
+        for k in range(n + 1):
+            assert v_k(sp, k) == from_basis(sp, Mat(sp.fp, v_k_span_by_hand(n, k)))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_witness_bases_equal_the_entry_by_entry_spans(q):
+    fp = make_fields(q)
+    for n in range(1, 6):
+        sp = make_space(q, n)
+        want = {name: from_basis(sp, Mat(fp, cols)) for name, cols in witness_spans_by_hand(fp, n).items()}
+        got = {r.name: r.lagrangian for r in witnesses(q, n) if r.lagrangian is not None}
+        assert got == want
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (23, 1), (3, 2)])
+def test_stabilizer_factors_equal_the_two_block_and_slot_references(q, n, monkeypatch):
+    """The two stacks `stabilizer_structure` looks up in the stabilizer's rows, the Levi
+    factors and the T_k-conjugated unipotents, equal the references as sets."""
+    looked_up = []
+    rows = EnumeratedGroup.rows
+
+    def recording(self, mats):
+        looked_up.append(np.array(mats))
+        return rows(self, mats)
+
+    monkeypatch.setattr(EnumeratedGroup, "rows", recording)
+    sp = make_space(q, n)
+    fp = sp.fp
+    for k in range(n + 1):
+        looked_up.clear()
+        assert stabilizer_structure(q, n, k, 10**5, 2 * 10**4)["mode"] == "full"
+        levi, uni = looked_up
+        tk = partial_cayley(sp, k).mat
+        want_levi = levi_by_two_blocks(fp, orthogonal_group_elements(fp, k), unitary_group_elements(fp, n - k))
+        want_uni = mm(fp, mm(fp, tk.a, unipotent_by_slots(sp, k)), tk.inv().a)
+        for got, want in ((levi, want_levi), (uni, want_uni)):
+            assert len(got) == len(want) == len(set(stack_keys(want).tolist()))
+            assert set(stack_keys(got).tolist()) == set(stack_keys(want).tolist())
 
 
 def test_small_group_scans():

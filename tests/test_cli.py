@@ -75,6 +75,30 @@ def test_verify_skips_over_cap(capsys):
     assert payload["checks"][0]["status"] == "skipped-resource"
 
 
+def test_census_skips_a_count_too_long_to_print(capsys):
+    # the closed-form count at (3, 100) has 4,819 digits, past the interpreter's limit of 4,300
+    code, out = run_cli(capsys, "census", "--q", "3", "--n", "100")
+    payload = json.loads(out)
+    assert code == 3
+    assert [r["status"] for r in payload["checks"]] == ["skipped-resource"]
+    assert payload["checks"][0]["data"] == {"reason": "~10^4818 points exceed cap 20000"}
+
+
+@pytest.mark.parametrize(
+    "check,reason",
+    [
+        ("theorem1", "~10^4818 Lagrangians exceed cap 20000"),
+        ("lemma4", "~10^4818 Lagrangians exceed cap 20000"),
+        ("strata-map", "~10^4818 Lagrangians exceed cap 20000"),
+        ("involutions", "group order ~10^9590 exceeds cap 100000"),
+        ("stabilizers", "scan of ~10^9542 candidate matrices exceeds limit"),
+    ],
+)
+def test_checks_skip_a_count_too_long_to_print(check, reason):
+    rec = checks.run_check(check, 3, 100, 10**5, 2 * 10**4)
+    assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": reason})
+
+
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("FSIEGEL_CAP_POINTS", "5")
     code, payload = run_json(capsys, "census", "--q", "3", "--n", "1")

@@ -10,6 +10,7 @@ from fsiegel.lagrangian import enumerate_lagrangians
 from fsiegel.linalg import (
     Mat,
     block,
+    block_diag,
     column_echelon_canonical,
     det_arr,
     det_stack,
@@ -251,6 +252,30 @@ def test_block_assembly():
     j = block(fp, [[z, eye], [-eye, z]])
     assert j.shape == (4, 4)
     assert j @ j == -Mat.identity(fp, 4)
+
+
+def test_block_diag_equals_block_with_zero_blocks():
+    fp = make_fields(5)
+    rng = np.random.default_rng(14)
+    shapes = [(2, 3), (0, 0), (1, 1), (0, 2), (3, 0), (2, 2)]
+    mats = [Mat(fp, rng.integers(0, 5, size=(r, c, 2))) for r, c in shapes]
+    for blocks in (mats, mats[:1], mats[1:2], [mats[1], mats[1]], mats[2:5], [mats[5], mats[1], mats[5]]):
+        grid = [
+            [b if i == j else Mat.zeros(fp, b.rows, c.cols) for j, c in enumerate(blocks)]
+            for i, b in enumerate(blocks)
+        ]
+        assert block_diag(fp, *blocks) == block(fp, grid)
+    assert block_diag(fp, mats[1]).shape == (0, 0)
+
+
+def test_mm_writes_the_stacked_pairs_of_both_parts():
+    fp = make_fields(7)
+    rng = np.random.default_rng(15)
+    a, b = rng.integers(0, 7, size=(5, 3, 4, 2)), rng.integers(0, 7, size=(4, 2, 2))
+    ar, ai, br, bi = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    want = np.stack([(ar @ br + fp.eps * (ai @ bi)) % 7, (ar @ bi + ai @ br) % 7], axis=-1)
+    got = mm(fp, a, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))

@@ -8,6 +8,7 @@ from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
     TAG_SP_F,
+    EnumeratedGroup,
     GroupElement,
     enumerate_symplectic,
     generators,
@@ -24,7 +25,7 @@ from fsiegel.orbits import (
 )
 from fsiegel.cayley import v_k
 
-from oracles import apply_word
+from oracles import apply_word, stabilizer_by_act
 
 
 def _table(points) -> PointTable:
@@ -313,14 +314,13 @@ def test_stabilizer_filter_matches_generic_path():
     g0 = enumerate_symplectic(sp, TAG_SP_0, 1000)
     point = v_k(sp, 1)
     fast = {g.mat.key() for g in stabilizer_elements(point, g0)}
-    slow = {g.mat.key() for g in stabilizer_elements(point, list(g0))}
+    slow = {g.mat.key() for g in stabilizer_by_act(point, g0)}
     assert fast == slow
 
 
 def test_whole_group_fixes_point_edge():
     sp = make_space(3, 1)
-    eye = GroupElement(sp.identity, TAG_SP_F)
-    grp = [eye]
+    grp = EnumeratedGroup(sp, TAG_SP_F, sp.identity.a[None])
     assert len(stabilizer_elements(l_plus(sp), grp)) == 1
 
 

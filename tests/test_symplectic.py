@@ -222,7 +222,8 @@ def test_int_row_closures_match_the_per_row_oracle():
     assert stack_keys(np.array([[0]])).tolist() == [b""]  # row 0's key is all NUL bytes
     sizes = set()
     for s in (0, 1, 2, 100, len(table) - 1):
-        sizes.add(len(_assert_closures_agree(np.array([s]), lambda f: action[f[:, 0], :, None])))
+        seed = np.array([s], dtype=action.dtype)
+        sizes.add(len(_assert_closures_agree(seed, lambda f: action[f[:, 0], :, None])))
     assert sizes == {40, 240, 540}
 
 
