@@ -47,6 +47,7 @@ from .symplectic import (
     group_order,
     is_member,
     make_space,
+    per_cell,
     symmetric_basis,
 )
 
@@ -356,17 +357,14 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
 # stratum correspondence under the similitude
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@per_cell
 def _m_rows(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row of M W for each row W of the cell's point table, and its inverse permutation; read-only."""
     rows = _action_table(enumerate_lagrangians(q, n), cayley(q, n).m.a[None])
-    out = rows[:, 0], _inverse_rows(rows)[:, 0]
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return rows[:, 0], _inverse_rows(rows)[:, 0]
 
 
-@lru_cache(maxsize=None)
+@per_cell
 def _cell_actions(q: int, n: int) -> dict[str, np.ndarray]:
     """The spf and sp0 action tables on the cell's point table, by tag; read-only.
 
@@ -394,10 +392,7 @@ def _cell_actions(q: int, n: int) -> dict[str, np.ndarray]:
     jinv = _inverse_rows(jrow)
     act_f = np.concatenate([act_u, jrow[inv_u[jinv[:, 0]], 0]], axis=1)
     mrow, minv = _m_rows(q, n)
-    act_0 = mrow[act_f[minv]]
-    for a in (act_f, act_0):
-        a.setflags(write=False)
-    return {TAG_SP_F: act_f, TAG_SP_0: act_0}
+    return {TAG_SP_F: act_f, TAG_SP_0: mrow[act_f[minv]]}
 
 
 def map_strata(q: int, n: int, cap_points: int) -> dict:

@@ -12,8 +12,6 @@ group as a built-in cross-check before anything else runs.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, VerificationFailure
@@ -34,6 +32,7 @@ from .symplectic import (
     generators,
     group_order,
     make_space,
+    per_cell,
 )
 
 
@@ -41,7 +40,7 @@ def _space_of(t: GroupElement) -> SpaceParams:
     return make_space(t.mat.fp.q, t.mat.rows // 2)
 
 
-@lru_cache(maxsize=None)
+@per_cell
 def _square_scalars(q: int, n: int) -> np.ndarray:
     """The a in F with T^2 = a I, or -1, per row T of the rational group: one squaring per cell.
 
@@ -57,7 +56,6 @@ def _square_scalars(q: int, n: int) -> np.ndarray:
     jg = mm(sp.fp, sp.j.a, g.arr)
     if not np.array_equal(out == q - 1, np.all(jg == jg.swapaxes(1, 2), axis=(1, 2, 3))):
         raise VerificationFailure("T^2 = -I and symmetry of J T disagree on some group element")
-    out.setflags(write=False)  # every filter T^2 = a I is a mask over it
     return out
 
 
@@ -137,14 +135,11 @@ def eigenspace_suite(sp: SpaceParams, ts: np.ndarray) -> tuple[np.ndarray, dict]
     return canon[:, :, :n], out
 
 
-@lru_cache(maxsize=None)
+@per_cell
 def _anti_involution_suite(q: int, n: int) -> tuple[np.ndarray, dict]:
     """The eigenspace suite of the cell's anti-involutions, taken once per cell."""
     ants = scaled_involutions(q, n, -1, group_order(TAG_SP_F, q, n)).arr
-    models, rep = eigenspace_suite(make_space(q, n), ants)
-    for arr in (models, *rep.values()):
-        arr.setflags(write=False)  # shared by the correspondence and the check
-    return models, rep
+    return eigenspace_suite(make_space(q, n), ants)
 
 
 def eigenspace_model(t: GroupElement) -> Lagrangian:

@@ -22,7 +22,6 @@ independent orthonormalization oracle for small cases.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,7 @@ from .field import epsilon_f
 from .linalg import (
     Mat, block, block_diag, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, stack_keys,
 )
-from .symplectic import SpaceParams, form_gram, make_space
+from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
 
 class StratumLabel(NamedTuple):
@@ -321,7 +320,7 @@ def _outside_charts(sp: SpaceParams, swaps: np.ndarray, spans: np.ndarray) -> np
 _CHART_BLOCK = 1 << 14
 
 
-@lru_cache(maxsize=None)
+@per_cell
 def _point_table(q: int, n: int) -> PointTable:
     """The cell's table, chart by chart: every Lagrangian is sigma_S span(Z; I) for a
     symmetric Z, and is kept in the first chart S (in bitmask order) that holds it.

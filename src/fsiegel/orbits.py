@@ -14,10 +14,11 @@ is a BFS component over the tables, its words read off the parent
 pointers, a Schreier vector (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, section 4.1).
 
-A cell's generator tables are built once, by `cayley._cell_actions`: only
-the upper translations are canonicalized, and every other column is a row
-permutation read through `_inverse_rows`.  `_action_table` serves any
-other generator list and is the tests' oracle for the cell's tables.
+A cell's generator tables are built by `cayley._cell_actions`, once while
+the grid is on the cell: only the upper translations are canonicalized,
+and every other column is a row permutation read through `_inverse_rows`.
+`_action_table` serves any other generator list and is the tests' oracle
+for the cell's tables.
 """
 
 from __future__ import annotations

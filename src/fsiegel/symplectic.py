@@ -19,7 +19,7 @@ arithmetic bug.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 
 import numpy as np
@@ -69,6 +69,39 @@ class SpaceParams:
 @lru_cache(maxsize=None)
 def make_space(q: int, n: int) -> SpaceParams:
     return SpaceParams(q, n)
+
+
+# the one cell slot: the (q, n) in hand under "cell", its tables under (builder, q, n, *key)
+_slot: dict = {}
+
+
+def _frozen(value):
+    """The value itself, with every array in it, inside tuples and dicts too, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _frozen(v)
+    return value
+
+
+def per_cell(build):
+    """Memoize `build(q, n, *key)` in the one cell slot, its arrays made read-only for every caller.
+
+    Asking for another (q, n) drops the last cell's tables first, so a grid holds one cell's at a time.
+    """
+
+    @wraps(build)
+    def cached(q: int, n: int, *key):
+        entry = (build, q, n, *key)
+        if entry not in _slot:
+            if _slot.get("cell") != (q, n):
+                _slot.clear()
+                _slot["cell"] = (q, n)
+            _slot[entry] = _frozen(build(q, n, *key))
+        return _slot[entry]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +373,7 @@ def frontier_closure(seed: np.ndarray, step, cap: int | None = None, what: str =
     return np.concatenate(found), np.concatenate(parent), np.concatenate(via)
 
 
-@lru_cache(maxsize=None)
+@per_cell
 def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     sp = make_space(q, n)
     mats = _generator_stack(sp, generators(sp, tag))

@@ -24,6 +24,7 @@ from fsiegel.symplectic import (
 )
 from fsiegel.lagrangian import enumerate_lagrangians, from_basis, l_plus, strata, witnesses
 from fsiegel.orbits import _action_table, act
+from fsiegel.involutions import _anti_involution_suite, _square_scalars
 from fsiegel.cayley import (
     CayleyData,
     _cell_actions,
@@ -340,7 +341,7 @@ def test_zero_block_mask_matches_the_scalar_loop(q, monkeypatch):
     assert rep == _scalar_zero_block_report(q, 1) and not rep["matches"]
 
 
-def test_cold_stabilizers_cell_builds_few_group_elements(monkeypatch):
+def test_cold_stabilizers_cell_builds_few_group_elements(monkeypatch, fresh_cell):
     from fsiegel import symplectic
 
     built = []
@@ -351,7 +352,6 @@ def test_cold_stabilizers_cell_builds_few_group_elements(monkeypatch):
         init(self, mat, tag)
 
     monkeypatch.setattr(symplectic.GroupElement, "__init__", counting)
-    symplectic._enumerated.cache_clear()
     rec = run_check("stabilizers", 3, 2, 10**5, 2 * 10**4)
     # |Sp(4,3)| = 51,840 over the orbit sizes 540, 240 and 40
     assert [k["filtered_order"] for k in rec["data"]["per_k"]] == [96, 216, 1296]
@@ -387,10 +387,13 @@ def test_cell_actions_equal_the_direct_tables(q, n):
         assert np.array_equal(actions[tag], direct)
         assert not actions[tag].flags.writeable
     assert not any(a.flags.writeable for a in _m_rows(q, n))
+    if n == 1:  # the square table and the suite read the whole rational group
+        models, rep = _anti_involution_suite(q, n)
+        assert not any(a.flags.writeable for a in (_square_scalars(q, n), models, *rep.values()))
 
 
 @pytest.mark.parametrize("tag,match", [(TAG_SP_F, "lower generator"), (TAG_SP_0, "sp0 generator")])
-def test_a_perturbed_generator_breaks_the_table_build(tag, match, monkeypatch):
+def test_a_perturbed_generator_breaks_the_table_build(tag, match, monkeypatch, fresh_cell):
     """One changed entry fails l_b J u_b = J (spf, sp0 still conjugate to it) or h_g M = M g (sp0)."""
     cayley_mod = importlib.import_module("fsiegel.cayley")
 
@@ -404,15 +407,11 @@ def test_a_perturbed_generator_breaks_the_table_build(tag, match, monkeypatch):
     if tag == TAG_SP_F:
         gens[TAG_SP_0] = [GroupElement(m @ h.mat @ m.inv(), TAG_SP_0) for h in gens[TAG_SP_F]]
     monkeypatch.setattr(cayley_mod, "generators", lambda sp_, t: tuple(gens[t]))
-    _cell_actions.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match=match):
-            _cell_actions(3, 2)
-    finally:
-        _cell_actions.cache_clear()
+    with pytest.raises(ConsistencyError, match=match):
+        _cell_actions(3, 2)
 
 
-def test_a_reordered_lower_family_breaks_the_table_build(monkeypatch):
+def test_a_reordered_lower_family_breaks_the_table_build(monkeypatch, fresh_cell):
     """Each lower generator pairs with the upper one in its place, not with the one of the same b."""
     cayley_mod = importlib.import_module("fsiegel.cayley")
 
@@ -423,15 +422,11 @@ def test_a_reordered_lower_family_breaks_the_table_build(monkeypatch):
     spf[half:] = spf[half:][1:] + spf[half:][:1]  # the same lower family, rotated by one
     gens = {TAG_SP_F: spf, TAG_SP_0: [GroupElement(m @ g.mat @ m.inv(), TAG_SP_0) for g in spf]}
     monkeypatch.setattr(cayley_mod, "generators", lambda sp_, t: tuple(gens[t]))
-    _cell_actions.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="lower generator"):
-            _cell_actions(3, 2)
-    finally:
-        _cell_actions.cache_clear()
+    with pytest.raises(ConsistencyError, match="lower generator"):
+        _cell_actions(3, 2)
 
 
-def test_theorem1_and_strata_map_canonicalize_five_images_per_point(monkeypatch):
+def test_theorem1_and_strata_map_canonicalize_five_images_per_point(monkeypatch, fresh_cell):
     """Three upper translations, J and M: 820 x 5 images at (3,2), against 820 x 13 before."""
     images = []
 
@@ -444,17 +439,11 @@ def test_theorem1_and_strata_map_canonicalize_five_images_per_point(monkeypatch)
     for name, mod in list(sys.modules.items()):
         if name.startswith("fsiegel") and hasattr(mod, "span_images"):
             monkeypatch.setattr(mod, "span_images", counting(mod.span_images))
-    _cell_actions.cache_clear()
-    _m_rows.cache_clear()
-    try:
-        rec = run_check("theorem1", 3, 2, 10**5, 10**5)
-        assert rec["data"]["rational_orbit_sizes"] == [40, 240, 540]
-        assert sum(images) == 820 * 5 == 4100
-        assert run_check("strata-map", 3, 2, 10**5, 10**5)["status"] == "pass"
-        assert sum(images) == 4100
-    finally:
-        _cell_actions.cache_clear()
-        _m_rows.cache_clear()
+    rec = run_check("theorem1", 3, 2, 10**5, 10**5)
+    assert rec["data"]["rational_orbit_sizes"] == [40, 240, 540]
+    assert sum(images) == 820 * 5 == 4100
+    assert run_check("strata-map", 3, 2, 10**5, 10**5)["status"] == "pass"
+    assert sum(images) == 4100
 
 
 def test_map_strata_is_bijection_on_points():

@@ -219,9 +219,8 @@ def test_empty_point_table_finds_no_row():
     assert table.rows(empty.bases).shape == (0,)
 
 
-def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch):
+def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch, fresh_cell):
     from fsiegel import checks, lagrangian
-    from fsiegel.cayley import _cell_actions, _m_rows
 
     built = []
     init = lagrangian.Lagrangian.__init__
@@ -231,14 +230,7 @@ def test_cold_theorem1_builds_fewer_lagrangians_than_points(monkeypatch):
         init(self, space, basis)
 
     monkeypatch.setattr(lagrangian.Lagrangian, "__init__", counting)
-    caches = (lagrangian._point_table, _cell_actions, _m_rows)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        rec = checks.run_check("theorem1", 3, 2, 10**5, 10**5)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    rec = checks.run_check("theorem1", 3, 2, 10**5, 10**5)
     assert rec["data"]["rational_orbit_sizes"] == [40, 240, 540]
     assert built == []  # the chart builder, the derived action tables and the partitions work on rows
     l_plus(make_space(3, 2))
@@ -250,17 +242,13 @@ def test_enumeration_cap():
         enumerate_lagrangians(7, 2, cap=1000)
 
 
-def test_wrong_enumeration_count_is_an_inconsistency(monkeypatch):
+def test_wrong_enumeration_count_is_an_inconsistency(monkeypatch, fresh_cell):
     from fsiegel import checks, lagrangian
 
     true_count = lagrangian.lagrangian_count
     monkeypatch.setattr(lagrangian, "lagrangian_count", lambda q, n: true_count(q, n) + 1)
-    lagrangian._point_table.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="count formula gives 11"):
-            checks.run_check("lemma4", 3, 1, 10**5, 10**5)
-    finally:
-        lagrangian._point_table.cache_clear()
+    with pytest.raises(ConsistencyError, match="count formula gives 11"):
+        checks.run_check("lemma4", 3, 1, 10**5, 10**5)
 
 
 CHART_CELLS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
@@ -286,16 +274,12 @@ def test_chart_table_rows_are_isotropic(q, n):
     assert not mm(sp.fp, mm(sp.fp, bases.swapaxes(1, 2), sp.j.a), bases).any()
 
 
-def test_chart_filter_that_keeps_duplicates_is_an_inconsistency(monkeypatch):
+def test_chart_filter_that_keeps_duplicates_is_an_inconsistency(monkeypatch, fresh_cell):
     from fsiegel import lagrangian
 
     monkeypatch.setattr(lagrangian, "_outside_charts", lambda sp, swaps, spans: np.ones(len(spans), bool))
-    lagrangian._point_table.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="count formula gives 10"):
-            lagrangian._point_table(3, 1)
-    finally:
-        lagrangian._point_table.cache_clear()
+    with pytest.raises(ConsistencyError, match="count formula gives 10"):
+        lagrangian._point_table(3, 1)
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (5, 1)])

@@ -214,7 +214,7 @@ def test_partition_of_repeated_points_raises():
         partition(_table([l_plus(sp), l_plus(sp)]), [eye])
 
 
-def test_a_map_that_does_not_permute_the_rows_is_caught(monkeypatch):
+def test_a_map_that_does_not_permute_the_rows_is_caught(monkeypatch, fresh_cell):
     import importlib
 
     from fsiegel.orbits import _inverse_rows
@@ -227,12 +227,8 @@ def test_a_map_that_does_not_permute_the_rows_is_caught(monkeypatch):
     # to one; the upper columns are inverted before J, which would escape, is canonicalized
     doubled = _table([l_plus(sp), l_plus(sp)])
     monkeypatch.setattr(cayley, "enumerate_lagrangians", lambda q, n, *cap: doubled)
-    cayley._cell_actions.cache_clear()
-    try:
-        with pytest.raises(VerificationFailure, match="does not permute the point set"):
-            cayley._cell_actions(3, 1)
-    finally:
-        cayley._cell_actions.cache_clear()
+    with pytest.raises(VerificationFailure, match="does not permute the point set"):
+        cayley._cell_actions(3, 1)
 
 
 def test_inverse_rows_inverts_every_column():

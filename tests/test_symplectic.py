@@ -1,10 +1,15 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from fsiegel import symplectic
+from fsiegel.checks import run_check
+from fsiegel.cli import strip_volatile
 from fsiegel.errors import ParameterError, ResourceLimitError, ShapeError
+from fsiegel.lagrangian import enumerate_lagrangians
 from fsiegel.linalg import Mat, mm, stack_keys
 from fsiegel.symplectic import (
     TAG_SP_0,
@@ -213,7 +218,6 @@ def test_orbit_closures_match_the_per_row_oracle():
 
 
 def test_int_row_closures_match_the_per_row_oracle():
-    from fsiegel.lagrangian import enumerate_lagrangians
     from fsiegel.orbits import _action_table
 
     sp = make_space(3, 2)
@@ -248,6 +252,22 @@ def test_generators_are_built_and_verified_once(monkeypatch):
     for tag in (TAG_SP_F, TAG_SP_0):
         assert generators(sp, tag) is first[tag] and isinstance(first[tag], tuple)
     assert checked == []
+
+
+def test_a_cells_tables_are_released_once_the_grid_moves_on():
+    points = weakref.ref(enumerate_lagrangians(3, 2).bases)
+    group = weakref.ref(enumerate_symplectic(make_space(3, 2), TAG_SP_F, 10**5).arr)
+    run_check("lemma4", 3, 1, 10**5, 10**5)
+    gc.collect()
+    assert points() is None and group() is None
+
+
+def test_the_cell_slot_is_keyed_on_the_whole_cell_and_memoizes():
+    before = strip_volatile(run_check("lemma4", 3, 1, 10**5, 10**5))
+    run_check("involutions", 5, 1, 10**5, 10**5)  # the same n at another q
+    assert strip_volatile(run_check("lemma4", 3, 1, 10**5, 10**5)) == before
+    assert enumerate_lagrangians(3, 1) is enumerate_lagrangians(3, 1)
+    assert len(enumerate_lagrangians(3, 2)) == 820  # the same q at another n
 
 
 def test_generator_stack_takes_elements_matrices_and_an_empty_list():
