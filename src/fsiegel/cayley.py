@@ -45,8 +45,8 @@ from .symplectic import (
     generators,
     group_element,
     group_order,
-    is_member,
     make_space,
+    members,
     per_cell,
     symmetric_basis,
 )
@@ -92,7 +92,8 @@ def _scalar_of(x: Mat, pattern: Mat, sp: SpaceParams, what: str) -> EScalar:
 
 @lru_cache(maxsize=None)
 def cayley(q: int, n: int) -> CayleyData:
-    """Construct and verify the similitude for the given cell."""
+    """Construct the similitude for the given cell and verify M's own identities;
+    `verify_conjugation` checks and reports the generator conjugations."""
     sp = make_space(q, n)
     fp = sp.fp
     eye = Mat.identity(fp, n)
@@ -130,42 +131,33 @@ def cayley(q: int, n: int) -> CayleyData:
             if c_mat.inv() != fp.e(-tau_f(q)) * c_mat.conj():
                 raise ConsistencyError("inverse-by-conjugate identity failed")
 
-    m_inv = m.inv()
-    for g in generators(sp, TAG_SP_F):
-        fwd = m @ g.mat @ m_inv
-        if not is_member(sp, fwd, TAG_SP_0):
-            raise ConsistencyError("a rational generator failed to conjugate into the unitary group")
-        if not is_member(sp, m_inv @ fwd @ m, TAG_SP_F):
-            raise ConsistencyError("round-trip conjugation left the rational group")
-
     return CayleyData(sp, branch, m, multiplier, conformal, normalized, c, c_conformal, params)
 
 
 def verify_conjugation(cd: CayleyData, q: int, n: int, cap_group: int) -> dict:
     """Generator-level and, when enumerable, element-level conjugation checks.
 
-    `cayley` builds the cell's `cd` only after every conjugated generator
-    M g M^-1 has passed `is_member` for sp0 and its round trip for spf
-    (ConsistencyError otherwise), so `forward_ok` and `backward_ok` read
-    true exactly when `cd` is that cached `cayley(q, n)`; any other `cd`
-    is unchecked at this level and reads false.  The element level compares
-    the conjugated rational group with the sp0 closure of sp0's own
-    generators, an independent enumeration.
+    The generator level checks the `cd` it is given, one `members` call per
+    direction: `forward_ok` reads M G_f M^-1 in sp0 for the spf generator
+    stack G_f, and `backward_ok` reads M^-1 G_0 M in spf for the sp0
+    generator stack G_0.  The element level compares the conjugated
+    rational group with the sp0 closure of sp0's own generators, an
+    independent enumeration.
     """
-    sp = cd.space
+    sp, fp = cd.space, cd.space.fp
     m, m_inv = cd.m, cd.m.inv()
-    checked = cd is cayley(q, n)
+    g_f, g_0 = (_generator_stack(sp, generators(sp, tag)) for tag in (TAG_SP_F, TAG_SP_0))
     out = {
-        "generators": len(generators(sp, TAG_SP_F)),
-        "forward_ok": checked,
-        "backward_ok": checked,
+        "generators": len(g_f),
+        "forward_ok": bool(members(sp, mm(fp, mm(fp, m.a, g_f), m_inv.a), TAG_SP_0).all()),
+        "backward_ok": bool(members(sp, mm(fp, mm(fp, m_inv.a, g_0), m.a), TAG_SP_F).all()),
         "identity_fixed": m @ sp.identity @ m_inv == sp.identity,
     }
     order = group_order(TAG_SP_F, q, n)
     if order <= cap_group:
         gf = enumerate_symplectic(sp, TAG_SP_F, cap_group)
         g0 = enumerate_symplectic(sp, TAG_SP_0, cap_group)
-        conj_keys = np.sort(stack_keys(mm(sp.fp, mm(sp.fp, m.a, gf.arr), m_inv.a)))
+        conj_keys = np.sort(stack_keys(mm(fp, mm(fp, m.a, gf.arr), m_inv.a)))
         out["closure_size"] = len(g0)
         out["closure_matches_order"] = len(g0) == order
         out["conjugate_set_equal"] = np.array_equal(conj_keys, g0.keys)
@@ -321,9 +313,9 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
 
     # the Levi factor diag(S, T, S, conj T) and the unipotent factor
     # T_k (I, diag(B, 0); 0, I) T_k^-1 are looked up in the stabilizer's rows
-    levi = [block_diag(fp, s, t, s, t.conj()) for s in o_elems for t in u_elems]
-    found = stab.rows(np.stack([g.a for g in levi])) >= 0
-    out["levi_contained"] = bool(found.all()) and all(is_member(sp, g, TAG_SP_0) for g in levi)
+    levi = np.stack([block_diag(fp, s, t, s, t.conj()).a for s in o_elems for t in u_elems])
+    found = stab.rows(levi) >= 0
+    out["levi_contained"] = bool(found.all()) and bool(members(sp, levi, TAG_SP_0).all())
 
     # every B is an F-combination of the imaginary half of the basis over E
     dim = k * (k + 1) // 2

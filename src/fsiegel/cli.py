@@ -243,7 +243,9 @@ def _cmd_group(args, caps) -> tuple[dict, int]:
 
     def body(q, n):
         sp = make_space(q, n)
-        data = {"order": group_order(args.group, q, n), "generator_count": len(generators(sp, args.group))}
+        order = count_text(group_order(args.group, q, n))  # ~10^e past the interpreter's digit limit
+        data = {"order": int(order) if order.isdigit() else order}
+        data["generator_count"] = len(generators(sp, args.group))
         if not args.enumerate:
             return "pass", data
         try:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
 from .field import EScalar, FieldParams, make_fields
-from .linalg import Mat, block, block_diag, lookup_rows, mm, stack_keys
+from .linalg import Mat, block, block_diag, conj_arr, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
 TAG_SP_F = "spf"
@@ -146,41 +146,43 @@ def form_gram(sp: SpaceParams, basis: Mat, form: str) -> Mat:
 # membership
 # ---------------------------------------------------------------------------
 
-def is_member(sp: SpaceParams, g: Mat, tag: str) -> bool:
-    """Exact membership test for the tagged group, double-checked.
+def members(sp: SpaceParams, stack: np.ndarray, tag: str) -> np.ndarray:
+    """Exact membership of each matrix of a stack (..., 2n, 2n, 2) in the tagged group, as a bool array.
 
-    "sp" compares the block conditions with the matrix identity
-    t(g) J g = J; "sp0" compares the four closed-form conditions on the
-    blocks with h_0-preservation.  The two routes are equivalent, so any
-    disagreement is raised as ConsistencyError.
+    Two equivalent routes: the block conditions ("sp": t(A)C, t(D)B
+    symmetric and t(A)D - t(C)B = I; "sp0": C = conj B, D = conj A, A t(B)
+    symmetric and A A* - B B* = I) against the form identities (t(g)Jg = J,
+    and for "sp0" t(g) D conj(g) = D); a matrix on which they disagree
+    raises ConsistencyError.  "spf" is "sp" and rational.
     """
-    if g.shape != (sp.dim, sp.dim):
-        raise ShapeError(f"expected a {sp.dim}x{sp.dim} matrix, got {g.shape}")
-    if tag == TAG_SP_F:
-        return g.is_rational and is_member(sp, g, TAG_SP_E)
-    eye = Mat.identity(sp.fp, sp.n)
-    g_t = g.T
-    if tag == TAG_SP_E:
-        a, b, c, d = sp.blocks(g)
-        a_t = a.T
-        by_blocks = (a_t @ c).is_symmetric() and (d.T @ b).is_symmetric() and a_t @ d - c.T @ b == eye
-        direct = g_t @ sp.j @ g == sp.j
-        if by_blocks != direct:
-            raise ConsistencyError("symplectic block conditions disagree with t(g)Jg = J")
-        return direct
+    g = np.asarray(stack, dtype=np.int64) % sp.q
+    if g.shape[-3:] != (sp.dim, sp.dim, 2):
+        raise ShapeError(f"expected {sp.dim}x{sp.dim} matrices, got shape {g.shape}")
+    if tag not in TAGS:
+        raise ParameterError(f"unknown group tag {tag!r}")
+    fp, n, q = sp.fp, sp.n, sp.q
+    t = lambda x: np.swapaxes(x, -3, -2)  # noqa: E731
+    same = lambda x, y: np.all(x == y, axis=(-3, -2, -1))  # noqa: E731
+    a, b, c, d = g[..., :n, :n, :], g[..., :n, n:, :], g[..., n:, :n, :], g[..., n:, n:, :]
+    direct = same(mm(fp, mm(fp, t(g), sp.j.a), g), sp.j.a)
     if tag == TAG_SP_0:
-        r, s_, t, v = sp.blocks(g)
-        closed = (
-            t == s_.conj()
-            and v == r.conj()
-            and (r @ s_.T).is_symmetric()
-            and r @ r.star() - s_ @ s_.star() == eye
-        )
-        direct = (g_t @ sp.j @ g == sp.j) and (g_t @ sp.d_form @ g.conj() == sp.d_form)
-        if closed != direct:
-            raise ConsistencyError("closed-form h_0-unitary conditions disagree with form preservation")
-        return direct
-    raise ParameterError(f"unknown group tag {tag!r}")
+        ab = mm(fp, a, t(b))
+        by_blocks = same(c, conj_arr(b, q)) & same(d, conj_arr(a, q)) & same(ab, t(ab))
+        unit = mm(fp, a, conj_arr(t(a), q)) - mm(fp, b, conj_arr(t(b), q))
+        direct &= same(mm(fp, mm(fp, t(g), sp.d_form.a), conj_arr(g, q)), sp.d_form.a)
+    else:
+        ac, db = mm(fp, t(a), c), mm(fp, t(d), b)
+        by_blocks = same(ac, t(ac)) & same(db, t(db))
+        unit = mm(fp, t(a), d) - mm(fp, t(c), b)
+    by_blocks &= same(unit % q, Mat.identity(fp, n).a)
+    if np.any(by_blocks != direct):
+        raise ConsistencyError(f"the {tag} block conditions disagree with its form identities")
+    return direct & ~g[..., 1].any(axis=(-2, -1)) if tag == TAG_SP_F else direct
+
+
+def is_member(sp: SpaceParams, g: Mat, tag: str) -> bool:
+    """`members` of one matrix."""
+    return bool(members(sp, g.a, tag))
 
 
 # ---------------------------------------------------------------------------

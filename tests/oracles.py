@@ -4,19 +4,20 @@ Everything here recomputes results through a different route than the
 package: plain Python scalar pairs, exhaustive scans, Schubert-cell
 subspace enumeration, permutation-expansion determinants, a
 constructive orthonormalization for hermitian form types, a
-breadth-first closure that keys each image on its own, and the scalar or
-per-stratum routes that the package's row and stack routes replaced.
+breadth-first closure that keys each image on its own, membership one
+`Mat` at a time, and the scalar or per-stratum routes that the package's
+row and stack routes replaced.
 """
 
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from fsiegel.errors import ResourceLimitError
+from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError
 from fsiegel.lagrangian import enumerate_lagrangians, span_images
 from fsiegel.linalg import Mat, block
 from fsiegel.orbits import act
-from fsiegel.symplectic import make_space
+from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, make_space
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -233,6 +234,44 @@ def hermitian_type(q, eps, gram):
         current = nxt
         r += 1
     return r
+
+
+# -- membership, one `Mat` at a time ------------------------------------------
+
+def is_member_by_mats(sp, g, tag) -> bool:
+    """`symplectic.members` of one matrix, through `Mat` products and block comparisons.
+
+    Both routes run here too: "sp" compares the block conditions with
+    t(g) J g = J, "sp0" the four closed-form block conditions with
+    h_0-preservation, and "spf" is a rational "sp" member.
+    """
+    if g.shape != (sp.dim, sp.dim):
+        raise ShapeError(f"expected a {sp.dim}x{sp.dim} matrix, got {g.shape}")
+    if tag == TAG_SP_F:
+        return g.is_rational and is_member_by_mats(sp, g, TAG_SP_E)
+    eye = Mat.identity(sp.fp, sp.n)
+    g_t = g.T
+    if tag == TAG_SP_E:
+        a, b, c, d = sp.blocks(g)
+        a_t = a.T
+        by_blocks = (a_t @ c).is_symmetric() and (d.T @ b).is_symmetric() and a_t @ d - c.T @ b == eye
+        direct = g_t @ sp.j @ g == sp.j
+        if by_blocks != direct:
+            raise ConsistencyError("symplectic block conditions disagree with t(g)Jg = J")
+        return direct
+    if tag == TAG_SP_0:
+        r, s_, t, v = sp.blocks(g)
+        closed = (
+            t == s_.conj()
+            and v == r.conj()
+            and (r @ s_.T).is_symmetric()
+            and r @ r.star() - s_ @ s_.star() == eye
+        )
+        direct = (g_t @ sp.j @ g == sp.j) and (g_t @ sp.d_form @ g.conj() == sp.d_form)
+        if closed != direct:
+            raise ConsistencyError("closed-form h_0-unitary conditions disagree with form preservation")
+        return direct
+    raise ParameterError(f"unknown group tag {tag!r}")
 
 
 # -- breadth-first closure, one image at a time --------------------------------

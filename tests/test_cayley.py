@@ -21,6 +21,7 @@ from fsiegel.symplectic import (
     generators,
     is_member,
     make_space,
+    members,
 )
 from fsiegel.lagrangian import enumerate_lagrangians, from_basis, l_plus, strata, witnesses
 from fsiegel.orbits import _action_table, act
@@ -122,29 +123,49 @@ def test_conjugation_forward_backward(q, n):
     assert rep["forward_ok"] and rep["backward_ok"] and rep["identity_fixed"]
 
 
-def test_conjugation_reads_no_membership_again(monkeypatch):
-    """`cayley` raises when a conjugated generator leaves sp0 or spf, so the report asks no `is_member`."""
+def test_conjugation_checks_each_direction_with_one_stacked_membership_call(monkeypatch):
+    """One `members` call per direction, over the whole generator stack, and no `is_member`."""
     cayley_mod = importlib.import_module("fsiegel.cayley")
+    symplectic = importlib.import_module("fsiegel.symplectic")
 
     cd = cayley(3, 2)
-    verify_conjugation(cd, 3, 2, 10**5)  # fills the group tables
-    calls = []
-    monkeypatch.setattr(cayley_mod, "is_member", lambda *a: calls.append(a) or is_member(*a))
+    verify_conjugation(cd, 3, 2, 10**5)  # fills the generators and the group tables
+    stacks, scalar = [], []
+    monkeypatch.setattr(cayley_mod, "members", lambda sp, g, t: stacks.append((len(g), t)) or members(sp, g, t))
+    monkeypatch.setattr(symplectic, "is_member", lambda *a: scalar.append(a) or is_member(*a))
     rep = verify_conjugation(cd, 3, 2, 10**5)
-    assert calls == [] and rep["forward_ok"] and rep["backward_ok"] and rep["generators"] == 6
+    assert rep["forward_ok"] and rep["backward_ok"] and rep["generators"] == 6
+    assert stacks == [(6, TAG_SP_0), (6, TAG_SP_F)] and scalar == []
+
+
+def test_conjugation_flags_do_not_rest_on_the_cached_similitude():
+    """A `cd` built before `cayley.cache_clear()` is checked like any other."""
+    cd = cayley(3, 1)
+    cayley.cache_clear()
+    assert cayley(3, 1) is not cd
+    rep = verify_conjugation(cd, 3, 1, 10**5)
+    assert rep["forward_ok"] and rep["backward_ok"]
 
 
 @pytest.mark.parametrize("tag", [TAG_SP_0, TAG_SP_F])
 def test_cayley_refuses_a_generator_that_does_not_conjugate(tag, monkeypatch):
+    """A conjugated generator outside its group turns its flag false and the record `fail`; M still builds."""
     cayley_mod = importlib.import_module("fsiegel.cayley")
 
-    monkeypatch.setattr(cayley_mod, "is_member", lambda sp, g, t: t != tag and is_member(sp, g, t))
+    def first_row_out(sp, g, t):
+        found = members(sp, g, t)
+        if t == tag:
+            found[0] = False
+        return found
+
+    monkeypatch.setattr(cayley_mod, "members", first_row_out)
     cayley.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="unitary group" if tag == TAG_SP_0 else "round-trip"):
-            cayley(3, 1)
-    finally:
-        cayley.cache_clear()
+    rec = run_check("cayley", 3, 1, 10**5, 10**4)
+    sub = rec["data"]["subchecks"]
+    assert rec["status"] == "fail"
+    assert (sub["forward_ok"], sub["backward_ok"]) == (tag != TAG_SP_0, tag != TAG_SP_F)
+    assert all(v for k, v in sub.items() if k not in ("forward_ok", "backward_ok"))
+    assert cayley(3, 1).branch == "minus-one-nonsquare"
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2)])

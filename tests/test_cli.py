@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fsiegel import checks, cli
+from fsiegel.cayley import cayley
 from fsiegel.cli import main, strip_volatile
 from fsiegel.errors import ConsistencyError, VerificationFailure
 
@@ -73,6 +74,33 @@ def test_verify_skips_over_cap(capsys):
     )
     assert code == 3  # the only cell was resource-skipped
     assert payload["checks"][0]["status"] == "skipped-resource"
+
+
+def test_group_writes_an_order_too_long_to_print(capsys, monkeypatch):
+    # |Sp(134, 3)| has 4,316 digits; the generators are stubbed, 4,556 matrices of 134 x 134 otherwise
+    monkeypatch.setattr(cli, "generators", lambda sp, tag: (None,) * (sp.n * (sp.n + 1)))
+    code, payload = run_json(capsys, "group", "--q", "3", "--n", "67")
+    assert code == 0
+    assert payload["checks"][0]["data"] == {"order": "~10^4315", "generator_count": 4556}
+
+
+def test_verify_at_a_huge_n_builds_no_generators(capsys, monkeypatch):
+    """The `cayley_params` echo builds M from its own identities, so lemma4's skip comes at once."""
+
+    def refuse(sp, tag):
+        raise AssertionError(f"generators({sp}, {tag!r}) was built")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fsiegel") and hasattr(mod, "generators"):
+            monkeypatch.setattr(mod, "generators", refuse)
+    cayley.cache_clear()
+    try:
+        code, payload = run_json(capsys, "verify", "--q", "3", "--n", "100", "--checks", "lemma4")
+        assert code == 3 and [r["status"] for r in payload["checks"]] == ["skipped-resource"]
+        assert payload["cayley_params"]["3,100"]["branch"] == "minus-one-nonsquare"
+        assert cayley(3, 1).normalized
+    finally:
+        cayley.cache_clear()
 
 
 def test_census_skips_a_count_too_long_to_print(capsys):

@@ -10,11 +10,12 @@ from fsiegel.checks import run_check
 from fsiegel.cli import strip_volatile
 from fsiegel.errors import ParameterError, ResourceLimitError, ShapeError
 from fsiegel.lagrangian import enumerate_lagrangians
-from fsiegel.linalg import Mat, mm, stack_keys
+from fsiegel.linalg import Mat, conj_arr, mm, stack_keys
 from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
     TAG_SP_F,
+    TAGS,
     _generator_stack,
     enumerate_symplectic,
     frontier_closure,
@@ -25,15 +26,12 @@ from fsiegel.symplectic import (
     h_e,
     is_member,
     make_space,
+    members,
     omega,
     permutation_embed,
 )
 
-from oracles import frontier_closure_by_rows
-
-
-def _random_mat(fp, n, rng):
-    return Mat(fp, [[(rng.randrange(fp.q), rng.randrange(fp.q)) for _ in range(n)] for _ in range(n)])
+from oracles import frontier_closure_by_rows, is_member_by_mats
 
 
 def _random_vec(sp, rng):
@@ -84,23 +82,89 @@ def test_membership_wrong_size():
 
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_membership_routes_agree_on_random_matrices(q, n):
-    # mostly negatives; both evaluation routes run inside is_member and
+    # mostly negatives; both evaluation routes run inside members and
     # raise on disagreement
     sp = make_space(q, n)
-    rng = random.Random(q * 100 + n)
-    for _ in range(2500):
-        g = _random_mat(sp.fp, sp.dim, rng)
-        for tag in (TAG_SP_E, TAG_SP_F, TAG_SP_0):
-            is_member(sp, g, tag)
+    stack = np.random.default_rng(q * 100 + n).integers(0, q, (2500, sp.dim, sp.dim, 2))
+    for tag in TAGS:
+        assert members(sp, stack, tag).shape == (2500,)
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2)])
 def test_membership_routes_agree_on_full_groups(q, n):
     sp = make_space(q, n)
     for tag in (TAG_SP_F, TAG_SP_0):
-        grp = enumerate_symplectic(sp, tag, 10**5)
-        for g in grp:
-            assert is_member(sp, g.mat, tag)
+        assert members(sp, enumerate_symplectic(sp, tag, 10**5).arr, tag).all()
+
+
+def _words(sp, tag, count, rng):
+    """`count` products of six generators of the tagged group, as a stack."""
+    gens = _generator_stack(sp, generators(sp, tag))
+    out = np.broadcast_to(sp.identity.a, (count,) + sp.identity.a.shape)
+    for _ in range(6):
+        out = mm(sp.fp, out, gens[rng.integers(0, len(gens), count)])
+    return out
+
+
+def _near_members(sp, g, rng):
+    """The members g of a group, then matrices that break about one of its block conditions:
+    g under (I, B; 0, I), (I, 0; C, I) and diag(x I, y I), for random B, C and scalars
+    x, y (of norm one half the time), and g with its off-diagonal blocks b, c replaced
+    by b w and conj(b w), for a diagonal w with entries of norm one."""
+    fp, n, q = sp.fp, sp.n, sp.q
+    count = len(g)
+    eye = np.broadcast_to(Mat.identity(fp, n).a, (count, n, n, 2))
+    zero = np.zeros_like(eye)
+    circle = [(x.re, x.im) for x in fp.elements() if x.norm() == fp.one]
+    nonzero = [(x.re, x.im) for x in fp.elements() if x != fp.zero]
+
+    def diagonal(width, pool=None):
+        """Diagonal matrices of `width` drawn entries each (1: a scalar times I)."""
+        pool = np.array(pool or (circle if rng.random() < 0.5 else nonzero))
+        out = np.zeros((count, n, n, 2), dtype=np.int64)
+        out[:, np.arange(n), np.arange(n)] = pool[rng.integers(0, len(pool), (count, width))]
+        return out
+
+    def blocks(a, b, c, d):
+        return np.concatenate([np.concatenate([a, b], axis=-2), np.concatenate([c, d], axis=-2)], axis=-3)
+
+    rand = lambda: rng.integers(0, q, (count, n, n, 2))  # noqa: E731
+    factors = [blocks(eye, rand(), zero, eye), blocks(eye, zero, rand(), eye)]
+    factors += [blocks(diagonal(1), zero, zero, diagonal(1)) for _ in range(2)]
+    b = mm(fp, g[:, :n, n:], diagonal(n, circle))
+    swapped = blocks(g[:, :n, :n], b, conj_arr(b, q), g[:, n:, n:])
+    return np.concatenate([g] + [mm(fp, f, g) for f in factors] + [swapped])
+
+
+def _assert_members_match_the_oracle(sp, stack):
+    """`members` of the stack equals the scalar oracle row by row, for every tag; returns the masks."""
+    got = {tag: members(sp, stack, tag) for tag in TAGS}
+    for tag, mask in got.items():
+        assert mask.tolist() == [is_member_by_mats(sp, Mat(sp.fp, g), tag) for g in stack]
+    return got
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_members_match_the_scalar_oracle(q, n):
+    sp = make_space(q, n)
+    rng = np.random.default_rng(q * 10 + n)
+    near = [_near_members(sp, _words(sp, tag, 20, rng), rng) for tag in TAGS]
+    stack = np.concatenate([rng.integers(0, q, (200, sp.dim, sp.dim, 2))] + near)
+    got = _assert_members_match_the_oracle(sp, stack)
+    assert all(0 < mask.sum() < len(stack) // 2 for mask in got.values())  # mostly non-members
+    with pytest.raises(ShapeError):
+        members(sp, stack[:, :, :-1], TAG_SP_E)
+    with pytest.raises(ShapeError):
+        members(sp, stack[0, 0], TAG_SP_E)
+    with pytest.raises(ParameterError):
+        members(sp, stack, "gl")
+
+
+@pytest.mark.parametrize("tag", [TAG_SP_F, TAG_SP_0])
+def test_members_match_the_scalar_oracle_on_group_rows(tag):
+    sp = make_space(3, 2)
+    got = _assert_members_match_the_oracle(sp, enumerate_symplectic(sp, tag, 10**5).arr[::50])
+    assert got[tag].all() and got[TAG_SP_E].all()
 
 
 @pytest.mark.parametrize("tag", [TAG_SP_F, TAG_SP_0])
