@@ -49,6 +49,7 @@ from .symplectic import (
     members,
     per_cell,
     symmetric_basis,
+    v_k_orbit_size,
 )
 
 
@@ -277,16 +278,23 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
     orders obtained by brute-force scans.  When the group fits under the cap
     the stabilizer is filtered from the group table as one mask and the
     predicted factor subgroups are looked up in its rows; otherwise only
-    the order arithmetic against the orbit size is reported.
+    the order arithmetic against the orbit size is reported.  The orbit is
+    refused over the point cap from its closed-form size, before any BFS,
+    and a BFS orbit of another size raises ConsistencyError.
     """
     sp = make_space(q, n)
     fp = sp.fp
-    # refuse before building anything: both scan sizes, then the capped orbit
+    # refuse before building anything: both scan sizes, then the orbit's closed-form size
     _scan_size(fp, k, over_e=False)
     _scan_size(fp, n - k, over_e=True)
+    size = v_k_orbit_size(q, n, k)
+    if size > cap_points:
+        raise ResourceLimitError(f"orbit exceeds cap {cap_points}")
     tk = partial_cayley(sp, k)
     vk = v_k(sp, k)
     orb = orbit(vk, generators(sp, TAG_SP_0), cap=cap_points)
+    if orb.size != size:
+        raise ConsistencyError(f"orbit of V_{k} has {orb.size} points, its closed form {size}")
     o_elems = orthogonal_group_elements(fp, k)
     u_elems = unitary_group_elements(fp, n - k)
     predicted = len(o_elems) * len(u_elems) * q ** (k * (k + 1) // 2)

@@ -45,8 +45,9 @@ from .lagrangian import (
     enumerate_lagrangians,
     lagrangian_count,
 )
-from .linalg import Mat, conj_arr, mm, rank_stack, scalar_mm
+from .linalg import Mat, conj_arr, mm, rank_stack, scalar_mm, stack_keys
 from .orbits import PartitionReport, partition
+from .sampling import _draws, _nondegenerate_pairs, _random_symmetric, _symmetric
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_F,
@@ -217,7 +218,7 @@ def _conformal_pairs(sp, rng) -> tuple[np.ndarray, np.ndarray, str]:
         vs, ws = np.repeat(vecs, len(vecs), axis=0), np.tile(vecs, (len(vecs), 1, 1))
         mode = "exhaustive"
     else:
-        draws = np.array([rng.randrange(fp.q) for _ in range(1000 * 2 * dim * 2)])
+        draws = _draws(rng, fp.q, 1000 * 2 * dim * 2).astype(np.int64)
         vs, ws = draws.reshape(1000, 2, dim, 2).swapaxes(0, 1)
         mode = "sampled"
     return vs[:, :, None], ws[:, :, None], mode
@@ -338,59 +339,72 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
     for degenerate Z both an invertible and a singular denominator must
     occur.  Exhaustive for n = 1 and q <= 5, seeded samples otherwise.
     The denominators are ranked as stacks: over the group table for each
-    z, or over the products of seeded 12-letter words.
+    z, or over the bottom blocks (C D) of seeded 12-letter words.  The
+    samples are the seeded `randrange` stream of a loop that draws a Z
+    (`_random_symmetric`) and, for a nondegenerate one, the 12 letters of
+    its word, one call at a time; `sampling` replays it from the
+    generator's 32-bit words in bulk.
     """
     sp = make_space(q, n)
     fp = sp.fp
     rng = _rng("siegel-criterion", q, n)
     gens = generators(sp, TAG_SP_F)
-    mats = _generator_stack(sp, gens)
+    real = np.ascontiguousarray(_generator_stack(sp, gens)[..., 0])  # spf is rational
+    iu = np.triu_indices(n)
 
-    def ranks(gs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Rank of C Z + D for each element (A, B; C, D) of a stack, Z broadcast."""
-        return rank_stack(fp, mm(fp, gs[:, n:, :n], zs) + gs[:, n:, n:])
+    def ranks(cd: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Rank of C Z + D for each bottom block (C D) of a stack, Z broadcast."""
+        return rank_stack(fp, mm(fp, cd[:, :, :n], zs) + cd[:, :, n:])
 
     def draw(count: int) -> np.ndarray:
-        return np.array([[rng.randrange(len(gens)) for _ in range(12)] for _ in range(count)])
+        return _draws(rng, len(gens), 12 * count).reshape(count, 12)
 
     def products(letters: np.ndarray) -> np.ndarray:
-        g = mats[letters[:, 0]]
+        """The bottom block (C D) of each word's product, multiplied over F."""
+        g = real[letters[:, 0], n:]
         for col in letters.T[1:]:
-            g = mm(fp, g, mats[col])
-        return g
+            g = g @ real[col] % q
+        return np.stack([g, np.zeros_like(g)], axis=-1)
 
-    nondegenerate_im = {}  # Z - conj(Z) = 2s Im(Z): its rank depends on Im(Z) alone
+    flags = {}  # Z - conj(Z) = 2s Im(Z): its rank depends on Im(Z) alone
 
-    def nondegenerate(z: Mat) -> bool:
-        key = z.a[..., 1].tobytes()
-        if key not in nondegenerate_im:
-            nondegenerate_im[key] = (z - z.conj()).rank() == n
-        return nondegenerate_im[key]
+    def nondegenerate(ims: np.ndarray):
+        """p -> rank(Z - conj Z) == n, for the Z of each Im(Z) upper triangle of a stack
+        (N, t); at the first Im(Z) not met before, every new one of the stack is ranked,
+        in one stack."""
+        ims = ims.astype(np.int64)
+        keys = stack_keys(ims).tolist()
+
+        def flag(p: int) -> bool:
+            if keys[p] not in flags:
+                new = {key: i for i, key in enumerate(keys) if key not in flags}
+                twice_im = _symmetric(2 * ims[list(new.values())] % q, n)
+                diff = np.stack([np.zeros_like(twice_im), twice_im], axis=-1)
+                flags.update(zip(new, (rank_stack(fp, diff) == n).tolist()))
+            return flags[keys[p]]
+
+        return flag
 
     exhaustive = n == 1 and q <= 5
     witnesses = []  # (z, an invertible denominator found, a singular one found)
     if exhaustive:
-        arr = enumerate_symplectic(sp, TAG_SP_F, cap_group).arr
+        arr = enumerate_symplectic(sp, TAG_SP_F, cap_group).arr[:, n:]
         zs = [Mat.diag(fp, [x]) for x in fp.elements()]
-        nondeg = [z for z in zs if nondegenerate(z)]
-        degen = [z for z in zs if not nondegenerate(z)]
+        flag = nondegenerate(np.stack([z.a for z in zs])[:, iu[0], iu[1], 1])
+        nondeg = [z for i, z in enumerate(zs) if flag(i)]
+        degen = [z for i, z in enumerate(zs) if not flag(i)]
         invertible_ok = all(bool(np.all(ranks(arr, z.a) == n)) for z in nondeg)
         cases = len(nondeg) * len(arr)
         for z in degen:
             rk = ranks(arr, z.a)
             witnesses.append((z, bool(np.any(rk == n)), bool(np.any(rk < n))))
     else:
-        zs, letters = [], []
-        while len(zs) < 1000:
-            z = _random_symmetric(sp, rng)
-            if nondegenerate(z):
-                zs.append(z.a)
-                letters.append(draw(1)[0])
-        invertible_ok = bool(np.all(ranks(products(np.array(letters)), np.array(zs)) == n))
+        zs, letters = _nondegenerate_pairs(rng, sp, len(gens), 1000, nondegenerate)
+        invertible_ok = bool(np.all(ranks(products(letters), zs) == n))
         cases = len(zs)
         while len(witnesses) < 10:
             z = _random_symmetric(sp, rng)
-            if nondegenerate(z):
+            if nondegenerate(z.a[iu[0], iu[1], 1][None])(0):
                 continue
             # up to 4000 words, 64 at a time, stopping at the first word that
             # completes the pair: its batch is drawn again up to that word
@@ -419,15 +433,6 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
         },
         "ok": invertible_ok and converse_ok,
     }
-
-
-def _random_symmetric(sp, rng) -> Mat:
-    """A symmetric Z over E: the upper triangle row by row, each entry drawn re then im."""
-    z = np.zeros((sp.n, sp.n, 2), dtype=np.int64)
-    for i in range(sp.n):
-        for j in range(i, sp.n):
-            z[i, j] = z[j, i] = rng.randrange(sp.q), rng.randrange(sp.q)
-    return Mat(sp.fp, z)
 
 
 _CHECKS = {

@@ -36,7 +36,7 @@ from .symplectic import (
     TAG_SP_E,
     TAG_SP_F,
     enumerate_symplectic,
-    generators,
+    generator_count,
     group_order,
     make_space,
 )
@@ -245,7 +245,7 @@ def _cmd_group(args, caps) -> tuple[dict, int]:
         sp = make_space(q, n)
         order = count_text(group_order(args.group, q, n))  # ~10^e past the interpreter's digit limit
         data = {"order": int(order) if order.isdigit() else order}
-        data["generator_count"] = len(generators(sp, args.group))
+        data["generator_count"] = generator_count(args.group, n)
         if not args.enumerate:
             return "pass", data
         try:

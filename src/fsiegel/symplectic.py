@@ -295,6 +295,40 @@ def group_order(tag: str, q: int, n: int) -> int:
     return order
 
 
+def generator_count(tag: str, n: int) -> int:
+    """len(generators(sp, tag)): two unipotent families of n(n+1)/2 each, doubled over E."""
+    if tag not in (TAG_SP_E, TAG_SP_F, TAG_SP_0):
+        raise ParameterError(f"unknown group tag {tag!r}")
+    return n * (n + 1) * (2 if tag == TAG_SP_E else 1)
+
+
+def gl_order(q: int, k: int) -> int:
+    """|GL(k, q)| = prod_{i<k} (q^k - q^i)."""
+    order = 1
+    for i in range(k):
+        order *= q**k - q**i
+    return order
+
+
+def unitary_order(q: int, m: int) -> int:
+    """|U(m, q)| = q^{m(m-1)/2} prod_{i=1}^m (q^i - (-1)^i), the unitary group over E = GF(q^2)."""
+    order = q ** (m * (m - 1) // 2)
+    for i in range(1, m + 1):
+        order *= q**i - (-1) ** i
+    return order
+
+
+def v_k_orbit_size(q: int, n: int, k: int) -> int:
+    """|orbit of V_k under sp0| = |Sp(2n,q)| / (|GL(k,q)| |U(n-k,q)| q^{k(k+1)/2 + 2k(n-k)}).
+
+    The stabilizer of V_k is a parabolic: a Levi factor GL(k) x U(n-k) and a
+    unipotent radical of that order (Taylor, The Geometry of the Classical
+    Groups; Wan, Geometry of Classical Groups over Finite Fields).
+    """
+    stab = gl_order(q, k) * unitary_order(q, n - k) * q ** (k * (k + 1) // 2 + 2 * k * (n - k))
+    return group_order(TAG_SP_0, q, n) // stab
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------

@@ -238,6 +238,16 @@ def hermitian_type(q, eps, gram):
 
 # -- membership, one `Mat` at a time ------------------------------------------
 
+def random_symmetric_by_calls(sp, rng) -> Mat:
+    """A symmetric Z over E: the upper triangle row by row, each entry one
+    `rng.randrange(q)` call, re then im."""
+    z = np.zeros((sp.n, sp.n, 2), dtype=np.int64)
+    for i in range(sp.n):
+        for j in range(i, sp.n):
+            z[i, j] = z[j, i] = rng.randrange(sp.q), rng.randrange(sp.q)
+    return Mat(sp.fp, z)
+
+
 def is_member_by_mats(sp, g, tag) -> bool:
     """`symplectic.members` of one matrix, through `Mat` products and block comparisons.
 

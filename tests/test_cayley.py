@@ -19,12 +19,15 @@ from fsiegel.symplectic import (
     _generator_stack,
     enumerate_symplectic,
     generators,
+    gl_order,
     is_member,
     make_space,
     members,
+    unitary_order,
+    v_k_orbit_size,
 )
 from fsiegel.lagrangian import enumerate_lagrangians, from_basis, l_plus, strata, witnesses
-from fsiegel.orbits import _action_table, act
+from fsiegel.orbits import _action_table, act, orbit
 from fsiegel.involutions import _anti_involution_suite, _square_scalars
 from fsiegel.cayley import (
     CayleyData,
@@ -329,6 +332,38 @@ def test_stabilizers_refuse_over_the_orbit_cap_before_scanning(monkeypatch):
     monkeypatch.setattr(importlib.import_module("fsiegel.cayley"), "unitary_group_elements", scan)
     rec = run_check("stabilizers", 7, 2, 10**5, 5000)
     assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": "orbit exceeds cap 5000"})
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (3, 2), (5, 2)])
+def test_v_k_orbit_size_equals_the_bfs_orbit(q, n):
+    sp = make_space(q, n)
+    gens = generators(sp, TAG_SP_0)
+    assert [v_k_orbit_size(q, n, k) for k in range(n + 1)] == [orbit(v_k(sp, k), gens).size for k in range(n + 1)]
+
+
+def test_v_k_orbit_size_closed_forms():
+    assert [v_k_orbit_size(7, 2, k) for k in range(3)] == [102900, 16800, 400]
+    assert [gl_order(7, k) for k in range(3)] == [1, 6, 2016]
+    assert [unitary_order(7, m) for m in range(3)] == [1, 8, 2688]
+
+
+def test_stabilizers_refuse_the_orbit_from_its_closed_form(monkeypatch):
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stabilizer of V_k was built before the orbit cap was met")
+
+    for name in ("orbit", "v_k", "partial_cayley", "generators"):
+        monkeypatch.setattr(cayley_mod, name, refuse)
+    rec = run_check("stabilizers", 7, 2, 10**5, 5000)
+    assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": "orbit exceeds cap 5000"})
+
+
+def test_stabilizers_refuse_a_bfs_orbit_that_differs_from_its_closed_form(monkeypatch):
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+    monkeypatch.setattr(cayley_mod, "v_k_orbit_size", lambda q, n, k: v_k_orbit_size(q, n, k) + 1)
+    with pytest.raises(ConsistencyError, match="orbit of V_0 has 6 points, its closed form 7"):
+        stabilizer_structure(3, 1, 0, cap_group=10**5, cap_points=10**4)
 
 
 def test_stabilizers_refuse_an_oversized_scan():

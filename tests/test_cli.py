@@ -10,6 +10,7 @@ from fsiegel import checks, cli
 from fsiegel.cayley import cayley
 from fsiegel.cli import main, strip_volatile
 from fsiegel.errors import ConsistencyError, VerificationFailure
+from fsiegel.symplectic import generator_count, generators, make_space
 
 
 def run_cli(capsys, *argv):
@@ -76,9 +77,8 @@ def test_verify_skips_over_cap(capsys):
     assert payload["checks"][0]["status"] == "skipped-resource"
 
 
-def test_group_writes_an_order_too_long_to_print(capsys, monkeypatch):
-    # |Sp(134, 3)| has 4,316 digits; the generators are stubbed, 4,556 matrices of 134 x 134 otherwise
-    monkeypatch.setattr(cli, "generators", lambda sp, tag: (None,) * (sp.n * (sp.n + 1)))
+def test_group_writes_an_order_too_long_to_print(capsys):
+    # |Sp(134, 3)| has 4,316 digits; the generator count is n(n+1), read from its closed form
     code, payload = run_json(capsys, "group", "--q", "3", "--n", "67")
     assert code == 0
     assert payload["checks"][0]["data"] == {"order": "~10^4315", "generator_count": 4556}
@@ -140,6 +140,24 @@ def test_orbits_output(capsys):
     orbs = payload["checks"][0]["data"]["orbits"]
     assert sorted(o["size"] for o in orbs) == [4, 6]
     assert all("representative" in o for o in orbs)
+
+
+@pytest.mark.parametrize("tag", ["spf", "sp0", "sp"])
+def test_generator_count_equals_the_built_generators(tag):
+    for q, n in [(3, 1), (3, 2), (5, 2)]:
+        assert generator_count(tag, n) == len(generators(make_space(q, n), tag))
+
+
+def test_group_without_enumerate_builds_no_generators(capsys, monkeypatch):
+    def refuse(sp, tag):
+        raise AssertionError(f"generators({sp}, {tag!r}) was built")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fsiegel") and hasattr(mod, "generators"):
+            monkeypatch.setattr(mod, "generators", refuse)
+    code, payload = run_json(capsys, "group", "--q", "3,5", "--n", "1,2", "--group", "sp")
+    assert code == 0
+    assert [r["data"]["generator_count"] for r in payload["checks"]] == [4, 12, 4, 12]
 
 
 def test_group_enumerate(capsys):
@@ -332,11 +350,15 @@ def test_consistency_error_writes_finished_records_to_stderr(capsys, monkeypatch
 
 
 def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
-    # np.unique without counts or indices imports numpy.ma, 13 ms in a cold process
+    # np.unique without counts or indices imports numpy.ma, 13 ms in a cold process; the
+    # cells are the group closures at (23,1) and the seeded samples at (7,2)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["verify", "--q", "23", "--n", "1", "--checks", "cayley,stabilizers,involutions", "--jobs", "1",
-            "--cap-group", "100000", "--cap-points", "20000", "--out", str(tmp_path / "report.json")]
     child = "import sys; from fsiegel.cli import main; code = main(sys.argv[1:]); print('numpy.ma' in sys.modules, code)"
-    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
-    assert proc.stdout.split() == ["False", "1"], proc.stderr
+    for cell, checks_, cap_points in [("23,1", "cayley,stabilizers,involutions", "20000"),
+                                      ("7,2", "stabilizers,siegel-criterion", "5000")]:
+        q, n = cell.split(",")
+        argv = ["verify", "--q", q, "--n", n, "--checks", checks_, "--jobs", "1",
+                "--cap-group", "100000", "--cap-points", cap_points, "--out", str(tmp_path / "report.json")]
+        proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
+        assert proc.stdout.split() == ["False", "1"], proc.stderr

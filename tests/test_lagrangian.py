@@ -34,7 +34,7 @@ from fsiegel.lagrangian import (
 from fsiegel.orbits import act, orbit
 from fsiegel.cayley import v_k
 
-from oracles import all_subspaces, hermitian_type, is_isotropic
+from oracles import all_subspaces, hermitian_type, is_isotropic, random_symmetric_by_calls
 
 
 def test_from_basis_examples():
@@ -399,8 +399,8 @@ def test_witness_transporter_moves_into_image():
 # -- the Siegel criterion's sampled branch against its scalar loop --------------
 
 def _scalar_siegel_criterion(q: int, n: int) -> dict:
-    """The sampled `check_siegel_criterion`, one scalar product per letter and one
-    scalar rank per word: the reference for its stacked route."""
+    """The sampled `check_siegel_criterion`, one `randrange` call per draw, one scalar
+    product per letter and one scalar rank per word: the reference for its stacked route."""
     from fsiegel import checks
 
     sp = make_space(q, n)
@@ -420,7 +420,7 @@ def _scalar_siegel_criterion(q: int, n: int) -> dict:
     invertible_ok = True
     samples = 0
     while samples < 1000:
-        z = checks._random_symmetric(sp, rng)
+        z = random_symmetric_by_calls(sp, rng)
         if (z - z.conj()).rank() != n:
             continue
         g = random_word()
@@ -429,7 +429,7 @@ def _scalar_siegel_criterion(q: int, n: int) -> dict:
             invertible_ok = False
     converse = []
     while len(converse) < 10:
-        z = checks._random_symmetric(sp, rng)
+        z = random_symmetric_by_calls(sp, rng)
         if (z - z.conj()).rank() == n:
             continue
         has_inv = has_sing = False
@@ -462,11 +462,12 @@ def test_sampled_siegel_criterion_matches_scalar_loop(q, n):
 
 def test_siegel_criterion_draws_every_word_when_no_denominator_is_singular(monkeypatch):
     # with the identity as the only generator every word is I and C Z + D = I,
-    # so no degenerate Z completes its pair and all 4000 words are drawn for each
+    # so no degenerate Z completes its pair and all 4000 words are drawn for each:
+    # the check's generator ends where the scalar loop's does, after 12 * (1000 + 10 * 4000) letters
     from fsiegel import checks
     from fsiegel.symplectic import GroupElement
 
-    letters = []
+    letters, rngs = [], []
 
     class Counting(random.Random):
         def randrange(self, *args):
@@ -474,15 +475,67 @@ def test_siegel_criterion_draws_every_word_when_no_denominator_is_singular(monke
                 letters.append(1)
             return super().randrange(*args)
 
+    def counting_rng(check, q, n):
+        rngs.append(Counting(f"fsiegel:{check}:{q}:{n}"))
+        return rngs[-1]
+
     monkeypatch.setattr(checks, "generators", lambda sp, tag: [GroupElement(sp.identity, tag)])
-    monkeypatch.setattr(checks, "_rng", lambda check, q, n: Counting(f"fsiegel:{check}:{q}:{n}"))
+    monkeypatch.setattr(checks, "_rng", counting_rng)
     data = checks.check_siegel_criterion(7, 1, 10**5, 10**5)
-    assert len(letters) == 12 * (1000 + 10 * 4000)
+    assert letters == []  # the letters are replayed from the generator's words
     assert [w["singular_found"] for w in data["degenerate_witnesses"]] == [False] * 10
     assert all(w["invertible_found"] for w in data["degenerate_witnesses"])
-    letters.clear()
     assert _scalar_siegel_criterion(7, 1) == data  # the same later Z's
     assert len(letters) == 12 * (1000 + 10 * 4000)
+    assert rngs[0].getstate() == rngs[1].getstate()
+
+
+def test_sampled_siegel_criterion_matches_scalar_loop_over_small_chunks(monkeypatch):
+    # eight words hold no whole pair: the chunk grows, and every pair straddles a chunk edge
+    from fsiegel import checks, sampling
+
+    monkeypatch.setattr(sampling, "_WORD_CHUNK", 8)
+    assert checks.check_siegel_criterion(3, 2, 10**5, 10**5) == _scalar_siegel_criterion(3, 2)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 6, 7, 8, 12, 23, 255, 256, 257])
+def test_draws_equal_successive_randrange_calls(bound):
+    from fsiegel.sampling import _draws
+
+    for seed in (0, 1, "fsiegel:siegel-criterion:7:2"):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 13, 1000):
+            assert _draws(rng, bound, count).tolist() == [twin.randrange(bound) for _ in range(count)]
+            assert rng.getstate() == twin.getstate()
+
+
+class _WordCounting(random.Random):
+    """A generator that counts the 32-bit words it hands out."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (7, 2), (5, 3), (23, 2)])
+def test_stacked_symmetric_parse_equals_successive_random_symmetric(q, n):
+    from fsiegel.sampling import _reads, _symmetric, _words
+
+    sp, t = make_space(q, n), n * (n + 1) // 2
+    words = _words(random.Random(q), 300)
+    values, first, ends = _reads(words, q, 2 * t)
+    zs = _symmetric(values[first[:, None] + np.arange(2 * t)].reshape(-1, t, 2), n)
+    assert len(zs) == len(ends) > 0
+    for p in range(len(words)):  # every start position: a twin generator past p words
+        twin = _WordCounting(q)
+        _words(twin, p)
+        z = random_symmetric_by_calls(sp, twin)
+        if p < len(zs):
+            assert Mat(sp.fp, zs[p].astype(np.int64)) == z and ends[p] == twin.words
+        else:  # a start position that is not listed has no whole Z in the words
+            assert twin.words > len(words)
 
 
 def test_random_symmetric_draws_the_upper_triangle_re_then_im():
@@ -504,8 +557,9 @@ def test_sampled_siegel_criterion_makes_no_scalar_products(monkeypatch):
 
     sp = make_space(7, 1)
     gens = generators(sp, TAG_SP_F)  # built outside the counted cell
-    calls = {"matmul": 0, "rank": 0, "z": 0}
-    matmul, rank, random_symmetric = Mat.__matmul__, Mat.rank, checks._random_symmetric
+    calls = {"matmul": 0, "rank": 0}
+    matmul, rank, rank_stack = Mat.__matmul__, Mat.rank, checks.rank_stack
+    ranked_im = []  # the Z - conj(Z) ranked, the stacks with a zero real part
 
     def counted(name, fn):
         def wrapper(*args):
@@ -513,12 +567,17 @@ def test_sampled_siegel_criterion_makes_no_scalar_products(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def recorded(fp, a):
+        if not a[..., 0].any():
+            ranked_im.extend(m.tobytes() for m in a)
+        return rank_stack(fp, a)
+
     monkeypatch.setattr(checks, "generators", lambda sp, tag: gens)
     monkeypatch.setattr(Mat, "__matmul__", counted("matmul", matmul))
     monkeypatch.setattr(Mat, "rank", counted("rank", rank))
-    monkeypatch.setattr(checks, "_random_symmetric", counted("z", random_symmetric))
+    monkeypatch.setattr(checks, "rank_stack", recorded)
     rec = checks.run_check("siegel-criterion", 7, 1, 10**5, 10**5)
     assert rec["status"] == "pass" and rec["data"]["mode"] == "sampled"
-    assert calls["matmul"] == 0
-    assert 1010 <= calls["z"]
-    assert 0 < calls["rank"] <= 7  # one per distinct Im(Z), an element of F
+    assert calls == {"matmul": 0, "rank": 0}
+    # at most one rank per distinct Im(Z), an element of F
+    assert 0 < len(ranked_im) == len(set(ranked_im)) <= 7
