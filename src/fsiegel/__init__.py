@@ -10,19 +10,7 @@ from .errors import (
     ShapeError,
     VerificationFailure,
 )
-from .field import (
-    EScalar,
-    FieldParams,
-    conj,
-    epsilon_f,
-    hilbert90,
-    make_fields,
-    norm,
-    solve_norm,
-    sqrt_in_e,
-    tau_f,
-    trace,
-)
+from .field import EScalar, FieldParams, epsilon_f, hilbert90, make_fields, tau_f
 from .linalg import Mat, block, column_echelon_canonical, solve
 from .symplectic import (
     TAG_SP_0,

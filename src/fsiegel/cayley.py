@@ -24,7 +24,6 @@ cannot be used.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -91,7 +90,7 @@ def _scalar_of(x: Mat, pattern: Mat, sp: SpaceParams, what: str) -> EScalar:
     return c
 
 
-@lru_cache(maxsize=None)
+@per_cell
 def cayley(q: int, n: int) -> CayleyData:
     """Construct the similitude for the given cell and verify M's own identities;
     `verify_conjugation` checks and reports the generator conjugations."""

@@ -273,26 +273,6 @@ def make_fields(q: int) -> FieldParams:
     return FieldParams(q)
 
 
-def conj(x: EScalar) -> EScalar:
-    return x.conj()
-
-
-def norm(x: EScalar) -> EScalar:
-    return x.norm()
-
-
-def trace(x: EScalar) -> EScalar:
-    return x.trace()
-
-
-def sqrt_in_e(x: EScalar) -> EScalar | None:
-    return x.fp.sqrt(x)
-
-
-def solve_norm(fp: FieldParams, a) -> EScalar:
-    return fp.solve_norm(a)
-
-
 def hilbert90(u: EScalar) -> EScalar:
     """A nonzero d with u = d / conj(d), for norm-one u.
 

@@ -5,7 +5,8 @@ them is a conjugation-invariant model of the Lagrangian geometry.  Both
 sets are sub-tables of the fully enumerated group, and every check over
 them is a stack operation over their rows: the eigenspaces are one
 `kernel_stack` per eigenvalue and cell, and the pairing identity is one
-matrix identity per row, exact on every pair of rational vectors.  The
+matrix identity per row, exact on every pair of rational vectors, and
+conjugation by the generators is one table of rows per set.  The
 equivalence "T^2 = -I iff J T is symmetric" is asserted across the whole
 group as a built-in cross-check before anything else runs.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, VerificationFailure
+from .errors import ParameterError, VerificationFailure
 from .field import epsilon_f
 from .lagrangian import Lagrangian, _grams, enumerate_lagrangians, span_images
 from .linalg import (
@@ -81,16 +82,17 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
     dets = det_stack(fp, forms)
     det_ok = bool(np.all(dets == (1, 0)))
     disc_ok = not dets[:, 1].any() and all(fp.is_square_in_f(d) for d in set(dets[:, 0].tolist()))
-    # J (g T g^-1) = t(g^-1) (J T) g^-1 for every pair (T, g), both sides as one stack
-    mats, invs = _gen_stacks(sp, generators(sp, TAG_SP_F))
-    lhs = mm(fp, sp.j.a, _conjugates(fp, mats, invs, ants.arr))
+    # J (g T g^-1) = t(g^-1) (J T) g^-1 for every pair (T, g): the left side is the form of
+    # the conjugate's row, the right side one stack
+    rows = _conjugation_rows(q, n, -1)
+    invs = _gen_stacks(sp, generators(sp, TAG_SP_F))[1]
     rhs = mm(fp, mm(fp, invs.swapaxes(1, 2)[None], forms[:, None]), invs[None])
     return {
         "count": len(ants),
         "symmetric": bool(np.all(forms == forms.swapaxes(1, 2))),
         "determinant_one": det_ok,
         "discriminant_square": disc_ok,
-        "equivariant": np.array_equal(lhs, rhs),
+        "equivariant": bool(np.all(rows >= 0)) and np.array_equal(forms[rows], rhs),
     }
 
 
@@ -181,31 +183,36 @@ def _gen_stacks(sp: SpaceParams, gens) -> tuple[np.ndarray, np.ndarray]:
     return _generator_stack(sp, gens), _generator_stack(sp, [g.mat.inv() for g in gens])
 
 
-def _conjugates(fp, mats: np.ndarray, invs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """g T g^-1 for each T in a stack (N, 2n, 2n, 2) and each generator: (N, G, 2n, 2n, 2)."""
-    return mm(fp, mm(fp, mats[None], ts[:, None]), invs[None])
+@per_cell
+def _conjugation_rows(q: int, n: int, a: int) -> np.ndarray:
+    """Row of g T g^-1 in the T^2 = aI sub-table, for each of its rows T and each rational
+    generator g: (N, G), -1 where the conjugate is outside; one stacked product per cell, read-only."""
+    sp = make_space(q, n)
+    sub = scaled_involutions(q, n, a, group_order(TAG_SP_F, q, n))
+    mats, invs = _gen_stacks(sp, generators(sp, TAG_SP_F))
+    conj = mm(sp.fp, mm(sp.fp, mats[None], sub.arr[:, None]), invs[None])
+    return sub.rows(conj.reshape(-1, sp.dim, sp.dim, 2)).reshape(len(sub), len(mats))
 
 
-def _conjugation_closure(sp: SpaceParams, seed: Mat, gens, cap: int) -> np.ndarray:
-    """The sorted keys of the seed's conjugates under the generated group."""
-    mats, invs = _gen_stacks(sp, gens)
-    step = lambda frontier: _conjugates(sp.fp, mats, invs, frontier)  # noqa: E731
-    try:
-        members = frontier_closure(seed.a, step, cap, "conjugation closure")[0]
-    except ResourceLimitError:
-        raise VerificationFailure("conjugation closure exceeded cap")
-    return np.sort(stack_keys(members))
+def _single_orbit(rows: np.ndarray, seed: int, members: np.ndarray) -> bool:
+    """Whether the sorted rows `members` are the orbit of row `seed` under a conjugation table:
+    each generator permutes them (a -1, a conjugate outside the set, fails) and the walk from
+    the seed reaches them all."""
+    if seed < 0 or np.any(np.sort(rows[members], axis=0) != members[:, None]):
+        return False
+    seed = np.array([seed], dtype=rows.dtype)  # the table's dtype, so equal rows have equal bytes
+    found = frontier_closure(seed, lambda f: rows[f[:, 0], :, None])[0]
+    return np.array_equal(np.sort(found[:, 0]), members)
 
 
-def _equivariant(sp: SpaceParams, ants: EnumeratedGroup, models: np.ndarray, gens) -> bool:
-    """g W_T = W_{g T g^-1} for each row T of `ants` with eigenspace W_T in `models`, each generator g.
+def _equivariant(sp: SpaceParams, rows: np.ndarray, models: np.ndarray, gens) -> bool:
+    """g W_T = W_{g T g^-1} for each anti-involution T with eigenspace W_T in `models`, each generator g.
 
-    A g T g^-1 missing from `ants` counts as not equivariant.
+    `rows` is the anti-involutions' conjugation table; a g T g^-1 outside
+    the set (-1) counts as not equivariant.
     """
-    mats, invs = _gen_stacks(sp, gens)
-    j = ants.rows(_conjugates(sp.fp, mats, invs, ants.arr).reshape(-1, sp.dim, sp.dim, 2))
-    moved = span_images(sp, mats, models).reshape(-1, sp.dim, sp.n, 2)
-    return bool(np.all(j >= 0) and np.array_equal(moved, models[j]))
+    moved = span_images(sp, _generator_stack(sp, gens), models)
+    return bool(np.all(rows >= 0) and np.array_equal(moved, models[rows]))
 
 
 def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> dict:
@@ -220,11 +227,13 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     sp = make_space(q, n)
     fp = sp.fp
     ants = anti_involutions(q, n, cap_group)
-    gens = generators(sp, TAG_SP_F)
+    rows = _conjugation_rows(q, n, -1)
     out = {"count": len(ants), "branch": "nonsquare" if epsilon_f(q) == -1 else "square"}
     models, eigen = _anti_involution_suite(q, n)
     # a row that is not Lagrangian has no image span to compare
-    out["equivariant"] = bool(eigen["lagrangian"].all()) and _equivariant(sp, ants, models, gens)
+    out["equivariant"] = bool(eigen["lagrangian"].all()) and _equivariant(
+        sp, rows, models, generators(sp, TAG_SP_F)
+    )
     # the distinct eigenspaces, with the number of anti-involutions on each
     images, fibers = np.unique(stack_keys(models), return_counts=True)
 
@@ -245,8 +254,7 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     i = fp.sqrt(fp.e(-1))
     eye = Mat.identity(fp, n)
     h_seed = block_diag(fp, i * eye, (-i) * eye)
-    closure = _conjugation_closure(sp, h_seed, gens, cap=len(ants) + 1)
-    out["single_orbit"] = np.array_equal(closure, ants.keys)
+    out["single_orbit"] = _single_orbit(rows, ants.rows(h_seed.a[None])[0], np.arange(len(ants)))
 
     # the isotropy of the seed and the block-diagonal subgroup, as masks over the group's rows
     arr = enumerate_symplectic(sp, TAG_SP_F, cap_group).arr
@@ -285,7 +293,6 @@ def classify_involutions(q: int, n: int, cap_group: int) -> dict:
     """
     sp = make_space(q, n)
     fp = sp.fp
-    gens = generators(sp, TAG_SP_F)
     invs = scaled_involutions(q, n, 1, cap_group)
     (plus, dims), (minus, minus_dims) = (_eigenspaces(sp, invs.arr, v) for v in (fp.one, -fp.one))
     # each eigenspace B, of dimension k, is nondegenerate when t(B) J B has rank k
@@ -297,11 +304,11 @@ def classify_involutions(q: int, n: int, cap_group: int) -> dict:
     rebuild_ok = bool(np.all(rank_stack(fp, both) == sp.dim)) and np.array_equal(
         mm(fp, invs.arr, both), np.concatenate([plus, (-minus) % q], axis=2)
     )
+    table = _conjugation_rows(q, n, 1)
     per_class = []
     for k in np.flatnonzero(np.bincount(dims)).tolist():
         rows = np.flatnonzero(dims == k)
-        closure = _conjugation_closure(sp, invs[rows[0]].mat, gens, cap=len(rows) + 1)
-        one_orbit = np.array_equal(closure, invs.keys[rows])
+        one_orbit = _single_orbit(table, rows[0], rows)
         per_class.append({"k": k, "size": len(rows), "single_orbit": one_orbit})
     return {
         "total": len(invs),

@@ -19,7 +19,7 @@ arithmetic bug.
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import combinations
 
 import numpy as np
@@ -66,12 +66,7 @@ class SpaceParams:
         )
 
 
-@lru_cache(maxsize=None)
-def make_space(q: int, n: int) -> SpaceParams:
-    return SpaceParams(q, n)
-
-
-# the one cell slot: the (q, n) in hand under "cell", its tables under (builder, q, n, *key)
+# the one cell slot: the (q, n) in hand under "cell", its objects under (builder, q, n, *key)
 _slot: dict = {}
 
 
@@ -88,7 +83,9 @@ def _frozen(value):
 def per_cell(build):
     """Memoize `build(q, n, *key)` in the one cell slot, its arrays made read-only for every caller.
 
-    Asking for another (q, n) drops the last cell's tables first, so a grid holds one cell's at a time.
+    The slot is the only cache of per-cell objects: the space, the generators, the similitude
+    and the tables.  Asking for another (q, n) drops the last cell's first, so a grid holds
+    one cell's at a time.
     """
 
     @wraps(build)
@@ -102,6 +99,11 @@ def per_cell(build):
         return _slot[entry]
 
     return cached
+
+
+@per_cell
+def make_space(q: int, n: int) -> SpaceParams:
+    return SpaceParams(q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +258,21 @@ def symmetric_basis(fp: FieldParams, n: int, over_e: bool) -> list[Mat]:
     return out
 
 
-@lru_cache(maxsize=None)
 def generators(sp: SpaceParams, tag: str) -> tuple[GroupElement, ...]:
     """Standard generating set: the two opposite unipotent families.
 
     For "sp0" the generators are the conjugates of the "spf" family under
     the similitude that exchanges the two groups; the closure-order
     contract is enforced empirically by the test suite.  Each set is built
-    and verified once per (space, tag).
+    and verified once per cell and tag, and held in the cell slot.
     """
-    fp, n = sp.fp, sp.n
+    return _generators(sp.q, sp.n, tag)
+
+
+@per_cell
+def _generators(q: int, n: int, tag: str) -> tuple[GroupElement, ...]:
+    sp = make_space(q, n)
+    fp = sp.fp
     if tag in (TAG_SP_E, TAG_SP_F):
         eye, zero = Mat.identity(fp, n), Mat.zeros(fp, n, n)
         gens = []
@@ -277,7 +284,7 @@ def generators(sp: SpaceParams, tag: str) -> tuple[GroupElement, ...]:
     if tag == TAG_SP_0:
         from .cayley import cayley  # deferred: cayley builds on this module
 
-        m = cayley(sp.q, sp.n).m
+        m = cayley(q, n).m
         m_inv = m.inv()
         return tuple(group_element(sp, m @ g.mat @ m_inv, TAG_SP_0) for g in generators(sp, TAG_SP_F))
     raise ParameterError(f"unknown group tag {tag!r}")

@@ -15,9 +15,9 @@ import numpy as np
 
 from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError
 from fsiegel.lagrangian import enumerate_lagrangians, span_images
-from fsiegel.linalg import Mat, block
+from fsiegel.linalg import Mat, block, mm, stack_keys
 from fsiegel.orbits import act
-from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, make_space
+from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, frontier_closure, make_space
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -317,6 +317,18 @@ def frontier_closure_by_rows(seed, step, cap=None, what="closure", chunk=64):
         frontier, start = np.concatenate(level), start + len(frontier)
         found.append(frontier)
     return np.concatenate(found), np.concatenate(parent), np.concatenate(via)
+
+
+def conjugation_closure(sp, seed, gens, cap):
+    """The sorted keys of the conjugates of the matrix `seed` under the generated group.
+
+    A BFS over matrices, one stacked g T g^-1 per frontier: the reference
+    for the involution checks' walks over their conjugation tables.
+    """
+    mats = np.stack([g.mat.a for g in gens])
+    invs = np.stack([g.mat.inv().a for g in gens])
+    step = lambda frontier: mm(sp.fp, mm(sp.fp, mats[None], frontier[:, None]), invs[None])  # noqa: E731
+    return np.sort(stack_keys(frontier_closure(seed.a, step, cap, "conjugation closure")[0]))
 
 
 # -- scalar words and identities ----------------------------------------------

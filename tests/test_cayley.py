@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fsiegel import checks
+from fsiegel import checks, symplectic
 from fsiegel.checks import _conformal_pairs, _rng, run_check
 from fsiegel.errors import ConsistencyError, ParameterError
 from fsiegel.field import make_fields, tau_f
@@ -141,17 +141,17 @@ def test_conjugation_checks_each_direction_with_one_stacked_membership_call(monk
     assert stacks == [(6, TAG_SP_0), (6, TAG_SP_F)] and scalar == []
 
 
-def test_conjugation_flags_do_not_rest_on_the_cached_similitude():
-    """A `cd` built before `cayley.cache_clear()` is checked like any other."""
+def test_conjugation_flags_do_not_rest_on_the_cached_similitude(fresh_cell):
+    """A `cd` built before the cell slot is emptied is checked like any other."""
     cd = cayley(3, 1)
-    cayley.cache_clear()
+    symplectic._slot.clear()
     assert cayley(3, 1) is not cd
     rep = verify_conjugation(cd, 3, 1, 10**5)
     assert rep["forward_ok"] and rep["backward_ok"]
 
 
 @pytest.mark.parametrize("tag", [TAG_SP_0, TAG_SP_F])
-def test_cayley_refuses_a_generator_that_does_not_conjugate(tag, monkeypatch):
+def test_cayley_refuses_a_generator_that_does_not_conjugate(tag, monkeypatch, fresh_cell):
     """A conjugated generator outside its group turns its flag false and the record `fail`; M still builds."""
     cayley_mod = importlib.import_module("fsiegel.cayley")
 
@@ -162,7 +162,6 @@ def test_cayley_refuses_a_generator_that_does_not_conjugate(tag, monkeypatch):
         return found
 
     monkeypatch.setattr(cayley_mod, "members", first_row_out)
-    cayley.cache_clear()
     rec = run_check("cayley", 3, 1, 10**5, 10**4)
     sub = rec["data"]["subchecks"]
     assert rec["status"] == "fail"
@@ -398,8 +397,6 @@ def test_zero_block_mask_matches_the_scalar_loop(q, monkeypatch):
 
 
 def test_cold_stabilizers_cell_builds_few_group_elements(monkeypatch, fresh_cell):
-    from fsiegel import symplectic
-
     built = []
     init = symplectic.GroupElement.__init__
 

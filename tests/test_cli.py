@@ -84,7 +84,7 @@ def test_group_writes_an_order_too_long_to_print(capsys):
     assert payload["checks"][0]["data"] == {"order": "~10^4315", "generator_count": 4556}
 
 
-def test_verify_at_a_huge_n_builds_no_generators(capsys, monkeypatch):
+def test_verify_at_a_huge_n_builds_no_generators(capsys, monkeypatch, fresh_cell):
     """The `cayley_params` echo builds M from its own identities, so lemma4's skip comes at once."""
 
     def refuse(sp, tag):
@@ -93,14 +93,10 @@ def test_verify_at_a_huge_n_builds_no_generators(capsys, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("fsiegel") and hasattr(mod, "generators"):
             monkeypatch.setattr(mod, "generators", refuse)
-    cayley.cache_clear()
-    try:
-        code, payload = run_json(capsys, "verify", "--q", "3", "--n", "100", "--checks", "lemma4")
-        assert code == 3 and [r["status"] for r in payload["checks"]] == ["skipped-resource"]
-        assert payload["cayley_params"]["3,100"]["branch"] == "minus-one-nonsquare"
-        assert cayley(3, 1).normalized
-    finally:
-        cayley.cache_clear()
+    code, payload = run_json(capsys, "verify", "--q", "3", "--n", "100", "--checks", "lemma4")
+    assert code == 3 and [r["status"] for r in payload["checks"]] == ["skipped-resource"]
+    assert payload["cayley_params"]["3,100"]["branch"] == "minus-one-nonsquare"
+    assert cayley(3, 1).normalized
 
 
 def test_census_skips_a_count_too_long_to_print(capsys):
@@ -351,14 +347,16 @@ def test_consistency_error_writes_finished_records_to_stderr(capsys, monkeypatch
 
 def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
     # np.unique without counts or indices imports numpy.ma, 13 ms in a cold process; the
-    # cells are the group closures at (23,1) and the seeded samples at (7,2)
+    # cells are the group closures at (23,1), the seeded samples at (7,2) and the
+    # conjugation-table walks of the involutions' square branch at (5,1)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = "import sys; from fsiegel.cli import main; code = main(sys.argv[1:]); print('numpy.ma' in sys.modules, code)"
-    for cell, checks_, cap_points in [("23,1", "cayley,stabilizers,involutions", "20000"),
-                                      ("7,2", "stabilizers,siegel-criterion", "5000")]:
+    for cell, checks_, cap_points, code in [("23,1", "cayley,stabilizers,involutions", "20000", "1"),
+                                            ("7,2", "stabilizers,siegel-criterion", "5000", "1"),
+                                            ("5,1", "involutions", "20000", "0")]:
         q, n = cell.split(",")
         argv = ["verify", "--q", q, "--n", n, "--checks", checks_, "--jobs", "1",
                 "--cap-group", "100000", "--cap-points", cap_points, "--out", str(tmp_path / "report.json")]
         proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
-        assert proc.stdout.split() == ["False", "1"], proc.stderr
+        assert proc.stdout.split() == ["False", code], proc.stderr

@@ -6,13 +6,14 @@ import pytest
 from fsiegel import involutions
 from fsiegel.checks import run_check
 from fsiegel.errors import ParameterError, ResourceLimitError
-from fsiegel.field import epsilon_f, make_fields, sqrt_in_e
-from fsiegel.linalg import Mat, det_arr, det_stack, mm
+from fsiegel.field import epsilon_f, make_fields
+from fsiegel.linalg import Mat, block_diag, det_arr, det_stack, mm
 from fsiegel.symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
     GroupElement,
     enumerate_symplectic,
+    frontier_closure,
     generators,
     make_space,
 )
@@ -32,7 +33,7 @@ from fsiegel.involutions import (
     scaled_involutions,
 )
 
-from oracles import pairing_identity_holds, smallest_nonresidue
+from oracles import conjugation_closure, pairing_identity_holds, smallest_nonresidue
 
 CAP = 10**5
 
@@ -96,7 +97,7 @@ def test_eigenline_of_j_q3():
     w = eigenspace_model(GroupElement(sp.j, TAG_SP_F))
     assert w.encode() == "1;0+1*s"
     # the column is an eigenvector for the chosen square root of -1
-    i = sqrt_in_e(fp.e(-1))
+    i = fp.sqrt(fp.e(-1))
     vec = w.basis
     assert sp.j @ vec == i * vec
     assert w.label().h_rank == 1
@@ -107,7 +108,7 @@ def test_eigenlines_match_closed_forms_q5():
     # triangular family all share the same eigenline
     sp = make_space(5, 1)
     fp = sp.fp
-    i = sqrt_in_e(fp.e(-1))
+    i = fp.sqrt(fp.e(-1))
     assert i.is_rational
     for x in range(5):
         t = Mat.build(fp, [[-i, 0], [fp.e(x), i]])
@@ -183,14 +184,15 @@ def test_stacked_equivariance_matches_the_scalar_loop(q):
     sp = make_space(q, 1)
     ants = anti_involutions(q, 1, CAP)
     gens = generators(sp, TAG_SP_F)
+    rows = involutions._conjugation_rows(q, 1, -1)
     models = [eigenspace_model(t) for t in ants]
     stack = np.stack([w.basis.a for w in models])
-    assert _equivariant(sp, ants, stack, gens) and _scalar_equivariant(ants, models, gens)
+    assert _equivariant(sp, rows, stack, gens) and _scalar_equivariant(ants, models, gens)
     # give the first anti-involution the eigenspace of one with another eigenspace
     other = next(w for w in models if w != models[0])
     bad = [other] + models[1:]
     bad_stack = np.stack([w.basis.a for w in bad])
-    assert not _equivariant(sp, ants, bad_stack, gens)
+    assert not _equivariant(sp, rows, bad_stack, gens)
     assert not _scalar_equivariant(ants, bad, gens)
 
 
@@ -429,3 +431,78 @@ def test_classification_matches_the_scalar_loop(q, n):
     assert rep["reconstruction"] is rebuild_ok is True
     assert rep["observed_k"] == sorted(classes)
     assert {c["k"]: c["size"] for c in rep["classes"]} == classes
+
+
+def _seed_of_the_square_branch(sp):
+    fp, eye = sp.fp, Mat.identity(sp.fp, sp.n)
+    i = fp.sqrt(fp.e(-1))
+    return block_diag(fp, i * eye, (-i) * eye)
+
+
+def _classes(q, n):
+    """The T^2 = I sub-table and its rows by fixed-space dimension."""
+    sp = make_space(q, n)
+    invs = scaled_involutions(q, n, 1, CAP)
+    dims = involutions._eigenspaces(sp, invs.arr, sp.fp.one)[1]
+    return invs, [np.flatnonzero(dims == k) for k in np.flatnonzero(np.bincount(dims)).tolist()]
+
+
+def _walk(rows, seed):
+    """The rows a conjugation table reaches from one seed row, sorted."""
+    return np.sort(frontier_closure(np.array([seed]), lambda f: rows[f[:, 0], :, None])[0][:, 0])
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2)])
+def test_conjugation_table_orbits_match_the_matrix_closure(q, n):
+    """Each orbit verdict, and the orbit each table walk reaches, against a BFS over matrices."""
+    sp = make_space(q, n)
+    gens = generators(sp, TAG_SP_F)
+    if epsilon_f(q) == 1:
+        ants, seed = anti_involutions(q, n, CAP), _seed_of_the_square_branch(sp)
+        want = conjugation_closure(sp, seed, gens, len(ants) + 1)
+        assert correspondence_report(q, n, CAP, CAP)["single_orbit"] == np.array_equal(want, ants.keys)
+        walked = _walk(involutions._conjugation_rows(q, n, -1), ants.rows(seed.a[None])[0])
+        assert np.array_equal(ants.keys[walked], want)
+    invs, classes = _classes(q, n)
+    table = involutions._conjugation_rows(q, n, 1)
+    verdicts = [c["single_orbit"] for c in classify_involutions(q, n, CAP)["classes"]]
+    assert len(verdicts) == len(classes)
+    for rows, verdict in zip(classes, verdicts):
+        want = conjugation_closure(sp, invs[rows[0]].mat, gens, len(invs) + 1)
+        assert verdict and np.array_equal(want, invs.keys[rows])
+        assert np.array_equal(invs.keys[_walk(table, rows[0])], want)
+
+
+def _mutated(table, row, col, value):
+    bad = table.copy()
+    bad[row, col] = value
+    return bad
+
+
+def test_a_mutated_anti_involution_table_fails_the_orbit_and_equivariance(monkeypatch):
+    """At (5,1), the square branch: one entry redirected to another row, or set to -1, turns
+    every verdict read off the table false."""
+    assert correspondence_report(5, 1, CAP, CAP)["single_orbit"]
+    table = involutions._conjugation_rows(5, 1, -1)
+    for value in ((table[7, 1] + 1) % len(table), -1):
+        bad = _mutated(table, 7, 1, value)
+        monkeypatch.setattr(involutions, "_conjugation_rows", lambda q, n, a: bad)
+        corr = correspondence_report(5, 1, CAP, CAP)
+        assert not corr["single_orbit"] and not corr["equivariant"]
+        assert not involution_form_report(5, 1, CAP)["equivariant"]
+
+
+def test_a_mutated_involution_table_fails_the_affected_class(monkeypatch):
+    """At (3,2): an entry of a class row redirected inside its own class, or set to -1, fails
+    that class only."""
+    _, classes = _classes(3, 2)
+    assert all(c["single_orbit"] for c in classify_involutions(3, 2, CAP)["classes"])
+    table = involutions._conjugation_rows(3, 2, 1)
+    big = max(range(len(classes)), key=lambda c: len(classes[c]))
+    members = classes[big]
+    row = members[1]
+    for value in (members[members != table[row, 0]][0], -1):
+        bad = _mutated(table, row, 0, value)
+        monkeypatch.setattr(involutions, "_conjugation_rows", lambda q, n, a: bad)
+        verdicts = [c["single_orbit"] for c in classify_involutions(3, 2, CAP)["classes"]]
+        assert verdicts == [c != big for c in range(len(classes))]

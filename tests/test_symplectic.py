@@ -1,11 +1,14 @@
+import ast
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsiegel import symplectic
+from fsiegel.cayley import cayley
 from fsiegel.checks import run_check
 from fsiegel.cli import strip_volatile
 from fsiegel.errors import ParameterError, ResourceLimitError, ShapeError
@@ -304,9 +307,8 @@ def test_capped_closure_raises_at_the_same_element():
     assert len(_assert_closures_agree(sp.identity.a, step, order)) == order
 
 
-def test_generators_are_built_and_verified_once(monkeypatch):
+def test_generators_are_built_and_verified_once(monkeypatch, fresh_cell):
     sp = make_space(5, 1)
-    generators.cache_clear()
     checked = []
     real = symplectic.is_member
     monkeypatch.setattr(symplectic, "is_member", lambda *args: checked.append(args[2]) or real(*args))
@@ -324,6 +326,40 @@ def test_a_cells_tables_are_released_once_the_grid_moves_on():
     run_check("lemma4", 3, 1, 10**5, 10**5)
     gc.collect()
     assert points() is None and group() is None
+
+
+def test_a_cells_space_generators_and_similitude_are_released_once_the_grid_moves_on():
+    # tuples and slotted objects take no weak reference: each is watched through the arrays it holds
+    sp = make_space(3, 2)
+    held = [weakref.ref(sp), weakref.ref(cayley(3, 2).m.a)]
+    held += [weakref.ref(g.mat.a) for tag in (TAG_SP_F, TAG_SP_0) for g in generators(sp, tag)]
+    del sp
+    run_check("lemma4", 3, 1, 10**5, 10**5)
+    gc.collect()
+    assert [ref() for ref in held] == [None] * len(held)
+
+
+def _is_lru_cache(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    )
+
+
+def test_lru_cache_decorates_only_make_fields():
+    """Per-cell objects live in the cell slot; a process-lifetime cache holds per-field constants only."""
+    found = []
+    for path in sorted(Path(symplectic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node of a decorator, by the name it decorates; any other use is named by its line
+        decorates = {
+            id(sub): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for dec in node.decorator_list
+            for sub in ast.walk(dec)
+        }
+        found += [(path.name, decorates.get(id(node), node.lineno)) for node in ast.walk(tree) if _is_lru_cache(node)]
+    assert found == [("field.py", "make_fields")]
 
 
 def test_the_cell_slot_is_keyed_on_the_whole_cell_and_memoizes():
