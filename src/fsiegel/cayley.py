@@ -32,7 +32,7 @@ from .errors import ConsistencyError, ParameterError, ResourceLimitError, count_
 from .field import EScalar, epsilon_f, tau_f
 from .lagrangian import Lagrangian, _span_of, enumerate_lagrangians, l_plus
 from .linalg import Mat, block, block_diag, mm, stack_keys
-from .orbits import _action_table, _inverse_rows, act, orbit, stabilizer_elements
+from .orbits import _action_table, _inverse_rows, _walk, act, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_E,
@@ -277,23 +277,27 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
     orders obtained by brute-force scans.  When the group fits under the cap
     the stabilizer is filtered from the group table as one mask and the
     predicted factor subgroups are looked up in its rows; otherwise only
-    the order arithmetic against the orbit size is reported.  The orbit is
-    refused over the point cap from its closed-form size, before any BFS,
-    and a BFS orbit of another size raises ConsistencyError.
+    the order arithmetic against the orbit size is reported.  The scans,
+    then V_k's closed-form orbit size and the cell's point table against
+    the point cap, are refused before anything is built; V_k's orbit is
+    walked in the cell's sp0 action table and must have that size.
     """
     sp = make_space(q, n)
     fp = sp.fp
-    # refuse before building anything: both scan sizes, then the orbit's closed-form size
     _scan_size(fp, k, over_e=False)
     _scan_size(fp, n - k, over_e=True)
     size = v_k_orbit_size(q, n, k)
     if size > cap_points:
         raise ResourceLimitError(f"orbit exceeds cap {cap_points}")
+    table = enumerate_lagrangians(q, n, cap_points)
     tk = partial_cayley(sp, k)
     vk = v_k(sp, k)
-    orb = orbit(vk, generators(sp, TAG_SP_0), cap=cap_points)
-    if orb.size != size:
-        raise ConsistencyError(f"orbit of V_{k} has {orb.size} points, its closed form {size}")
+    row = table.rows(vk.basis.a[None])[0]
+    if row < 0:
+        raise ConsistencyError(f"V_{k} is not a point of the cell's table")
+    found = _walk(_cell_actions(q, n)[TAG_SP_0], row)[0]
+    if len(found) != size:
+        raise ConsistencyError(f"orbit of V_{k} has {len(found)} points, its closed form {size}")
     o_elems = orthogonal_group_elements(fp, k)
     u_elems = unitary_group_elements(fp, n - k)
     predicted = len(o_elems) * len(u_elems) * q ** (k * (k + 1) // 2)
@@ -304,9 +308,9 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
         "unitary_factor": len(u_elems),
         "unipotent_factor": q ** (k * (k + 1) // 2),
         "predicted_order": predicted,
-        "orbit_size": orb.size,
+        "orbit_size": size,
         "group_order": order,
-        "quotient_matches_orbit": order % predicted == 0 and order // predicted == orb.size,
+        "quotient_matches_orbit": order % predicted == 0 and order // predicted == size,
     }
     if order > cap_group:
         out["mode"] = "reduced"
@@ -316,7 +320,7 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
     stab = stabilizer_elements(vk, g0)
     out["filtered_order"] = len(stab)
     out["filtered_matches_predicted"] = len(stab) == predicted
-    out["orbit_stabilizer_consistent"] = len(stab) * orb.size == order
+    out["orbit_stabilizer_consistent"] = len(stab) * size == order
 
     # the Levi factor diag(S, T, S, conj T) and the unipotent factor
     # T_k (I, diag(B, 0); 0, I) T_k^-1 are looked up in the stabilizer's rows

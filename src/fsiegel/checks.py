@@ -7,15 +7,16 @@ by `run_cell`, which every subcommand shares:
      "data": payload, "wall_ms": elapsed}
 
 A resource skip is produced whenever the cell would exceed the configured
-group or point caps; skips never fail a run.  `cayley` and
-`siegel-criterion` have no cap: each builds the cell's generator stacks,
-n(n+1) matrices of (2n)^2 entries per family (6.5 GB per family at
-n = 100), so neither should be run at a large n.  A structural cross-check
-that breaks inside a check (VerificationFailure) becomes a "fail" record
-carrying its message, and the rest of the grid still runs;
-ConsistencyError, an internal arithmetic bug, stays fatal.  All sampling
-is seeded from the (check, q, n) triple, so reports are reproducible byte
-for byte once wall times are stripped.
+group or point caps; skips never fail a run.  `cayley` and the sampled
+`siegel-criterion` have no cap (the exhaustive one, n = 1 and q <= 5,
+enumerates the group under the group cap): each builds the cell's
+generator stacks, n(n+1) matrices of (2n)^2 entries per family (6.5 GB
+per family at n = 100), so neither should be run at a large n.  A
+structural cross-check that breaks inside a check (VerificationFailure)
+becomes a "fail" record carrying its message, and the rest of the grid
+still runs; ConsistencyError, an internal arithmetic bug, stays fatal.
+All sampling is seeded from the (check, q, n) triple, so reports are
+reproducible byte for byte once wall times are stripped.
 """
 
 from __future__ import annotations

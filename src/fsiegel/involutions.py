@@ -22,6 +22,7 @@ from .linalg import (
     Mat, block, block_diag, conj_arr, det_stack, kernel_stack, mm, rank_stack, rcef_stack, scalar_mm,
     stack_keys,
 )
+from .orbits import _walk
 from .symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
@@ -29,7 +30,6 @@ from .symplectic import (
     SpaceParams,
     _generator_stack,
     enumerate_symplectic,
-    frontier_closure,
     generators,
     group_order,
     make_space,
@@ -200,9 +200,7 @@ def _single_orbit(rows: np.ndarray, seed: int, members: np.ndarray) -> bool:
     the seed reaches them all."""
     if seed < 0 or np.any(np.sort(rows[members], axis=0) != members[:, None]):
         return False
-    seed = np.array([seed], dtype=rows.dtype)  # the table's dtype, so equal rows have equal bytes
-    found = frontier_closure(seed, lambda f: rows[f[:, 0], :, None])[0]
-    return np.array_equal(np.sort(found[:, 0]), members)
+    return np.array_equal(np.sort(_walk(rows, seed)[0]), members)
 
 
 def _equivariant(sp: SpaceParams, rows: np.ndarray, models: np.ndarray, gens) -> bool:

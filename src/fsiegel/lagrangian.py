@@ -133,8 +133,8 @@ class PointTable:
 
     Next to the bases are their `stack_keys` and, per row, the labels
     (the ranks of the two Gram matrices) and the Siegel-image flag (an
-    invertible bottom block); all are read-only.  Indexing a row builds
-    its `Lagrangian`, so a table also reads as the sorted list of its points.
+    invertible bottom block), all built with the table and read-only.
+    Indexing a row gives its `Lagrangian`: a table reads as its sorted points.
     """
 
     __slots__ = ("space", "bases", "keys", "h_rank", "o_type", "in_image")
@@ -143,23 +143,11 @@ class PointTable:
         self.space = sp
         self.bases = bases[np.argsort(stack_keys(bases))]
         self.keys = stack_keys(self.bases)
-        for arr in (self.bases, self.keys):
-            arr.setflags(write=False)  # a cached table is shared by every caller
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        """The labels and image flags, computed together on first read.
-
-        An orbit's own table never reads them, so it never pays for them.
-        """
-        if name not in ("h_rank", "o_type", "in_image"):
-            raise AttributeError(name)
-        sp = self.space
         self.h_rank = rank_stack(sp.fp, _grams(sp, self.bases, sp.j))
         self.o_type = rank_stack(sp.fp, _grams(sp, self.bases, sp.d_form))
         self.in_image = rank_stack(sp.fp, self.bases[:, sp.n :]) == sp.n
-        for arr in (self.h_rank, self.o_type, self.in_image):
-            arr.setflags(write=False)
-        return getattr(self, name)
+        for arr in (self.bases, self.keys, self.h_rank, self.o_type, self.in_image):
+            arr.setflags(write=False)  # a cached table is shared by every caller
 
     def __len__(self) -> int:
         return len(self.bases)

@@ -8,11 +8,12 @@ exception (they depend on the exploration schedule of the final BFS) and
 are therefore excluded from report equality.
 
 Points are rows of a sorted `PointTable`, and an orbit's members are a
-sorted array of its rows.  A partition works on the table's stack: each
-generator's action is one int table (row -> image row), and each orbit
-is a BFS component over the tables, its words read off the parent
-pointers, a Schreier vector (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, section 4.1).
+sorted array of its rows.  Each orbit is a BFS component over an int
+action table (row -> image row, a column per generator), its words read
+off the parent pointers, a Schreier vector (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, section 4.1): `_walk`, shared by
+`partition`, the stabilizers' V_k orbits and the involution classes.
+`orbit`, which canonicalizes every image, serves the API and the tests.
 
 A cell's generator tables are built by `cayley._cell_actions`, once while
 the grid is on the cell: only the upper translations are canonicalized,
@@ -42,7 +43,7 @@ class OrbitRecord:
     Built from a BFS over the table's rows: found[0] is the seed, and row
     found[i], i > 0, is the image of row found[parent[i]] under generator
     via[i].  Whoever builds the record checks that for every i, so by
-    induction every word reproduces its point: `partition` in its action
+    induction every word reproduces its point: `_walk` in its action
     table, `orbit` on the generator stack.  Words and the `Lagrangian`
     views are built on demand.
     """
@@ -144,6 +145,17 @@ def _inverse_rows(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _walk(action: np.ndarray, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BFS of a row over an int action table (N, G), as (found, parent, via) of `frontier_closure`,
+    every edge checked in the table; the rows it reaches must hold no -1."""
+    seed = np.array([row], dtype=action.dtype)  # the table's dtype, so equal rows have equal bytes
+    found, parent, via = frontier_closure(seed, lambda f: action[f[:, 0], :, None])
+    found = found[:, 0]
+    if not np.array_equal(action[found[parent[1:]], via[1:]], found[1:]):
+        raise VerificationFailure("transporter word does not reproduce its point")
+    return found, parent, via
+
+
 def partition(
     table: PointTable, gens, invariant: str | None = None, action: np.ndarray | None = None
 ) -> PartitionReport:
@@ -170,12 +182,7 @@ def partition(
     for s in range(len(table)):
         if seen[s]:
             continue
-        seed = np.array([s], dtype=action.dtype)  # the table's dtype, so equal rows have equal bytes
-        found, parent, via = frontier_closure(seed, lambda f: action[f[:, 0], :, None])
-        found = found[:, 0]
-        if not np.array_equal(action[found[parent[1:]], via[1:]], found[1:]):
-            raise VerificationFailure("transporter word does not reproduce its point")
-        rec = OrbitRecord(table, found, parent, via)
+        rec = OrbitRecord(table, *_walk(action, s))
         seen[rec.rows] = True
         if invariant is not None:
             inv = getattr(table, invariant)

@@ -26,7 +26,7 @@ from fsiegel.symplectic import (
     unitary_order,
     v_k_orbit_size,
 )
-from fsiegel.lagrangian import enumerate_lagrangians, from_basis, l_plus, strata, witnesses
+from fsiegel.lagrangian import PointTable, enumerate_lagrangians, from_basis, l_minus, l_plus, strata, witnesses
 from fsiegel.orbits import _action_table, act, orbit
 from fsiegel.involutions import _anti_involution_suite, _square_scalars
 from fsiegel.cayley import (
@@ -352,16 +352,42 @@ def test_stabilizers_refuse_the_orbit_from_its_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the stabilizer of V_k was built before the orbit cap was met")
 
-    for name in ("orbit", "v_k", "partial_cayley", "generators"):
+    for name in ("enumerate_lagrangians", "_cell_actions", "v_k", "partial_cayley", "generators"):
         monkeypatch.setattr(cayley_mod, name, refuse)
     rec = run_check("stabilizers", 7, 2, 10**5, 5000)
     assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": "orbit exceeds cap 5000"})
+
+
+@pytest.mark.parametrize("cap", [540, 600, 819])
+def test_stabilizers_skip_on_the_point_table_when_only_the_orbit_fits(cap):
+    """V_0's orbit at (3, 2) has 540 points and the cell 820: the orbit is walked in the cell's table,
+    so a cap in between refuses the table."""
+    assert v_k_orbit_size(3, 2, 0) == 540
+    rec = run_check("stabilizers", 3, 2, 10**5, cap)
+    assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": f"820 Lagrangians exceed cap {cap}"})
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (3, 2), (5, 2)])
+def test_the_checks_orbit_sizes_are_the_closed_forms(q, n):
+    sizes = [v_k_orbit_size(q, n, k) for k in range(n + 1)]
+    assert checks.check_theorem1(q, n, 10**5, 10**5)["unitary_orbit_sizes"] == sorted(sizes)
+    per_k = checks.check_stabilizers(q, n, 10**5, 10**5)["per_k"]
+    assert [entry["orbit_size"] for entry in per_k] == sizes
 
 
 def test_stabilizers_refuse_a_bfs_orbit_that_differs_from_its_closed_form(monkeypatch):
     cayley_mod = importlib.import_module("fsiegel.cayley")
     monkeypatch.setattr(cayley_mod, "v_k_orbit_size", lambda q, n, k: v_k_orbit_size(q, n, k) + 1)
     with pytest.raises(ConsistencyError, match="orbit of V_0 has 6 points, its closed form 7"):
+        stabilizer_structure(3, 1, 0, cap_group=10**5, cap_points=10**4)
+
+
+def test_stabilizers_refuse_a_v_k_outside_the_point_table(monkeypatch):
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+    sp = make_space(3, 1)
+    off = PointTable(sp, l_minus(sp).basis.a[None])  # V_0 is L+
+    monkeypatch.setattr(cayley_mod, "enumerate_lagrangians", lambda q, n, cap=None: off)
+    with pytest.raises(ConsistencyError, match="V_0 is not a point of the cell's table"):
         stabilizer_structure(3, 1, 0, cap_group=10**5, cap_points=10**4)
 
 

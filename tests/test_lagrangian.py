@@ -581,3 +581,12 @@ def test_sampled_siegel_criterion_makes_no_scalar_products(monkeypatch):
     assert calls == {"matmul": 0, "rank": 0}
     # at most one rank per distinct Im(Z), an element of F
     assert 0 < len(ranked_im) == len(set(ranked_im)) <= 7
+
+
+def test_the_exhaustive_siegel_criterion_skips_over_the_group_cap():
+    """The exhaustive mode (n = 1, q <= 5) enumerates the rational group, so it is capped;
+    only the sampled mode is not."""
+    from fsiegel import checks
+
+    rec = checks.run_check("siegel-criterion", 5, 1, 10, 2 * 10**4)
+    assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": "group order 120 exceeds cap 10"})

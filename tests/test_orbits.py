@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fsiegel.symplectic import (
     make_space,
 )
 from fsiegel.lagrangian import PointTable, enumerate_lagrangians, l_minus, l_plus, strata
+from fsiegel import orbits
 from fsiegel.orbits import (
     act,
     orbit,
@@ -180,25 +183,45 @@ def test_orbit_members_are_sorted_rows_of_their_own_table():
     assert set(rec.transporters) == rec.member_keys()
 
 
-def test_orbit_computes_no_labels(monkeypatch):
-    from fsiegel import checks, lagrangian
+def test_a_point_table_ranks_its_labels_once_when_built(monkeypatch):
+    from fsiegel import lagrangian
 
+    bases = enumerate_lagrangians(3, 2).bases
     calls = []
     rank_stack = lagrangian.rank_stack
 
     def counting(fp, a):
-        calls.append(1)
+        calls.append(len(a))
         return rank_stack(fp, a)
 
     monkeypatch.setattr(lagrangian, "rank_stack", counting)
-    assert checks.run_check("stabilizers", 3, 2, 10**5, 10**5)["status"] == "fail"
-    assert calls == []  # the cell's three orbits
-    sp = make_space(3, 2)
-    rec = orbit(v_k(sp, 1), generators(sp, TAG_SP_0))
-    assert calls == []
-    # read once, the three label arrays are computed together
-    assert set(rec.table.o_type.tolist()) == {1} and len(calls) == 3
-    assert rec.table.h_rank is rec.table.h_rank and len(calls) == 3
+    table = PointTable(make_space(3, 2), bases)
+    assert calls == [820] * 3  # h_rank, o_type and the image flags, one stack each
+    cell = enumerate_lagrangians(3, 2)
+    for name in ("h_rank", "o_type", "in_image"):
+        assert np.array_equal(getattr(table, name), getattr(cell, name))
+        assert not getattr(table, name).flags.writeable
+    assert calls == [820] * 3
+    assert "__getattr__" not in vars(PointTable)
+
+
+def _names_orbit(node) -> bool:
+    """An import of `orbit`, or a call of it by name or as an attribute."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "orbit" for alias in node.names)
+    if isinstance(node, ast.Call):
+        f = node.func
+        return (isinstance(f, ast.Name) and f.id == "orbit") or (isinstance(f, ast.Attribute) and f.attr == "orbit")
+    return False
+
+
+def test_only_the_api_reaches_the_single_seed_orbit():
+    """The checks walk the cell's action tables; `orbit` is defined and exported, and used by tests only."""
+    found = []
+    for path in sorted(Path(orbits.__file__).parent.glob("*.py")):
+        if path.name not in ("orbits.py", "__init__.py"):
+            found += [(path.name, node.lineno) for node in ast.walk(ast.parse(path.read_text())) if _names_orbit(node)]
+    assert found == []
 
 
 def test_partition_of_a_non_closed_subset_raises():
