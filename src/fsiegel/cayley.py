@@ -157,7 +157,7 @@ def verify_conjugation(cd: CayleyData, q: int, n: int, cap_group: int) -> dict:
     if order <= cap_group:
         gf = enumerate_symplectic(sp, TAG_SP_F, cap_group)
         g0 = enumerate_symplectic(sp, TAG_SP_0, cap_group)
-        conj_keys = np.sort(stack_keys(mm(fp, mm(fp, m.a, gf.arr), m_inv.a)))
+        conj_keys = np.sort(stack_keys(mm(fp, mm(fp, m.a, gf.arr), m_inv.a), q), kind="stable")
         out["closure_size"] = len(g0)
         out["closure_matches_order"] = len(g0) == order
         out["conjugate_set_equal"] = np.array_equal(conj_keys, g0.keys)
@@ -348,7 +348,7 @@ def unitary_diagonal_subgroup(q: int, n: int, cap_group: int) -> dict:
     g0 = enumerate_symplectic(sp, TAG_SP_0, cap_group)
     zero_c = g0.where(~g0.arr[:, n:, :n].any(axis=(1, 2, 3)))
     u_elems = unitary_group_elements(fp, n)
-    want = np.sort(stack_keys(np.stack([block_diag(fp, a, a.conj()).a for a in u_elems])))
+    want = np.sort(stack_keys(np.stack([block_diag(fp, a, a.conj()).a for a in u_elems]), q), kind="stable")
     return {
         "matches": np.array_equal(zero_c.keys, want),
         "count": len(zero_c),

@@ -374,7 +374,7 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
         (N, t); at the first Im(Z) not met before, every new one of the stack is ranked,
         in one stack."""
         ims = ims.astype(np.int64)
-        keys = stack_keys(ims).tolist()
+        keys = stack_keys(ims, q).tolist()
 
         def flag(p: int) -> bool:
             if keys[p] not in flags:

@@ -233,7 +233,7 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
         sp, rows, models, generators(sp, TAG_SP_F)
     )
     # the distinct eigenspaces, with the number of anti-involutions on each
-    images, fibers = np.unique(stack_keys(models), return_counts=True)
+    images, fibers = np.unique(stack_keys(models, q), return_counts=True)
 
     table = enumerate_lagrangians(q, n, cap_points)
     if epsilon_f(q) == -1:

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .field import epsilon_f
 from .linalg import (
-    Mat, block, block_diag, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, stack_keys,
+    Mat, block, block_diag, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, sorted_stack,
+    stack_keys,
 )
 from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
@@ -131,7 +132,7 @@ def _grams(sp: SpaceParams, bases: np.ndarray, core: Mat) -> np.ndarray:
 class PointTable:
     """Points as rows: canonical bases sorted by key, with per-point data.
 
-    Next to the bases are their `stack_keys` and, per row, the labels
+    Next to the bases are their `stack_keys` codes and, per row, the labels
     (the ranks of the two Gram matrices) and the Siegel-image flag (an
     invertible bottom block), all built with the table and read-only.
     Indexing a row gives its `Lagrangian`: a table reads as its sorted points.
@@ -141,8 +142,7 @@ class PointTable:
 
     def __init__(self, sp: SpaceParams, bases: np.ndarray):
         self.space = sp
-        self.bases = bases[np.argsort(stack_keys(bases))]
-        self.keys = stack_keys(self.bases)
+        self.bases, self.keys = sorted_stack(bases, sp.q)
         self.h_rank = rank_stack(sp.fp, _grams(sp, self.bases, sp.j))
         self.o_type = rank_stack(sp.fp, _grams(sp, self.bases, sp.d_form))
         self.in_image = rank_stack(sp.fp, self.bases[:, sp.n :]) == sp.n
@@ -157,7 +157,7 @@ class PointTable:
 
     def rows(self, bases: np.ndarray) -> np.ndarray:
         """Row of each basis in a stack, or -1 where it is not a point of the table."""
-        return lookup_rows(self.keys, bases)
+        return lookup_rows(self.keys, stack_keys(bases, self.space.q))
 
 
 def from_basis(sp: SpaceParams, m: Mat) -> Lagrangian:

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the quadratic extension field.
 
 A matrix is a (rows, cols, 2) int64 array of (re, im) coefficient pairs,
-reduced mod q.  numpy carries the bulk arithmetic with exact integers.
+reduced mod q, keyed in a stack by one int64 code (`stack_keys`) that tables
+sort and search.  numpy carries the bulk arithmetic with exact integers.
 There are two eliminations, `rref` for one matrix and `_rref_block` for
 a stack (N, rows, cols, 2), each a Python loop over the columns, and
 everything else, determinants included, is derived from one of them.  A
@@ -227,16 +228,28 @@ def kernel_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(ker.swapaxes(1, 2))
 
 
-def stack_keys(a: np.ndarray) -> np.ndarray:
-    """`Mat.key` of every matrix in a stack (N, rows, cols, 2), as one sortable array."""
-    a = np.ascontiguousarray(a, dtype=_I64)
-    flat = a.reshape(len(a), int(np.prod(a.shape[1:])))  # an empty stack has no -1 to infer
-    return flat.view(f"S{flat.shape[1] * 8}").ravel()
+def stack_keys(a: np.ndarray, q: int) -> np.ndarray:
+    """One code per array of a stack (N, ...) of entries below q: its entries, in memory order,
+    as base-q digits, the first most significant.  An int64 while q^E < 2^63 (E entries), else
+    big-endian int64 words viewed as one `S` string; for q < 256 it sorts as `Mat.key`."""
+    flat = np.asarray(a, dtype=_I64).reshape(len(a), int(np.prod(a.shape[1:])))  # no -1 when empty
+    per = max(k for k in range(1, flat.shape[1] + 1) if q**k < 2**63)  # digits per int64 word
+    words = -(-flat.shape[1] // per)
+    if words > 1:  # the same zero digits end every key
+        flat = np.pad(flat, ((0, 0), (0, words * per - flat.shape[1])))
+    codes = flat.reshape(len(flat), words, per) @ q ** np.arange(per - 1, -1, -1, dtype=_I64)
+    return codes[:, 0] if words == 1 else codes.astype(">i8").view(f"S{8 * words}").ravel()
 
 
-def lookup_rows(keys: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row of each matrix of a stack in the sorted `keys`, or -1 where it is absent."""
-    probes = stack_keys(a)
+def sorted_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stack sorted by its `stack_keys` codes, and the sorted codes."""
+    keys = stack_keys(a, q)
+    order = np.argsort(keys, kind="stable")  # the stable sort pages in less of numpy than quicksort
+    return a[order], keys[order]
+
+
+def lookup_rows(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Row of each probe code in the sorted codes `keys`, or -1 where it is absent."""
     if not len(keys):
         return np.full(len(probes), -1, dtype=_I64)
     idx = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)

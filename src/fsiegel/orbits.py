@@ -87,7 +87,7 @@ def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     sp = seed.space
     mats = _generator_stack(sp, gens)
     bases, parent, via = frontier_closure(
-        seed.basis.a, lambda f: span_images(sp, mats, f), cap, "orbit"
+        seed.basis.a, lambda f: span_images(sp, mats, f), sp.q, cap, "orbit"
     )
     for lo in range(1, len(bases), _POINT_CHUNK):  # every edge, a block at a time
         i = slice(lo, lo + _POINT_CHUNK)
@@ -148,8 +148,9 @@ def _inverse_rows(perm: np.ndarray) -> np.ndarray:
 def _walk(action: np.ndarray, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BFS of a row over an int action table (N, G), as (found, parent, via) of `frontier_closure`,
     every edge checked in the table; the rows it reaches must hold no -1."""
-    seed = np.array([row], dtype=action.dtype)  # the table's dtype, so equal rows have equal bytes
-    found, parent, via = frontier_closure(seed, lambda f: action[f[:, 0], :, None])
+    seed = np.array([row], dtype=action.dtype)
+    # a row is one digit below len(action), so its code is the row itself
+    found, parent, via = frontier_closure(seed, lambda f: action[f[:, 0], :, None], len(action))
     found = found[:, 0]
     if not np.array_equal(action[found[parent[1:]], via[1:]], found[1:]):
         raise VerificationFailure("transporter word does not reproduce its point")

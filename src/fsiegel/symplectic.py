@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
 from .field import EScalar, FieldParams, make_fields
-from .linalg import Mat, block, block_diag, conj_arr, lookup_rows, mm, stack_keys
+from .linalg import Mat, block, block_diag, conj_arr, lookup_rows, mm, sorted_stack, stack_keys
 
 TAG_SP_E = "sp"
 TAG_SP_F = "spf"
@@ -343,19 +343,19 @@ def v_k_orbit_size(q: int, n: int, k: int) -> int:
 class EnumeratedGroup:
     """A group's elements as rows: one coefficient stack sorted by key.
 
-    `keys` holds each row's `Mat.key`, and both arrays are read-only.  A
-    group-wide filter is a mask over `arr`, and `where(mask)` keeps its
-    rows as a sub-table, still sorted.  Indexing a row builds its
+    `keys` holds each row's `stack_keys` code (sorted as `Mat.key`), and
+    both arrays are read-only; given `keys` are those of rows already sorted.
+    A group-wide filter is a mask over `arr`, and `where(mask)` keeps its
+    rows and codes as a sub-table, still sorted.  Indexing a row builds its
     `GroupElement`, so a table also reads as the sorted list of its elements.
     """
 
     __slots__ = ("space", "tag", "arr", "keys")
 
-    def __init__(self, space: SpaceParams, tag: str, arr: np.ndarray):
+    def __init__(self, space: SpaceParams, tag: str, arr: np.ndarray, keys: np.ndarray | None = None):
         self.space = space
         self.tag = tag
-        self.arr = arr[np.argsort(stack_keys(arr))]
-        self.keys = stack_keys(self.arr)
+        self.arr, self.keys = sorted_stack(arr, space.q) if keys is None else (arr, keys)
         for a in (self.arr, self.keys):
             a.setflags(write=False)  # a cached table is shared by every caller
 
@@ -367,47 +367,46 @@ class EnumeratedGroup:
 
     def rows(self, mats: np.ndarray) -> np.ndarray:
         """Row of each matrix in a stack, or -1 where it is not an element."""
-        return lookup_rows(self.keys, mats)
+        return lookup_rows(self.keys, stack_keys(mats, self.space.q))
 
     def where(self, mask: np.ndarray) -> "EnumeratedGroup":
-        """The sub-table of the rows the mask keeps."""
-        return EnumeratedGroup(self.space, self.tag, self.arr[mask])
+        """The sub-table of the rows the mask keeps, sorted as they are."""
+        return EnumeratedGroup(self.space, self.tag, self.arr[mask], self.keys[mask])
 
 
-# frontier points per step call: bounds the temporaries of one call
-_FRONTIER_CHUNK = 64
+# frontier points per step call: a BFS level of a closure under the caps is one or two calls
+_FRONTIER_CHUNK = 2048
 
 
-def frontier_closure(seed: np.ndarray, step, cap: int | None = None, what: str = "closure"):
-    """Breadth-first closure of one array under a batched step map.
+def frontier_closure(seed: np.ndarray, step, q: int, cap: int | None = None, what: str = "closure"):
+    """Breadth-first closure of one array under a batched step map, with a Schreier vector.
 
     `step` maps a frontier stack (F, ...) to its images (F, G, ...), one per
-    generator, in a form where equal elements have equal bytes.  Each
-    frontier is one BFS level, and its new elements are taken point by
-    point and generator by generator, the order of a one-at-a-time queue.
-    Returns (members, parent, via): the members stacked in discovery
-    order, seed first, where member i > 0 is the image of member parent[i]
-    under generator via[i].  Raises ResourceLimitError as soon as the
-    closure would hold more than `cap` elements.
+    generator, with entries below q for `stack_keys`.  A BFS level is taken
+    in chunks of `_FRONTIER_CHUNK` points, each keeping the first image of
+    every code not seen before, in image order: a one-at-a-time queue's.
+    Returns (members, parent, via): the members stacked in discovery order,
+    seed first, where member i > 0 is the image of member parent[i] under
+    generator via[i].  Raises ResourceLimitError in the chunk where the
+    closure would first hold more than `cap` elements.
     """
     seed = np.ascontiguousarray(seed)
-    seen = set(stack_keys(seed[None]).tolist())
+    seen = stack_keys(seed[None], q)  # sorted
     found, parent, via = [seed[None]], [np.array([-1])], [np.array([-1])]
     frontier, start = seed[None], 0
     while len(frontier):
         level = []
         for lo in range(0, len(frontier), _FRONTIER_CHUNK):
-            images = np.ascontiguousarray(step(frontier[lo : lo + _FRONTIER_CHUNK]))
+            images = step(frontier[lo : lo + _FRONTIER_CHUNK])
             width = images.shape[1]
             flat = images.reshape((-1,) + seed.shape)
-            new = []
-            for j, key in enumerate(stack_keys(flat).tolist()):
-                if key not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise ResourceLimitError(f"{what} exceeds cap {cap}")
-                    seen.add(key)
-                    new.append(j)
-            point, gen = np.divmod(np.array(new, dtype=np.int64), width)
+            keys, first = np.unique(stack_keys(flat, q), return_index=True)
+            fresh = lookup_rows(seen, keys) < 0
+            if cap is not None and len(seen) + np.count_nonzero(fresh) > cap:
+                raise ResourceLimitError(f"{what} exceeds cap {cap}")
+            seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")  # a merge of two sorted runs
+            new = np.sort(first[fresh], kind="stable")
+            point, gen = np.divmod(new, width)
             parent.append(start + lo + point)
             via.append(gen)
             level.append(flat[new])
@@ -422,7 +421,7 @@ def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     mats = _generator_stack(sp, generators(sp, tag))
     step = lambda frontier: mm(sp.fp, frontier[:, None], mats[None])  # noqa: E731
     expected = group_order(tag, q, n)
-    rows = frontier_closure(sp.identity.a, step, expected + 1, "group closure")[0]
+    rows = frontier_closure(sp.identity.a, step, q, expected + 1, "group closure")[0]
     if len(rows) != expected:
         raise ConsistencyError(
             f"closure of {tag} generators has {len(rows)} elements, order formula gives {expected}"

@@ -328,7 +328,7 @@ def conjugation_closure(sp, seed, gens, cap):
     mats = np.stack([g.mat.a for g in gens])
     invs = np.stack([g.mat.inv().a for g in gens])
     step = lambda frontier: mm(sp.fp, mm(sp.fp, mats[None], frontier[:, None]), invs[None])  # noqa: E731
-    return np.sort(stack_keys(frontier_closure(seed.a, step, cap, "conjugation closure")[0]))
+    return np.sort(stack_keys(frontier_closure(seed.a, step, sp.q, cap, "conjugation closure")[0], sp.q))
 
 
 # -- scalar words and identities ----------------------------------------------

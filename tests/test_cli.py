@@ -347,14 +347,16 @@ def test_consistency_error_writes_finished_records_to_stderr(capsys, monkeypatch
 
 def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
     # np.unique without counts or indices imports numpy.ma, 13 ms in a cold process; the
-    # cells are the group closures at (23,1), the seeded samples at (7,2) and the
-    # conjugation-table walks of the involutions' square branch at (5,1)
+    # cells are the group closures at (23,1), the seeded samples at (7,2), the
+    # conjugation-table walks of the involutions' square branch at (5,1) and the
+    # partition walks of a point cell at (3,2): every closure calls np.unique
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = "import sys; from fsiegel.cli import main; code = main(sys.argv[1:]); print('numpy.ma' in sys.modules, code)"
     for cell, checks_, cap_points, code in [("23,1", "cayley,stabilizers,involutions", "20000", "1"),
                                             ("7,2", "stabilizers,siegel-criterion", "5000", "1"),
-                                            ("5,1", "involutions", "20000", "0")]:
+                                            ("5,1", "involutions", "20000", "0"),
+                                            ("3,2", "theorem1", "20000", "1")]:
         q, n = cell.split(",")
         argv = ["verify", "--q", q, "--n", n, "--checks", checks_, "--jobs", "1",
                 "--cap-group", "100000", "--cap-points", cap_points, "--out", str(tmp_path / "report.json")]

@@ -449,7 +449,7 @@ def _classes(q, n):
 
 def _walk(rows, seed):
     """The rows a conjugation table reaches from one seed row, sorted."""
-    return np.sort(frontier_closure(np.array([seed]), lambda f: rows[f[:, 0], :, None])[0][:, 0])
+    return np.sort(frontier_closure(np.array([seed]), lambda f: rows[f[:, 0], :, None], len(rows))[0][:, 0])
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2)])

@@ -261,7 +261,7 @@ def test_chart_table_matches_closure_of_l_plus(q, n):
 
     sp = make_space(q, n)
     gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_E)])
-    closure = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, gens, f))[0]
+    closure = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, gens, f), q)[0]
     assert _point_table(q, n).bases.tobytes() == PointTable(sp, closure).bases.tobytes()
 
 

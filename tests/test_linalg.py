@@ -1,12 +1,16 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fsiegel import linalg
+from fsiegel.checks import DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS
 from fsiegel.errors import ShapeError
-from fsiegel.field import make_fields
-from fsiegel.lagrangian import enumerate_lagrangians
+from fsiegel.field import _is_prime, make_fields
+from fsiegel.lagrangian import enumerate_lagrangians, lagrangian_count
 from fsiegel.linalg import (
     Mat,
     block,
@@ -25,7 +29,7 @@ from fsiegel.linalg import (
     solve,
     stack_keys,
 )
-from fsiegel.symplectic import TAGS, generators, make_space
+from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, TAGS, enumerate_symplectic, generators, group_order, make_space
 
 from oracles import (
     all_scalars,
@@ -425,18 +429,106 @@ def test_kernel_stack_zero_full_rank_wide_and_tall(q):
 
 def test_stack_keys_and_lookup_rows_full_and_empty():
     fp = make_fields(5)
-    stack = np.random.default_rng(11).integers(0, 5, (30, 3, 2, 2))
-    keys = stack_keys(stack)
-    assert np.array_equal(keys, np.array([Mat(fp, m).key() for m in stack], dtype=keys.dtype))
+    rng = np.random.default_rng(11)
+    stack = rng.integers(0, 5, (30, 3, 2, 2))
+    keys = stack_keys(stack, 5)
+    # the entries in memory order are the base-5 digits, the first most significant
+    assert keys.tolist() == [int("".join(map(str, m.ravel().tolist())), 5) for m in stack]
     order = np.argsort(keys)
     assert [Mat(fp, m).key() for m in stack[order]] == sorted(Mat(fp, m).key() for m in stack)
-    found = lookup_rows(keys[order], stack)
+    found = lookup_rows(keys[order], keys)
     assert np.array_equal(stack[order][found], stack)
-    absent = stack[:4].copy()
-    absent[:, 0, 0, 0] = 9  # no entry of the stack is 9
-    assert lookup_rows(keys[order], absent).tolist() == [-1] * 4
+    have = {Mat(fp, m).key() for m in stack}
+    absent = np.array([m for m in rng.integers(0, 5, (40, 3, 2, 2)) if Mat(fp, m).key() not in have][:4])
+    assert lookup_rows(keys[order], stack_keys(absent, 5)).tolist() == [-1] * 4
     # an empty stack has empty keys; no probe is found among empty keys
     empty = stack[:0]
-    assert stack_keys(empty).shape == (0,)
-    assert lookup_rows(keys, empty).shape == (0,)
-    assert lookup_rows(stack_keys(empty), stack).tolist() == [-1] * len(stack)
+    assert stack_keys(empty, 5).shape == (0,)
+    assert lookup_rows(keys, stack_keys(empty, 5)).shape == (0,)
+    assert lookup_rows(stack_keys(empty, 5), keys).tolist() == [-1] * len(stack)
+
+
+def _byte_keys(stack: np.ndarray) -> np.ndarray:
+    """`Mat.key` of each array of a stack, as one `S` array."""
+    flat = np.ascontiguousarray(stack, dtype=np.int64).reshape(len(stack), -1)
+    return flat.view(f"S{8 * flat.shape[1]}").ravel()
+
+
+def _default_cap_cells(count, cap):
+    return [(q, n) for n in (1, 2, 3) for q in range(3, 200) if _is_prime(q) and count(q, n) <= cap]
+
+
+def test_codes_order_every_default_cap_table_as_its_byte_keys():
+    """Every point and group table the default caps admit is sorted, strictly, both by its
+    codes and by its `Mat.key` bytes: the two orders agree on it."""
+    tables = [
+        (q, enumerate_lagrangians(q, n, DEFAULT_CAP_POINTS).bases)
+        for q, n in _default_cap_cells(lagrangian_count, DEFAULT_CAP_POINTS)
+    ]
+    groups = _default_cap_cells(lambda q, n: group_order(TAG_SP_F, q, n), DEFAULT_CAP_GROUP)
+    assert len(tables) == 35 and len(groups) == 14  # n = 1 to q = 139 and to q = 43; (3,2), and (5,2)'s points
+    tables += [
+        (q, enumerate_symplectic(make_space(q, n), tag, DEFAULT_CAP_GROUP).arr)
+        for q, n in groups
+        for tag in (TAG_SP_F, TAG_SP_0)
+    ]
+    for q, stack in tables:
+        codes, keys = stack_keys(stack, q), _byte_keys(stack)
+        assert codes.dtype == np.int64
+        assert np.all(codes[1:] > codes[:-1]) and np.all(keys[1:] > keys[:-1])
+
+
+@pytest.mark.parametrize("q,shape", [(5, (4, 4, 2)), (17, (4, 2, 2))])
+def test_wide_codes_sort_and_look_up_as_the_byte_keys(q, shape):
+    """Past 2^63 a code is big-endian words of packed digits: it sorts and looks up as `Mat.key`."""
+    rng = np.random.default_rng(q)
+    stack = rng.integers(0, q, (300,) + shape)
+    stack[1::3] = stack[::3]  # repeated arrays
+    stack[2::3, :2] = stack[::3, :2]  # arrays that share their first rows
+    codes = stack_keys(stack, q)
+    assert codes.dtype.kind == "S" and q ** int(np.prod(shape)) >= 2**63
+    order = np.argsort(codes, kind="stable")
+    assert np.array_equal(order, np.argsort(_byte_keys(stack), kind="stable"))
+    keys = np.unique(codes, return_index=True)[0]
+    assert np.array_equal(keys[lookup_rows(keys, codes)], codes)
+    absent = rng.integers(0, q, (20,) + shape)
+    absent = absent[~np.isin(_byte_keys(absent), _byte_keys(stack))]
+    assert len(absent) and np.all(lookup_rows(keys, stack_keys(absent, q)) == -1)
+
+
+def _byte_keyings(tree) -> list[str]:
+    """The function around each `.tobytes()` call and each `S` dtype of a view, cast or array."""
+    found = []
+
+    def s_dtype(node) -> bool:
+        if isinstance(node, ast.JoinedStr) and node.values:
+            node = node.values[0]
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value[:1] == "S"
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            attr = getattr(node.func, "attr", None)
+            dtypes = node.args if attr in ("view", "astype") else []
+            dtypes = dtypes + [k.value for k in node.keywords if k.arg == "dtype"]
+            if attr == "tobytes" or any(s_dtype(d) for d in dtypes):
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_linalg_keys_a_stack_by_bytes():
+    """Tables key their rows by `stack_keys` codes; outside `linalg` only the API's keys are bytes:
+    `Lagrangian.key`, and `OrbitRecord`'s member keys and transporter words."""
+    found = sorted(
+        (path.name, owner)
+        for path in Path(linalg.__file__).parent.glob("*.py")
+        if path.name != "linalg.py"
+        for owner in _byte_keyings(ast.parse(path.read_text()))
+    )
+    assert found == [("lagrangian.py", "key"), ("orbits.py", "member_keys"), ("orbits.py", "transporters")]
+    assert "stack_keys" in _byte_keyings(ast.parse(Path(linalg.__file__).read_text()))  # the scan sees views

@@ -366,7 +366,7 @@ def test_a_wrong_bfs_edge_is_caught(i, monkeypatch):
     sp = make_space(3, 2)
     gens = generators(sp, TAG_SP_0)
     mats = _generator_stack(sp, gens)
-    bases, parent, via = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, mats, f))
+    bases, parent, via = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, mats, f), sp.q)
     i %= len(bases)
     assert i % 100 and len(bases) > 257  # more than one block of 256 edges
     images = span_images(sp, mats, bases[parent[i]][None])[0]

@@ -32,6 +32,7 @@ from fsiegel.symplectic import (
     members,
     omega,
     permutation_embed,
+    v_k_orbit_size,
 )
 
 from oracles import frontier_closure_by_rows, is_member_by_mats
@@ -178,7 +179,7 @@ def test_group_table_rows_are_sorted_elements(tag):
     keys = [g.mat.key() for g in elements]
     assert len(table) == len(set(keys)) == group_order(tag, 5, 1)
     assert keys == sorted(keys) and all(g.tag == tag for g in elements)
-    assert np.array_equal(table.keys, np.array(keys, dtype=table.keys.dtype))
+    assert np.array_equal(table.keys, stack_keys(np.stack([g.mat.a for g in elements]), 5))
     assert np.array_equal(table.rows(table.arr), np.arange(len(table)))
     # 2I scales the form by 4, and 4 != 1 mod 5
     assert table.rows((2 * sp.identity).a[None]).tolist() == [-1]
@@ -188,6 +189,7 @@ def test_group_table_rows_are_sorted_elements(tag):
     sub = table.where(mask)
     assert sub.tag == tag and np.array_equal(sub.arr, table.arr[mask])
     assert [g.mat.key() for g in sub] == [k for k, kept in zip(keys, mask) if kept]
+    assert np.array_equal(sub.keys, table.keys[mask])
     assert np.array_equal(sub.rows(table.arr[mask]), np.arange(len(sub)))
 
 
@@ -225,19 +227,24 @@ def test_frontier_closure_basics():
     def step(mats):
         return lambda frontier: mm(sp.fp, frontier[:, None], mats[None])
 
-    members, parent, via = frontier_closure(eye, step(eye[None]), cap=10)
+    members, parent, via = frontier_closure(eye, step(eye[None]), 3, cap=10)
     assert len(members) == 1 and np.array_equal(members[0], eye)
     assert parent.tolist() == via.tolist() == [-1]
     gens = np.stack([g.mat.a for g in generators(sp, TAG_SP_F)])
     with pytest.raises(ResourceLimitError, match="closure exceeds cap 10"):
-        frontier_closure(eye, step(gens), cap=10)
+        frontier_closure(eye, step(gens), 3, cap=10)
 
 
-def _assert_closures_agree(seed, step, cap=None):
-    """`frontier_closure` and the per-row oracle: the same (members, parent, via),
-    or the same error after the same frontier chunks; returns the members or the error."""
+def _assert_closures_agree(seed, step, q, cap=None):
+    """`frontier_closure` and the per-row oracle at the same chunk size: the same
+    (members, parent, via), or the same error after the same frontier chunks;
+    returns the members or the error."""
     out = []
-    for route in (frontier_closure, frontier_closure_by_rows):
+    routes = (
+        lambda logged: frontier_closure(seed, logged, q, cap),
+        lambda logged: frontier_closure_by_rows(seed, logged, cap, chunk=symplectic._FRONTIER_CHUNK),
+    )
+    for route in routes:
         chunks = []
 
         def logged(frontier):
@@ -245,7 +252,7 @@ def _assert_closures_agree(seed, step, cap=None):
             return step(frontier)
 
         try:
-            out.append((route(seed, logged, cap), chunks))
+            out.append((route(logged), chunks))
         except ResourceLimitError as exc:
             out.append((str(exc), chunks))
     (got, got_chunks), (ref, ref_chunks) = out
@@ -263,25 +270,35 @@ def _group_step(sp, tag):
     return lambda frontier: mm(sp.fp, frontier[:, None], mats[None])
 
 
-@pytest.mark.parametrize("q,n", [(3, 1), (23, 1), (3, 2)])
+@pytest.mark.parametrize("q,n", [(3, 1), (7, 1), (23, 1), (3, 2)])
 @pytest.mark.parametrize("tag", [TAG_SP_F, TAG_SP_0])
 def test_group_closure_matches_the_per_row_oracle(q, n, tag):
     sp = make_space(q, n)
-    members = _assert_closures_agree(sp.identity.a, _group_step(sp, tag))
+    members = _assert_closures_agree(sp.identity.a, _group_step(sp, tag), q)
     assert len(members) == group_order(tag, q, n)
 
 
 def test_orbit_closures_match_the_per_row_oracle():
+    """The closures `orbit()` makes: V_k's orbits under sp0 at (3,2) and (5,2), and L+'s
+    under spf and sp0 at (3,2)."""
     from fsiegel.cayley import v_k
-    from fsiegel.lagrangian import span_images
+    from fsiegel.lagrangian import l_plus, span_images
+    from fsiegel.orbits import orbit
 
-    sp = make_space(5, 2)
-    mats = _generator_stack(sp, generators(sp, TAG_SP_0))
-    sizes = [
-        len(_assert_closures_agree(v_k(sp, k).basis.a, lambda f: span_images(sp, mats, f)))
-        for k in range(3)
-    ]
-    assert sorted(sizes) == [156, 3120, 13000]
+    for q in (3, 5):
+        sp = make_space(q, 2)
+        mats = _generator_stack(sp, generators(sp, TAG_SP_0))
+        sizes = [
+            len(_assert_closures_agree(v_k(sp, k).basis.a, lambda f: span_images(sp, mats, f), q))
+            for k in range(3)
+        ]
+        assert sizes == [v_k_orbit_size(q, 2, k) for k in range(3)]
+    sp = make_space(3, 2)
+    for tag in (TAG_SP_F, TAG_SP_0):
+        gens = generators(sp, tag)
+        mats = _generator_stack(sp, gens)
+        members = _assert_closures_agree(l_plus(sp).basis.a, lambda f: span_images(sp, mats, f), 3)
+        assert orbit(l_plus(sp), gens).size == len(members)
 
 
 def test_int_row_closures_match_the_per_row_oracle():
@@ -290,11 +307,11 @@ def test_int_row_closures_match_the_per_row_oracle():
     sp = make_space(3, 2)
     table = enumerate_lagrangians(3, 2, 20000)
     action = _action_table(table, _generator_stack(sp, generators(sp, TAG_SP_F)))
-    assert stack_keys(np.array([[0]])).tolist() == [b""]  # row 0's key is all NUL bytes
+    assert stack_keys(np.arange(5)[:, None], 5).tolist() == [0, 1, 2, 3, 4]  # a row codes itself
     sizes = set()
     for s in (0, 1, 2, 100, len(table) - 1):
         seed = np.array([s], dtype=action.dtype)
-        sizes.add(len(_assert_closures_agree(seed, lambda f: action[f[:, 0], :, None])))
+        sizes.add(len(_assert_closures_agree(seed, lambda f: action[f[:, 0], :, None], len(table))))
     assert sizes == {40, 240, 540}
 
 
@@ -302,9 +319,9 @@ def test_capped_closure_raises_at_the_same_element():
     sp = make_space(23, 1)
     step = _group_step(sp, TAG_SP_0)
     order = group_order(TAG_SP_0, 23, 1)
-    for cap in (1, 21, 1000, order - 1):
-        assert _assert_closures_agree(sp.identity.a, step, cap) == f"closure exceeds cap {cap}"
-    assert len(_assert_closures_agree(sp.identity.a, step, order)) == order
+    for cap in (1, 21, 100, 1000, order - 1):
+        assert _assert_closures_agree(sp.identity.a, step, 23, cap) == f"closure exceeds cap {cap}"
+    assert len(_assert_closures_agree(sp.identity.a, step, 23, order)) == order
 
 
 def test_generators_are_built_and_verified_once(monkeypatch, fresh_cell):
