@@ -13,6 +13,7 @@ reproducible for a given q.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,12 +151,33 @@ class EScalar:
         return self.encode()
 
 
+class CodeTables(NamedTuple):
+    """Log/antilog ("Zech") tables of E over the codes c = re*Q + im, Q = 2q - 1.
+
+    With N = q^2 - 1 and g a primitive element of E*, a product is
+    exp[log[a] + log[b]]: log[0] is 2N, and exp is zero from 2N to 4N, so
+    any sum with a zero factor reads 0.  A difference x - p is
+    sub[x + off - p]: the radix 2q - 1 keeps each digit of x - p + off in
+    [0, Q), so the index names one pair.  int32 throughout, about 48 q^2
+    bytes in all.
+    """
+
+    radix: int  # Q = 2q - 1
+    off: int  # (q - 1)(Q + 1), the largest code
+    log: np.ndarray  # code -> i with g^i == code, in [0, N); 2N for 0
+    exp: np.ndarray  # i in [0, 4N] -> code of g^(i mod N) below 2N, else 0
+    sub: np.ndarray  # x + off - p -> code of x - p, for codes x, p
+    inv: np.ndarray  # code -> code of its inverse; 0 for 0
+    neg_one: int  # code of -1
+
+
 class FieldParams:
     """The pair (GF(q), GF(q^2)) with its fixed non-residue eps.
 
-    Also carries the cached scan tables (square roots, norm preimages,
-    inverses), each built on first use, and the pair-level helpers used by
-    the matrix layer, which works on raw (re, im) integer pairs for speed.
+    Also carries the cached scan tables (square roots, norm preimages) and
+    the stacked elimination's `CodeTables`, each built on first use, and
+    the pair-level helpers used by the matrix layer, which works on raw
+    (re, im) integer pairs for speed.
     """
 
     def __init__(self, q: int):
@@ -168,7 +190,7 @@ class FieldParams:
         self.s = EScalar(self, 0, 1)
         self._sqrt_table = None
         self._norm_table = None
-        self._inv_table = None
+        self._code_tables = None
 
     def __repr__(self):
         return f"FieldParams(q={self.q}, eps={self.eps})"
@@ -244,16 +266,44 @@ class FieldParams:
         ninv = pow(nrm, self.q - 2, self.q)
         return (re * ninv) % self.q, (-im * ninv) % self.q
 
-    def inv_table(self) -> np.ndarray:
-        """(q, q, 2) array: entry [re, im] is inv_pair(re, im); [0, 0] is (0, 0).
+    def primitive(self) -> EScalar:
+        """First element in scan order that generates E*, of order q^2 - 1 (never a rational one)."""
+        order = self.q * self.q - 1
+        primes, m, d = [], order, 2
+        while d * d <= m:
+            if m % d == 0:
+                primes.append(d)
+                while m % d == 0:
+                    m //= d
+            d += 1
+        if m > 1:
+            primes.append(m)
+        return next(g for g in self.units() if g.im and all(g ** (order // p) != self.one for p in primes))
 
-        Built on first use, so constructing the field stays cheap.
-        """
-        if self._inv_table is None:
-            q = self.q
-            pairs = [[self.inv_pair(re, im) if re or im else (0, 0) for im in range(q)] for re in range(q)]
-            self._inv_table = np.array(pairs, dtype=np.int64)
-        return self._inv_table
+    def code_tables(self) -> CodeTables:
+        """The `CodeTables` of E, built with numpy from the powers of `primitive` on first use,
+        so constructing the field, its space and its generators stays cheap."""
+        if self._code_tables is None:
+            q, eps = self.q, self.eps
+            big, radix, off = q * q - 1, 2 * q - 1, 2 * q * (q - 1)
+            g = self.primitive()
+            re, im = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+            gr, gi = g.re, g.im  # g^len(re): each pass doubles the powers held
+            while len(re) < big:
+                re, im = (np.concatenate([re, (re * gr + eps * im * gi) % q]),
+                          np.concatenate([im, (re * gi + im * gr) % q]))
+                gr, gi = (gr * gr + eps * gi * gi) % q, (2 * gr * gi) % q
+            powers = (re[:big] * radix + im[:big]).astype(np.int32)
+            log = np.full(off + 1, 2 * big, dtype=np.int32)
+            log[powers] = np.arange(big, dtype=np.int32)
+            exp = np.zeros(4 * big + 1, dtype=np.int32)
+            exp[:big] = exp[big : 2 * big] = powers
+            inv = np.zeros(off + 1, dtype=np.int32)
+            inv[powers] = powers[-np.arange(big) % big]
+            hi, lo = np.divmod(np.arange(radix * radix, dtype=np.int32), radix)
+            sub = (hi - (q - 1)) % q * radix + (lo - (q - 1)) % q
+            self._code_tables = CodeTables(radix, off, log, exp, sub, inv, (q - 1) * radix)
+        return self._code_tables
 
     # -- text -------------------------------------------------------------
 

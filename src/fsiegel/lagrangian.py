@@ -36,8 +36,8 @@ from .errors import (
 )
 from .field import epsilon_f
 from .linalg import (
-    Mat, block, block_diag, conj_arr, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack, sorted_stack,
-    stack_keys,
+    Mat, block, block_diag, conj_arr, det_stack, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack,
+    sorted_stack, stack_keys,
 )
 from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
@@ -290,17 +290,20 @@ def _siegel_bases(sp: SpaceParams, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _outside_charts(sp: SpaceParams, swaps: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Mask of the spans W that lie in none of the charts sigma_T span(Z; I), T over `swaps`.
+def _outside_charts(sp: SpaceParams, s: int, zs: np.ndarray) -> np.ndarray:
+    """Mask of the symmetric Z (N, n, n, 2) whose span sigma_S span(Z; I), S read from the
+    bitmask s, lies in none of the charts T < s.
 
-    W lies in chart T when the bottom n x n block of sigma_T^-1 W is
-    invertible; one `rank_stack` per chart, over the spans still outside.
+    sigma_T^-1 sigma_S is a signed swap on S xor T, so the bottom block of
+    sigma_T^-1 sigma_S (Z; I) holds rows of Z on S xor T and of I elsewhere,
+    up to sign: the span lies in chart T exactly when Z's principal minor on
+    S xor T is nonzero.  One `det_stack` per chart, over the Z still outside.
     """
-    n = sp.n
-    out = np.ones(len(spans), dtype=bool)
-    for swap in swaps:
+    out = np.ones(len(zs), dtype=bool)
+    for t in range(s):
+        on = np.flatnonzero(((s ^ t) >> np.arange(sp.n)) & 1)
         rows = np.flatnonzero(out)
-        out[rows] = rank_stack(sp.fp, mm(sp.fp, swap.swapaxes(0, 1)[n:], spans[rows])) < n
+        out[rows] = ~det_stack(sp.fp, zs[rows][:, on][:, :, on]).any(axis=-1)
     return out
 
 
@@ -321,9 +324,9 @@ def _point_table(q: int, n: int) -> PointTable:
     found = []
     for s, swap in enumerate(swaps):
         for lo in range(0, total, _CHART_BLOCK):
-            spans = mm(sp.fp, swap, _siegel_bases(sp, lo, min(lo + _CHART_BLOCK, total)))
-            spans = spans[_outside_charts(sp, swaps[:s], spans)]
-            red, rank = rcef_stack(sp.fp, spans)
+            bases = _siegel_bases(sp, lo, min(lo + _CHART_BLOCK, total))
+            bases = bases[_outside_charts(sp, s, bases[:, :n])]
+            red, rank = rcef_stack(sp.fp, mm(sp.fp, swap, bases))
             if np.any(rank != n):
                 raise RankDeficientError(f"a chart span has rank below {n}")
             found.append(red)

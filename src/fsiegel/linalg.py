@@ -5,9 +5,13 @@ reduced mod q, keyed in a stack by one int64 code (`stack_keys`) that tables
 sort and search.  numpy carries the bulk arithmetic with exact integers.
 There are two eliminations, `rref` for one matrix and `_rref_block` for
 a stack (N, rows, cols, 2), each a Python loop over the columns, and
-everything else, determinants included, is derived from one of them.  A
-stack's results are bit-identical to `rref`'s, which stays the reference
-(and the faster path for one matrix, by 1.4-2.5 times).
+everything else, determinants included, is derived from one of them.
+Inside the stacked kernel each entry is one int32 code re*(2q - 1) + im,
+multiplied, subtracted and inverted by lookups in the field's
+`CodeTables` (about 48 q^2 bytes, built on the first stacked elimination);
+pairs go in and come out.  A stack's results are bit-identical to
+`rref`'s, which stays the reference oracle (and the faster path for one
+matrix).
 
 Elimination is deliberately plain: columns are scanned left to right and
 rows top to bottom, with no pivot heuristics, so every reduced form is
@@ -19,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .field import EScalar, FieldParams
+from .field import CodeTables, EScalar, FieldParams
 
 _I64 = np.int64
 
@@ -114,8 +118,7 @@ def rref_stack(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each reduced matrix is bit-identical to `rref` of that matrix alone.
     The Python loop runs over the columns only: in column c each matrix
     takes as pivot its first nonzero row at or below its current rank
-    (argmax over a nonzero mask), exactly the scalar kernel's choice, and
-    inverses come from the field's q x q table.
+    (argmax over a nonzero mask), exactly the scalar kernel's choice.
     """
     red, rank, _ = _eliminate(fp, a, with_det=False)
     return red, rank
@@ -133,33 +136,51 @@ def det_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
 
 
 def _eliminate(fp: FieldParams, a: np.ndarray, with_det: bool):
-    """Reduce a stack in blocks of `_STACK_CHUNK`; returns (stack, ranks, pivot products or None)."""
+    """Reduce a stack in blocks of `_STACK_CHUNK`; returns (stack, ranks, pivot products or None).
+
+    Each block is packed into the int32 codes of `FieldParams.code_tables`
+    and unpacked into (re, im) pairs of the result, so the codes take no
+    more memory than one block.
+    """
     a = np.asarray(a, dtype=_I64)
     lead, (m, ncols) = a.shape[:-3], a.shape[-3:-1]
     num = int(np.prod(lead, dtype=_I64))
-    a = a.reshape(num, m, ncols, 2) % fp.q
+    a = a.reshape(num, m, ncols, 2)
+    tables = fp.code_tables()
+    red = np.empty_like(a)
     rank = np.zeros(num, dtype=_I64)
-    det = np.tile(np.array([1, 0], dtype=_I64), (num, 1)) if with_det else None
+    det = np.full(num, tables.radix, dtype=np.int32) if with_det else None  # the code of 1
     for lo in range(0, num, _STACK_CHUNK):
         part = slice(lo, lo + _STACK_CHUNK)
-        _rref_block(fp, a[part], rank[part], None if det is None else det[part])
-    return a.reshape(*lead, m, ncols, 2), rank.reshape(lead), det
+        codes = (a[part, ..., 0] % fp.q * tables.radix + a[part, ..., 1] % fp.q).astype(np.int32)
+        _rref_block(tables, codes, rank[part], None if det is None else det[part])
+        _unpack(codes, tables.radix, red[part])
+    if det is not None:
+        det = _unpack(det, tables.radix, np.empty((num, 2), dtype=_I64))
+    return red.reshape(*lead, m, ncols, 2), rank.reshape(lead), det
 
 
-def _rref_block(fp: FieldParams, a: np.ndarray, rank: np.ndarray, det: np.ndarray | None) -> None:
-    """Reduce a (num, rows, cols, 2) block in place, counting ranks into `rank`.
+def _unpack(codes: np.ndarray, radix: int, out: np.ndarray) -> np.ndarray:
+    """The codes re*radix + im as (re, im) pairs, written into `out` (codes.shape + (2,))."""
+    np.divmod(codes, radix, out=(out[..., 0], out[..., 1]))
+    return out
 
-    When `det` is given, each matrix's pivots (before normalization) are
-    multiplied into its entry, which is negated on every row swap.
+
+def _rref_block(t: CodeTables, a: np.ndarray, rank: np.ndarray, det: np.ndarray | None) -> None:
+    """Reduce a (num, rows, cols) block of codes in place, counting ranks into `rank`.
+
+    A product is exp[log a + log b], a difference x - p is sub[x + off - p]
+    and a pivot's inverse inv[p] (`CodeTables`).  When `det` is given, each
+    matrix's pivots (before normalization) are multiplied into its code,
+    which is multiplied by -1 on every row swap.
     """
-    q, eps = fp.q, fp.eps
-    num, m, ncols = a.shape[:3]
+    log, exp = t.log, t.exp
+    num, m, ncols = a.shape
     rows = np.arange(m)
     for c in range(ncols):
         if rank.min() == m:
             break
-        col = a[:, :, c]
-        nz = ((col[..., 0] != 0) | (col[..., 1] != 0)) & (rows >= rank[:, None])
+        nz = (a[:, :, c] != 0) & (rows >= rank[:, None])
         act = np.flatnonzero(nz.any(axis=1))
         if act.size == 0:
             continue
@@ -170,24 +191,17 @@ def _rref_block(fp: FieldParams, a: np.ndarray, rank: np.ndarray, det: np.ndarra
         piv = nz[act].argmax(axis=1)
         top = sub[k, piv]
         if det is not None:
-            dr, di = det[act, 0], det[act, 1]
-            pr, pi = top[:, c, 0], top[:, c, 1]
-            sign = np.where(piv == r, 1, -1)
-            det[act, 0] = sign * (dr * pr + eps * di * pi) % q
-            det[act, 1] = sign * (dr * pi + di * pr) % q
+            d = exp.take(log.take(det[act]) + log.take(top[:, c]))
+            det[act] = np.where(piv == r, d, exp.take(log.take(d) + log[t.neg_one]))
         sub[k, piv] = sub[k, r]
-        inv = fp.inv_table()[top[:, c, 0], top[:, c, 1]]
-        ir, ii = inv[:, 0:1], inv[:, 1:2]
-        tre = (ir * top[..., 0] + eps * ii * top[..., 1]) % q
-        tim = (ir * top[..., 1] + ii * top[..., 0]) % q
-        sub[k, r, :, 0] = tre
-        sub[k, r, :, 1] = tim
+        row = exp.take(log.take(top) + log.take(t.inv.take(top[:, c]))[:, None])
+        sub[k, r] = row
         fac = sub[:, :, c].copy()
         fac[k, r] = 0
-        f0, f1 = fac[..., 0][..., None], fac[..., 1][..., None]
-        tre, tim = tre[:, None], tim[:, None]
-        sub[..., 0] = (sub[..., 0] - (f0 * tre + eps * f1 * tim)) % q
-        sub[..., 1] = (sub[..., 1] - (f0 * tim + f1 * tre)) % q
+        diff = exp.take(log.take(fac)[:, :, None] + log.take(row)[:, None, :])
+        np.subtract(sub, diff, out=diff)
+        diff += t.off
+        t.sub.take(diff, out=sub, mode="clip")  # in range by construction; "raise" would buffer `out`
         if not full:
             a[act] = sub
         rank[act] += 1

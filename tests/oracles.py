@@ -14,8 +14,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError
-from fsiegel.lagrangian import enumerate_lagrangians, span_images
-from fsiegel.linalg import Mat, block, mm, stack_keys
+from fsiegel.lagrangian import _siegel_bases, _swaps, enumerate_lagrangians, span_images
+from fsiegel.linalg import Mat, block, mm, rank_stack, rcef_stack, sorted_stack, stack_keys
 from fsiegel.orbits import act
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, frontier_closure, make_space
 
@@ -378,6 +378,23 @@ def map_strata_by_images(cd, q, n, cap_points):
             }
         )
     return per
+
+
+# -- the chart table, charts told apart by their bottom blocks ------------------
+
+def chart_bases_by_bottom_blocks(q, n):
+    """`lagrangian._point_table`'s sorted bases, with each chart test made on the span itself:
+    sigma_S span(Z; I) is dropped when sigma_T^-1 of it has a bottom block of rank n for some
+    earlier chart T."""
+    sp = make_space(q, n)
+    swaps = _swaps(sp)
+    found = []
+    for s, swap in enumerate(swaps):
+        spans = mm(sp.fp, swap, _siegel_bases(sp, 0, q ** (n * (n + 1))))
+        for earlier in swaps[:s]:
+            spans = spans[rank_stack(sp.fp, mm(sp.fp, earlier.swapaxes(0, 1)[n:], spans)) < n]
+        found.append(rcef_stack(sp.fp, spans)[0])
+    return sorted_stack(np.concatenate(found), q)[0]
 
 
 # -- stabilizers by the scalar action ------------------------------------------

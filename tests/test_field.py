@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -188,3 +189,30 @@ def test_scalar_text_round_trip():
         assert fp.parse_scalar(x.encode()) == x
     assert fp.e(1, 2).encode() == "1+2*s"
     assert fp.e(4).encode() == "4"
+
+
+# -- the code tables of the stacked elimination -------------------------------
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 23])
+def test_code_tables_match_scalar_arithmetic_on_every_pair(q):
+    fp = make_fields(q)
+    t = fp.code_tables()
+    big = q * q - 1
+    elems = list(fp.elements())
+
+    def code(x):
+        return x.re * t.radix + x.im
+
+    codes = np.array([code(x) for x in elems])
+    logs = t.log[codes]
+    assert (t.exp[logs[:, None] + logs[None, :]] == [[code(x * y) for y in elems] for x in elems]).all()
+    assert (t.sub[codes[:, None] + t.off - codes[None, :]] == [[code(x - y) for y in elems] for x in elems]).all()
+    assert t.inv[codes].tolist() == [code(x.inverse()) if not x.is_zero else 0 for x in elems]
+    assert t.neg_one == code(-fp.one)
+    assert t.exp[logs + t.log[t.neg_one]].tolist() == [code(-x) for x in elems]
+    # exp lists each unit once, then again, then zeros; the log of 0 is 2N
+    assert sorted(t.exp[:big].tolist()) == sorted(code(x) for x in fp.units())
+    assert (t.exp[big : 2 * big] == t.exp[:big]).all() and not t.exp[2 * big :].any()
+    assert len(t.exp) == 4 * big + 1 and t.log[0] == 2 * big
+    assert t.exp[1] == code(fp.primitive())
+    assert all(a.dtype == np.int32 for a in (t.log, t.exp, t.sub, t.inv))

@@ -34,7 +34,13 @@ from fsiegel.lagrangian import (
 from fsiegel.orbits import act, orbit
 from fsiegel.cayley import v_k
 
-from oracles import all_subspaces, hermitian_type, is_isotropic, random_symmetric_by_calls
+from oracles import (
+    all_subspaces,
+    chart_bases_by_bottom_blocks,
+    hermitian_type,
+    is_isotropic,
+    random_symmetric_by_calls,
+)
 
 
 def test_from_basis_examples():
@@ -265,6 +271,11 @@ def test_chart_table_matches_closure_of_l_plus(q, n):
     assert _point_table(q, n).bases.tobytes() == PointTable(sp, closure).bases.tobytes()
 
 
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2)])
+def test_chart_minor_filter_matches_bottom_block_ranks(q, n):
+    assert _point_table(q, n).bases.tobytes() == chart_bases_by_bottom_blocks(q, n).tobytes()
+
+
 @pytest.mark.parametrize("q,n", CHART_CELLS)
 def test_chart_table_rows_are_isotropic(q, n):
     from fsiegel.linalg import mm
@@ -277,7 +288,7 @@ def test_chart_table_rows_are_isotropic(q, n):
 def test_chart_filter_that_keeps_duplicates_is_an_inconsistency(monkeypatch, fresh_cell):
     from fsiegel import lagrangian
 
-    monkeypatch.setattr(lagrangian, "_outside_charts", lambda sp, swaps, spans: np.ones(len(spans), bool))
+    monkeypatch.setattr(lagrangian, "_outside_charts", lambda sp, s, zs: np.ones(len(zs), bool))
     with pytest.raises(ConsistencyError, match="count formula gives 10"):
         lagrangian._point_table(3, 1)
 

@@ -1,5 +1,8 @@
 import ast
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -310,7 +313,7 @@ def _assert_stack_matches_scalar(fp, stack):
 
 @st.composite
 def _stacks(draw):
-    q = draw(st.sampled_from([3, 5, 7, 23]))
+    q = draw(st.sampled_from([3, 5, 7, 11, 13, 23]))
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     size = draw(st.integers(0, 6))
     entries = st.integers(0, q - 1)
@@ -334,7 +337,7 @@ def test_stacked_kernel_matches_scalar_on_random_stacks(case):
 
 @st.composite
 def _square_stacks(draw):
-    q = draw(st.sampled_from([3, 5, 7, 23]))
+    q = draw(st.sampled_from([3, 5, 7, 11, 13, 23]))
     m, size = draw(st.integers(0, 5)), draw(st.integers(0, 6))
     flat = draw(st.lists(st.integers(0, q - 1), min_size=size * m * m * 2, max_size=size * m * m * 2))
     stack = np.array(flat, dtype=np.int64).reshape(size, m, m, 2)
@@ -352,7 +355,7 @@ def test_det_stack_matches_det_arr_on_random_stacks(case):
     assert det_stack(fp, stack).tolist() == [list(det_arr(fp, a)) for a in stack]
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 23])
+@pytest.mark.parametrize("q", [3, 5, 7, 23, 1009])
 def test_stacked_kernel_edge_shapes(q):
     fp = make_fields(q)
     rng = np.random.default_rng(q)
@@ -363,6 +366,8 @@ def test_stacked_kernel_edge_shapes(q):
         stack[10:15, 0] = 0  # zero first row
         stack[15:20] = rng.integers(0, q, size=(5, rows, 1, 1)) * (np.arange(2) == 0)  # rational rank one
         _assert_stack_matches_scalar(fp, stack)
+        if rows == cols:
+            assert det_stack(fp, stack).tolist() == [list(det_arr(fp, a)) for a in stack]
     # a stack longer than one pass of the column loop, with mixed ranks
     stack = rng.integers(0, q, size=(700, 3, 3, 2)) * (rng.random((700, 3, 1, 1)) < 0.7)
     _assert_stack_matches_scalar(fp, stack)
@@ -372,6 +377,26 @@ def test_stacked_kernel_edge_shapes(q):
     assert red.shape == stack.shape and ranks.shape == (3, 4)
     red, ranks = rref_stack(fp, np.zeros((0, 3, 2, 2), dtype=np.int64))
     assert red.shape == (0, 3, 2, 2) and ranks.shape == (0,)
+
+
+def test_set_up_path_builds_no_code_tables():
+    # the stacked elimination builds its field's tables on first use: importing fsiegel and
+    # building a cell's space, sp0 generators and Cayley data must not pay for them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = (
+        "import fsiegel\n"
+        "from fsiegel.cayley import cayley\n"
+        "from fsiegel.field import make_fields\n"
+        "from fsiegel.symplectic import generators, make_space\n"
+        "for q, n in [(3, 2), (23, 1), (7, 2)]:\n"
+        "    make_fields(q)\n"
+        "    generators(make_space(q, n), 'sp0')\n"
+        "    cayley(q, n)\n"
+        "print([make_fields(q)._code_tables is None for q in (3, 23, 7)])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["[True,", "True,", "True]"], proc.stderr
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (5, 1)])
