@@ -28,10 +28,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError, ResourceLimitError, count_text
+from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
 from .lagrangian import Lagrangian, _span_of, enumerate_lagrangians, l_plus
-from .linalg import Mat, block, block_diag, mm, stack_keys
+from .linalg import Mat, block, block_diag, mm, sorted_stack, stack_keys
 from .orbits import _action_table, _inverse_rows, _walk, act, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
@@ -41,13 +41,16 @@ from .symplectic import (
     SpaceParams,
     _generator_stack,
     enumerate_symplectic,
+    frontier_closure,
     generators,
     group_element,
     group_order,
     make_space,
     members,
+    orthogonal_order,
     per_cell,
     symmetric_basis,
+    unitary_order,
     v_k_orbit_size,
 )
 
@@ -206,64 +209,46 @@ def v_k(sp: SpaceParams, k: int) -> Lagrangian:
 
 
 # ---------------------------------------------------------------------------
-# small classical groups by brute force
+# small classical groups as closures of their reflections
 # ---------------------------------------------------------------------------
 
-_SCAN_LIMIT = 20_000_000
+def _reflection_closure(fp, m: int, over_e: bool) -> list[Mat]:
+    """O(m) over F, or U(m) over E when over_e, as the closure of its reflections, sorted by key.
 
-
-def _scan_size(fp, m: int, over_e: bool) -> int:
-    """Candidate m x m matrices a scan tries, refused over _SCAN_LIMIT."""
-    total = fp.q ** (2 * m * m if over_e else m * m)
-    if total > _SCAN_LIMIT:
-        raise ResourceLimitError(f"scan of {count_text(total)} candidate matrices exceeds limit")
-    return total
-
-
-def _scan_matrices(fp, m: int, over_e: bool, keep) -> list[Mat]:
+    Each anisotropic v whose first nonzero coordinate is 1 gives the reflection
+    r_v = I - (1 - lam) v v* / (v* v): lam is -1 over F, and over E it is g^(q-1) for the
+    generator g of E*, which generates the norm-one group.  Reflections generate every
+    orthogonal group (Cartan-Dieudonne), and unitary reflections every unitary group over a
+    finite field (Taylor, The Geometry of the Classical Groups, ch. 11).  A closure whose size
+    is not the closed-form order raises ConsistencyError.
+    """
     if m == 0:
         return [Mat.identity(fp, 0)]
-    coords = 2 * m * m if over_e else m * m
-    total = _scan_size(fp, m, over_e)
-    out = []
-    shape = (fp.q,) * coords
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total))
-        digits = np.stack(np.unravel_index(ids, shape), axis=-1)
-        if over_e:
-            arr = digits.reshape(-1, m, m, 2).astype(np.int64, copy=False)
-        else:
-            arr = np.zeros((len(ids), m, m, 2), dtype=np.int64)
-            arr[..., 0] = digits.reshape(-1, m, m)
-        mask = keep(arr)
-        out.extend(np.ascontiguousarray(a) for a in arr[mask])
-    return [Mat(fp, a) for a in out]
+    q, eye = fp.q, Mat.identity(fp, m)
+    lam = fp.primitive() ** (q - 1) if over_e else -fp.one
+    gens = []
+    for lead in range(m):
+        for tail in product(fp.elements() if over_e else fp.f_elements(), repeat=m - lead - 1):
+            v = Mat.column(fp, [0] * lead + [1, *tail])
+            norm = (v.star() @ v).at(0, 0)
+            if not norm.is_zero:
+                gens.append((eye - v @ v.star() * ((1 - lam) / norm)).a)
+    mats = np.stack(gens)
+    rows = frontier_closure(eye.a, lambda frontier: mm(fp, frontier[:, None], mats[None]), q)[0]
+    name, order = ("U", unitary_order(q, m)) if over_e else ("O", orthogonal_order(q, m))
+    if len(rows) != order:
+        raise ConsistencyError(f"closure of the {name}({m}) reflections has {len(rows)} elements, its closed form {order}")
+    return [Mat(fp, a) for a in sorted_stack(rows, q)[0]]
 
 
 def orthogonal_group_elements(fp, k: int) -> list[Mat]:
-    """All k x k base-field matrices S with t(S) S = I."""
-    eye = Mat.identity(fp, k).a
-
-    def keep(arr):
-        prod = mm(fp, arr.swapaxes(1, 2), arr)
-        return np.all(prod == eye, axis=(1, 2, 3))
-
-    return _scan_matrices(fp, k, over_e=False, keep=keep)
+    """All k x k base-field matrices S with t(S) S = I, sorted by key."""
+    return _reflection_closure(fp, k, over_e=False)
 
 
 def unitary_group_elements(fp, m: int) -> list[Mat]:
-    """All m x m extension-field matrices T with star(T) T = I."""
-    eye = Mat.identity(fp, m).a
-    q = fp.q
-
-    def keep(arr):
-        star = arr.swapaxes(1, 2).copy()
-        star[..., 1] = (-star[..., 1]) % q
-        prod = mm(fp, star, arr)
-        return np.all(prod == eye, axis=(1, 2, 3))
-
-    return _scan_matrices(fp, m, over_e=True, keep=keep)
+    """All m x m extension-field matrices T with star(T) T = I, sorted by key."""
+    return _reflection_closure(fp, m, over_e=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +259,16 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
     """Order and subgroup checks for the stabilizer of V_k in the unitary group.
 
     The predicted order is |O(k)| * |U(n-k)| * q^{k(k+1)/2} with both factor
-    orders obtained by brute-force scans.  When the group fits under the cap
-    the stabilizer is filtered from the group table as one mask and the
-    predicted factor subgroups are looked up in its rows; otherwise only
-    the order arithmetic against the orbit size is reported.  The scans,
-    then V_k's closed-form orbit size and the cell's point table against
-    the point cap, are refused before anything is built; V_k's orbit is
-    walked in the cell's sp0 action table and must have that size.
+    groups built as closures of their reflections.  When the group fits
+    under the cap the stabilizer is filtered from the group table as one
+    mask and the predicted factor subgroups are looked up in its rows;
+    otherwise only the order arithmetic against the orbit size is reported.
+    V_k's closed-form orbit size, then the cell's point table, are refused
+    against the point cap before anything is built; V_k's orbit is walked
+    in the cell's sp0 action table and must have that size.
     """
     sp = make_space(q, n)
     fp = sp.fp
-    _scan_size(fp, k, over_e=False)
-    _scan_size(fp, n - k, over_e=True)
     size = v_k_orbit_size(q, n, k)
     if size > cap_points:
         raise ResourceLimitError(f"orbit exceeds cap {cap_points}")

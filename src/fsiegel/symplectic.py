@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
-from .field import EScalar, FieldParams, make_fields
+from .field import EScalar, FieldParams, epsilon_f, make_fields
 from .linalg import Mat, block, block_diag, conj_arr, lookup_rows, mm, sorted_stack, stack_keys
 
 TAG_SP_E = "sp"
@@ -322,6 +322,18 @@ def unitary_order(q: int, m: int) -> int:
     order = q ** (m * (m - 1) // 2)
     for i in range(1, m + 1):
         order *= q**i - (-1) ** i
+    return order
+
+
+def orthogonal_order(q: int, k: int) -> int:
+    """|O(k, q)| of t(S) S = I: 2q^{m^2} prod_{i=1}^m (q^{2i} - 1) for k = 2m + 1, and 2q^{m(m-1)}
+    (q^m - eps) prod_{i=1}^{m-1} (q^{2i} - 1) for k = 2m > 0, eps = +1 exactly when (-1)^m is a square."""
+    if k == 0:
+        return 1
+    m, odd = divmod(k, 2)
+    order = 2 * q ** (m * m) if odd else 2 * q ** (m * (m - 1)) * (q**m - epsilon_f(q) ** m)
+    for i in range(1, m + odd):
+        order *= q ** (2 * i) - 1
     return order
 
 

@@ -529,3 +529,48 @@ def unipotent_by_slots(sp, k):
         block(fp, [[eye_n, _two_block_diag(fp, b1, Mat.zeros(fp, n - k, n - k))], [zero_n, eye_n]]).a
         for b1 in imaginary_symmetric(fp, k)
     ])
+
+
+# -- the small classical groups by exhaustive scan -------------------------------
+
+def _scan_matrices(fp, m: int, over_e: bool, keep) -> list[Mat]:
+    """Every m x m matrix over E (over F unless over_e) that `keep` accepts, in digit order."""
+    if m == 0:
+        return [Mat.identity(fp, 0)]
+    coords = 2 * m * m if over_e else m * m
+    total = fp.q**coords
+    out = []
+    chunk = 1 << 18
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total))
+        digits = np.stack(np.unravel_index(ids, (fp.q,) * coords), axis=-1)
+        if over_e:
+            arr = digits.reshape(-1, m, m, 2).astype(np.int64, copy=False)
+        else:
+            arr = np.zeros((len(ids), m, m, 2), dtype=np.int64)
+            arr[..., 0] = digits.reshape(-1, m, m)
+        out.extend(np.ascontiguousarray(a) for a in arr[keep(arr)])
+    return [Mat(fp, a) for a in out]
+
+
+def orthogonal_by_scan(fp, k: int) -> list[Mat]:
+    """All k x k base-field S with t(S) S = I, from all q^{k^2} candidates."""
+    eye = np.eye(k, dtype=np.int64)
+
+    def keep(arr):
+        s = arr[..., 0]  # the candidates are rational: integer products mod q
+        return np.all((s.swapaxes(1, 2) @ s) % fp.q == eye, axis=(1, 2))
+
+    return _scan_matrices(fp, k, False, keep)
+
+
+def unitary_by_scan(fp, m: int) -> list[Mat]:
+    """All m x m extension-field T with star(T) T = I, from all q^{2m^2} candidates."""
+    eye = Mat.identity(fp, m).a
+
+    def keep(arr):
+        star = arr.swapaxes(1, 2).copy()
+        star[..., 1] = (-star[..., 1]) % fp.q
+        return np.all(mm(fp, star, arr) == eye, axis=(1, 2, 3))
+
+    return _scan_matrices(fp, m, True, keep)

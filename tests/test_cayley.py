@@ -1,4 +1,5 @@
 import importlib
+import re
 import sys
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from fsiegel.symplectic import (
     is_member,
     make_space,
     members,
+    orthogonal_order,
     unitary_order,
     v_k_orbit_size,
 )
@@ -47,7 +49,9 @@ from fsiegel.cayley import (
 from oracles import (
     levi_by_two_blocks,
     map_strata_by_images,
+    orthogonal_by_scan,
     unipotent_by_slots,
+    unitary_by_scan,
     v_k_span_by_hand,
     witness_spans_by_hand,
 )
@@ -279,7 +283,7 @@ def test_stabilizer_factors_equal_the_two_block_and_slot_references(q, n, monkey
             assert set(stack_keys(got, q).tolist()) == set(stack_keys(want, q).tolist())
 
 
-def test_small_group_scans():
+def test_small_group_counts():
     fp = make_fields(3)
     assert len(orthogonal_group_elements(fp, 0)) == 1
     assert len(orthogonal_group_elements(fp, 1)) == 2
@@ -290,6 +294,46 @@ def test_small_group_scans():
     fp5 = make_fields(5)
     assert len(unitary_group_elements(fp5, 1)) == 6
     assert len(orthogonal_group_elements(fp5, 1)) == 2
+
+
+@pytest.mark.parametrize(
+    "over_e,q,m",
+    [(True, 3, 1), (True, 3, 2), (True, 5, 1), (True, 5, 2), (True, 7, 1), (True, 7, 2), (True, 23, 1)]
+    + [(False, q, k) for q in (3, 5, 7) for k in (1, 2, 3)]
+    + [(False, 23, 1), (False, 23, 2)],
+)
+def test_small_groups_are_the_scans_stacks(over_e, q, m):
+    fp = make_fields(q)
+    got = (unitary_group_elements if over_e else orthogonal_group_elements)(fp, m)
+    want = (unitary_by_scan if over_e else orthogonal_by_scan)(fp, m)
+    assert np.array_equal(np.stack([g.a for g in got]), np.stack([w.a for w in want]))
+    assert len(want) == (unitary_order if over_e else orthogonal_order)(q, m)
+
+
+@pytest.mark.parametrize("over_e,q,m", [(True, 3, 3), (True, 11, 2), (False, 3, 4), (False, 7, 3)])
+def test_small_groups_past_the_scans_have_their_closed_form_orders(over_e, q, m):
+    fp = make_fields(q)
+    got = (unitary_group_elements if over_e else orthogonal_group_elements)(fp, m)
+    assert len(got) == (unitary_order if over_e else orthogonal_order)(q, m)
+
+
+def test_orthogonal_order_spot_values():
+    assert [orthogonal_order(q, k) for q, k in [(3, 0), (3, 2), (5, 2), (7, 2), (3, 4)]] == [1, 8, 8, 16, 1152]
+
+
+@pytest.mark.parametrize(
+    "build,order_name,message",
+    [
+        (orthogonal_group_elements, "orthogonal_order", "closure of the O(2) reflections has 8 elements, its closed form 9"),
+        (unitary_group_elements, "unitary_order", "closure of the U(2) reflections has 96 elements, its closed form 97"),
+    ],
+)
+def test_a_reflection_closure_short_of_its_closed_form_is_refused(monkeypatch, build, order_name, message):
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+    order = getattr(cayley_mod, order_name)
+    monkeypatch.setattr(cayley_mod, order_name, lambda q, m: order(q, m) + 1)
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        build(make_fields(3), 2)
 
 
 def test_stabilizer_structure_spot_values_3_1():
@@ -325,10 +369,10 @@ def test_stabilizer_structure_reduced_mode():
 
 
 def test_stabilizers_refuse_over_the_orbit_cap_before_scanning(monkeypatch):
-    def scan(fp, m):
-        raise AssertionError("the unitary scan ran before the orbit cap was met")
+    def build(fp, m):
+        raise AssertionError("the unitary group was built before the orbit cap was met")
 
-    monkeypatch.setattr(importlib.import_module("fsiegel.cayley"), "unitary_group_elements", scan)
+    monkeypatch.setattr(importlib.import_module("fsiegel.cayley"), "unitary_group_elements", build)
     rec = run_check("stabilizers", 7, 2, 10**5, 5000)
     assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": "orbit exceeds cap 5000"})
 
@@ -391,10 +435,11 @@ def test_stabilizers_refuse_a_v_k_outside_the_point_table(monkeypatch):
         stabilizer_structure(3, 1, 0, cap_group=10**5, cap_points=10**4)
 
 
-def test_stabilizers_refuse_an_oversized_scan():
+def test_stabilizers_at_11_2_refuse_the_orbit_over_the_point_cap():
+    assert v_k_orbit_size(11, 2, 0) == 1623820
     rec = run_check("stabilizers", 11, 2, 10**5, 2 * 10**4)
     assert rec["status"] == "skipped-resource"
-    assert rec["data"] == {"reason": "scan of 214358881 candidate matrices exceeds limit"}
+    assert rec["data"] == {"reason": "orbit exceeds cap 20000"}
 
 
 def _scalar_zero_block_report(q, n) -> dict:

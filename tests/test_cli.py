@@ -115,7 +115,7 @@ def test_census_skips_a_count_too_long_to_print(capsys):
         ("lemma4", "~10^4818 Lagrangians exceed cap 20000"),
         ("strata-map", "~10^4818 Lagrangians exceed cap 20000"),
         ("involutions", "group order ~10^9590 exceeds cap 100000"),
-        ("stabilizers", "scan of ~10^9542 candidate matrices exceeds limit"),
+        ("stabilizers", "orbit exceeds cap 20000"),
     ],
 )
 def test_checks_skip_a_count_too_long_to_print(check, reason):
