@@ -219,22 +219,29 @@ def _reflection_closure(fp, m: int, over_e: bool) -> list[Mat]:
     r_v = I - (1 - lam) v v* / (v* v): lam is -1 over F, and over E it is g^(q-1) for the
     generator g of E*, which generates the norm-one group.  Reflections generate every
     orthogonal group (Cartan-Dieudonne), and unitary reflections every unitary group over a
-    finite field (Taylor, The Geometry of the Classical Groups, ch. 11).  A closure whose size
-    is not the closed-form order raises ConsistencyError.
+    finite field (Taylor, The Geometry of the Classical Groups, ch. 11).  For m = 1 the one
+    reflection is lam, so the group is its powers, listed without a BFS level per power.  A
+    closure whose size is not the closed-form order raises ConsistencyError.
     """
     if m == 0:
         return [Mat.identity(fp, 0)]
     q, eye = fp.q, Mat.identity(fp, m)
     lam = fp.primitive() ** (q - 1) if over_e else -fp.one
-    gens = []
-    for lead in range(m):
-        for tail in product(fp.elements() if over_e else fp.f_elements(), repeat=m - lead - 1):
-            v = Mat.column(fp, [0] * lead + [1, *tail])
-            norm = (v.star() @ v).at(0, 0)
-            if not norm.is_zero:
-                gens.append((eye - v @ v.star() * ((1 - lam) / norm)).a)
-    mats = np.stack(gens)
-    rows = frontier_closure(eye.a, lambda frontier: mm(fp, frontier[:, None], mats[None]), q)[0]
+    if m == 1:
+        powers = [fp.one, lam]
+        while powers[-1] != fp.one:
+            powers.append(powers[-1] * lam)
+        rows = np.array([[[(x.re, x.im)]] for x in powers[:-1]])
+    else:
+        gens = []
+        for lead in range(m):
+            for tail in product(fp.elements() if over_e else fp.f_elements(), repeat=m - lead - 1):
+                v = Mat.column(fp, [0] * lead + [1, *tail])
+                norm = (v.star() @ v).at(0, 0)
+                if not norm.is_zero:
+                    gens.append((eye - v @ v.star() * ((1 - lam) / norm)).a)
+        mats = np.stack(gens)
+        rows = frontier_closure(eye.a, lambda frontier: mm(fp, frontier[:, None], mats[None]), q)[0]
     name, order = ("U", unitary_order(q, m)) if over_e else ("O", orthogonal_order(q, m))
     if len(rows) != order:
         raise ConsistencyError(f"closure of the {name}({m}) reflections has {len(rows)} elements, its closed form {order}")

@@ -336,6 +336,21 @@ def test_a_reflection_closure_short_of_its_closed_form_is_refused(monkeypatch, b
         build(make_fields(3), 2)
 
 
+@pytest.mark.parametrize(
+    "build,order_name,message",
+    [
+        (orthogonal_group_elements, "orthogonal_order", "closure of the O(1) reflections has 2 elements, its closed form 3"),
+        (unitary_group_elements, "unitary_order", "closure of the U(1) reflections has 4 elements, its closed form 5"),
+    ],
+)
+def test_powers_of_the_one_reflection_short_of_the_closed_form_are_refused(monkeypatch, build, order_name, message):
+    cayley_mod = importlib.import_module("fsiegel.cayley")
+    order = getattr(cayley_mod, order_name)
+    monkeypatch.setattr(cayley_mod, order_name, lambda q, m: order(q, m) + 1)
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        build(make_fields(3), 1)
+
+
 def test_stabilizer_structure_spot_values_3_1():
     rep0 = stabilizer_structure(3, 1, 0, cap_group=10**5, cap_points=10**4)
     assert rep0["mode"] == "full"

@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -345,13 +347,19 @@ def test_consistency_error_writes_finished_records_to_stderr(capsys, monkeypatch
     assert records[0]["data"] == {"points": 10}
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
     # np.unique without counts or indices imports numpy.ma, 13 ms in a cold process; the
     # cells are the group closures at (23,1), the seeded samples at (7,2), the
     # conjugation-table walks of the involutions' square branch at (5,1) and the
     # partition walks of a point cell at (3,2): every closure calls np.unique
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     child = "import sys; from fsiegel.cli import main; code = main(sys.argv[1:]); print('numpy.ma' in sys.modules, code)"
     for cell, checks_, cap_points, code in [("23,1", "cayley,stabilizers,involutions", "20000", "1"),
                                             ("7,2", "stabilizers,siegel-criterion", "5000", "1"),
@@ -362,3 +370,48 @@ def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
                 "--cap-group", "100000", "--cap-points", cap_points, "--out", str(tmp_path / "report.json")]
         proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
         assert proc.stdout.split() == ["False", code], proc.stderr
+
+
+def test_python_m_fsiegel_writes_the_whole_report_to_a_pipe(capsys):
+    argv = ["census", "--q", "3", "--n", "1"]
+    proc = subprocess.run([sys.executable, "-m", "fsiegel", *argv], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    _, in_process = run_json(capsys, *argv)
+    assert strip_volatile(json.loads(proc.stdout)) == strip_volatile(in_process)
+
+
+def test_the_process_entry_freezes_the_gc_before_exit_and_keeps_atexit_and_the_code(tmp_path):
+    child = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv[0] = 'fsiegel'\n"
+        "runpy.run_module('fsiegel', run_name='__main__')\n"
+    )
+    argv = ["verify", "--q", "3", "--n", "2", "--checks", "theorem1", "--jobs", "1", "--out", str(tmp_path / "report.json")]
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (1, "frozen True\n"), proc.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["checks"][0]["status"] == "fail"
+
+
+def test_main_in_process_leaves_the_gc_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "census", "--q", "3", "--n", "1")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def _gc_uses(tree) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {alias.name}" for alias in node.names if alias.name == "gc"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.append("from gc import")
+        elif isinstance(node, ast.Attribute) and node.attr == "freeze":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_the_process_entry_imports_gc_or_freezes_it():
+    """A freeze inside `cli.main` would keep an in-process caller's cyclic garbage for good."""
+    found = [(path.name, use) for path in sorted((SRC / "fsiegel").glob("*.py")) for use in _gc_uses(ast.parse(path.read_text()))]
+    assert found == [("__main__.py", "import gc"), ("__main__.py", "gc.freeze")]
