@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
 from .lagrangian import Lagrangian, _span_of, enumerate_lagrangians, l_plus
-from .linalg import Mat, block, block_diag, mm, sorted_stack, stack_keys
+from .linalg import Mat, RowTable, block, block_diag, mm, stack_keys
 from .orbits import _action_table, _inverse_rows, _walk, act, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
@@ -39,10 +39,9 @@ from .symplectic import (
     TAG_SP_F,
     GroupElement,
     SpaceParams,
-    _generator_stack,
+    _generator_stacks,
     enumerate_symplectic,
     frontier_closure,
-    generators,
     group_element,
     group_order,
     make_space,
@@ -149,7 +148,7 @@ def verify_conjugation(cd: CayleyData, q: int, n: int, cap_group: int) -> dict:
     """
     sp, fp = cd.space, cd.space.fp
     m, m_inv = cd.m, cd.m.inv()
-    g_f, g_0 = (_generator_stack(sp, generators(sp, tag)) for tag in (TAG_SP_F, TAG_SP_0))
+    g_f, g_0 = (_generator_stacks(q, n, tag)[0] for tag in (TAG_SP_F, TAG_SP_0))
     out = {
         "generators": len(g_f),
         "forward_ok": bool(members(sp, mm(fp, mm(fp, m.a, g_f), m_inv.a), TAG_SP_0).all()),
@@ -245,7 +244,7 @@ def _reflection_closure(fp, m: int, over_e: bool) -> list[Mat]:
     name, order = ("U", unitary_order(q, m)) if over_e else ("O", orthogonal_order(q, m))
     if len(rows) != order:
         raise ConsistencyError(f"closure of the {name}({m}) reflections has {len(rows)} elements, its closed form {order}")
-    return [Mat(fp, a) for a in sorted_stack(rows, q)[0]]
+    return [Mat(fp, a) for a in RowTable(rows, q).arr]
 
 
 def orthogonal_group_elements(fp, k: int) -> list[Mat]:
@@ -320,8 +319,7 @@ def stabilizer_structure(q: int, n: int, k: int, cap_group: int, cap_points: int
 
     # every B is an F-combination of the imaginary half of the basis over E
     dim = k * (k + 1) // 2
-    imag = [b.a for b in symmetric_basis(fp, k, over_e=True)[dim:]]
-    basis = np.array(imag, dtype=np.int64).reshape(dim, k, k, 2)
+    basis = symmetric_basis(fp, k, over_e=True)[dim:]
     coeffs = np.array(list(product(range(q), repeat=dim)), dtype=np.int64).reshape(q**dim, dim)
     uni = np.tile(sp.identity.a, (q**dim, 1, 1, 1))
     uni[:, :k, n : n + k] = np.tensordot(coeffs, basis, axes=1) % q
@@ -372,7 +370,7 @@ def _cell_actions(q: int, n: int) -> dict[str, np.ndarray]:
     """
     sp = make_space(q, n)
     fp, j, m = sp.fp, sp.j.a, cayley(q, n).m.a
-    g_f, g_0 = (_generator_stack(sp, generators(sp, tag)) for tag in (TAG_SP_F, TAG_SP_0))
+    g_f, g_0 = (_generator_stacks(q, n, tag)[0] for tag in (TAG_SP_F, TAG_SP_0))
     if g_f.shape != g_0.shape or not np.array_equal(mm(fp, g_0, m), mm(fp, m, g_f)):
         raise ConsistencyError("an sp0 generator is not M g M^-1 for the spf generator in its place")
     ups, lows = np.split(g_f, [len(g_f) // 2])

@@ -7,11 +7,11 @@ by `run_cell`, which every subcommand shares:
      "data": payload, "wall_ms": elapsed}
 
 A resource skip is produced whenever the cell would exceed the configured
-group or point caps; skips never fail a run.  `cayley` and the sampled
-`siegel-criterion` have no cap (the exhaustive one, n = 1 and q <= 5,
-enumerates the group under the group cap): each builds the cell's
-generator stacks, n(n+1) matrices of (2n)^2 entries per family (6.5 GB
-per family at n = 100), so neither should be run at a large n.  A
+group or point caps or runs out of memory; skips never fail a run.  `cayley`
+and the sampled `siegel-criterion` have no cap (the exhaustive one, n = 1
+and q <= 5, enumerates the group under the group cap): each builds the
+cell's generator stacks, n(n+1) matrices of (2n)^2 entries per family
+(6.5 GB per family at n = 100), so neither should be run at a large n.  A
 structural cross-check that breaks inside a check (VerificationFailure)
 becomes a "fail" record carrying its message, and the rest of the grid
 still runs; ConsistencyError, an internal arithmetic bug, stays fatal.
@@ -52,7 +52,7 @@ from .sampling import _draws, _nondegenerate_pairs, _random_symmetric, _symmetri
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_F,
-    _generator_stack,
+    _generator_stacks,
     check_group_cap,
     enumerate_symplectic,
     generators,
@@ -349,8 +349,7 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
     sp = make_space(q, n)
     fp = sp.fp
     rng = _rng("siegel-criterion", q, n)
-    gens = generators(sp, TAG_SP_F)
-    real = np.ascontiguousarray(_generator_stack(sp, gens)[..., 0])  # spf is rational
+    real = np.ascontiguousarray(_generator_stacks(q, n, TAG_SP_F)[0][..., 0])  # spf is rational
     iu = np.triu_indices(n)
 
     def ranks(cd: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -358,7 +357,7 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
         return rank_stack(fp, mm(fp, cd[:, :, :n], zs) + cd[:, :, n:])
 
     def draw(count: int) -> np.ndarray:
-        return _draws(rng, len(gens), 12 * count).reshape(count, 12)
+        return _draws(rng, len(real), 12 * count).reshape(count, 12)
 
     def products(letters: np.ndarray) -> np.ndarray:
         """The bottom block (C D) of each word's product, multiplied over F."""
@@ -400,7 +399,7 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
             rk = ranks(arr, z.a)
             witnesses.append((z, bool(np.any(rk == n)), bool(np.any(rk < n))))
     else:
-        zs, letters = _nondegenerate_pairs(rng, sp, len(gens), 1000, nondegenerate)
+        zs, letters = _nondegenerate_pairs(rng, sp, len(real), 1000, nondegenerate)
         invertible_ok = bool(np.all(ranks(products(letters), zs) == n))
         cases = len(zs)
         while len(witnesses) < 10:
@@ -450,15 +449,17 @@ _CHECKS = {
 def run_cell(check: str, q: int, n: int, body) -> dict:
     """The record of one cell: `body()` returns (status, data), timed into wall_ms.
 
-    ResourceLimitError becomes a skipped-resource record with its reason,
-    VerificationFailure a fail record with its error; ConsistencyError
-    passes through.
+    ResourceLimitError and MemoryError (numpy's failed allocations too) become
+    a skipped-resource record with a reason, VerificationFailure a fail record
+    with its error; ConsistencyError passes through.
     """
     start = time.perf_counter()
     try:
         status, data = body()
     except ResourceLimitError as exc:
         status, data = "skipped-resource", {"reason": str(exc)}
+    except MemoryError:
+        status, data = "skipped-resource", {"reason": "out of memory"}
     except VerificationFailure as exc:
         status, data = "fail", {"error": str(exc)}
     wall_ms = int((time.perf_counter() - start) * 1000)

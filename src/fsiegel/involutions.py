@@ -28,9 +28,8 @@ from .symplectic import (
     EnumeratedGroup,
     GroupElement,
     SpaceParams,
-    _generator_stack,
+    _generator_stacks,
     enumerate_symplectic,
-    generators,
     group_order,
     make_space,
     per_cell,
@@ -85,7 +84,7 @@ def involution_form_report(q: int, n: int, cap_group: int) -> dict:
     # J (g T g^-1) = t(g^-1) (J T) g^-1 for every pair (T, g): the left side is the form of
     # the conjugate's row, the right side one stack
     rows = _conjugation_rows(q, n, -1)
-    invs = _gen_stacks(sp, generators(sp, TAG_SP_F))[1]
+    invs = _generator_stacks(q, n, TAG_SP_F)[1]
     rhs = mm(fp, mm(fp, invs.swapaxes(1, 2)[None], forms[:, None]), invs[None])
     return {
         "count": len(ants),
@@ -178,18 +177,13 @@ def _pairing_identity(sp: SpaceParams, ts: np.ndarray) -> np.ndarray:
 # the correspondence with the Lagrangian strata
 # ---------------------------------------------------------------------------
 
-def _gen_stacks(sp: SpaceParams, gens) -> tuple[np.ndarray, np.ndarray]:
-    """The generators and their inverses, as two stacks (G, 2n, 2n, 2)."""
-    return _generator_stack(sp, gens), _generator_stack(sp, [g.mat.inv() for g in gens])
-
-
 @per_cell
 def _conjugation_rows(q: int, n: int, a: int) -> np.ndarray:
     """Row of g T g^-1 in the T^2 = aI sub-table, for each of its rows T and each rational
     generator g: (N, G), -1 where the conjugate is outside; one stacked product per cell, read-only."""
     sp = make_space(q, n)
     sub = scaled_involutions(q, n, a, group_order(TAG_SP_F, q, n))
-    mats, invs = _gen_stacks(sp, generators(sp, TAG_SP_F))
+    mats, invs = _generator_stacks(q, n, TAG_SP_F)[:2]
     conj = mm(sp.fp, mm(sp.fp, mats[None], sub.arr[:, None]), invs[None])
     return sub.rows(conj.reshape(-1, sp.dim, sp.dim, 2)).reshape(len(sub), len(mats))
 
@@ -203,13 +197,13 @@ def _single_orbit(rows: np.ndarray, seed: int, members: np.ndarray) -> bool:
     return np.array_equal(np.sort(_walk(rows, seed)[0]), members)
 
 
-def _equivariant(sp: SpaceParams, rows: np.ndarray, models: np.ndarray, gens) -> bool:
-    """g W_T = W_{g T g^-1} for each anti-involution T with eigenspace W_T in `models`, each generator g.
+def _equivariant(sp: SpaceParams, rows: np.ndarray, models: np.ndarray, mats: np.ndarray) -> bool:
+    """g W_T = W_{g T g^-1} for each anti-involution T with eigenspace W_T in `models`, each g in `mats`.
 
     `rows` is the anti-involutions' conjugation table; a g T g^-1 outside
     the set (-1) counts as not equivariant.
     """
-    moved = span_images(sp, _generator_stack(sp, gens), models)
+    moved = span_images(sp, mats, models)
     return bool(np.all(rows >= 0) and np.array_equal(moved, models[rows]))
 
 
@@ -230,7 +224,7 @@ def correspondence_report(q: int, n: int, cap_group: int, cap_points: int) -> di
     models, eigen = _anti_involution_suite(q, n)
     # a row that is not Lagrangian has no image span to compare
     out["equivariant"] = bool(eigen["lagrangian"].all()) and _equivariant(
-        sp, rows, models, generators(sp, TAG_SP_F)
+        sp, rows, models, _generator_stacks(q, n, TAG_SP_F)[0]
     )
     # the distinct eigenspaces, with the number of anti-involutions on each
     images, fibers = np.unique(stack_keys(models, q), return_counts=True)

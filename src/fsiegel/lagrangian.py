@@ -36,8 +36,7 @@ from .errors import (
 )
 from .field import epsilon_f
 from .linalg import (
-    Mat, block, block_diag, conj_arr, det_stack, kernel_stack, lookup_rows, mm, rank_stack, rcef, rcef_stack,
-    sorted_stack, stack_keys,
+    Mat, RowTable, block, block_diag, conj_arr, det_stack, kernel_stack, mm, rank_stack, rcef, rcef_stack,
 )
 from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
@@ -129,35 +128,32 @@ def _grams(sp: SpaceParams, bases: np.ndarray, core: Mat) -> np.ndarray:
     return mm(sp.fp, mm(sp.fp, bases.swapaxes(1, 2), core.a), conj_arr(bases, sp.q))
 
 
-class PointTable:
-    """Points as rows: canonical bases sorted by key, with per-point data.
+class PointTable(RowTable):
+    """Points as rows of a `RowTable`: canonical bases (`bases`, its `arr`), with per-point data.
 
-    Next to the bases are their `stack_keys` codes and, per row, the labels
-    (the ranks of the two Gram matrices) and the Siegel-image flag (an
-    invertible bottom block), all built with the table and read-only.
-    Indexing a row gives its `Lagrangian`: a table reads as its sorted points.
+    Per row the table holds the labels (the ranks of the two Gram matrices)
+    and the Siegel-image flag (an invertible bottom block), all built with
+    the table and read-only.  Indexing a row gives its `Lagrangian`.
     """
 
-    __slots__ = ("space", "bases", "keys", "h_rank", "o_type", "in_image")
+    __slots__ = ("space", "h_rank", "o_type", "in_image")
 
-    def __init__(self, sp: SpaceParams, bases: np.ndarray):
+    def __init__(self, sp: SpaceParams, bases: np.ndarray, keys: np.ndarray | None = None):
+        super().__init__(bases, sp.q, keys)
         self.space = sp
-        self.bases, self.keys = sorted_stack(bases, sp.q)
-        self.h_rank = rank_stack(sp.fp, _grams(sp, self.bases, sp.j))
-        self.o_type = rank_stack(sp.fp, _grams(sp, self.bases, sp.d_form))
-        self.in_image = rank_stack(sp.fp, self.bases[:, sp.n :]) == sp.n
-        for arr in (self.bases, self.keys, self.h_rank, self.o_type, self.in_image):
-            arr.setflags(write=False)  # a cached table is shared by every caller
+        self.h_rank = rank_stack(sp.fp, _grams(sp, self.arr, sp.j))
+        self.o_type = rank_stack(sp.fp, _grams(sp, self.arr, sp.d_form))
+        self.in_image = rank_stack(sp.fp, self.arr[:, sp.n :]) == sp.n
+        for arr in (self.h_rank, self.o_type, self.in_image):
+            arr.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.bases)
+    bases = property(lambda self: self.arr)
 
     def __getitem__(self, row: int) -> Lagrangian:
-        return Lagrangian(self.space, Mat(self.space.fp, self.bases[row]))
+        return Lagrangian(self.space, Mat(self.space.fp, self.arr[row]))
 
-    def rows(self, bases: np.ndarray) -> np.ndarray:
-        """Row of each basis in a stack, or -1 where it is not a point of the table."""
-        return lookup_rows(self.keys, stack_keys(bases, self.space.q))
+    def _like(self, bases: np.ndarray, keys: np.ndarray) -> "PointTable":
+        return PointTable(self.space, bases, keys)
 
 
 def from_basis(sp: SpaceParams, m: Mat) -> Lagrangian:

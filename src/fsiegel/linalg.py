@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the quadratic extension field.
 
 A matrix is a (rows, cols, 2) int64 array of (re, im) coefficient pairs,
-reduced mod q, keyed in a stack by one int64 code (`stack_keys`) that tables
-sort and search.  numpy carries the bulk arithmetic with exact integers.
+reduced mod q, keyed in a stack by one int64 code (`stack_keys`) that a
+`RowTable`, the one table type, sorts and searches.  numpy carries the
+bulk arithmetic with exact integers.
 There are two eliminations, `rref` for one matrix and `_rref_block` for
 a stack (N, rows, cols, 2), each a Python loop over the columns, and
 everything else, determinants included, is derived from one of them.
@@ -268,6 +269,37 @@ def lookup_rows(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
         return np.full(len(probes), -1, dtype=_I64)
     idx = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
     return np.where(keys[idx] == probes, idx, -1)
+
+
+class RowTable:
+    """Matrices as rows: a stack `arr` sorted by its `stack_keys` codes `keys` (as `Mat.key`).
+
+    Both arrays are read-only, for a cached table is shared by every caller;
+    given `keys` are those of rows already sorted.  The point and group
+    tables extend it with their per-row data and their view of one row.
+    """
+
+    __slots__ = ("q", "arr", "keys")
+
+    def __init__(self, arr: np.ndarray, q: int, keys: np.ndarray | None = None):
+        self.q = q
+        self.arr, self.keys = sorted_stack(arr, q) if keys is None else (arr, keys)
+        for a in (self.arr, self.keys):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.arr)
+
+    def rows(self, mats: np.ndarray) -> np.ndarray:
+        """Row of each matrix in a stack, or -1 where it is not a row of the table."""
+        return lookup_rows(self.keys, stack_keys(mats, self.q))
+
+    def where(self, mask: np.ndarray) -> "RowTable":
+        """The sub-table, of this table's kind, of the rows the mask keeps, sorted as they are."""
+        return self._like(self.arr[mask], self.keys[mask])
+
+    def _like(self, arr: np.ndarray, keys: np.ndarray) -> "RowTable":
+        return RowTable(arr, self.q, keys)
 
 
 def rank_arr(fp: FieldParams, a: np.ndarray) -> int:

@@ -20,13 +20,13 @@ arithmetic bug.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
 from .field import EScalar, FieldParams, epsilon_f, make_fields
-from .linalg import Mat, block, block_diag, conj_arr, lookup_rows, mm, sorted_stack, stack_keys
+from .linalg import Mat, RowTable, block, block_diag, conj_arr, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
 TAG_SP_F = "spf"
@@ -243,51 +243,57 @@ def group_element(sp: SpaceParams, mat: Mat, tag: str) -> GroupElement:
 # generators and orders
 # ---------------------------------------------------------------------------
 
-def symmetric_basis(fp: FieldParams, n: int, over_e: bool) -> list[Mat]:
-    """Basis of symmetric n x n matrices over F, doubled by s for E.
+def symmetric_basis(fp: FieldParams, n: int, over_e: bool) -> np.ndarray:
+    """Basis of symmetric n x n matrices over F, doubled by s for E, as one stack (k, n, n, 2).
 
     For each scalar (1, then s over E) the diagonal units come first, then
     the off-diagonal pairs E_ij + E_ji, i < j, in row order.
     """
-    out = []
-    for c in [fp.one, fp.s] if over_e else [fp.one]:
-        for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
-            m = np.zeros((n, n, 2), dtype=np.int64)
-            m[i, j] = m[j, i] = (c.re, c.im)
-            out.append(Mat(fp, m))
+    scalars = [fp.one, fp.s] if over_e else [fp.one]
+    spots = [(i, i) for i in range(n)] + list(combinations(range(n), 2))
+    out = np.zeros((len(scalars) * len(spots), n, n, 2), dtype=np.int64)
+    for k, (c, (i, j)) in enumerate(product(scalars, spots)):
+        out[k, i, j] = out[k, j, i] = (c.re, c.im)
     return out
 
 
 def generators(sp: SpaceParams, tag: str) -> tuple[GroupElement, ...]:
-    """Standard generating set: the two opposite unipotent families.
-
-    For "sp0" the generators are the conjugates of the "spf" family under
-    the similitude that exchanges the two groups; the closure-order
-    contract is enforced empirically by the test suite.  Each set is built
-    and verified once per cell and tag, and held in the cell slot.
-    """
-    return _generators(sp.q, sp.n, tag)
+    """Standard generating set: the two opposite unipotent families, for "sp0" conjugated by the
+    similitude that exchanges the two groups; the closure-order contract is enforced by the test
+    suite.  The elements are the rows of the cell's checked stack (`_generator_stacks`), cached
+    beside it."""
+    return _generator_stacks(sp.q, sp.n, tag)[2]
 
 
 @per_cell
-def _generators(q: int, n: int, tag: str) -> tuple[GroupElement, ...]:
+def _generator_stacks(q: int, n: int, tag: str) -> tuple[np.ndarray, np.ndarray, tuple[GroupElement, ...]]:
+    """The tag's generators and their inverses as two stacks (G, 2n, 2n, 2), then as elements.
+
+    "sp" and "spf" are (I, B; 0, I), then (I, 0; B, I), for B in `symmetric_basis`, inverted
+    by -B; "sp0" is the one product M G_f M^-1 over the spf stack G_f, and likewise its inverse.
+    One `members` call checks the stack (ConsistencyError on a non-member); the test oracles
+    check each inverse against `Mat.inv`.
+    """
     sp = make_space(q, n)
     fp = sp.fp
-    if tag in (TAG_SP_E, TAG_SP_F):
-        eye, zero = Mat.identity(fp, n), Mat.zeros(fp, n, n)
-        gens = []
-        for b in symmetric_basis(fp, n, over_e=(tag == TAG_SP_E)):
-            gens.append(group_element(sp, block(fp, [[eye, b], [zero, eye]]), tag))
-        for b in symmetric_basis(fp, n, over_e=(tag == TAG_SP_E)):
-            gens.append(group_element(sp, block(fp, [[eye, zero], [b, eye]]), tag))
-        return tuple(gens)
     if tag == TAG_SP_0:
         from .cayley import cayley  # deferred: cayley builds on this module
 
         m = cayley(q, n).m
         m_inv = m.inv()
-        return tuple(group_element(sp, m @ g.mat @ m_inv, TAG_SP_0) for g in generators(sp, TAG_SP_F))
-    raise ParameterError(f"unknown group tag {tag!r}")
+        gens, invs = (mm(fp, mm(fp, m.a, g), m_inv.a) for g in _generator_stacks(q, n, TAG_SP_F)[:2])
+    elif tag in (TAG_SP_E, TAG_SP_F):
+        basis = symmetric_basis(fp, n, over_e=(tag == TAG_SP_E))
+        # (generators, inverses) x (upper, lower) x B
+        both = np.zeros((2, 2, len(basis), sp.dim, sp.dim, 2), dtype=np.int64)
+        both[:] = sp.identity.a
+        both[:, 0, :, :n, n:] = both[:, 1, :, n:, :n] = np.stack([basis, -basis % q])
+        gens, invs = both.reshape(2, -1, sp.dim, sp.dim, 2)
+    else:
+        raise ParameterError(f"unknown group tag {tag!r}")
+    if not members(sp, gens, tag).all():
+        raise ConsistencyError(f"a built {tag} generator is not a member of {tag}")
+    return gens, invs, tuple(GroupElement(Mat(fp, g), tag) for g in gens)
 
 
 def group_order(tag: str, q: int, n: int) -> int:
@@ -352,38 +358,24 @@ def v_k_orbit_size(q: int, n: int, k: int) -> int:
 # enumeration
 # ---------------------------------------------------------------------------
 
-class EnumeratedGroup:
-    """A group's elements as rows: one coefficient stack sorted by key.
+class EnumeratedGroup(RowTable):
+    """A group's elements as rows of a `RowTable`, with the group's tag.
 
-    `keys` holds each row's `stack_keys` code (sorted as `Mat.key`), and
-    both arrays are read-only; given `keys` are those of rows already sorted.
-    A group-wide filter is a mask over `arr`, and `where(mask)` keeps its
-    rows and codes as a sub-table, still sorted.  Indexing a row builds its
-    `GroupElement`, so a table also reads as the sorted list of its elements.
+    A group-wide filter is a mask over `arr`, kept by `where`.  Indexing a
+    row builds its `GroupElement`: a table reads as its sorted elements.
     """
 
-    __slots__ = ("space", "tag", "arr", "keys")
+    __slots__ = ("space", "tag")
 
     def __init__(self, space: SpaceParams, tag: str, arr: np.ndarray, keys: np.ndarray | None = None):
-        self.space = space
-        self.tag = tag
-        self.arr, self.keys = sorted_stack(arr, space.q) if keys is None else (arr, keys)
-        for a in (self.arr, self.keys):
-            a.setflags(write=False)  # a cached table is shared by every caller
-
-    def __len__(self) -> int:
-        return len(self.arr)
+        super().__init__(arr, space.q, keys)
+        self.space, self.tag = space, tag
 
     def __getitem__(self, row: int) -> GroupElement:
         return GroupElement(Mat(self.space.fp, self.arr[row]), self.tag)
 
-    def rows(self, mats: np.ndarray) -> np.ndarray:
-        """Row of each matrix in a stack, or -1 where it is not an element."""
-        return lookup_rows(self.keys, stack_keys(mats, self.space.q))
-
-    def where(self, mask: np.ndarray) -> "EnumeratedGroup":
-        """The sub-table of the rows the mask keeps, sorted as they are."""
-        return EnumeratedGroup(self.space, self.tag, self.arr[mask], self.keys[mask])
+    def _like(self, arr: np.ndarray, keys: np.ndarray) -> "EnumeratedGroup":
+        return EnumeratedGroup(self.space, self.tag, arr, keys)
 
 
 # frontier points per step call: a BFS level of a closure under the caps is one or two calls
@@ -430,7 +422,7 @@ def frontier_closure(seed: np.ndarray, step, q: int, cap: int | None = None, wha
 @per_cell
 def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     sp = make_space(q, n)
-    mats = _generator_stack(sp, generators(sp, tag))
+    mats = _generator_stacks(q, n, tag)[0]
     step = lambda frontier: mm(sp.fp, frontier[:, None], mats[None])  # noqa: E731
     expected = group_order(tag, q, n)
     rows = frontier_closure(sp.identity.a, step, q, expected + 1, "group closure")[0]

@@ -4,9 +4,9 @@ Everything here recomputes results through a different route than the
 package: plain Python scalar pairs, exhaustive scans, Schubert-cell
 subspace enumeration, permutation-expansion determinants, a
 constructive orthonormalization for hermitian form types, a
-breadth-first closure that keys each image on its own, membership one
-`Mat` at a time, and the scalar or per-stratum routes that the package's
-row and stack routes replaced.
+breadth-first closure that keys each image on its own, membership and
+the generators one `Mat` at a time, and the scalar or per-stratum routes
+that the package's row and stack routes replaced.
 """
 
 from itertools import combinations, permutations, product
@@ -17,7 +17,7 @@ from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError,
 from fsiegel.lagrangian import _siegel_bases, _swaps, enumerate_lagrangians, span_images
 from fsiegel.linalg import Mat, block, mm, rank_stack, rcef_stack, sorted_stack, stack_keys
 from fsiegel.orbits import act
-from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, frontier_closure, make_space
+from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, frontier_closure, group_element, make_space
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -282,6 +282,30 @@ def is_member_by_mats(sp, g, tag) -> bool:
             raise ConsistencyError("closed-form h_0-unitary conditions disagree with form preservation")
         return direct
     raise ParameterError(f"unknown group tag {tag!r}")
+
+
+# -- the generators, one element at a time --------------------------------------
+
+def generators_by_blocks(sp, tag):
+    """`symplectic.generators` built one element at a time: each symmetric B written entry by
+    entry, each unipotent (I, B; 0, I), then (I, 0; B, I), assembled from its blocks and checked
+    by `group_element`, and each sp0 generator M g M^-1 one scalar product at a time."""
+    fp, n = sp.fp, sp.n
+    if tag == TAG_SP_0:
+        from fsiegel.cayley import cayley
+
+        m = cayley(sp.q, n).m
+        m_inv = m.inv()
+        return tuple(group_element(sp, m @ g.mat @ m_inv, TAG_SP_0) for g in generators_by_blocks(sp, TAG_SP_F))
+    basis = []
+    for c in [fp.one, fp.s] if tag == TAG_SP_E else [fp.one]:
+        for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
+            b = np.zeros((n, n, 2), dtype=np.int64)
+            b[i, j] = b[j, i] = (c.re, c.im)
+            basis.append(Mat(fp, b))
+    eye, zero = Mat.identity(fp, n), Mat.zeros(fp, n, n)
+    upper = [group_element(sp, block(fp, [[eye, b], [zero, eye]]), tag) for b in basis]
+    return tuple(upper + [group_element(sp, block(fp, [[eye, zero], [b, eye]]), tag) for b in basis])
 
 
 # -- breadth-first closure, one image at a time --------------------------------

@@ -411,7 +411,7 @@ def test_stabilizers_refuse_the_orbit_from_its_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the stabilizer of V_k was built before the orbit cap was met")
 
-    for name in ("enumerate_lagrangians", "_cell_actions", "v_k", "partial_cayley", "generators"):
+    for name in ("enumerate_lagrangians", "_cell_actions", "v_k", "partial_cayley", "_generator_stacks"):
         monkeypatch.setattr(cayley_mod, name, refuse)
     rec = run_check("stabilizers", 7, 2, 10**5, 5000)
     assert (rec["status"], rec["data"]) == ("skipped-resource", {"reason": "orbit exceeds cap 5000"})
@@ -545,7 +545,7 @@ def test_a_perturbed_generator_breaks_the_table_build(tag, match, monkeypatch, f
     gens[tag][-1] = GroupElement(Mat(sp.fp, bad), tag)
     if tag == TAG_SP_F:
         gens[TAG_SP_0] = [GroupElement(m @ h.mat @ m.inv(), TAG_SP_0) for h in gens[TAG_SP_F]]
-    monkeypatch.setattr(cayley_mod, "generators", lambda sp_, t: tuple(gens[t]))
+    monkeypatch.setattr(cayley_mod, "_generator_stacks", lambda q, n, t: (_generator_stack(sp, gens[t]), None))
     with pytest.raises(ConsistencyError, match=match):
         _cell_actions(3, 2)
 
@@ -560,7 +560,7 @@ def test_a_reordered_lower_family_breaks_the_table_build(monkeypatch, fresh_cell
     half = len(spf) // 2
     spf[half:] = spf[half:][1:] + spf[half:][:1]  # the same lower family, rotated by one
     gens = {TAG_SP_F: spf, TAG_SP_0: [GroupElement(m @ g.mat @ m.inv(), TAG_SP_0) for g in spf]}
-    monkeypatch.setattr(cayley_mod, "generators", lambda sp_, t: tuple(gens[t]))
+    monkeypatch.setattr(cayley_mod, "_generator_stacks", lambda q, n, t: (_generator_stack(sp, gens[t]), None))
     with pytest.raises(ConsistencyError, match="lower generator"):
         _cell_actions(3, 2)
 

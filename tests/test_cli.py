@@ -86,15 +86,21 @@ def test_group_writes_an_order_too_long_to_print(capsys):
     assert payload["checks"][0]["data"] == {"order": "~10^4315", "generator_count": 4556}
 
 
-def test_verify_at_a_huge_n_builds_no_generators(capsys, monkeypatch, fresh_cell):
-    """The `cayley_params` echo builds M from its own identities, so lemma4's skip comes at once."""
+def _refuse_generators(monkeypatch):
+    """Make every fsiegel module's `generators` and `_generator_stacks` raise when called."""
 
-    def refuse(sp, tag):
-        raise AssertionError(f"generators({sp}, {tag!r}) was built")
+    def refuse(*args):
+        raise AssertionError(f"generators or their stack were built for {args}")
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("fsiegel") and hasattr(mod, "generators"):
-            monkeypatch.setattr(mod, "generators", refuse)
+        for attr in ("generators", "_generator_stacks"):
+            if name.startswith("fsiegel") and hasattr(mod, attr):
+                monkeypatch.setattr(mod, attr, refuse)
+
+
+def test_verify_at_a_huge_n_builds_no_generators(capsys, monkeypatch, fresh_cell):
+    """The `cayley_params` echo builds M from its own identities, so lemma4's skip comes at once."""
+    _refuse_generators(monkeypatch)
     code, payload = run_json(capsys, "verify", "--q", "3", "--n", "100", "--checks", "lemma4")
     assert code == 3 and [r["status"] for r in payload["checks"]] == ["skipped-resource"]
     assert payload["cayley_params"]["3,100"]["branch"] == "minus-one-nonsquare"
@@ -147,12 +153,7 @@ def test_generator_count_equals_the_built_generators(tag):
 
 
 def test_group_without_enumerate_builds_no_generators(capsys, monkeypatch):
-    def refuse(sp, tag):
-        raise AssertionError(f"generators({sp}, {tag!r}) was built")
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("fsiegel") and hasattr(mod, "generators"):
-            monkeypatch.setattr(mod, "generators", refuse)
+    _refuse_generators(monkeypatch)
     code, payload = run_json(capsys, "group", "--q", "3,5", "--n", "1,2", "--group", "sp")
     assert code == 0
     assert [r["data"]["generator_count"] for r in payload["checks"]] == [4, 12, 4, 12]
@@ -370,6 +371,24 @@ def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
                 "--cap-group", "100000", "--cap-points", cap_points, "--out", str(tmp_path / "report.json")]
         proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
         assert proc.stdout.split() == ["False", code], proc.stderr
+
+
+def test_a_cell_out_of_memory_is_a_skip_record_not_a_traceback():
+    """The (11,2) table needs about 1.4 GB: a child that lowers its own address-space limit to
+    500 MB gets numpy's failed allocation, which becomes that cell's skip, so the run exits 3."""
+    env = dict(_child_env(), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (500 * 2**20, 500 * 2**20))\n"
+        "from fsiegel.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["census", "--q", "11", "--n", "2", "--cap-points", "2000000"]
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    [record] = json.loads(proc.stdout)["checks"]
+    assert (record["q"], record["n"], record["status"]) == (11, 2, "skipped-resource")
+    assert record["data"] == {"reason": "out of memory"}
 
 
 def test_python_m_fsiegel_writes_the_whole_report_to_a_pipe(capsys):

@@ -490,7 +490,9 @@ def test_siegel_criterion_draws_every_word_when_no_denominator_is_singular(monke
         rngs.append(Counting(f"fsiegel:{check}:{q}:{n}"))
         return rngs[-1]
 
+    # the check reads the generator stack, the scalar loop the generators
     monkeypatch.setattr(checks, "generators", lambda sp, tag: [GroupElement(sp.identity, tag)])
+    monkeypatch.setattr(checks, "_generator_stacks", lambda q, n, tag: (make_space(q, n).identity.a[None],) * 2)
     monkeypatch.setattr(checks, "_rng", counting_rng)
     data = checks.check_siegel_criterion(7, 1, 10**5, 10**5)
     assert letters == []  # the letters are replayed from the generator's words

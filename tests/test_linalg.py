@@ -13,9 +13,10 @@ from fsiegel import linalg
 from fsiegel.checks import DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS
 from fsiegel.errors import ShapeError
 from fsiegel.field import _is_prime, make_fields
-from fsiegel.lagrangian import enumerate_lagrangians, lagrangian_count
+from fsiegel.lagrangian import PointTable, enumerate_lagrangians, lagrangian_count
 from fsiegel.linalg import (
     Mat,
+    RowTable,
     block,
     block_diag,
     column_echelon_canonical,
@@ -32,7 +33,9 @@ from fsiegel.linalg import (
     solve,
     stack_keys,
 )
-from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, TAGS, enumerate_symplectic, generators, group_order, make_space
+from fsiegel.symplectic import (
+    TAG_SP_0, TAG_SP_F, TAGS, EnumeratedGroup, enumerate_symplectic, generators, group_order, make_space,
+)
 
 from oracles import (
     all_scalars,
@@ -557,3 +560,43 @@ def test_only_linalg_keys_a_stack_by_bytes():
     )
     assert found == [("lagrangian.py", "key"), ("orbits.py", "member_keys"), ("orbits.py", "transporters")]
     assert "stack_keys" in _byte_keyings(ast.parse(Path(linalg.__file__).read_text()))  # the scan sees views
+
+
+def test_only_linalg_calls_sorted_stack():
+    """One owner sorts a table's rows: `RowTable`, which the point and group tables extend."""
+    callers = sorted(
+        path.name
+        for path in Path(linalg.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "sorted_stack" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert callers == ["linalg.py"]
+    assert issubclass(PointTable, RowTable) and issubclass(EnumeratedGroup, RowTable)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: enumerate_lagrangians(3, 2),
+        lambda: enumerate_symplectic(make_space(5, 1), TAG_SP_0, DEFAULT_CAP_GROUP),
+        lambda: RowTable(np.random.default_rng(3).integers(0, 3, (50, 2, 3, 2)), 3),
+    ],
+    ids=["points", "sp0", "plain"],
+)
+def test_a_table_finds_its_rows_and_keeps_them_in_a_sub_table(build):
+    table = build()
+    assert np.array_equal(table.rows(table.arr), np.arange(len(table)))
+    assert np.all(table.keys[1:] > table.keys[:-1]) and np.array_equal(table.keys, stack_keys(table.arr, table.q))
+    twos = np.full((1,) + table.arr.shape[1:], 2)  # rank 1: no point, no group element, none of the 50 drawn
+    assert table.rows(twos).tolist() == [-1]
+    mask = np.random.default_rng(7).random(len(table)) < 0.3
+    sub = table.where(mask)
+    assert type(sub) is type(table) and len(sub) == np.count_nonzero(mask)
+    assert np.array_equal(sub.arr, table.arr[mask]) and np.array_equal(sub.keys, table.keys[mask])
+    assert np.array_equal(sub.rows(table.arr), np.where(mask, np.cumsum(mask) - 1, -1))
+    if isinstance(table, PointTable):
+        assert all(np.array_equal(getattr(sub, k), getattr(table, k)[mask]) for k in ("h_rank", "o_type", "in_image"))
+    for t in (table, sub):
+        for arr in (t.arr, t.keys):
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]

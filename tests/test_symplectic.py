@@ -20,6 +20,7 @@ from fsiegel.symplectic import (
     TAG_SP_F,
     TAGS,
     _generator_stack,
+    _generator_stacks,
     enumerate_symplectic,
     frontier_closure,
     generators,
@@ -35,7 +36,7 @@ from fsiegel.symplectic import (
     v_k_orbit_size,
 )
 
-from oracles import frontier_closure_by_rows, is_member_by_mats
+from oracles import frontier_closure_by_rows, generators_by_blocks, is_member_by_mats
 
 
 def _random_vec(sp, rng):
@@ -324,13 +325,28 @@ def test_capped_closure_raises_at_the_same_element():
     assert len(_assert_closures_agree(sp.identity.a, step, 23, order)) == order
 
 
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2), (23, 1)])
+def test_generator_stacks_are_the_per_element_build(q, n):
+    """Each tag's stack is the per-element build bit for bit, in its order, and its inverse
+    stack holds each generator's scalar inverse; `generators` reads the same matrices."""
+    sp = make_space(q, n)
+    for tag in TAGS:
+        gens, invs, elements = _generator_stacks(q, n, tag)
+        want = generators_by_blocks(sp, tag)
+        assert gens.dtype == invs.dtype == np.int64 and not (gens.flags.writeable or invs.flags.writeable)
+        assert np.array_equal(gens, np.stack([g.mat.a for g in want]))
+        assert np.array_equal(invs, np.stack([g.mat.inv().a for g in want]))
+        assert generators(sp, tag) is elements and list(elements) == list(want)
+
+
 def test_generators_are_built_and_verified_once(monkeypatch, fresh_cell):
     sp = make_space(5, 1)
     checked = []
-    real = symplectic.is_member
-    monkeypatch.setattr(symplectic, "is_member", lambda *args: checked.append(args[2]) or real(*args))
+    real = symplectic.members
+    monkeypatch.setattr(symplectic, "members", lambda *args: checked.append(args[2]) or real(*args))
     first = {tag: generators(sp, tag) for tag in (TAG_SP_F, TAG_SP_0)}
-    assert checked and TAG_SP_0 in checked
+    # one `members` call per tag checks its whole stack (building M checks one "sp" element)
+    assert checked.count(TAG_SP_F) == checked.count(TAG_SP_0) == 1
     checked.clear()
     for tag in (TAG_SP_F, TAG_SP_0):
         assert generators(sp, tag) is first[tag] and isinstance(first[tag], tuple)
