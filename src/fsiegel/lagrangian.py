@@ -36,7 +36,7 @@ from .errors import (
 )
 from .field import epsilon_f
 from .linalg import (
-    Mat, RowTable, block, block_diag, conj_arr, det_stack, kernel_stack, mm, rank_stack, rcef, rcef_stack,
+    Mat, RowTable, block, block_diag, conj_arr, entry_bytes, kernel_stack, mm, rank_stack, rcef, rcef_stack,
 )
 from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
@@ -57,7 +57,7 @@ class Lagrangian:
 
     @property
     def key(self) -> bytes:
-        return self.basis.a.tobytes()
+        return entry_bytes(self.basis.a)
 
     def __eq__(self, other):
         if not isinstance(other, Lagrangian):
@@ -138,8 +138,8 @@ class PointTable(RowTable):
 
     __slots__ = ("space", "h_rank", "o_type", "in_image")
 
-    def __init__(self, sp: SpaceParams, bases: np.ndarray, keys: np.ndarray | None = None):
-        super().__init__(bases, sp.q, keys)
+    def __init__(self, sp: SpaceParams, bases: np.ndarray):
+        super().__init__(bases, sp.q)
         self.space = sp
         self.h_rank = rank_stack(sp.fp, _grams(sp, self.arr, sp.j))
         self.o_type = rank_stack(sp.fp, _grams(sp, self.arr, sp.d_form))
@@ -151,9 +151,6 @@ class PointTable(RowTable):
 
     def __getitem__(self, row: int) -> Lagrangian:
         return Lagrangian(self.space, Mat(self.space.fp, self.arr[row]))
-
-    def _like(self, bases: np.ndarray, keys: np.ndarray) -> "PointTable":
-        return PointTable(self.space, bases, keys)
 
 
 def from_basis(sp: SpaceParams, m: Mat) -> Lagrangian:
@@ -292,14 +289,14 @@ def _outside_charts(sp: SpaceParams, s: int, zs: np.ndarray) -> np.ndarray:
 
     sigma_T^-1 sigma_S is a signed swap on S xor T, so the bottom block of
     sigma_T^-1 sigma_S (Z; I) holds rows of Z on S xor T and of I elsewhere,
-    up to sign: the span lies in chart T exactly when Z's principal minor on
-    S xor T is nonzero.  One `det_stack` per chart, over the Z still outside.
+    up to sign: the span lies in chart T exactly when Z's principal submatrix
+    on S xor T has full rank.  One `rank_stack` per chart, over the Z still outside.
     """
     out = np.ones(len(zs), dtype=bool)
     for t in range(s):
         on = np.flatnonzero(((s ^ t) >> np.arange(sp.n)) & 1)
         rows = np.flatnonzero(out)
-        out[rows] = ~det_stack(sp.fp, zs[rows][:, on][:, :, on]).any(axis=-1)
+        out[rows] = rank_stack(sp.fp, zs[rows][:, on][:, :, on]) < len(on)
     return out
 
 

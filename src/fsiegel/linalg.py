@@ -228,25 +228,27 @@ def kernel_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
     Matrix i's null space is spanned by its first k - rank(a_i) columns;
     the rest are zero.  One `rref_stack` of [a^T | I_k]: a row whose left
     part is zero carries on the right a y with y a^T = 0, that is a y^T = 0.
-    The augmented matrix always has full rank k, so the null rows are
-    counted from their zero left parts, not from the returned rank.
+    The left block's pivots come first, so these are the trailing k - rank
+    rows: read bottom-up and masked by their zero left parts, they lead.
     """
     a = np.asarray(a, dtype=_I64)
     num, m, k = a.shape[:3]
     eye = np.broadcast_to(Mat.identity(fp, k).a, (num, k, k, 2))
-    aug = np.concatenate([a.swapaxes(1, 2), eye], axis=2)
-    red, _ = rref_stack(fp, aug)
-    null = ~red[:, :, :m].any(axis=(2, 3))
-    rows = np.argsort(~null, axis=1, kind="stable")  # null rows first, in order
-    ker = np.take_along_axis(red[:, :, m:], rows[:, :, None, None], axis=1)
-    ker *= np.take_along_axis(null, rows, axis=1)[:, :, None, None]
+    red = rref_stack(fp, np.concatenate([a.swapaxes(1, 2), eye], axis=2))[0][:, ::-1]
+    ker = red[:, :, m:] * ~red[:, :, :m].any(axis=(2, 3))[:, :, None, None]
     return np.ascontiguousarray(ker.swapaxes(1, 2))
+
+
+def entry_bytes(a: np.ndarray) -> bytes:
+    """An array's entries, in memory order, as big-endian int64 bytes: the byte key of a matrix
+    or a point, which sorts as its `stack_keys` code at every q."""
+    return np.asarray(a, dtype=">i8").tobytes()
 
 
 def stack_keys(a: np.ndarray, q: int) -> np.ndarray:
     """One code per array of a stack (N, ...) of entries below q: its entries, in memory order,
     as base-q digits, the first most significant.  An int64 while q^E < 2^63 (E entries), else
-    big-endian int64 words viewed as one `S` string; for q < 256 it sorts as `Mat.key`."""
+    big-endian int64 words viewed as one `S` string.  Either sorts as `entry_bytes`."""
     flat = np.asarray(a, dtype=_I64).reshape(len(a), int(np.prod(a.shape[1:])))  # no -1 when empty
     per = max(k for k in range(1, flat.shape[1] + 1) if q**k < 2**63)  # digits per int64 word
     words = -(-flat.shape[1] // per)
@@ -293,17 +295,6 @@ class RowTable:
     def rows(self, mats: np.ndarray) -> np.ndarray:
         """Row of each matrix in a stack, or -1 where it is not a row of the table."""
         return lookup_rows(self.keys, stack_keys(mats, self.q))
-
-    def where(self, mask: np.ndarray) -> "RowTable":
-        """The sub-table, of this table's kind, of the rows the mask keeps, sorted as they are."""
-        return self._like(self.arr[mask], self.keys[mask])
-
-    def _like(self, arr: np.ndarray, keys: np.ndarray) -> "RowTable":
-        return RowTable(arr, self.q, keys)
-
-
-def rank_arr(fp: FieldParams, a: np.ndarray) -> int:
-    return len(rref(fp, a)[1])
 
 
 def kernel_arr(fp: FieldParams, a: np.ndarray) -> np.ndarray:
@@ -468,7 +459,7 @@ class Mat:
     # -- elimination-backed queries ----------------------------------------
 
     def rank(self) -> int:
-        return rank_arr(self.fp, self.a)
+        return len(rref(self.fp, self.a)[1])
 
     def det(self) -> EScalar:
         if self.rows != self.cols:
@@ -479,12 +470,7 @@ class Mat:
     def inv(self) -> "Mat | None":
         if self.rows != self.cols:
             raise ShapeError("inverse needs a square matrix")
-        n = self.rows
-        aug = np.concatenate([self.a, Mat.identity(self.fp, n).a], axis=1)
-        red, pivots = rref(self.fp, aug)
-        if pivots != list(range(n)):
-            return None
-        return Mat(self.fp, red[:, n:])
+        return solve(self, Mat.identity(self.fp, self.rows))
 
     def kernel(self) -> "Mat":
         return Mat(self.fp, kernel_arr(self.fp, self.a))
@@ -492,7 +478,7 @@ class Mat:
     # -- identity and text ---------------------------------------------------
 
     def key(self) -> bytes:
-        return self.a.tobytes()
+        return entry_bytes(self.a)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

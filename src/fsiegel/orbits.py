@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import VerificationFailure
 from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
-from .linalg import Mat, mm, rcef_stack
+from .linalg import Mat, entry_bytes, mm, rcef_stack
 from .symplectic import EnumeratedGroup, _generator_stack, _mat, frontier_closure
 
 
@@ -72,10 +72,10 @@ class OrbitRecord:
         words = [()]
         for p, i in zip(self.parent[1:].tolist(), self.via[1:].tolist()):
             words.append(words[p] + (i,))
-        return {self.table.bases[i].tobytes(): w for i, w in zip(self.found.tolist(), words)}
+        return {entry_bytes(self.table.bases[i]): w for i, w in zip(self.found.tolist(), words)}
 
     def member_keys(self) -> frozenset:
-        return frozenset(self.table.bases[i].tobytes() for i in self.rows.tolist())
+        return frozenset(entry_bytes(self.table.bases[i]) for i in self.rows.tolist())
 
 
 def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:

@@ -374,8 +374,9 @@ class EnumeratedGroup(RowTable):
     def __getitem__(self, row: int) -> GroupElement:
         return GroupElement(Mat(self.space.fp, self.arr[row]), self.tag)
 
-    def _like(self, arr: np.ndarray, keys: np.ndarray) -> "EnumeratedGroup":
-        return EnumeratedGroup(self.space, self.tag, arr, keys)
+    def where(self, mask: np.ndarray) -> "EnumeratedGroup":
+        """The sub-table of the rows the mask keeps, sorted as they are."""
+        return EnumeratedGroup(self.space, self.tag, self.arr[mask], self.keys[mask])
 
 
 # frontier points per step call: a BFS level of a closure under the caps is one or two calls
@@ -425,11 +426,13 @@ def _enumerated(q: int, n: int, tag: str) -> EnumeratedGroup:
     mats = _generator_stacks(q, n, tag)[0]
     step = lambda frontier: mm(sp.fp, frontier[:, None], mats[None])  # noqa: E731
     expected = group_order(tag, q, n)
-    rows = frontier_closure(sp.identity.a, step, q, expected + 1, "group closure")[0]
-    if len(rows) != expected:
-        raise ConsistencyError(
-            f"closure of {tag} generators has {len(rows)} elements, order formula gives {expected}"
-        )
+    try:  # a closure past its order is a wrong generator or formula, not a resource limit
+        rows = frontier_closure(sp.identity.a, step, q, expected + 1, "group closure")[0]
+        size = len(rows)
+    except ResourceLimitError:
+        size = f"more than {expected + 1}"
+    if size != expected:
+        raise ConsistencyError(f"closure of {tag} generators has {size} elements, order formula gives {expected}")
     return EnumeratedGroup(sp, tag, rows)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fsiegel import checks, cli
+from fsiegel import checks, cli, symplectic
 from fsiegel.cayley import cayley
 from fsiegel.cli import main, strip_volatile
 from fsiegel.errors import ConsistencyError, VerificationFailure
@@ -330,6 +330,20 @@ def test_consistency_error_stays_fatal(capsys, monkeypatch):
     monkeypatch.setitem(checks._CHECKS, "lemma4", broken)
     with pytest.raises(ConsistencyError):
         main(["verify", "--checks", "lemma4", "--q", "3", "--n", "1"])
+
+
+@pytest.mark.parametrize("wrong", [lambda order: order - 2, lambda order: order // 2], ids=["order-2", "half"])
+def test_a_closure_past_its_order_formula_is_fatal_not_a_skip(capsys, monkeypatch, fresh_cell, wrong):
+    # Sp(2, 3) has 24 elements; under a wrong order formula its closure overshoots the cap of
+    # formula + 1, which is an inconsistency in every command, not a resource skip
+    true_order = symplectic.group_order
+    monkeypatch.setattr(symplectic, "group_order", lambda tag, q, n: wrong(true_order(tag, q, n)))
+    message = f"has more than {wrong(24) + 1} elements, order formula gives {wrong(24)}"
+    with pytest.raises(ConsistencyError, match=message):
+        checks.run_check("cayley", 3, 1, checks.DEFAULT_CAP_GROUP, checks.DEFAULT_CAP_POINTS)
+    symplectic._slot.clear()
+    with pytest.raises(ConsistencyError, match=message):
+        main(["group", "--q", "3", "--n", "1", "--group", "spf", "--enumerate"])
 
 
 def test_consistency_error_writes_finished_records_to_stderr(capsys, monkeypatch):

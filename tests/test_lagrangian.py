@@ -11,7 +11,7 @@ from fsiegel.errors import (
     ResourceLimitError,
 )
 from fsiegel.field import make_fields
-from fsiegel.linalg import Mat
+from fsiegel.linalg import Mat, entry_bytes, stack_keys
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, generators, make_space
 from fsiegel.lagrangian import (
     PointTable,
@@ -203,8 +203,18 @@ def test_table_iterates_in_sorted_order(q, n):
     shuffled = random.Random(q * 10 + n).sample(points, len(points))
     assert sorted(shuffled) == points
     assert len(set(points)) == len(points) == lagrangian_count(q, n)
-    assert [w.key for w in points] == [b.tobytes() for b in table.bases]
+    assert [w.key for w in points] == [entry_bytes(b) for b in table.bases]
     assert np.array_equal(table.rows(table.bases), np.arange(len(table)))
+
+
+def test_points_and_matrices_sort_by_their_codes_when_an_entry_needs_two_bytes():
+    # at q = 257 an entry may be 256 = 0x100: the byte keys still sort as the table codes
+    sp = make_space(257, 1)
+    points = [siegel(sp, Mat.build(sp.fp, [[(re, im)]])) for re in (0, 1, 255, 256) for im in (0, 255, 256)]
+    order = np.argsort(stack_keys(np.stack([w.basis.a for w in points]), 257), kind="stable").tolist()
+    assert len(set(points)) == 12
+    assert sorted(points) == [points[i] for i in order]
+    assert sorted(w.basis.key() for w in points) == [points[i].basis.key() for i in order]
 
 
 def test_table_rows_marks_points_off_the_table():
