@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
 from .lagrangian import Lagrangian, _span_of, enumerate_lagrangians, l_plus
-from .linalg import Mat, RowTable, block, block_diag, mm, stack_keys
+from .linalg import PAIR_DTYPE, Mat, RowTable, block, block_diag, mm, stack_keys
 from .orbits import _action_table, _inverse_rows, _walk, act, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
@@ -230,7 +230,7 @@ def _reflection_closure(fp, m: int, over_e: bool) -> list[Mat]:
         powers = [fp.one, lam]
         while powers[-1] != fp.one:
             powers.append(powers[-1] * lam)
-        rows = np.array([[[(x.re, x.im)]] for x in powers[:-1]])
+        rows = np.array([[[(x.re, x.im)]] for x in powers[:-1]], dtype=PAIR_DTYPE)
     else:
         gens = []
         for lead in range(m):

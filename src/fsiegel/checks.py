@@ -46,7 +46,7 @@ from .lagrangian import (
     enumerate_lagrangians,
     lagrangian_count,
 )
-from .linalg import Mat, conj_arr, mm, rank_stack, scalar_mm, stack_keys
+from .linalg import PAIR_DTYPE, Mat, conj_arr, mm, product_dtype, rank_stack, scalar_mm, stack_keys
 from .orbits import PartitionReport, partition
 from .sampling import _draws, _nondegenerate_pairs, _random_symmetric, _symmetric
 from .symplectic import (
@@ -215,11 +215,11 @@ def _conformal_pairs(sp, rng) -> tuple[np.ndarray, np.ndarray, str]:
     """
     fp, dim = sp.fp, sp.dim
     if (fp.q * fp.q) ** (2 * dim) <= 10**4:
-        vecs = np.array(list(product([(x.re, x.im) for x in fp.elements()], repeat=dim)))
+        vecs = np.array(list(product([(x.re, x.im) for x in fp.elements()], repeat=dim)), dtype=PAIR_DTYPE)
         vs, ws = np.repeat(vecs, len(vecs), axis=0), np.tile(vecs, (len(vecs), 1, 1))
         mode = "exhaustive"
     else:
-        draws = _draws(rng, fp.q, 1000 * 2 * dim * 2).astype(np.int64)
+        draws = _draws(rng, fp.q, 1000 * 2 * dim * 2).astype(PAIR_DTYPE)
         vs, ws = draws.reshape(1000, 2, dim, 2).swapaxes(0, 1)
         mode = "sampled"
     return vs[:, :, None], ws[:, :, None], mode
@@ -349,7 +349,8 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
     sp = make_space(q, n)
     fp = sp.fp
     rng = _rng("siegel-criterion", q, n)
-    real = np.ascontiguousarray(_generator_stacks(q, n, TAG_SP_F)[0][..., 0])  # spf is rational
+    # spf is rational; a product of two of these sums 2n products below (q - 1)^2
+    real = np.ascontiguousarray(_generator_stacks(q, n, TAG_SP_F)[0][..., 0], dtype=product_dtype(fp, sp.dim))
     iu = np.triu_indices(n)
 
     def ranks(cd: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -372,7 +373,7 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
         """p -> rank(Z - conj Z) == n, for the Z of each Im(Z) upper triangle of a stack
         (N, t); at the first Im(Z) not met before, every new one of the stack is ranked,
         in one stack."""
-        ims = ims.astype(np.int64)
+        ims = ims.astype(PAIR_DTYPE)
         keys = stack_keys(ims, q).tolist()
 
         def flag(p: int) -> bool:

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .field import epsilon_f
 from .linalg import (
-    Mat, RowTable, block, block_diag, conj_arr, entry_bytes, kernel_stack, mm, rank_stack, rcef, rcef_stack,
+    PAIR_DTYPE, Mat, RowTable, block, block_diag, conj_arr, entry_bytes, kernel_stack, mm, rank_stack, rcef,
+    rcef_stack,
 )
 from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
@@ -264,7 +265,7 @@ def _swaps(sp: SpaceParams) -> np.ndarray:
     in_s = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     p = in_s[:, :, None] * np.eye(n, dtype=np.int64)
     keep = np.eye(n, dtype=np.int64) - p
-    out = np.zeros((2**n, sp.dim, sp.dim, 2), dtype=np.int64)
+    out = np.zeros((2**n, sp.dim, sp.dim, 2), dtype=PAIR_DTYPE)
     out[..., 0] = np.block([[keep, -p], [p, keep]]) % sp.q
     return out
 
@@ -275,7 +276,7 @@ def _siegel_bases(sp: SpaceParams, lo: int, hi: int) -> np.ndarray:
     n = sp.n
     iu = np.triu_indices(n)
     digits = np.unravel_index(np.arange(lo, hi), (sp.q,) * (2 * len(iu[0])))
-    out = np.zeros((hi - lo, sp.dim, n, 2), dtype=np.int64)
+    out = np.zeros((hi - lo, sp.dim, n, 2), dtype=PAIR_DTYPE)
     entries = np.stack(digits, axis=-1).reshape(hi - lo, -1, 2)
     out[:, iu[0], iu[1]] = entries
     out[:, iu[1], iu[0]] = entries

@@ -1,9 +1,12 @@
 """Exact dense linear algebra over the quadratic extension field.
 
-A matrix is a (rows, cols, 2) int64 array of (re, im) coefficient pairs,
-reduced mod q, keyed in a stack by one int64 code (`stack_keys`) that a
-`RowTable`, the one table type, sorts and searches.  numpy carries the
-bulk arithmetic with exact integers.
+A matrix is a (rows, cols, 2) int32 (`PAIR_DTYPE`) array of (re, im)
+coefficient pairs, reduced mod q, keyed in a stack by one int64 code
+(`stack_keys`) that a `RowTable`, the one table type, sorts and searches;
+keys, counts, ranks and row indices are int64.  numpy carries the bulk
+arithmetic with exact integers: a product is taken in int32 only where
+its largest possible sum stays below 2^31 (`product_dtype`), else in
+int64, and stored back as int32.
 There are two eliminations, `rref` for one matrix and `_rref_block` for
 a stack (N, rows, cols, 2), each a Python loop over the columns, and
 everything else, determinants included, is derived from one of them.
@@ -26,29 +29,45 @@ import numpy as np
 from .errors import ShapeError
 from .field import CodeTables, EScalar, FieldParams
 
-_I64 = np.int64
+PAIR_DTYPE = np.int32  # every stored (re, im) pair array
+_I64 = np.int64  # keys, counts, ranks and row indices
 
 
 # ---------------------------------------------------------------------------
 # raw array kernels
 # ---------------------------------------------------------------------------
 
+def product_dtype(fp: FieldParams, k: int) -> type:
+    """The dtype that holds every sum of k products of pairs exactly: int32 while k (q - 1)^2 (1 + eps) < 2^31.
+
+    For entries of absolute value below q, the real part of such a sum is
+    at most k (q - 1)^2 + eps k (q - 1)^2 and the imaginary part 2k (q - 1)^2,
+    no more since eps >= 2; past the bound the sums are taken in int64.
+    """
+    return np.int32 if k * (fp.q - 1) ** 2 * (1 + fp.eps) < 2**31 else _I64
+
+
 def mm(fp: FieldParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of coefficient-pair arrays; broadcasts over stacks."""
+    """Matrix product of coefficient-pair arrays, entries of absolute value below q; broadcasts
+    over stacks.  Multiplied in the `product_dtype` of the inner dimension, stored as `PAIR_DTYPE`."""
+    work = product_dtype(fp, a.shape[-2])
+    a, b = a.astype(work, copy=False), b.astype(work, copy=False)
     ar, ai = a[..., 0], a[..., 1]
     br, bi = b[..., 0], b[..., 1]
     re = ar @ br + fp.eps * (ai @ bi)
-    out = np.empty(re.shape + (2,), dtype=re.dtype)
+    out = np.empty(re.shape + (2,), dtype=PAIR_DTYPE)
     np.remainder(re, fp.q, out=out[..., 0])
     np.remainder(ar @ bi + ai @ br, fp.q, out=out[..., 1])
     return out
 
 
 def scalar_mm(fp: FieldParams, c: tuple[int, int], a: np.ndarray) -> np.ndarray:
+    """c times a pair array, for a reduced pair c: one product per entry, in `product_dtype` (fp, 1)."""
     cr, ci = c
+    a = a.astype(product_dtype(fp, 1), copy=False)
     re = (cr * a[..., 0] + fp.eps * ci * a[..., 1]) % fp.q
     im = (cr * a[..., 1] + ci * a[..., 0]) % fp.q
-    return np.stack([re, im], axis=-1)
+    return np.stack([re, im], axis=-1).astype(PAIR_DTYPE, copy=False)
 
 
 def conj_arr(a: np.ndarray, q: int) -> np.ndarray:
@@ -61,10 +80,11 @@ def rref(fp: FieldParams, a: np.ndarray, det: np.ndarray | None = None) -> tuple
     """Reduced row echelon form; returns (array, pivot column indices).
 
     A given (re, im) pair array `det` is multiplied by each pivot before
-    normalization and negated on each row swap, as in `_rref_block`.
+    normalization and negated on each row swap, as in `_rref_block`.  Each
+    row operation sums one product of pairs per entry, in `product_dtype` (fp, 1).
     """
     q, eps = fp.q, fp.eps
-    a = a.astype(_I64, copy=True) % q
+    a = (a % q).astype(product_dtype(fp, 1), copy=False)
     m, ncols = a.shape[0], a.shape[1]
     pivots: list[int] = []
     r = 0
@@ -96,7 +116,7 @@ def rref(fp: FieldParams, a: np.ndarray, det: np.ndarray | None = None) -> tuple
         a[:, :, 1] = (a[:, :, 1] - dim) % q
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a.astype(PAIR_DTYPE, copy=False), pivots
 
 
 def rcef(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -141,23 +161,25 @@ def _eliminate(fp: FieldParams, a: np.ndarray, with_det: bool):
 
     Each block is packed into the int32 codes of `FieldParams.code_tables`
     and unpacked into (re, im) pairs of the result, so the codes take no
-    more memory than one block.
+    more memory than one block.  A code is at most 2q(q - 1), below 2^31
+    wherever the tables fit in memory (q < 32,768, tables under 51 GB), so
+    packing int32 entries stays in int32; wider entries pack in their own dtype.
     """
-    a = np.asarray(a, dtype=_I64)
+    a = np.asarray(a)
     lead, (m, ncols) = a.shape[:-3], a.shape[-3:-1]
     num = int(np.prod(lead, dtype=_I64))
     a = a.reshape(num, m, ncols, 2)
     tables = fp.code_tables()
-    red = np.empty_like(a)
+    red = np.empty(a.shape, dtype=PAIR_DTYPE)
     rank = np.zeros(num, dtype=_I64)
     det = np.full(num, tables.radix, dtype=np.int32) if with_det else None  # the code of 1
     for lo in range(0, num, _STACK_CHUNK):
         part = slice(lo, lo + _STACK_CHUNK)
-        codes = (a[part, ..., 0] % fp.q * tables.radix + a[part, ..., 1] % fp.q).astype(np.int32)
+        codes = (a[part, ..., 0] % fp.q * tables.radix + a[part, ..., 1] % fp.q).astype(np.int32, copy=False)
         _rref_block(tables, codes, rank[part], None if det is None else det[part])
         _unpack(codes, tables.radix, red[part])
     if det is not None:
-        det = _unpack(det, tables.radix, np.empty((num, 2), dtype=_I64))
+        det = _unpack(det, tables.radix, np.empty((num, 2), dtype=PAIR_DTYPE))
     return red.reshape(*lead, m, ncols, 2), rank.reshape(lead), det
 
 
@@ -231,7 +253,7 @@ def kernel_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
     The left block's pivots come first, so these are the trailing k - rank
     rows: read bottom-up and masked by their zero left parts, they lead.
     """
-    a = np.asarray(a, dtype=_I64)
+    a = np.asarray(a)
     num, m, k = a.shape[:3]
     eye = np.broadcast_to(Mat.identity(fp, k).a, (num, k, k, 2))
     red = rref_stack(fp, np.concatenate([a.swapaxes(1, 2), eye], axis=2))[0][:, ::-1]
@@ -302,7 +324,7 @@ def kernel_arr(fp: FieldParams, a: np.ndarray) -> np.ndarray:
     red, pivots = rref(fp, a)
     ncols = a.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
-    out = np.zeros((ncols, len(free), 2), dtype=_I64)
+    out = np.zeros((ncols, len(free), 2), dtype=PAIR_DTYPE)
     for j, f in enumerate(free):
         out[f, j, 0] = 1
         for i, pc in enumerate(pivots):
@@ -327,7 +349,7 @@ class Mat:
     __slots__ = ("fp", "a")
 
     def __init__(self, fp: FieldParams, a: np.ndarray):
-        arr = np.asarray(a, dtype=_I64) % fp.q
+        arr = (np.asarray(a) % fp.q).astype(PAIR_DTYPE, copy=False)
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise ShapeError(f"expected (rows, cols, 2) coefficient array, got {arr.shape}")
         arr = np.ascontiguousarray(arr)
@@ -355,15 +377,15 @@ class Mat:
         if len(ncols) > 1:
             raise ShapeError("ragged rows")
         width = len(grid[0]) if grid else 0
-        return cls(fp, np.array(grid, dtype=_I64).reshape(len(grid), width, 2))
+        return cls(fp, np.array(grid, dtype=PAIR_DTYPE).reshape(len(grid), width, 2))
 
     @classmethod
     def zeros(cls, fp: FieldParams, rows: int, cols: int) -> "Mat":
-        return cls(fp, np.zeros((rows, cols, 2), dtype=_I64))
+        return cls(fp, np.zeros((rows, cols, 2), dtype=PAIR_DTYPE))
 
     @classmethod
     def identity(cls, fp: FieldParams, n: int) -> "Mat":
-        a = np.zeros((n, n, 2), dtype=_I64)
+        a = np.zeros((n, n, 2), dtype=PAIR_DTYPE)
         a[np.arange(n), np.arange(n), 0] = 1
         return cls(fp, a)
 
@@ -371,7 +393,7 @@ class Mat:
     def diag(cls, fp: FieldParams, entries) -> "Mat":
         entries = [fp.coerce(x) for x in entries]
         n = len(entries)
-        a = np.zeros((n, n, 2), dtype=_I64)
+        a = np.zeros((n, n, 2), dtype=PAIR_DTYPE)
         for i, x in enumerate(entries):
             a[i, i] = (x.re, x.im)
         return cls(fp, a)
@@ -514,7 +536,7 @@ def block(fp: FieldParams, grid) -> Mat:
 
 def block_diag(fp: FieldParams, *blocks: Mat) -> Mat:
     """diag(B_1, ..., B_m): the blocks down the diagonal, zero elsewhere; a block may be empty."""
-    out = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks), 2), dtype=_I64)
+    out = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks), 2), dtype=PAIR_DTYPE)
     r = c = 0
     for b in blocks:
         out[r : r + b.rows, c : c + b.cols] = b.a
@@ -541,7 +563,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     red, pivots = rref(a.fp, aug)
     if any(p >= a.cols for p in pivots):
         return None
-    out = np.zeros((a.cols, b.cols, 2), dtype=_I64)
+    out = np.zeros((a.cols, b.cols, 2), dtype=PAIR_DTYPE)
     for i, pc in enumerate(pivots):
         out[pc] = red[i, a.cols :]
     return Mat(a.fp, out)

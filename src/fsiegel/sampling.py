@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 
-from .linalg import Mat
+from .linalg import PAIR_DTYPE, Mat
 
 _WORD_CHUNK = 1024  # words `_nondegenerate_pairs` parses at a time
 
@@ -64,7 +64,7 @@ def _symmetric(upper: np.ndarray, n: int) -> np.ndarray:
 def _random_symmetric(sp, rng: random.Random) -> Mat:
     """A symmetric Z over E: the upper triangle row by row, each entry drawn re then im."""
     t = sp.n * (sp.n + 1) // 2
-    return Mat(sp.fp, _symmetric(_draws(rng, sp.q, 2 * t).reshape(1, t, 2), sp.n)[0].astype(np.int64))
+    return Mat(sp.fp, _symmetric(_draws(rng, sp.q, 2 * t).reshape(1, t, 2), sp.n)[0])
 
 
 def _nondegenerate_pairs(rng: random.Random, sp, letters: int, count: int, nondegenerate):
@@ -103,4 +103,4 @@ def _nondegenerate_pairs(rng: random.Random, sp, letters: int, count: int, nonde
         count -= len(at_z)
         if not p:
             size *= 2  # the chunk holds no whole Z and word
-    return _symmetric(np.concatenate(zs).reshape(-1, t, 2), n).astype(np.int64), np.concatenate(words)
+    return _symmetric(np.concatenate(zs).reshape(-1, t, 2), n).astype(PAIR_DTYPE), np.concatenate(words)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
 from .field import EScalar, FieldParams, epsilon_f, make_fields
-from .linalg import Mat, RowTable, block, block_diag, conj_arr, lookup_rows, mm, stack_keys
+from .linalg import PAIR_DTYPE, Mat, RowTable, block, block_diag, conj_arr, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
 TAG_SP_F = "spf"
@@ -157,7 +157,7 @@ def members(sp: SpaceParams, stack: np.ndarray, tag: str) -> np.ndarray:
     and for "sp0" t(g) D conj(g) = D); a matrix on which they disagree
     raises ConsistencyError.  "spf" is "sp" and rational.
     """
-    g = np.asarray(stack, dtype=np.int64) % sp.q
+    g = np.asarray(stack) % sp.q
     if g.shape[-3:] != (sp.dim, sp.dim, 2):
         raise ShapeError(f"expected {sp.dim}x{sp.dim} matrices, got shape {g.shape}")
     if tag not in TAGS:
@@ -230,7 +230,7 @@ def _mat(g) -> Mat:
 def _generator_stack(sp: SpaceParams, gens) -> np.ndarray:
     """Generators, as `GroupElement`s or `Mat`s, in one stack (G, 2n, 2n, 2); G may be 0."""
     mats = [_mat(g).a for g in gens]
-    return np.array(mats, dtype=np.int64).reshape(len(mats), sp.dim, sp.dim, 2)
+    return np.array(mats, dtype=PAIR_DTYPE).reshape(len(mats), sp.dim, sp.dim, 2)
 
 
 def group_element(sp: SpaceParams, mat: Mat, tag: str) -> GroupElement:
@@ -251,7 +251,7 @@ def symmetric_basis(fp: FieldParams, n: int, over_e: bool) -> np.ndarray:
     """
     scalars = [fp.one, fp.s] if over_e else [fp.one]
     spots = [(i, i) for i in range(n)] + list(combinations(range(n), 2))
-    out = np.zeros((len(scalars) * len(spots), n, n, 2), dtype=np.int64)
+    out = np.zeros((len(scalars) * len(spots), n, n, 2), dtype=PAIR_DTYPE)
     for k, (c, (i, j)) in enumerate(product(scalars, spots)):
         out[k, i, j] = out[k, j, i] = (c.re, c.im)
     return out
@@ -285,7 +285,7 @@ def _generator_stacks(q: int, n: int, tag: str) -> tuple[np.ndarray, np.ndarray,
     elif tag in (TAG_SP_E, TAG_SP_F):
         basis = symmetric_basis(fp, n, over_e=(tag == TAG_SP_E))
         # (generators, inverses) x (upper, lower) x B
-        both = np.zeros((2, 2, len(basis), sp.dim, sp.dim, 2), dtype=np.int64)
+        both = np.zeros((2, 2, len(basis), sp.dim, sp.dim, 2), dtype=PAIR_DTYPE)
         both[:] = sp.identity.a
         both[:, 0, :, :n, n:] = both[:, 1, :, n:, :n] = np.stack([basis, -basis % q])
         gens, invs = both.reshape(2, -1, sp.dim, sp.dim, 2)

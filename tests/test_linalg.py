@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fsiegel import linalg
-from fsiegel.checks import DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS
+from fsiegel import linalg, symplectic
+from fsiegel.checks import _CHECKS, DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS, run_check
 from fsiegel.errors import ShapeError
-from fsiegel.field import _is_prime, make_fields
+from fsiegel.field import FieldParams, _is_prime, make_fields
 from fsiegel.lagrangian import PointTable, enumerate_lagrangians, lagrangian_count
 from fsiegel.linalg import (
     Mat,
@@ -43,6 +43,8 @@ from oracles import (
     all_subspaces,
     canonical_span,
     det_by_permutations,
+    padd,
+    pmul,
     span_size_rank,
 )
 
@@ -286,7 +288,94 @@ def test_mm_writes_the_stacked_pairs_of_both_parts():
     ar, ai, br, bi = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
     want = np.stack([(ar @ br + fp.eps * (ai @ bi)) % 7, (ar @ bi + ai @ br) % 7], axis=-1)
     got = mm(fp, a, b)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == linalg.PAIR_DTYPE and np.array_equal(got, want)
+
+
+def test_products_past_the_int32_bound_are_exact():
+    # at q = 20011 (eps = 2) a sum of 4 products of pairs can reach 4 (q - 1)^2 (1 + eps) > 2^31,
+    # so `mm` over an inner dimension of 4 must multiply in int64; one product per entry stays
+    # below 2^31, so `scalar_mm` and the scalar `rref` stay in int32 there
+    fp = make_fields(20011)
+    q, eps = fp.q, fp.eps
+    assert 4 * (q - 1) ** 2 * (1 + eps) > 2**31 > (q - 1) ** 2 * (1 + eps)
+    assert linalg.product_dtype(fp, 4) is np.int64 and linalg.product_dtype(fp, 1) is np.int32
+    rng = np.random.default_rng(20011)
+    a, b = rng.integers(0, q, size=(6, 3, 4, 2)), rng.integers(0, q, size=(4, 5, 2))
+    a[0], b[:, 0] = q - 1, q - 1  # the largest sums
+    for x, y in ((a, b), (a[:, :, :1], b[:1])):
+        x32, y32 = x.astype(np.int32), y.astype(np.int32)
+        want = [
+            [[_pair_dot(q, eps, row, [col[j] for col in y]) for j in range(y.shape[1])] for row in m] for m in x
+        ]
+        got = mm(fp, x32, y32)
+        assert got.dtype == linalg.PAIR_DTYPE and got.tolist() == [[list(map(list, r)) for r in m] for m in want]
+    for dtype, exact in ((np.int32, False), (np.int64, True)):  # the real parts, multiplied unguarded
+        x, y = a[0].astype(dtype), b.astype(dtype)
+        re = (x[..., 0] @ y[..., 0] + eps * (x[..., 1] @ y[..., 1])) % q
+        assert np.array_equal(re, mm(fp, a[0], b)[..., 0]) == exact
+    c = (q - 1, q - 2)
+    got = linalg.scalar_mm(fp, c, a.astype(np.int32))
+    want = [[[list(pmul(q, eps, c, tuple(e))) for e in row] for row in m] for m in a.tolist()]
+    assert got.dtype == linalg.PAIR_DTYPE and got.tolist() == want
+    for m in [a[i] for i in range(len(a))] + [np.full((3, 4, 2), q - 1)]:
+        red, pivots = rcef(fp, m.astype(np.int32))
+        cols, want_pivots = canonical_span(q, eps, [[tuple(e) for e in col] for col in m.swapaxes(0, 1).tolist()])
+        assert red.dtype == linalg.PAIR_DTYPE and tuple(pivots) == want_pivots
+        assert red.swapaxes(0, 1).tolist() == [[list(e) for e in col] for col in cols]
+    assert fp._code_tables is None  # 48 q^2 bytes: none of these routes may build them
+
+
+def _pair_dot(q, eps, xs, ys):
+    """sum x_k y_k over pairs, with Python integers."""
+    out = (0, 0)
+    for x, y in zip(xs, ys):
+        out = padd(q, out, pmul(q, eps, tuple(x), tuple(y)))
+    return list(out)
+
+
+def _slot_arrays(value, path: str, found: dict, seen: set) -> None:
+    """Every array the value reaches through tuples, dicts and instance attributes, by path;
+    fields are skipped (their tables are pinned in test_field)."""
+    if id(value) in seen or isinstance(value, FieldParams):
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        found[path] = value
+    elif isinstance(value, (tuple, list, dict)):
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            _slot_arrays(v, f"{path}[{k!r}]", found, seen)
+    else:
+        names = list(getattr(value, "__dict__", ()))
+        for cls in type(value).__mro__:
+            slots = cls.__dict__.get("__slots__", ())
+            names += [slots] if isinstance(slots, str) else list(slots)
+        for name in names:
+            if hasattr(value, name):
+                _slot_arrays(getattr(value, name), f"{path}.{name}", found, seen)
+
+
+# int32 row maps from their introduction (`orbits._action_table`), and F values read off squares
+_INT32_NON_PAIRS = ("_cell_actions", "_m_rows", "_square_scalars")
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (23, 1)])
+def test_the_cell_slot_stores_pairs_as_int32_and_keys_counts_rows_as_int64(q, n):
+    # every (re, im) array the checks leave in the cell slot is int32, and every key, count and
+    # row array int64 (or intp), so a later change cannot fall back to either silently
+    for check in _CHECKS:
+        run_check(check, q, n, DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS)
+    found, seen = {}, set()
+    for entry, value in symplectic._slot.items():
+        if entry != "cell":
+            _slot_arrays(value, f"{entry[0].__name__}{entry[1:]}", found, seen)
+    pairs = {p for p, a in found.items() if a.ndim >= 3 and a.shape[-1] == 2}
+    assert any(p.startswith("_point_table") for p in pairs) and any(p.startswith("_enumerated") for p in pairs)
+    for path, arr in found.items():
+        if path in pairs or path.startswith(_INT32_NON_PAIRS):
+            assert arr.dtype == linalg.PAIR_DTYPE == np.int32, path
+        elif arr.dtype.kind != "b":
+            assert arr.dtype in (np.int64, np.intp) or arr.dtype.kind == "S", path
+    assert any(p.endswith(".keys") for p in found) and any(p.endswith(".h_rank") for p in found)
 
 
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
@@ -303,7 +392,7 @@ def test_star_is_antihomomorphism(a, b, c, d):
 def _assert_stack_matches_scalar(fp, stack):
     red, ranks = rref_stack(fp, stack)
     cred, cranks = rcef_stack(fp, stack)
-    assert red.dtype == cred.dtype == np.int64
+    assert red.dtype == cred.dtype == linalg.PAIR_DTYPE
     for i, a in enumerate(stack):
         want, pivots = rref(fp, a)
         assert ranks[i] == len(pivots)
@@ -423,7 +512,7 @@ def test_stacked_kernel_matches_scalar_on_all_generator_images(q, n):
 def _assert_kernel_stack_matches_scalar(fp, stack):
     num, m, k = stack.shape[:3]
     ker = kernel_stack(fp, stack)
-    assert ker.shape == (num, k, k, 2) and ker.dtype == np.int64
+    assert ker.shape == (num, k, k, 2) and ker.dtype == linalg.PAIR_DTYPE
     assert not mm(fp, stack, ker).any()  # annihilates a
     for i, a in enumerate(stack):
         nullity = k - len(rref(fp, a)[1])

@@ -13,7 +13,7 @@ from fsiegel.checks import run_check
 from fsiegel.cli import strip_volatile
 from fsiegel.errors import ParameterError, ResourceLimitError, ShapeError
 from fsiegel.lagrangian import enumerate_lagrangians
-from fsiegel.linalg import Mat, conj_arr, mm, stack_keys
+from fsiegel.linalg import PAIR_DTYPE, Mat, conj_arr, mm, stack_keys
 from fsiegel.symplectic import (
     TAG_SP_0,
     TAG_SP_E,
@@ -333,7 +333,7 @@ def test_generator_stacks_are_the_per_element_build(q, n):
     for tag in TAGS:
         gens, invs, elements = _generator_stacks(q, n, tag)
         want = generators_by_blocks(sp, tag)
-        assert gens.dtype == invs.dtype == np.int64 and not (gens.flags.writeable or invs.flags.writeable)
+        assert gens.dtype == invs.dtype == PAIR_DTYPE and not (gens.flags.writeable or invs.flags.writeable)
         assert np.array_equal(gens, np.stack([g.mat.a for g in want]))
         assert np.array_equal(invs, np.stack([g.mat.inv().a for g in want]))
         assert generators(sp, tag) is elements and list(elements) == list(want)
