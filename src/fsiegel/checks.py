@@ -39,14 +39,13 @@ from .involutions import (
     scaled_involutions,
 )
 from .lagrangian import (
-    _POINT_CHUNK,
     _conj_intersections,
     _conjugate_sum_dims,
     _h_e_radicals,
     enumerate_lagrangians,
     lagrangian_count,
 )
-from .linalg import PAIR_DTYPE, Mat, conj_arr, mm, product_dtype, rank_stack, scalar_mm, stack_keys
+from .linalg import PAIR_DTYPE, Mat, blocks, conj_arr, mm, product_dtype, rank_stack, scalar_mm, stack_keys
 from .orbits import PartitionReport, partition
 from .sampling import _draws, _nondegenerate_pairs, _random_symmetric, _symmetric
 from .symplectic import (
@@ -66,16 +65,6 @@ from .cayley import (
     stabilizer_structure,
     unitary_diagonal_subgroup,
     verify_conjugation,
-)
-
-CHECK_IDS = (
-    "theorem1",
-    "cayley",
-    "stabilizers",
-    "strata-map",
-    "involutions",
-    "lemma4",
-    "siegel-criterion",
 )
 
 DEFAULT_CAP_GROUP = 100_000
@@ -319,13 +308,14 @@ def check_lemma4(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     """
     sp = make_space(q, n)
     table = enumerate_lagrangians(q, n, cap_points)
-    ok = bool(np.all(_conjugate_sum_dims(sp, table.bases) == n + table.h_rank))
-    for lo in range(0, len(table.bases), _POINT_CHUNK):
-        block = table.bases[lo : lo + _POINT_CHUNK]
+    ok = True
+    for part in blocks(len(table)):
+        block, h_rank = table.bases[part], table.h_rank[part]
         inter, inter_rank = _conj_intersections(sp, block)
         rad, rad_rank = _h_e_radicals(sp, block)
         ok &= (
-            np.array_equal(inter_rank, n - table.h_rank[lo : lo + _POINT_CHUNK])
+            np.array_equal(_conjugate_sum_dims(sp, block), n + h_rank)
+            and np.array_equal(inter_rank, n - h_rank)
             and np.array_equal(inter_rank, rad_rank)
             and np.array_equal(inter[:, :, :n], rad)
         )
@@ -445,6 +435,7 @@ _CHECKS = {
     "lemma4": check_lemma4,
     "siegel-criterion": check_siegel_criterion,
 }
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run_cell(check: str, q: int, n: int, body) -> dict:

@@ -300,8 +300,8 @@ class FieldParams:
             exp[:big] = exp[big : 2 * big] = powers
             inv = np.zeros(off + 1, dtype=np.int32)
             inv[powers] = powers[-np.arange(big) % big]
-            hi, lo = np.divmod(np.arange(radix * radix, dtype=np.int32), radix)
-            sub = (hi - (q - 1)) % q * radix + (lo - (q - 1)) % q
+            digit = (np.arange(radix, dtype=np.int32) - (q - 1)) % q
+            sub = np.add.outer(digit * radix, digit).ravel()
             self._code_tables = CodeTables(radix, off, log, exp, sub, inv, (q - 1) * radix)
         return self._code_tables
 

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .field import epsilon_f
 from .linalg import (
-    PAIR_DTYPE, Mat, RowTable, block, block_diag, conj_arr, entry_bytes, kernel_stack, mm, rank_stack, rcef,
-    rcef_stack,
+    PAIR_DTYPE, Mat, RowTable, block, block_diag, blocks, conj_arr, entry_bytes, kernel_stack, mm, rank_stack,
+    rcef, rcef_stack,
 )
 from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
@@ -118,10 +118,6 @@ def span_images(sp: SpaceParams, mats: np.ndarray, bases: np.ndarray) -> np.ndar
     if np.any(rank != sp.n):
         raise RankDeficientError(f"an image span has rank below {sp.n}")
     return red
-
-
-# points per block of a stacked pass over a point stack: bounds its temporaries
-_POINT_CHUNK = 256
 
 
 def _grams(sp: SpaceParams, bases: np.ndarray, core: Mat) -> np.ndarray:
@@ -301,10 +297,6 @@ def _outside_charts(sp: SpaceParams, s: int, zs: np.ndarray) -> np.ndarray:
     return out
 
 
-# symmetric Z per block of the chart builder: peak memory is the table plus one block
-_CHART_BLOCK = 1 << 14
-
-
 @per_cell
 def _point_table(q: int, n: int) -> PointTable:
     """The cell's table, chart by chart: every Lagrangian is sigma_S span(Z; I) for a
@@ -317,8 +309,8 @@ def _point_table(q: int, n: int) -> PointTable:
     total = q ** (n * (n + 1))
     found = []
     for s, swap in enumerate(swaps):
-        for lo in range(0, total, _CHART_BLOCK):
-            bases = _siegel_bases(sp, lo, min(lo + _CHART_BLOCK, total))
+        for part in blocks(total):  # peak memory is the table plus one block
+            bases = _siegel_bases(sp, part.start, part.stop)
             bases = bases[_outside_charts(sp, s, bases[:, :n])]
             red, rank = rcef_stack(sp.fp, mm(sp.fp, swap, bases))
             if np.any(rank != n):

@@ -129,8 +129,19 @@ def rcef(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return red[: len(pivots)].swapaxes(0, 1), pivots
 
 
-# matrices per pass of the column loop: bounds the temporaries of a big stack
+# matrices per block of every stacked pass (`blocks`): bounds its temporaries
 _STACK_CHUNK = 4096
+
+
+def blocks(total: int, start: int = 0):
+    """Slices that cut range(start, total) into blocks of `_STACK_CHUNK`, read at call time.
+
+    Every stacked pass over a big stack walks it by these blocks, so one
+    constant bounds their temporaries; no result depends on the size.
+    """
+    size = _STACK_CHUNK
+    for lo in range(start, total, size):
+        yield slice(lo, min(lo + size, total))
 
 
 def rref_stack(fp: FieldParams, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +168,7 @@ def det_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
 
 
 def _eliminate(fp: FieldParams, a: np.ndarray, with_det: bool):
-    """Reduce a stack in blocks of `_STACK_CHUNK`; returns (stack, ranks, pivot products or None).
+    """Reduce a stack a `blocks` block at a time; returns (stack, ranks, pivot products or None).
 
     Each block is packed into the int32 codes of `FieldParams.code_tables`
     and unpacked into (re, im) pairs of the result, so the codes take no
@@ -173,8 +184,7 @@ def _eliminate(fp: FieldParams, a: np.ndarray, with_det: bool):
     red = np.empty(a.shape, dtype=PAIR_DTYPE)
     rank = np.zeros(num, dtype=_I64)
     det = np.full(num, tables.radix, dtype=np.int32) if with_det else None  # the code of 1
-    for lo in range(0, num, _STACK_CHUNK):
-        part = slice(lo, lo + _STACK_CHUNK)
+    for part in blocks(num):
         codes = (a[part, ..., 0] % fp.q * tables.radix + a[part, ..., 1] % fp.q).astype(np.int32, copy=False)
         _rref_block(tables, codes, rank[part], None if det is None else det[part])
         _unpack(codes, tables.radix, red[part])

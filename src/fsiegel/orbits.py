@@ -27,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VerificationFailure
-from .lagrangian import _POINT_CHUNK, Lagrangian, PointTable, StratumLabel, _from_span, span_images
-from .linalg import Mat, entry_bytes, mm, rcef_stack
+from .lagrangian import Lagrangian, PointTable, StratumLabel, _from_span, span_images
+from .linalg import Mat, blocks, entry_bytes, mm, rcef_stack
 from .symplectic import EnumeratedGroup, _generator_stack, _mat, frontier_closure
 
 
@@ -89,8 +89,7 @@ def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
     bases, parent, via = frontier_closure(
         seed.basis.a, lambda f: span_images(sp, mats, f), sp.q, cap, "orbit"
     )
-    for lo in range(1, len(bases), _POINT_CHUNK):  # every edge, a block at a time
-        i = slice(lo, lo + _POINT_CHUNK)
+    for i in blocks(len(bases), start=1):  # every edge, a block at a time
         images = rcef_stack(sp.fp, mm(sp.fp, mats[via[i]], bases[parent[i]]))[0]
         if not np.array_equal(images, bases[i]):
             raise VerificationFailure("transporter word does not reproduce its point")
@@ -121,15 +120,12 @@ def _action_table(table: PointTable, mats: np.ndarray) -> np.ndarray:
     Raises VerificationFailure when an image lies outside the table.
     """
     out = np.empty((len(table), len(mats)), dtype=np.int32)
-    # blocks of at least _POINT_CHUNK points and 4 * _POINT_CHUNK images, so a row
-    # map's one column is not canonicalized in blocks a quarter the size
-    step = max(_POINT_CHUNK, -(-4 * _POINT_CHUNK // max(len(mats), 1)))
-    for lo in range(0, len(table), step):
-        images = span_images(table.space, mats, table.bases[lo : lo + step])
+    for part in blocks(len(table)):
+        images = span_images(table.space, mats, table.bases[part])
         rows = table.rows(images.reshape(-1, *table.bases.shape[1:]))
         if np.any(rows < 0):
             raise VerificationFailure("orbit escaped the supplied point set")
-        out[lo : lo + step] = rows.reshape(-1, len(mats))
+        out[part] = rows.reshape(-1, len(mats))
     return out
 
 

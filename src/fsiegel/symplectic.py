@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
 from .field import EScalar, FieldParams, epsilon_f, make_fields
-from .linalg import PAIR_DTYPE, Mat, RowTable, block, block_diag, conj_arr, lookup_rows, mm, stack_keys
+from .linalg import PAIR_DTYPE, Mat, RowTable, block, block_diag, blocks, conj_arr, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
 TAG_SP_F = "spf"
@@ -379,20 +379,17 @@ class EnumeratedGroup(RowTable):
         return EnumeratedGroup(self.space, self.tag, self.arr[mask], self.keys[mask])
 
 
-# frontier points per step call: a BFS level of a closure under the caps is one or two calls
-_FRONTIER_CHUNK = 2048
-
-
 def frontier_closure(seed: np.ndarray, step, q: int, cap: int | None = None, what: str = "closure"):
     """Breadth-first closure of one array under a batched step map, with a Schreier vector.
 
     `step` maps a frontier stack (F, ...) to its images (F, G, ...), one per
     generator, with entries below q for `stack_keys`.  A BFS level is taken
-    in chunks of `_FRONTIER_CHUNK` points, each keeping the first image of
-    every code not seen before, in image order: a one-at-a-time queue's.
+    a `blocks` block of points at a time, each keeping the first image of
+    every code not seen before, in image order: a one-at-a-time queue's, so
+    no output depends on the block size.
     Returns (members, parent, via): the members stacked in discovery order,
     seed first, where member i > 0 is the image of member parent[i] under
-    generator via[i].  Raises ResourceLimitError in the chunk where the
+    generator via[i].  Raises ResourceLimitError in the block where the
     closure would first hold more than `cap` elements.
     """
     seed = np.ascontiguousarray(seed)
@@ -401,8 +398,8 @@ def frontier_closure(seed: np.ndarray, step, q: int, cap: int | None = None, wha
     frontier, start = seed[None], 0
     while len(frontier):
         level = []
-        for lo in range(0, len(frontier), _FRONTIER_CHUNK):
-            images = step(frontier[lo : lo + _FRONTIER_CHUNK])
+        for part in blocks(len(frontier)):
+            images = step(frontier[part])
             width = images.shape[1]
             flat = images.reshape((-1,) + seed.shape)
             keys, first = np.unique(stack_keys(flat, q), return_index=True)
@@ -412,7 +409,7 @@ def frontier_closure(seed: np.ndarray, step, q: int, cap: int | None = None, wha
             seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")  # a merge of two sorted runs
             new = np.sort(first[fresh], kind="stable")
             point, gen = np.divmod(new, width)
-            parent.append(start + lo + point)
+            parent.append(start + part.start + point)
             via.append(gen)
             level.append(flat[new])
         frontier, start = np.concatenate(level), start + len(frontier)

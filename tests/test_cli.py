@@ -448,3 +448,20 @@ def test_only_the_process_entry_imports_gc_or_freezes_it():
     """A freeze inside `cli.main` would keep an in-process caller's cyclic garbage for good."""
     found = [(path.name, use) for path in sorted((SRC / "fsiegel").glob("*.py")) for use in _gc_uses(ast.parse(path.read_text()))]
     assert found == [("__main__.py", "import gc"), ("__main__.py", "gc.freeze")]
+
+
+def _block_constants(tree) -> list[str]:
+    """Module-level names ending in _CHUNK or _BLOCK that a module assigns."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith(("_CHUNK", "_BLOCK"))]
+
+
+def test_only_linalg_sets_a_block_size():
+    """Every stacked pass takes its blocks from `linalg.blocks`; `_WORD_CHUNK` counts RNG words, not matrices."""
+    found = [(path.name, name) for path in sorted((SRC / "fsiegel").glob("*.py")) for name in _block_constants(ast.parse(path.read_text()))]
+    assert found == [("linalg.py", "_STACK_CHUNK"), ("sampling.py", "_WORD_CHUNK")]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -216,3 +221,23 @@ def test_code_tables_match_scalar_arithmetic_on_every_pair(q):
     assert len(t.exp) == 4 * big + 1 and t.log[0] == 2 * big
     assert t.exp[1] == code(fp.primitive())
     assert all(a.dtype == np.int32 for a in (t.log, t.exp, t.sub, t.inv))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_building_the_code_tables_peaks_below_twice_their_size():
+    """At q = 1031 the tables take 48.6 MB; their build may raise a fresh process's peak by less than twice that."""
+    child = (
+        "from fsiegel.field import make_fields\n"
+        "def peak():\n"
+        "    return next(int(line.split()[1]) * 1024 for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "fp = make_fields(1031)\n"
+        "before = peak()\n"
+        "tables = fp.code_tables()\n"
+        "print(peak() - before, sum(a.nbytes for a in (tables.log, tables.exp, tables.sub, tables.inv)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rise, size = map(int, proc.stdout.split())
+    assert rise < 2 * size, (rise, size)

@@ -18,7 +18,7 @@ from fsiegel.symplectic import (
     make_space,
 )
 from fsiegel.lagrangian import PointTable, enumerate_lagrangians, l_minus, l_plus, strata
-from fsiegel import orbits
+from fsiegel import linalg, orbits
 from fsiegel.orbits import (
     act,
     orbit,
@@ -356,6 +356,40 @@ def test_orbit_stabilizer_consistency(q, n):
         assert orb.size == len(o_str[n - k])
 
 
+def _blocked_results(q: int, n: int) -> dict:
+    """The output of every pass that `linalg.blocks` cuts, built from an empty cell slot."""
+    from fsiegel import checks, lagrangian, symplectic
+    from fsiegel.linalg import mm
+    from fsiegel.symplectic import _generator_stacks, frontier_closure
+
+    symplectic._slot.clear()
+    sp = make_space(q, n)
+    table = lagrangian._point_table(q, n)
+    spf = _generator_stacks(q, n, TAG_SP_F)[0]
+    action = orbits._action_table(table, spf)
+    rec = orbit(l_plus(sp), generators(sp, TAG_SP_0))
+    return {
+        "point table": (table.bases, table.h_rank, table.o_type, table.in_image),
+        "action table": (action,),
+        "group closure": frontier_closure(sp.identity.a, lambda f: mm(sp.fp, f[:, None], spf[None]), q),
+        "walk": orbits._walk(action, len(table) // 2),
+        "lemma4": checks.check_lemma4(q, n, 10**5, 10**5),
+        "orbit": (rec.rows, rec.found, rec.parent, rec.via),
+    }
+
+
+@pytest.mark.parametrize("q, n", [(3, 1), (3, 2), (5, 1)])
+def test_no_result_depends_on_the_block_size(q, n, monkeypatch, fresh_cell):
+    want = _blocked_results(q, n)
+    assert want["lemma4"]["ok"] and len(want["group closure"][0]) == group_order(TAG_SP_F, q, n)
+    for size in (1, 5, 64):
+        monkeypatch.setattr(linalg, "_STACK_CHUNK", size)
+        got = _blocked_results(q, n)
+        assert got["lemma4"] == want["lemma4"], size
+        for name in want.keys() - {"lemma4"}:
+            assert all(np.array_equal(a, b) for a, b in zip(got[name], want[name], strict=True)), (size, name)
+
+
 @pytest.mark.parametrize("i", [101, -1])  # 101 is off any every-100th stride; -1 is past the first block
 def test_a_wrong_bfs_edge_is_caught(i, monkeypatch):
     """`orbit()` recomputes every edge on the generator stack; one corrupted `via` fails it."""
@@ -368,7 +402,8 @@ def test_a_wrong_bfs_edge_is_caught(i, monkeypatch):
     mats = _generator_stack(sp, gens)
     bases, parent, via = frontier_closure(l_plus(sp).basis.a, lambda f: span_images(sp, mats, f), sp.q)
     i %= len(bases)
-    assert i % 100 and len(bases) > 257  # more than one block of 256 edges
+    monkeypatch.setattr(linalg, "_STACK_CHUNK", 64)  # so the edge -1 lies past the first block
+    assert i % 100 and len(bases) > 257  # more than four blocks of 64 edges
     images = span_images(sp, mats, bases[parent[i]][None])[0]
     bad = via.copy()
     bad[i] = next(g for g in range(len(mats)) if not np.array_equal(images[g], bases[i]))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsiegel import symplectic
+from fsiegel import linalg, symplectic
 from fsiegel.cayley import cayley
 from fsiegel.checks import run_check
 from fsiegel.cli import strip_volatile
@@ -243,7 +243,7 @@ def _assert_closures_agree(seed, step, q, cap=None):
     out = []
     routes = (
         lambda logged: frontier_closure(seed, logged, q, cap),
-        lambda logged: frontier_closure_by_rows(seed, logged, cap, chunk=symplectic._FRONTIER_CHUNK),
+        lambda logged: frontier_closure_by_rows(seed, logged, cap, chunk=linalg._STACK_CHUNK),
     )
     for route in routes:
         chunks = []
