@@ -45,9 +45,11 @@ from .lagrangian import (
     enumerate_lagrangians,
     lagrangian_count,
 )
-from .linalg import PAIR_DTYPE, Mat, blocks, conj_arr, mm, product_dtype, rank_stack, scalar_mm, stack_keys
+from .linalg import (
+    PAIR_DTYPE, Mat, blocks, conj_arr, mm, product_dtype, rank_stack, scalar_mm, stack_keys, symmetric_stack,
+)
 from .orbits import PartitionReport, partition
-from .sampling import _draws, _nondegenerate_pairs, _random_symmetric, _symmetric
+from .sampling import _draws, _nondegenerate_pairs, _random_symmetric
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_F,
@@ -369,7 +371,7 @@ def check_siegel_criterion(q: int, n: int, cap_group: int, cap_points: int) -> d
         def flag(p: int) -> bool:
             if keys[p] not in flags:
                 new = {key: i for i, key in enumerate(keys) if key not in flags}
-                twice_im = _symmetric(2 * ims[list(new.values())] % q, n)
+                twice_im = symmetric_stack(2 * ims[list(new.values())] % q, n)
                 diff = np.stack([np.zeros_like(twice_im), twice_im], axis=-1)
                 flags.update(zip(new, (rank_stack(fp, diff) == n).tolist()))
             return flags[keys[p]]

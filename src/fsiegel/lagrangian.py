@@ -37,7 +37,7 @@ from .errors import (
 from .field import epsilon_f
 from .linalg import (
     PAIR_DTYPE, Mat, RowTable, block, block_diag, blocks, conj_arr, entry_bytes, kernel_stack, mm, rank_stack,
-    rcef, rcef_stack,
+    rcef, rcef_stack, symmetric_stack,
 )
 from .symplectic import SpaceParams, form_gram, make_space, per_cell
 
@@ -251,72 +251,43 @@ def lagrangian_count(q: int, n: int) -> int:
     return count
 
 
-def _swaps(sp: SpaceParams) -> np.ndarray:
-    """The signed swaps sigma_S for every S in {1..n}, S read as a bitmask: (2^n, 2n, 2n, 2).
-
-    sigma_S sends e_i to e_{n+i} and e_{n+i} to -e_i for i in S and fixes
-    the rest; it is rational and symplectic, and its inverse is its transpose.
-    """
-    n = sp.n
-    in_s = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    p = in_s[:, :, None] * np.eye(n, dtype=np.int64)
-    keep = np.eye(n, dtype=np.int64) - p
-    out = np.zeros((2**n, sp.dim, sp.dim, 2), dtype=PAIR_DTYPE)
-    out[..., 0] = np.block([[keep, -p], [p, keep]]) % sp.q
-    return out
-
-
-def _siegel_bases(sp: SpaceParams, lo: int, hi: int) -> np.ndarray:
-    """(Z; I) for the symmetric Z numbered lo..hi-1, each number read as the digits
-    base q of the (re, im) pairs of Z's upper triangle: (hi - lo, 2n, n, 2)."""
-    n = sp.n
-    iu = np.triu_indices(n)
-    digits = np.unravel_index(np.arange(lo, hi), (sp.q,) * (2 * len(iu[0])))
-    out = np.zeros((hi - lo, sp.dim, n, 2), dtype=PAIR_DTYPE)
-    entries = np.stack(digits, axis=-1).reshape(hi - lo, -1, 2)
-    out[:, iu[0], iu[1]] = entries
-    out[:, iu[1], iu[0]] = entries
-    out[:, n + np.arange(n), np.arange(n), 0] = 1
-    return out
-
-
-def _outside_charts(sp: SpaceParams, s: int, zs: np.ndarray) -> np.ndarray:
-    """Mask of the symmetric Z (N, n, n, 2) whose span sigma_S span(Z; I), S read from the
-    bitmask s, lies in none of the charts T < s.
-
-    sigma_T^-1 sigma_S is a signed swap on S xor T, so the bottom block of
-    sigma_T^-1 sigma_S (Z; I) holds rows of Z on S xor T and of I elsewhere,
-    up to sign: the span lies in chart T exactly when Z's principal submatrix
-    on S xor T has full rank.  One `rank_stack` per chart, over the Z still outside.
-    """
-    out = np.ones(len(zs), dtype=bool)
-    for t in range(s):
-        on = np.flatnonzero(((s ^ t) >> np.arange(sp.n)) & 1)
-        rows = np.flatnonzero(out)
-        out[rows] = rank_stack(sp.fp, zs[rows][:, on][:, :, on]) < len(on)
-    return out
-
-
 @per_cell
 def _point_table(q: int, n: int) -> PointTable:
-    """The cell's table, chart by chart: every Lagrangian is sigma_S span(Z; I) for a
-    symmetric Z, and is kept in the first chart S (in bitmask order) that holds it.
+    """The cell's table from its 2^n Siegel charts: every Lagrangian is sigma_S span(Z; I)
+    for a symmetric Z, and is kept in the first chart S (in bitmask order) that holds it.
 
-    The closure of L+ under Sp(n, E) (`frontier_closure`) is the test oracle.
+    sigma_S sends e_i to e_{n+i} and e_{n+i} to -e_i for i in S, and fixes the rest, so
+    sigma_S (Z; I) is placed by rows: for i in S, row i is -e_i and row n+i is Z's row i.
+    sigma_T^-1 sigma_S is a signed swap on S xor T, so sigma_S span(Z; I) lies in chart T
+    exactly when Z's principal submatrix on S xor T has full rank: each block of Z ranks
+    its 2^n - 1 principal minors once, and chart S keeps the Z whose minors on S xor T are
+    singular for every T < S.  Charts are concatenated in order, chart 0 first by Z's number.
+
+    The test oracles are the closure of L+ under Sp(n, E) (`frontier_closure`) and the
+    charts built as products with the swap matrices, told apart by bottom-block ranks.
     """
     sp = make_space(q, n)
-    swaps = _swaps(sp)
-    total = q ** (n * (n + 1))
-    found = []
-    for s, swap in enumerate(swaps):
-        for part in blocks(total):  # peak memory is the table plus one block
-            bases = _siegel_bases(sp, part.start, part.stop)
-            bases = bases[_outside_charts(sp, s, bases[:, :n])]
-            red, rank = rcef_stack(sp.fp, mm(sp.fp, swap, bases))
+    subsets = [np.flatnonzero((s >> np.arange(n)) & 1) for s in range(2**n)]
+    eye = Mat.identity(sp.fp, n).a
+    charts = [[] for _ in subsets]
+    for part in blocks(q ** (n * (n + 1))):  # peak memory is the table plus one block
+        # Z numbered by the base-q digits of the (re, im) pairs of its upper triangle
+        digits = np.stack(np.unravel_index(np.arange(part.start, part.stop), (q,) * (n * (n + 1))), axis=-1)
+        zs = symmetric_stack(digits.astype(PAIR_DTYPE).reshape(len(digits), -1, 2), n)
+        full = [None] + [rank_stack(sp.fp, zs[:, on][:, :, on]) == len(on) for on in subsets[1:]]
+        for s, on in enumerate(subsets):
+            keep = np.ones(len(zs), dtype=bool)
+            for t in range(s):
+                keep &= ~full[s ^ t]
+            z = zs[keep]
+            spans = np.concatenate([z, np.broadcast_to(eye, z.shape)], axis=1)
+            spans[:, on], spans[:, n + on] = (-spans[:, n + on]) % q, spans[:, on]
+            red, rank = rcef_stack(sp.fp, spans)
             if np.any(rank != n):
                 raise RankDeficientError(f"a chart span has rank below {n}")
-            found.append(red)
-    bases = np.concatenate(found)
+            charts[s].append(red)
+    bases = np.concatenate([red for chart in charts for red in chart])
+    del charts  # the labels set the table's peak: drop the per-chart copies first
     expected = lagrangian_count(q, n)
     if len(bases) != expected:
         raise ConsistencyError(

@@ -76,6 +76,14 @@ def conj_arr(a: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def symmetric_stack(upper: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrices of a stack of upper triangles (N, n(n+1)/2, ...), row by row."""
+    slot = np.zeros((n, n), dtype=np.intp)
+    iu = np.triu_indices(n)
+    slot[iu] = slot[iu[::-1]] = np.arange(len(iu[0]))
+    return upper[:, slot]
+
+
 def rref(fp: FieldParams, a: np.ndarray, det: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (array, pivot column indices).
 

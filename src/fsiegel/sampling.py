@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 
-from .linalg import PAIR_DTYPE, Mat
+from .linalg import PAIR_DTYPE, Mat, symmetric_stack
 
 _WORD_CHUNK = 1024  # words `_nondegenerate_pairs` parses at a time
 
@@ -53,18 +53,10 @@ def _reads(words: np.ndarray, bound: int, count: int) -> tuple[np.ndarray, np.nd
     return vals[taken], first, taken[first + count - 1] + 1
 
 
-def _symmetric(upper: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric n x n matrices of a stack of upper triangles (N, n(n+1)/2, ...), row by row."""
-    slot = np.zeros((n, n), dtype=np.intp)
-    iu = np.triu_indices(n)
-    slot[iu] = slot[iu[::-1]] = np.arange(len(iu[0]))
-    return upper[:, slot]
-
-
 def _random_symmetric(sp, rng: random.Random) -> Mat:
     """A symmetric Z over E: the upper triangle row by row, each entry drawn re then im."""
     t = sp.n * (sp.n + 1) // 2
-    return Mat(sp.fp, _symmetric(_draws(rng, sp.q, 2 * t).reshape(1, t, 2), sp.n)[0])
+    return Mat(sp.fp, symmetric_stack(_draws(rng, sp.q, 2 * t).reshape(1, t, 2), sp.n)[0])
 
 
 def _nondegenerate_pairs(rng: random.Random, sp, letters: int, count: int, nondegenerate):
@@ -103,4 +95,4 @@ def _nondegenerate_pairs(rng: random.Random, sp, letters: int, count: int, nonde
         count -= len(at_z)
         if not p:
             size *= 2  # the chunk holds no whole Z and word
-    return _symmetric(np.concatenate(zs).reshape(-1, t, 2), n).astype(PAIR_DTYPE), np.concatenate(words)
+    return symmetric_stack(np.concatenate(zs).reshape(-1, t, 2), n).astype(PAIR_DTYPE), np.concatenate(words)

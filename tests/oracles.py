@@ -14,8 +14,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError
-from fsiegel.lagrangian import _siegel_bases, _swaps, enumerate_lagrangians, span_images
-from fsiegel.linalg import Mat, block, mm, rank_stack, rcef_stack, sorted_stack, stack_keys
+from fsiegel.lagrangian import enumerate_lagrangians, span_images
+from fsiegel.linalg import Mat, block, mm, rank_stack, rcef_stack, sorted_stack, stack_keys, symmetric_stack
 from fsiegel.orbits import act
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, frontier_closure, group_element, make_space
 
@@ -408,13 +408,22 @@ def map_strata_by_images(cd, q, n, cap_points):
 
 def chart_bases_by_bottom_blocks(q, n):
     """`lagrangian._point_table`'s sorted bases, with each chart test made on the span itself:
-    sigma_S span(Z; I) is dropped when sigma_T^-1 of it has a bottom block of rank n for some
-    earlier chart T."""
+    sigma_S span(Z; I) is formed as a product with the signed swap matrix sigma_S, and dropped
+    when sigma_T^-1 of it has a bottom block of rank n for some earlier chart T."""
     sp = make_space(q, n)
-    swaps = _swaps(sp)
+    total, t = q ** (n * (n + 1)), n * (n + 1) // 2
+    digits = np.stack(np.unravel_index(np.arange(total), (q,) * (2 * t)), axis=-1).astype(np.int32)
+    z = symmetric_stack(digits.reshape(total, t, 2), n)
+    z_i = np.concatenate([z, np.broadcast_to(Mat.identity(sp.fp, n).a, z.shape)], axis=1)
+    # sigma_S sends e_i to e_{n+i} and e_{n+i} to -e_i for i in S, S read as a bitmask
+    in_s = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    p = in_s[:, :, None] * np.eye(n, dtype=np.int64)
+    keep = np.eye(n, dtype=np.int64) - p
+    swaps = np.zeros((2**n, sp.dim, sp.dim, 2), dtype=np.int32)
+    swaps[..., 0] = np.block([[keep, -p], [p, keep]]) % q
     found = []
     for s, swap in enumerate(swaps):
-        spans = mm(sp.fp, swap, _siegel_bases(sp, 0, q ** (n * (n + 1))))
+        spans = mm(sp.fp, swap, z_i)
         for earlier in swaps[:s]:
             spans = spans[rank_stack(sp.fp, mm(sp.fp, earlier.swapaxes(0, 1)[n:], spans)) < n]
         found.append(rcef_stack(sp.fp, spans)[0])

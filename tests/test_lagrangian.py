@@ -281,9 +281,21 @@ def test_chart_table_matches_closure_of_l_plus(q, n):
     assert _point_table(q, n).bases.tobytes() == PointTable(sp, closure).bases.tobytes()
 
 
-@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2)])
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)])  # (3, 3): minors of size 3
 def test_chart_minor_filter_matches_bottom_block_ranks(q, n):
     assert _point_table(q, n).bases.tobytes() == chart_bases_by_bottom_blocks(q, n).tobytes()
+
+
+def test_each_principal_minor_is_ranked_once_per_block(monkeypatch, fresh_cell):
+    """(3,2) in blocks of 64: 3^6 = 729 Z make 12 blocks, each ranking its 3 principal minors
+    once; the table's labels and image flags take 3 more ranks."""
+    from fsiegel import lagrangian, linalg
+
+    calls = []
+    monkeypatch.setattr(linalg, "_STACK_CHUNK", 64)
+    monkeypatch.setattr(lagrangian, "rank_stack", lambda fp, a: calls.append(a.shape) or linalg.rank_stack(fp, a))
+    lagrangian._point_table(3, 2)
+    assert len(calls) == 3 * 12 + 3
 
 
 @pytest.mark.parametrize("q,n", CHART_CELLS)
@@ -298,7 +310,7 @@ def test_chart_table_rows_are_isotropic(q, n):
 def test_chart_filter_that_keeps_duplicates_is_an_inconsistency(monkeypatch, fresh_cell):
     from fsiegel import lagrangian
 
-    monkeypatch.setattr(lagrangian, "_outside_charts", lambda sp, s, zs: np.ones(len(zs), bool))
+    monkeypatch.setattr(lagrangian, "rank_stack", lambda fp, a: np.zeros(len(a), dtype=np.int64))  # every minor singular
     with pytest.raises(ConsistencyError, match="count formula gives 10"):
         lagrangian._point_table(3, 1)
 
@@ -544,12 +556,13 @@ class _WordCounting(random.Random):
 
 @pytest.mark.parametrize("q,n", [(3, 1), (7, 2), (5, 3), (23, 2)])
 def test_stacked_symmetric_parse_equals_successive_random_symmetric(q, n):
-    from fsiegel.sampling import _reads, _symmetric, _words
+    from fsiegel.linalg import symmetric_stack
+    from fsiegel.sampling import _reads, _words
 
     sp, t = make_space(q, n), n * (n + 1) // 2
     words = _words(random.Random(q), 300)
     values, first, ends = _reads(words, q, 2 * t)
-    zs = _symmetric(values[first[:, None] + np.arange(2 * t)].reshape(-1, t, 2), n)
+    zs = symmetric_stack(values[first[:, None] + np.arange(2 * t)].reshape(-1, t, 2), n)
     assert len(zs) == len(ends) > 0
     for p in range(len(words)):  # every start position: a twin generator past p words
         twin = _WordCounting(q)
