@@ -10,8 +10,8 @@ from .errors import (
     ShapeError,
     VerificationFailure,
 )
-from .field import EScalar, FieldParams, epsilon_f, hilbert90, make_fields, tau_f
-from .linalg import Mat, block, column_echelon_canonical, solve
+from .field import EScalar, FieldParams, epsilon_f, make_fields, tau_f
+from .linalg import Mat, block, solve
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_E,
@@ -22,35 +22,26 @@ from .symplectic import (
     generators,
     group_element,
     group_order,
-    h_0,
-    h_e,
     is_member,
     make_space,
-    omega,
-    permutation_embed,
 )
 from .lagrangian import (
     Lagrangian,
     PointTable,
     StratumLabel,
-    conjugate_pair_dims,
     enumerate_lagrangians,
     from_basis,
-    l_minus,
     l_plus,
     lagrangian_count,
     siegel,
-    strata,
     witnesses,
 )
 from .orbits import (
     OrbitRecord,
     PartitionReport,
     act,
-    orbit,
     partition,
     stabilizer_elements,
-    stabilizer_order,
 )
 from .cayley import (
     CayleyData,
@@ -65,9 +56,6 @@ from .involutions import (
     anti_involutions,
     classify_involutions,
     correspondence_report,
-    eigenspace_model,
-    eigenspace_report,
-    involution_form,
     scaled_involutions,
 )
 

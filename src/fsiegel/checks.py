@@ -10,11 +10,12 @@ A resource skip is produced whenever the cell would exceed the configured
 group or point caps or runs out of memory; skips never fail a run.  `cayley`
 and the sampled `siegel-criterion` have no cap (the exhaustive one, n = 1
 and q <= 5, enumerates the group under the group cap): each builds the
-cell's generator stacks, n(n+1) matrices of (2n)^2 entries per family
-(6.5 GB per family at n = 100), so neither should be run at a large n.  A
-structural cross-check that breaks inside a check (VerificationFailure)
-becomes a "fail" record carrying its message, and the rest of the grid
-still runs; ConsistencyError, an internal arithmetic bug, stays fatal.
+cell's generator stacks, n(n+1) matrices of (2n)^2 int32 pairs per family
+(n(n+1) (2n)^2 8 bytes, 3.2 GB per family at n = 100), so neither should be
+run at a large n.  A structural cross-check that breaks inside a check
+(VerificationFailure) becomes a "fail" record carrying its message, and the
+rest of the grid still runs; ConsistencyError, an internal arithmetic bug,
+stays fatal.
 All sampling is seeded from the (check, q, n) triple, so reports are
 reproducible byte for byte once wall times are stripped.
 """

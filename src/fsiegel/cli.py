@@ -5,11 +5,12 @@ payload.  Reports embed the full configuration and the chosen field
 parameters, so any failure is reproducible from the report alone.
 
 Exit codes: 0 all pass, 1 any verification failure, 2 usage error,
-3 every requested cell was skipped for resources.  Every subcommand
-builds its records with `checks.run_cell`, so a broken cross-check is a
-`fail` record in each.  A ConsistencyError (an internal arithmetic bug)
-is not caught; the records finished so far first go to stderr as one
-`partial records:` JSON line.
+3 every requested cell was skipped for resources, and 4, from the
+process entry (`__main__.run`), an exception that escapes `main`.  Every
+subcommand builds its records with `checks.run_cell`, so a broken
+cross-check is a `fail` record in each.  A ConsistencyError (an internal
+arithmetic bug) is not caught here; the records finished so far first go
+to stderr as one `partial records:` JSON line.
 """
 
 from __future__ import annotations

@@ -118,9 +118,6 @@ class EScalar:
         """x * conj(x); always conjugation-fixed."""
         return EScalar(self.fp, self.re * self.re - self.fp.eps * self.im * self.im)
 
-    def trace(self) -> "EScalar":
-        return EScalar(self.fp, 2 * self.re)
-
     @property
     def is_rational(self) -> bool:
         return self.im == 0
@@ -305,37 +302,10 @@ class FieldParams:
             self._code_tables = CodeTables(radix, off, log, exp, sub, inv, (q - 1) * radix)
         return self._code_tables
 
-    # -- text -------------------------------------------------------------
-
-    def parse_scalar(self, text: str) -> EScalar:
-        t = text.replace(" ", "")
-        if "+" in t:
-            a, rest = t.split("+", 1)
-            if not rest.endswith("*s"):
-                raise ParameterError(f"bad scalar literal {text!r}")
-            return EScalar(self, int(a), int(rest[:-2]))
-        return EScalar(self, int(t))
-
-
 @lru_cache(maxsize=None)
 def make_fields(q: int) -> FieldParams:
     """Validated field parameters for an odd prime q; cached per q."""
     return FieldParams(q)
-
-
-def hilbert90(u: EScalar) -> EScalar:
-    """A nonzero d with u = d / conj(d), for norm-one u.
-
-    Built as 1 + u (or s when u == -1), then scaled by the inverse of its
-    leading base-field coefficient; base-field scaling does not change the
-    quotient d / conj(d), and the normalization makes the output canonical.
-    """
-    fp = u.fp
-    if u.norm() != fp.one:
-        raise ParameterError(f"hilbert90 needs a norm-one input, got norm {u.norm()!r}")
-    d = fp.s if u == -fp.one else fp.one + u
-    lead = d.re if d.re != 0 else d.im
-    return d / fp.e(lead)
 
 
 def epsilon_f(q: int) -> int:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, VerificationFailure
+from .errors import VerificationFailure
 from .field import epsilon_f
-from .lagrangian import Lagrangian, _grams, enumerate_lagrangians, span_images
+from .lagrangian import _grams, enumerate_lagrangians, span_images
 from .linalg import (
     Mat, block, block_diag, conj_arr, det_stack, kernel_stack, mm, rank_stack, rcef_stack, scalar_mm,
     stack_keys,
@@ -26,7 +26,6 @@ from .orbits import _walk
 from .symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
-    GroupElement,
     SpaceParams,
     _generator_stacks,
     enumerate_symplectic,
@@ -34,10 +33,6 @@ from .symplectic import (
     make_space,
     per_cell,
 )
-
-
-def _space_of(t: GroupElement) -> SpaceParams:
-    return make_space(t.mat.fp.q, t.mat.rows // 2)
 
 
 @per_cell
@@ -62,14 +57,6 @@ def _square_scalars(q: int, n: int) -> np.ndarray:
 def anti_involutions(q: int, n: int, cap_group: int) -> EnumeratedGroup:
     """The anti-involutions, as the sub-table of the rational group's rows with T^2 = -I."""
     return scaled_involutions(q, n, -1, cap_group)
-
-
-def involution_form(t: GroupElement) -> Mat:
-    """The symmetric matrix J T attached to an anti-involution."""
-    sp = _space_of(t)
-    if (t.mat @ t.mat) != -sp.identity:
-        raise ParameterError("input does not square to -I")
-    return sp.j @ t.mat
 
 
 def involution_form_report(q: int, n: int, cap_group: int) -> dict:
@@ -109,7 +96,7 @@ def eigenspace_suite(sp: SpaceParams, ts: np.ndarray) -> tuple[np.ndarray, dict]
     """The eigenspace contracts of every anti-involution in a stack (N, 2n, 2n, 2).
 
     Returns the canonical +i eigenspaces (N, 2n, n, 2) and one array per
-    `eigenspace_report` key.  When -1 is a square in the base field the
+    contract, one entry per row.  When -1 is a square in the base field the
     matrix T - iI is rational, so the kernels stay inside F.
     """
     fp, n = sp.fp, sp.n
@@ -141,21 +128,6 @@ def _anti_involution_suite(q: int, n: int) -> tuple[np.ndarray, dict]:
     """The eigenspace suite of the cell's anti-involutions, taken once per cell."""
     ants = scaled_involutions(q, n, -1, group_order(TAG_SP_F, q, n)).arr
     return eigenspace_suite(make_space(q, n), ants)
-
-
-def eigenspace_model(t: GroupElement) -> Lagrangian:
-    """The +i eigenspace of an anti-involution, as a canonical Lagrangian (one row of the suite)."""
-    sp = _space_of(t)
-    models, rep = eigenspace_suite(sp, t.mat.a[None])
-    if not rep["lagrangian"][0]:
-        raise ParameterError("the +i eigenspace is not a Lagrangian")
-    return Lagrangian(sp, Mat(sp.fp, models[0]))
-
-
-def eigenspace_report(t: GroupElement) -> dict:
-    """Per-item verification of the eigenspace decomposition contracts (one row of the suite)."""
-    rep = eigenspace_suite(_space_of(t), t.mat.a[None])[1]
-    return {key: v[0].item() for key, v in rep.items()}
 
 
 def _pairing_identity(sp: SpaceParams, ts: np.ndarray) -> np.ndarray:

@@ -96,9 +96,6 @@ class Lagrangian:
     def label(self) -> StratumLabel:
         return StratumLabel(self.gram("h_e").rank(), self.gram("h_0").rank())
 
-    def conj(self) -> "Lagrangian":
-        return _from_span(self.space, self.basis.conj().a)
-
 
 def _from_span(sp: SpaceParams, arr: np.ndarray) -> Lagrangian:
     """Canonicalize a spanning 2n x n array known to be isotropic."""
@@ -170,10 +167,6 @@ def l_plus(sp: SpaceParams) -> Lagrangian:
     return _span_of(sp, Mat.identity(sp.fp, sp.n), Mat.zeros(sp.fp, sp.n, sp.n))
 
 
-def l_minus(sp: SpaceParams) -> Lagrangian:
-    return _span_of(sp, Mat.zeros(sp.fp, sp.n, sp.n), Mat.identity(sp.fp, sp.n))
-
-
 def siegel(sp: SpaceParams, z: Mat) -> Lagrangian:
     """The Lagrangian spanned by the columns of (Z; I), Z symmetric."""
     if z.shape != (sp.n, sp.n):
@@ -183,45 +176,17 @@ def siegel(sp: SpaceParams, z: Mat) -> Lagrangian:
     return _span_of(sp, z, Mat.identity(sp.fp, sp.n))
 
 
-def conjugate_pair_dims(w: Lagrangian) -> tuple[int, int]:
-    """(dim(W + conj W), dim(W ^ conj W)) by exact rank arithmetic."""
-    sp = w.space
-    joined = np.concatenate([w.basis.a, w.basis.conj().a], axis=1)
-    dim_sum = Mat(sp.fp, joined).rank()
-    return dim_sum, 2 * sp.n - dim_sum
-
-
 def _conjugate_sum_dims(sp: SpaceParams, bases: np.ndarray) -> np.ndarray:
     """dim(W + conj W) for every basis in a stack, as one stacked rank."""
     return rank_stack(sp.fp, np.concatenate([bases, conj_arr(bases, sp.q)], axis=2))
 
 
-def intersection_with_conj(w: Lagrangian) -> Mat:
-    """Canonical basis of W ^ conj(W) (may have zero columns dropped)."""
-    sp = w.space
-    m, mbar = w.basis, w.basis.conj()
-    stacked = Mat(sp.fp, np.concatenate([m.a, (-mbar.a) % sp.q], axis=1))
-    ker = stacked.kernel()
-    x_part = Mat(sp.fp, ker.a[: sp.n])
-    inside = m @ x_part
-    red, _ = rcef(sp.fp, inside.a)
-    return Mat(sp.fp, red)
-
-
-def h_e_radical(w: Lagrangian) -> Mat:
-    """Canonical basis of the radical of h_e restricted to W."""
-    sp = w.space
-    g = w.gram("h_e")
-    ker = g.T.kernel()
-    red, _ = rcef(sp.fp, (w.basis @ ker).a)
-    return Mat(sp.fp, red)
-
-
 def _conj_intersections(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W ^ conj(W) for every basis in a stack; returns (stack (N, 2n, 2n, 2), ranks).
 
-    Entry i's first ranks[i] columns are `intersection_with_conj` of that
-    point, bit for bit, and the rest are zero.
+    Entry i's first ranks[i] columns are the canonical basis of that
+    point's W ^ conj(W), bit for bit, and the rest are zero: the scalar
+    oracle is `intersection_with_conj` in the tests' oracles.
     """
     joined = np.concatenate([bases, (-conj_arr(bases, sp.q)) % sp.q], axis=2)
     x = kernel_stack(sp.fp, joined)[:, : sp.n]
@@ -231,8 +196,9 @@ def _conj_intersections(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray,
 def _h_e_radicals(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radical of h_e on W for every basis in a stack; returns (stack (N, 2n, n, 2), ranks).
 
-    Entry i's first ranks[i] columns are `h_e_radical` of that point, bit
-    for bit, and the rest are zero.
+    Entry i's first ranks[i] columns are the canonical basis of that
+    point's radical, bit for bit, and the rest are zero: the scalar oracle
+    is `h_e_radical` in the tests' oracles.
     """
     ker = kernel_stack(sp.fp, _grams(sp, bases, sp.j).swapaxes(1, 2))
     return rcef_stack(sp.fp, mm(sp.fp, bases, ker))
@@ -302,15 +268,6 @@ def enumerate_lagrangians(q: int, n: int, cap: int | None = None) -> PointTable:
     if cap is not None and expected > cap:
         raise ResourceLimitError(f"{count_text(expected)} Lagrangians exceed cap {cap}")
     return _point_table(q, n)
-
-
-def strata(q: int, n: int, cap: int | None = None):
-    """Census by label: (h_strata, o_strata), lists of sorted points indexed by rank/type."""
-    table = enumerate_lagrangians(q, n, cap)
-    return tuple(
-        [[table[i] for i in np.flatnonzero(labels == r).tolist()] for r in range(n + 1)]
-        for labels in (table.h_rank, table.o_type)
-    )
 
 
 # ---------------------------------------------------------------------------

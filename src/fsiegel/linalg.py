@@ -88,7 +88,8 @@ def rref(fp: FieldParams, a: np.ndarray, det: np.ndarray | None = None) -> tuple
     """Reduced row echelon form; returns (array, pivot column indices).
 
     A given (re, im) pair array `det` is multiplied by each pivot before
-    normalization and negated on each row swap, as in `_rref_block`.  Each
+    normalization and negated on each row swap, as in `_rref_block`: the
+    tests' scalar determinant, `det_stack`'s reference, reads it.  Each
     row operation sums one product of pairs per entry, in `product_dtype` (fp, 1).
     """
     q, eps = fp.q, fp.eps
@@ -169,7 +170,8 @@ def det_stack(fp: FieldParams, a: np.ndarray) -> np.ndarray:
 
     One pass of the stacked elimination: the product of the pivots before
     they are normalized, negated once per row swap, and zero below full
-    rank.  Each entry equals `det_arr` of that matrix alone.
+    rank.  Each entry equals the scalar `rref`'s pivot product of that
+    matrix alone (`det_arr` in the tests' oracles).
     """
     red, rank, det = _eliminate(fp, a, with_det=True)
     return det.reshape(*rank.shape, 2) * (rank == red.shape[-2])[..., None]
@@ -314,7 +316,7 @@ def lookup_rows(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 class RowTable:
-    """Matrices as rows: a stack `arr` sorted by its `stack_keys` codes `keys` (as `Mat.key`).
+    """Matrices as rows: a stack `arr` sorted by its `stack_keys` codes `keys` (as `entry_bytes`).
 
     Both arrays are read-only, for a cached table is shared by every caller;
     given `keys` are those of rows already sorted.  The point and group
@@ -335,26 +337,6 @@ class RowTable:
     def rows(self, mats: np.ndarray) -> np.ndarray:
         """Row of each matrix in a stack, or -1 where it is not a row of the table."""
         return lookup_rows(self.keys, stack_keys(mats, self.q))
-
-
-def kernel_arr(fp: FieldParams, a: np.ndarray) -> np.ndarray:
-    """Basis of the right null space, one column per free variable."""
-    red, pivots = rref(fp, a)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    out = np.zeros((ncols, len(free), 2), dtype=PAIR_DTYPE)
-    for j, f in enumerate(free):
-        out[f, j, 0] = 1
-        for i, pc in enumerate(pivots):
-            out[pc, j, 0] = (-red[i, f, 0]) % fp.q
-            out[pc, j, 1] = (-red[i, f, 1]) % fp.q
-    return out
-
-
-def det_arr(fp: FieldParams, a: np.ndarray) -> tuple[int, int]:
-    det = np.array([1, 0], dtype=_I64)
-    pivots = rref(fp, a, det)[1]
-    return (int(det[0]), int(det[1])) if len(pivots) == len(a) else (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +425,6 @@ class Mat:
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
         return Mat(self.fp, self.a[r0:r1, c0:c1])
 
-    def col(self, j: int) -> "Mat":
-        return Mat(self.fp, self.a[:, j : j + 1])
-
     # -- ring operations ---------------------------------------------------
 
     def _check_same_shape(self, other: "Mat"):
@@ -486,10 +465,6 @@ class Mat:
         return Mat(self.fp, conj_arr(self.a, self.fp.q).swapaxes(0, 1))
 
     @property
-    def is_rational(self) -> bool:
-        return bool(np.all(self.a[..., 1] == 0))
-
-    @property
     def is_zero(self) -> bool:
         return bool(np.all(self.a == 0))
 
@@ -501,24 +476,12 @@ class Mat:
     def rank(self) -> int:
         return len(rref(self.fp, self.a)[1])
 
-    def det(self) -> EScalar:
-        if self.rows != self.cols:
-            raise ShapeError("determinant needs a square matrix")
-        re, im = det_arr(self.fp, self.a)
-        return EScalar(self.fp, re, im)
-
     def inv(self) -> "Mat | None":
         if self.rows != self.cols:
             raise ShapeError("inverse needs a square matrix")
         return solve(self, Mat.identity(self.fp, self.rows))
 
-    def kernel(self) -> "Mat":
-        return Mat(self.fp, kernel_arr(self.fp, self.a))
-
     # -- identity and text ---------------------------------------------------
-
-    def key(self) -> bytes:
-        return entry_bytes(self.a)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -532,11 +495,6 @@ class Mat:
         return ";".join(
             ",".join(self.at(i, j).encode() for j in range(self.cols)) for i in range(self.rows)
         )
-
-    @classmethod
-    def parse(cls, fp: FieldParams, text: str) -> "Mat":
-        rows = [[fp.parse_scalar(x) for x in row.split(",")] for row in text.split(";")]
-        return cls.build(fp, rows)
 
     def __repr__(self):
         return f"Mat({self.encode()})"
@@ -560,17 +518,6 @@ def block_diag(fp: FieldParams, *blocks: Mat) -> Mat:
         out[r : r + b.rows, c : c + b.cols] = b.a
         r, c = r + b.rows, c + b.cols
     return Mat(fp, out)
-
-
-def column_echelon_canonical(m: Mat) -> Mat:
-    """Canonical representative of the column span of m.
-
-    Reduced column echelon form with leading ones and zero columns
-    dropped: two matrices have the same column span exactly when their
-    canonical forms are identical.
-    """
-    red, _ = rcef(m.fp, m.a)
-    return Mat(m.fp, red)
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:

@@ -4,8 +4,8 @@ Everything here is schedule-independent by construction: partitions sweep
 their input in sorted order, so each orbit's representative is its
 lexicographically smallest member, and the resulting report is identical
 no matter how the frontier was expanded.  Transporter words are the one
-exception (they depend on the exploration schedule of the final BFS) and
-are therefore excluded from report equality.
+exception (they depend on the exploration schedule of the BFS) and are
+therefore excluded from report equality.
 
 Points are rows of a sorted `PointTable`, and an orbit's members are a
 sorted array of its rows.  Each orbit is a BFS component over an int
@@ -13,7 +13,6 @@ action table (row -> image row, a column per generator), its words read
 off the parent pointers, a Schreier vector (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, section 4.1): `_walk`, shared by
 `partition`, the stabilizers' V_k orbits and the involution classes.
-`orbit`, which canonicalizes every image, serves the API and the tests.
 
 A cell's generator tables are built by `cayley._cell_actions`, once while
 the grid is on the cell: only the upper translations are canonicalized,
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import VerificationFailure
 from .lagrangian import Lagrangian, PointTable, StratumLabel, _from_span, span_images
-from .linalg import Mat, blocks, entry_bytes, mm, rcef_stack
+from .linalg import Mat, blocks, mm
 from .symplectic import EnumeratedGroup, _generator_stack, _mat, frontier_closure
 
 
@@ -42,10 +41,8 @@ class OrbitRecord:
 
     Built from a BFS over the table's rows: found[0] is the seed, and row
     found[i], i > 0, is the image of row found[parent[i]] under generator
-    via[i].  Whoever builds the record checks that for every i, so by
-    induction every word reproduces its point: `_walk` in its action
-    table, `orbit` on the generator stack.  Words and the `Lagrangian`
-    views are built on demand.
+    via[i].  `_walk` checks that for every i in its action table, so by
+    induction every word reproduces its point.
     """
 
     __slots__ = ("table", "rows", "found", "parent", "via")
@@ -62,40 +59,6 @@ class OrbitRecord:
     def representative(self) -> Lagrangian:
         return self.table[self.found[0]]
 
-    @property
-    def members(self) -> list[Lagrangian]:
-        return [self.table[i] for i in self.rows.tolist()]
-
-    @property
-    def transporters(self) -> dict:
-        """Word per member, keyed by `Lagrangian.key`, read off the parent pointers."""
-        words = [()]
-        for p, i in zip(self.parent[1:].tolist(), self.via[1:].tolist()):
-            words.append(words[p] + (i,))
-        return {entry_bytes(self.table.bases[i]): w for i, w in zip(self.found.tolist(), words)}
-
-    def member_keys(self) -> frozenset:
-        return frozenset(entry_bytes(self.table.bases[i]) for i in self.rows.tolist())
-
-
-def orbit(seed: Lagrangian, gens, cap: int | None = None) -> OrbitRecord:
-    """BFS orbit of the seed, one stacked canonicalization per frontier.
-
-    The members become the rows of their own sorted table.  Transporter
-    words follow the BFS parent pointers (a Schreier vector).
-    """
-    sp = seed.space
-    mats = _generator_stack(sp, gens)
-    bases, parent, via = frontier_closure(
-        seed.basis.a, lambda f: span_images(sp, mats, f), sp.q, cap, "orbit"
-    )
-    for i in blocks(len(bases), start=1):  # every edge, a block at a time
-        images = rcef_stack(sp.fp, mm(sp.fp, mats[via[i]], bases[parent[i]]))[0]
-        if not np.array_equal(images, bases[i]):
-            raise VerificationFailure("transporter word does not reproduce its point")
-    table = PointTable(sp, bases)
-    return OrbitRecord(table, table.rows(bases), parent, via)
-
 
 class PartitionReport:
     """Orbits of a point set, each annotated with its stratum label."""
@@ -109,9 +72,6 @@ class PartitionReport:
 
     def sizes(self) -> list[int]:
         return [o.size for o in self.orbits]
-
-    def as_sets(self) -> set[frozenset]:
-        return {o.member_keys() for o in self.orbits}
 
 
 def _action_table(table: PointTable, mats: np.ndarray) -> np.ndarray:
@@ -191,14 +151,6 @@ def partition(
     if sum(o.size for o in orbits) != len(table):
         raise VerificationFailure("orbits do not cover the point set")
     return PartitionReport(orbits, labels, conflicts)
-
-
-def stabilizer_order(group_order: int, orbit_size: int) -> int:
-    if orbit_size <= 0 or group_order % orbit_size != 0:
-        raise VerificationFailure(
-            f"orbit size {orbit_size} does not divide group order {group_order}"
-        )
-    return group_order // orbit_size
 
 
 def stabilizer_elements(point: Lagrangian, group: EnumeratedGroup) -> EnumeratedGroup:

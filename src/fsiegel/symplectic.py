@@ -25,7 +25,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
-from .field import EScalar, FieldParams, epsilon_f, make_fields
+from .field import FieldParams, epsilon_f, make_fields
 from .linalg import PAIR_DTYPE, Mat, RowTable, block, block_diag, blocks, conj_arr, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
@@ -51,19 +51,6 @@ class SpaceParams:
 
     def __repr__(self):
         return f"SpaceParams(q={self.q}, n={self.n})"
-
-    def e_vec(self, j: int) -> Mat:
-        """Canonical basis column vector e_j, 0-indexed."""
-        return self.identity.col(j)
-
-    def blocks(self, g: Mat) -> tuple[Mat, Mat, Mat, Mat]:
-        n = self.n
-        return (
-            g.block(0, n, 0, n),
-            g.block(0, n, n, 2 * n),
-            g.block(n, 2 * n, 0, n),
-            g.block(n, 2 * n, n, 2 * n),
-        )
 
 
 # the one cell slot: the (q, n) in hand under "cell", its objects under (builder, q, n, *key)
@@ -109,29 +96,6 @@ def make_space(q: int, n: int) -> SpaceParams:
 # ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
-
-def _check_vec(sp: SpaceParams, v: Mat):
-    if v.shape != (sp.dim, 1):
-        raise ShapeError(f"expected a column vector of length {sp.dim}, got {v.shape}")
-
-
-def omega(sp: SpaceParams, v: Mat, w: Mat) -> EScalar:
-    _check_vec(sp, v)
-    _check_vec(sp, w)
-    return (v.T @ sp.j @ w).at(0, 0)
-
-
-def h_e(sp: SpaceParams, v: Mat, w: Mat) -> EScalar:
-    _check_vec(sp, v)
-    _check_vec(sp, w)
-    return (v.T @ sp.j @ w.conj()).at(0, 0)
-
-
-def h_0(sp: SpaceParams, v: Mat, w: Mat) -> EScalar:
-    _check_vec(sp, v)
-    _check_vec(sp, w)
-    return (v.T @ sp.d_form @ w.conj()).at(0, 0)
-
 
 def form_gram(sp: SpaceParams, basis: Mat, form: str) -> Mat:
     """Gram matrix of h_e or h_0 on the columns of basis."""
@@ -204,12 +168,6 @@ class GroupElement:
         if self.tag != other.tag:
             raise ParameterError("cannot multiply elements with different group tags")
         return GroupElement(self.mat @ other.mat, self.tag)
-
-    def inverse(self) -> "GroupElement":
-        inv = self.mat.inv()
-        if inv is None:
-            raise ConsistencyError("group element is singular")
-        return GroupElement(inv, self.tag)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -444,28 +402,3 @@ def enumerate_symplectic(sp: SpaceParams, tag: str, cap: int) -> EnumeratedGroup
     """Full enumeration of the tagged group, refused cleanly over the cap."""
     check_group_cap(tag, sp.q, sp.n, cap)
     return _enumerated(sp.q, sp.n, tag)
-
-
-# ---------------------------------------------------------------------------
-# embeddings
-# ---------------------------------------------------------------------------
-
-def permutation_embed(sp: SpaceParams, t: Mat) -> GroupElement:
-    """diag(t(T)^-1, T) for a permutation matrix T; lies in spf and sp0."""
-    n = sp.n
-    if t.shape != (n, n):
-        raise ShapeError(f"expected an {n}x{n} matrix, got {t.shape}")
-    arr = t.a
-    ok = (
-        t.is_rational
-        and bool(np.all((arr[..., 0] == 0) | (arr[..., 0] == 1)))
-        and bool(np.all(arr[..., 0].sum(axis=0) == 1))
-        and bool(np.all(arr[..., 0].sum(axis=1) == 1))
-    )
-    if not ok:
-        raise ParameterError("not a permutation matrix")
-    inv_t = t.inv()
-    g = block_diag(sp.fp, inv_t.T, t)
-    if not (is_member(sp, g, TAG_SP_F) and is_member(sp, g, TAG_SP_0)):
-        raise ConsistencyError("permutation embedding failed membership")
-    return GroupElement(g, TAG_SP_F)

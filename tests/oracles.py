@@ -7,17 +7,44 @@ constructive orthonormalization for hermitian form types, a
 breadth-first closure that keys each image on its own, membership and
 the generators one `Mat` at a time, and the scalar or per-stratum routes
 that the package's row and stack routes replaced.
+
+The scalar API that no subcommand calls left the package for the end of
+this file, its bodies unchanged:
+- the single-seed `orbit` BFS, which rechecks every edge on the generator
+  stack, and the views of its records: `orbit_members`, `transporters`,
+  `member_keys` and `as_sets` (once `OrbitRecord` and `PartitionReport`
+  methods);
+- lemma4's scalar routes `conjugate_pair_dims`, `intersection_with_conj`
+  and `h_e_radical`, and the census by label `strata`;
+- the scalar kernel's oracles `kernel_arr`, `det_arr`, `mat_det` and
+  `mat_kernel` (once `Mat.det` and `Mat.kernel`);
+- the forms `omega`, `h_e` and `h_0`;
+- `involution_form`, `eigenspace_model` and `eigenspace_report`, one row of
+  the package's eigenspace suite each;
+- `stabilizer_order`, and the report parsers `parse_scalar` and
+  `parse_mat` (once `FieldParams.parse_scalar` and `Mat.parse`);
+- `l_minus`, as its canonical basis written down, so that `siegel(sp, 0)`
+  and `act(J, L+)` are compared with a point that no reduction made;
+- the helpers `e_vec` and `quarters` (once `SpaceParams.e_vec` and
+  `SpaceParams.blocks`).
 """
 
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError
-from fsiegel.lagrangian import enumerate_lagrangians, span_images
-from fsiegel.linalg import Mat, block, mm, rank_stack, rcef_stack, sorted_stack, stack_keys, symmetric_stack
-from fsiegel.orbits import act
-from fsiegel.symplectic import TAG_SP_0, TAG_SP_E, TAG_SP_F, frontier_closure, group_element, make_space
+from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, VerificationFailure
+from fsiegel.field import EScalar
+from fsiegel.involutions import eigenspace_suite
+from fsiegel.lagrangian import Lagrangian, PointTable, enumerate_lagrangians, span_images
+from fsiegel.linalg import (
+    PAIR_DTYPE, Mat, block, blocks, entry_bytes, mm, rank_stack, rcef, rcef_stack, rref, sorted_stack, stack_keys,
+    symmetric_stack,
+)
+from fsiegel.orbits import OrbitRecord, act
+from fsiegel.symplectic import (
+    TAG_SP_0, TAG_SP_E, TAG_SP_F, _generator_stack, frontier_closure, group_element, make_space,
+)
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -258,11 +285,11 @@ def is_member_by_mats(sp, g, tag) -> bool:
     if g.shape != (sp.dim, sp.dim):
         raise ShapeError(f"expected a {sp.dim}x{sp.dim} matrix, got {g.shape}")
     if tag == TAG_SP_F:
-        return g.is_rational and is_member_by_mats(sp, g, TAG_SP_E)
+        return not g.a[..., 1].any() and is_member_by_mats(sp, g, TAG_SP_E)
     eye = Mat.identity(sp.fp, sp.n)
     g_t = g.T
     if tag == TAG_SP_E:
-        a, b, c, d = sp.blocks(g)
+        a, b, c, d = quarters(sp, g)
         a_t = a.T
         by_blocks = (a_t @ c).is_symmetric() and (d.T @ b).is_symmetric() and a_t @ d - c.T @ b == eye
         direct = g_t @ sp.j @ g == sp.j
@@ -270,7 +297,7 @@ def is_member_by_mats(sp, g, tag) -> bool:
             raise ConsistencyError("symplectic block conditions disagree with t(g)Jg = J")
         return direct
     if tag == TAG_SP_0:
-        r, s_, t, v = sp.blocks(g)
+        r, s_, t, v = quarters(sp, g)
         closed = (
             t == s_.conj()
             and v == r.conj()
@@ -607,3 +634,211 @@ def unitary_by_scan(fp, m: int) -> list[Mat]:
         return np.all(mm(fp, star, arr) == eye, axis=(1, 2, 3))
 
     return _scan_matrices(fp, m, True, keep)
+
+
+# -- the scalar API that no subcommand calls ----------------------------------
+
+def orbit(seed, gens, cap=None) -> OrbitRecord:
+    """BFS orbit of the seed, one stacked canonicalization per frontier.
+
+    The members become the rows of their own sorted table.  Transporter
+    words follow the BFS parent pointers (a Schreier vector).
+    """
+    sp = seed.space
+    mats = _generator_stack(sp, gens)
+    bases, parent, via = frontier_closure(
+        seed.basis.a, lambda f: span_images(sp, mats, f), sp.q, cap, "orbit"
+    )
+    for i in blocks(len(bases), start=1):  # every edge, a block at a time
+        images = rcef_stack(sp.fp, mm(sp.fp, mats[via[i]], bases[parent[i]]))[0]
+        if not np.array_equal(images, bases[i]):
+            raise VerificationFailure("transporter word does not reproduce its point")
+    table = PointTable(sp, bases)
+    return OrbitRecord(table, table.rows(bases), parent, via)
+
+
+def orbit_members(rec) -> list:
+    """An orbit record's points, sorted, as `Lagrangian`s."""
+    return [rec.table[i] for i in rec.rows.tolist()]
+
+
+def transporters(rec) -> dict:
+    """Word per member, keyed by `Lagrangian.key`, read off the parent pointers."""
+    words = [()]
+    for p, i in zip(rec.parent[1:].tolist(), rec.via[1:].tolist()):
+        words.append(words[p] + (i,))
+    return {entry_bytes(rec.table.bases[i]): w for i, w in zip(rec.found.tolist(), words)}
+
+
+def member_keys(rec) -> frozenset:
+    return frozenset(entry_bytes(rec.table.bases[i]) for i in rec.rows.tolist())
+
+
+def as_sets(report) -> set:
+    """A partition report's orbits as sets of member keys."""
+    return {member_keys(o) for o in report.orbits}
+
+
+def stabilizer_order(group_order: int, orbit_size: int) -> int:
+    if orbit_size <= 0 or group_order % orbit_size != 0:
+        raise VerificationFailure(
+            f"orbit size {orbit_size} does not divide group order {group_order}"
+        )
+    return group_order // orbit_size
+
+
+def l_minus(sp) -> Lagrangian:
+    """L- = span(e_{n+1}, ..., e_{2n}), its canonical basis (0; I) written down, not reduced."""
+    return Lagrangian(sp, block(sp.fp, [[Mat.zeros(sp.fp, sp.n, sp.n)], [Mat.identity(sp.fp, sp.n)]]))
+
+
+def strata(q: int, n: int, cap: int | None = None):
+    """Census by label: (h_strata, o_strata), lists of sorted points indexed by rank/type."""
+    table = enumerate_lagrangians(q, n, cap)
+    return tuple(
+        [[table[i] for i in np.flatnonzero(labels == r).tolist()] for r in range(n + 1)]
+        for labels in (table.h_rank, table.o_type)
+    )
+
+
+def conjugate_pair_dims(w) -> tuple[int, int]:
+    """(dim(W + conj W), dim(W ^ conj W)) by exact rank arithmetic."""
+    sp = w.space
+    joined = np.concatenate([w.basis.a, w.basis.conj().a], axis=1)
+    dim_sum = Mat(sp.fp, joined).rank()
+    return dim_sum, 2 * sp.n - dim_sum
+
+
+def intersection_with_conj(w) -> Mat:
+    """Canonical basis of W ^ conj(W) (may have zero columns dropped)."""
+    sp = w.space
+    m, mbar = w.basis, w.basis.conj()
+    stacked = Mat(sp.fp, np.concatenate([m.a, (-mbar.a) % sp.q], axis=1))
+    ker = mat_kernel(stacked)
+    x_part = Mat(sp.fp, ker.a[: sp.n])
+    inside = m @ x_part
+    red, _ = rcef(sp.fp, inside.a)
+    return Mat(sp.fp, red)
+
+
+def h_e_radical(w) -> Mat:
+    """Canonical basis of the radical of h_e restricted to W."""
+    sp = w.space
+    g = w.gram("h_e")
+    ker = mat_kernel(g.T)
+    red, _ = rcef(sp.fp, (w.basis @ ker).a)
+    return Mat(sp.fp, red)
+
+
+def kernel_arr(fp, a: np.ndarray) -> np.ndarray:
+    """Basis of the right null space, one column per free variable."""
+    red, pivots = rref(fp, a)
+    ncols = a.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    out = np.zeros((ncols, len(free), 2), dtype=PAIR_DTYPE)
+    for j, f in enumerate(free):
+        out[f, j, 0] = 1
+        for i, pc in enumerate(pivots):
+            out[pc, j, 0] = (-red[i, f, 0]) % fp.q
+            out[pc, j, 1] = (-red[i, f, 1]) % fp.q
+    return out
+
+
+def det_arr(fp, a: np.ndarray) -> tuple[int, int]:
+    det = np.array([1, 0], dtype=np.int64)
+    pivots = rref(fp, a, det)[1]
+    return (int(det[0]), int(det[1])) if len(pivots) == len(a) else (0, 0)
+
+
+def mat_det(m: Mat) -> EScalar:
+    if m.rows != m.cols:
+        raise ShapeError("determinant needs a square matrix")
+    re, im = det_arr(m.fp, m.a)
+    return EScalar(m.fp, re, im)
+
+
+def mat_kernel(m: Mat) -> Mat:
+    return Mat(m.fp, kernel_arr(m.fp, m.a))
+
+
+def parse_scalar(fp, text: str) -> EScalar:
+    """The scalar an `encode`d report entry names."""
+    t = text.replace(" ", "")
+    if "+" in t:
+        a, rest = t.split("+", 1)
+        if not rest.endswith("*s"):
+            raise ParameterError(f"bad scalar literal {text!r}")
+        return EScalar(fp, int(a), int(rest[:-2]))
+    return EScalar(fp, int(t))
+
+
+def parse_mat(fp, text: str) -> Mat:
+    """The matrix an `encode`d report entry names."""
+    rows = [[parse_scalar(fp, x) for x in row.split(",")] for row in text.split(";")]
+    return Mat.build(fp, rows)
+
+
+def e_vec(sp, j: int) -> Mat:
+    """Canonical basis column vector e_j, 0-indexed."""
+    return Mat(sp.fp, sp.identity.a[:, j : j + 1])
+
+
+def quarters(sp, g: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+    """The n x n blocks A, B, C, D of g = (A, B; C, D)."""
+    n = sp.n
+    return (
+        g.block(0, n, 0, n),
+        g.block(0, n, n, 2 * n),
+        g.block(n, 2 * n, 0, n),
+        g.block(n, 2 * n, n, 2 * n),
+    )
+
+
+def _check_vec(sp, v: Mat):
+    if v.shape != (sp.dim, 1):
+        raise ShapeError(f"expected a column vector of length {sp.dim}, got {v.shape}")
+
+
+def omega(sp, v: Mat, w: Mat) -> EScalar:
+    _check_vec(sp, v)
+    _check_vec(sp, w)
+    return (v.T @ sp.j @ w).at(0, 0)
+
+
+def h_e(sp, v: Mat, w: Mat) -> EScalar:
+    _check_vec(sp, v)
+    _check_vec(sp, w)
+    return (v.T @ sp.j @ w.conj()).at(0, 0)
+
+
+def h_0(sp, v: Mat, w: Mat) -> EScalar:
+    _check_vec(sp, v)
+    _check_vec(sp, w)
+    return (v.T @ sp.d_form @ w.conj()).at(0, 0)
+
+
+def _space_of(t):
+    return make_space(t.mat.fp.q, t.mat.rows // 2)
+
+
+def involution_form(t) -> Mat:
+    """The symmetric matrix J T attached to an anti-involution."""
+    sp = _space_of(t)
+    if (t.mat @ t.mat) != -sp.identity:
+        raise ParameterError("input does not square to -I")
+    return sp.j @ t.mat
+
+
+def eigenspace_model(t) -> Lagrangian:
+    """The +i eigenspace of an anti-involution, as a canonical Lagrangian (one row of the suite)."""
+    sp = _space_of(t)
+    models, rep = eigenspace_suite(sp, t.mat.a[None])
+    if not rep["lagrangian"][0]:
+        raise ParameterError("the +i eigenspace is not a Lagrangian")
+    return Lagrangian(sp, Mat(sp.fp, models[0]))
+
+
+def eigenspace_report(t) -> dict:
+    """Per-item verification of the eigenspace decomposition contracts (one row of the suite)."""
+    rep = eigenspace_suite(_space_of(t), t.mat.a[None])[1]
+    return {key: v[0].item() for key, v in rep.items()}

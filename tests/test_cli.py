@@ -2,6 +2,7 @@ import ast
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -369,6 +370,33 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
+def test_an_internal_error_exits_4_with_its_traceback_and_the_partial_records():
+    """A ConsistencyError is a broken program, not a failed check (1): the process entry prints
+    its traceback and exits 4, after the records finished so far.  KeyboardInterrupt keeps
+    Python's own exit, by SIGINT."""
+    child = (
+        "import sys\n"
+        "from fsiegel import checks, errors\n"
+        "from fsiegel.__main__ import run\n"
+        "def broken(q, n, cap_group, cap_points):\n"
+        "    raise {}\n"
+        "checks._CHECKS['strata-map'] = broken\n"
+        "sys.exit(run())\n"
+    )
+    argv = ["verify", "--checks", "lemma4,strata-map", "--q", "3", "--n", "1"]
+    internal, interrupt = (
+        subprocess.run([sys.executable, "-c", child.format(error), *argv], capture_output=True, text=True,
+                       env=_child_env())
+        for error in ("errors.ConsistencyError('two routes disagree')", "KeyboardInterrupt")
+    )
+    assert (internal.returncode, internal.stdout) == (4, ""), internal.stderr
+    assert internal.stderr.startswith('partial records: [{"check": "lemma4"')
+    assert "Traceback (most recent call last):" in internal.stderr
+    assert internal.stderr.rstrip().endswith("fsiegel.errors.ConsistencyError: two routes disagree")
+    assert (interrupt.returncode, interrupt.stdout) == (-signal.SIGINT, ""), interrupt.stderr
+    assert interrupt.stderr.rstrip().endswith("KeyboardInterrupt")
+
+
 def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
     # np.unique without counts or indices imports numpy.ma, 13 ms in a cold process; the
     # cells are the group closures at (23,1), the seeded samples at (7,2), the
@@ -465,3 +493,74 @@ def test_only_linalg_sets_a_block_size():
     """Every stacked pass takes its blocks from `linalg.blocks`; `_WORD_CHUNK` counts RNG words, not matrices."""
     found = [(path.name, name) for path in sorted((SRC / "fsiegel").glob("*.py")) for name in _block_constants(ast.parse(path.read_text()))]
     assert found == [("linalg.py", "_STACK_CHUNK"), ("sampling.py", "_WORD_CHUNK")]
+
+
+# Six cheap runs that between them reach every function of `src/fsiegel/` outside the
+# allow-list: all five subcommands, the three formats and both cells of each rank.
+_CHEAP_ARGVS = [
+    ["verify", "--q", "3,5", "--n", "1,2"],
+    ["verify", "--q", "3", "--n", "1", "--format", "md"],
+    ["census", "--q", "3", "--n", "1", "--format", "csv"],
+    ["orbits", "--q", "3", "--n", "1", "--group", "sp0"],
+    ["group", "--q", "3", "--n", "1", "--group", "sp", "--enumerate"],
+    ["witness", "--q", "3,5", "--n", "1,2"],
+]
+
+# The functions no CLI run needs to reach, each with the reason it stays.  Dunders are
+# exempt: `Mat`, `Lagrangian`, `GroupElement` and `EScalar` need them as values.
+# (`fsiegel.cayley`, `generators` and `make_space` are reached; they also stay exported
+# because the benchmark's set-up code and its alias check import them.)
+_UNREACHED_BY_DESIGN = {
+    # the determinism contract: reports compare equal once it has dropped the wall times
+    "cli.strip_volatile",
+    # the process entry; in process a run calls `cli.main`, for `run` freezes the gc
+    "__main__.run",
+    # the cell-slot decorator, applied at import, before any run starts
+    "symplectic.per_cell",
+    # `partition`'s fallback when no action table is given: the benchmark's tracer binds
+    # `partition`'s `gens` to name its `orbits.partition[spf|sp0]` spans
+    "symplectic._generator_stack",
+}
+
+
+def _defs(node, prefix=""):
+    """(qualified name, first line) of each def under an ast node; a decorated def's code
+    starts at its first decorator."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield from _defs(child, f"{prefix}{child.name}.<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defs(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defs(child, prefix)
+
+
+def test_every_src_function_is_reached_by_the_cli_or_allow_listed(capsys, fresh_cell):
+    """`src/` holds what the CLI runs: a function that only tests call belongs in the oracles."""
+    import fsiegel
+    from fsiegel.field import make_fields
+
+    pkg = Path(fsiegel.__file__).resolve().parent
+    reached = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and Path(code.co_filename).parent == pkg:
+            reached.add((Path(code.co_filename).stem, code.co_firstlineno))
+
+    make_fields.cache_clear()  # so the fields, like the cell slot, are built inside the trace
+    sys.setprofile(profile)
+    try:
+        for argv in _CHEAP_ARGVS:
+            main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    unreached = [
+        f"{path.stem}.{name}"
+        for path in sorted(pkg.glob("*.py"))
+        for name, line in _defs(ast.parse(path.read_text()))
+        if (path.stem, line) not in reached and not (name.rsplit(".", 1)[-1].startswith("__") and name.endswith("__"))
+    ]
+    assert sorted(set(unreached) ^ _UNREACHED_BY_DESIGN) == []  # neither a new unreached def nor a stale entry

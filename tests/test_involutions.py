@@ -7,7 +7,7 @@ from fsiegel import involutions
 from fsiegel.checks import run_check
 from fsiegel.errors import ParameterError, ResourceLimitError
 from fsiegel.field import epsilon_f, make_fields
-from fsiegel.linalg import Mat, block_diag, det_arr, det_stack, mm
+from fsiegel.linalg import Mat, block_diag, det_stack, entry_bytes, mm
 from fsiegel.symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
@@ -17,7 +17,7 @@ from fsiegel.symplectic import (
     generators,
     make_space,
 )
-from fsiegel.lagrangian import from_basis, strata
+from fsiegel.lagrangian import from_basis
 from fsiegel.orbits import act
 from fsiegel.involutions import (
     _equivariant,
@@ -25,15 +25,23 @@ from fsiegel.involutions import (
     anti_involutions,
     classify_involutions,
     correspondence_report,
-    eigenspace_model,
     eigenspace_suite,
-    eigenspace_report,
-    involution_form,
     involution_form_report,
     scaled_involutions,
 )
 
-from oracles import conjugation_closure, pairing_identity_holds, smallest_nonresidue
+from oracles import (
+    conjugation_closure,
+    det_arr,
+    eigenspace_model,
+    eigenspace_report,
+    involution_form,
+    mat_det,
+    mat_kernel,
+    pairing_identity_holds,
+    smallest_nonresidue,
+    strata,
+)
 
 CAP = 10**5
 
@@ -51,8 +59,8 @@ def test_anti_involution_count_q5_is_example_formula():
 def test_j_is_always_an_anti_involution():
     for q, n in [(3, 1), (5, 1), (3, 2)]:
         sp = make_space(q, n)
-        keys = {t.mat.key() for t in anti_involutions(q, n, CAP)}
-        assert sp.j.key() in keys
+        keys = {entry_bytes(t.mat.a) for t in anti_involutions(q, n, CAP)}
+        assert entry_bytes(sp.j.a) in keys
 
 
 def test_cap_enforced():
@@ -67,7 +75,7 @@ def test_involution_form_values():
     bt = involution_form(t)
     assert bt == sp.j @ sp.j  # = -I
     assert bt == -sp.identity
-    assert bt.det() == fp.one
+    assert mat_det(bt) == fp.one
     with pytest.raises(ParameterError):
         involution_form(GroupElement(sp.identity, TAG_SP_F))
 
@@ -78,7 +86,7 @@ def test_involution_form_discriminants_exhaustive(q):
     for t in anti_involutions(q, 1, CAP):
         bt = involution_form(t)
         assert bt.is_symmetric()
-        det = bt.det()
+        det = mat_det(bt)
         assert det == fp.one
         assert fp.is_square_in_f(det.re)
 
@@ -171,9 +179,9 @@ def test_correspondence_square_branch():
 
 def _scalar_equivariant(ants, models, gens) -> bool:
     """The scalar route: act(g, W_T) == W_{g T g^-1}, one pair at a time."""
-    by_key = {t.mat.key(): w for t, w in zip(ants, models)}
+    by_key = {entry_bytes(t.mat.a): w for t, w in zip(ants, models)}
     return all(
-        act(g, by_key[t.mat.key()]) == by_key.get((g.mat @ t.mat @ g.mat.inv()).key())
+        act(g, by_key[entry_bytes(t.mat.a)]) == by_key.get(entry_bytes((g.mat @ t.mat @ g.mat.inv()).a))
         for t in ants
         for g in gens
     )
@@ -217,12 +225,12 @@ def test_correspondence_count_matches_top_stratum_3_2():
 
 def test_conjugation_invariance_of_the_set():
     sp = make_space(3, 1)
-    keys = {t.mat.key() for t in anti_involutions(3, 1, CAP)}
+    keys = {entry_bytes(t.mat.a) for t in anti_involutions(3, 1, CAP)}
     grp = enumerate_symplectic(sp, TAG_SP_F, CAP)
     for g in grp:
         ginv = g.mat.inv()
         for t in anti_involutions(3, 1, CAP):
-            assert (g.mat @ t.mat @ ginv).key() in keys
+            assert entry_bytes((g.mat @ t.mat @ ginv).a) in keys
 
 
 @pytest.mark.parametrize("q", [3, 7, 23])
@@ -241,7 +249,7 @@ def test_scaled_involutions_examples():
     assert [len(scaled_involutions(7, 1, a, CAP)) for a in (2, 4)] == [0, 0]
     s1 = scaled_involutions(3, 1, 1, CAP)
     sp = make_space(3, 1)
-    assert {t.mat.key() for t in s1} == {sp.identity.key(), (-sp.identity).key()}
+    assert {entry_bytes(t.mat.a) for t in s1} == {entry_bytes(sp.identity.a), entry_bytes((-sp.identity).a)}
 
 
 def test_empty_scaled_set_is_an_empty_table():
@@ -281,9 +289,9 @@ def test_isotropy_masks_match_the_scalar_loops(q):
     i = fp.sqrt(fp.e(-1))
     h_seed = Mat.diag(fp, [i, -i])
     group = enumerate_symplectic(sp, TAG_SP_F, CAP)
-    isotropy = {g.mat.key() for g in group if g.mat @ h_seed == h_seed @ g.mat}
+    isotropy = {entry_bytes(g.mat.a) for g in group if g.mat @ h_seed == h_seed @ g.mat}
     diagonal = {
-        g.mat.key() for g in group if g.mat.block(0, 1, 1, 2).is_zero and g.mat.block(1, 2, 0, 1).is_zero
+        entry_bytes(g.mat.a) for g in group if g.mat.block(0, 1, 1, 2).is_zero and g.mat.block(1, 2, 0, 1).is_zero
     }
     rep = correspondence_report(q, 1, CAP, 10**4)
     assert rep["isotropy_is_diagonal_subgroup"] and isotropy == diagonal
@@ -314,7 +322,7 @@ def test_classification_3_2():
 # ---------------------------------------------------------------------------
 
 def _scalar_eigenspace(sp, t: Mat, value) -> Mat:
-    return (t - value * sp.identity).kernel()
+    return mat_kernel(t - value * sp.identity)
 
 
 def _scalar_eigenspace_model(t: GroupElement):
@@ -340,7 +348,7 @@ def _scalar_eigenspace_report(t: GroupElement) -> dict:
     out["lagrangian"] = True  # from_basis validates isotropy and rank
     if epsilon_f(q) == -1:
         wm = from_basis(sp, ker_m)
-        out["conjugate_swaps"] = w.conj() == wm
+        out["conjugate_swaps"] = from_basis(sp, w.basis.conj()) == wm
         joined = Mat(fp, np.concatenate([ker_p.a, ker_p.conj().a], axis=1))
         out["no_rational_vectors"] = joined.rank() == sp.dim
         cross = w.basis.T @ sp.j @ wm.basis.conj()
