@@ -10,7 +10,7 @@ from .errors import (
     ShapeError,
     VerificationFailure,
 )
-from .field import EScalar, FieldParams, epsilon_f, make_fields, tau_f
+from .field import EScalar, FieldParams, epsilon_f, tau_f
 from .linalg import Mat, block, solve
 from .symplectic import (
     TAG_SP_0,

@@ -107,8 +107,8 @@ def cayley(q: int, n: int) -> CayleyData:
         branch = "minus-one-nonsquare"
         params = {"i": i}
     else:
-        v = next(x for x in fp.elements() if x.im != 0 and x.norm() == fp.one)
         b = fp.one
+        v = next(x for x in fp.elements() if x.im != 0 and x.norm() == b)
         m = block(fp, [[v * eye, b * eye], [eye, v * b * eye]])
         branch = "minus-one-square"
         params = {"v": v, "b": b}

@@ -30,7 +30,7 @@ from .checks import (
     run_check,
 )
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, count_text
-from .field import epsilon_f, make_fields, tau_f
+from .field import FieldParams, epsilon_f, tau_f
 from .lagrangian import lagrangian_count, witnesses
 from .symplectic import (
     TAG_SP_0,
@@ -63,7 +63,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _validate_qs(qs: list[int]) -> list[int]:
     for q in qs:
         try:
-            make_fields(q)
+            FieldParams(q)
         except ParameterError as exc:
             raise UsageError(str(exc))
     return qs
@@ -82,16 +82,7 @@ def _parse_ns(text: str) -> list[int]:
 def _field_echo(qs: list[int]) -> dict:
     out = {}
     for q in sorted(set(qs)):
-        fp = make_fields(q)
-        out[str(q)] = {"eps": fp.eps, "epsilon_f": epsilon_f(q), "tau_f": tau_f(q)}
-    return out
-
-
-def _cayley_echo(qs: list[int], ns: list[int]) -> dict:
-    out = {}
-    for q in sorted(set(qs)):
-        for n in sorted(set(ns)):
-            out[f"{q},{n}"] = cayley(q, n).report()
+        out[str(q)] = {"eps": FieldParams(q).eps, "epsilon_f": epsilon_f(q), "tau_f": tau_f(q)}
     return out
 
 
@@ -204,13 +195,17 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
     _positive(args.jobs, "--jobs")
 
+    cayley_params = {}
+
     def cell(q, n):
-        return (run_check(c, q, n, caps["group"], caps["points"]) for c in selected)
+        for c in selected:
+            yield run_check(c, q, n, caps["group"], caps["points"])
+        cayley_params[f"{q},{n}"] = cayley(q, n).report()  # while the cell is in the slot
 
     payload, code = _report(args, caps, cell, checks=selected, jobs=args.jobs)
     records = payload["checks"]
     records.sort(key=lambda r: (r["q"], r["n"], r["check"]))
-    payload["cayley_params"] = _cayley_echo(payload["config"]["q"], payload["config"]["n"])
+    payload["cayley_params"] = cayley_params
     payload["counts"] = {
         s: sum(1 for r in records if r["status"] == s) for s in ("pass", "fail", "skipped-resource")
     }

@@ -5,14 +5,14 @@ non-residue of F.  An element is stored as the coefficient pair
 (re, im) meaning re + im*s; Galois conjugation fixes F and sends s to -s,
 so the conjugation-fixed elements are exactly those with im == 0.
 
-Scans over E (square roots, norm solving) run in a fixed "rational first"
-order: im ascending, then re ascending.  This keeps every derived constant
-reproducible for a given q.
+Scans over E run in a fixed "rational first" order: im ascending, then re
+ascending.  A norm preimage is the first in that order; a square root is
+read off the log table and is the first root in that order too.  This
+keeps every derived constant reproducible for a given q.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -171,10 +171,10 @@ class CodeTables(NamedTuple):
 class FieldParams:
     """The pair (GF(q), GF(q^2)) with its fixed non-residue eps.
 
-    Also carries the cached scan tables (square roots, norm preimages) and
-    the stacked elimination's `CodeTables`, each built on first use, and
-    the pair-level helpers used by the matrix layer, which works on raw
-    (re, im) integer pairs for speed.
+    Its one table, `CodeTables`, is built on first use; a cell's space owns
+    its field, so the tables go with the cell.  `zero`, `one` and `s` are
+    built per access, for a field holding scalars that hold it would form a
+    cycle.  The pair-level helpers serve the matrix layer.
     """
 
     def __init__(self, q: int):
@@ -182,12 +182,11 @@ class FieldParams:
             raise ParameterError(f"q must be an odd prime, got {q!r}")
         self.q = q
         self.eps = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
-        self.zero = EScalar(self, 0)
-        self.one = EScalar(self, 1)
-        self.s = EScalar(self, 0, 1)
-        self._sqrt_table = None
-        self._norm_table = None
         self._code_tables = None
+
+    zero = property(lambda self: EScalar(self, 0))
+    one = property(lambda self: EScalar(self, 1))
+    s = property(lambda self: EScalar(self, 0, 1))
 
     def __repr__(self):
         return f"FieldParams(q={self.q}, eps={self.eps})"
@@ -228,17 +227,20 @@ class FieldParams:
         a %= self.q
         return a == 0 or pow(a, (self.q - 1) // 2, self.q) == 1
 
-    # -- scan-backed solvers --------------------------------------------
+    # -- solvers --------------------------------------------------------
 
     def sqrt(self, x: EScalar) -> EScalar | None:
-        """First t in scan order with t*t == x, or None."""
-        if self._sqrt_table is None:
-            table = {}
-            for t in self.elements():
-                sq = t * t
-                table.setdefault((sq.re, sq.im), t)
-            self._sqrt_table = table
-        return self._sqrt_table.get((x.re % self.q, x.im % self.q))
+        """First t in scan order with t*t == x, or None: x = g^k, for the log
+        table's primitive g, has the roots +-g^(k/2) when k is even, else none."""
+        q = self.q
+        t = self.code_tables()
+        k = int(t.log[x.re % q * t.radix + x.im % q])
+        if k == 2 * (q * q - 1):
+            return self.zero
+        if k % 2:
+            return None
+        re, im = divmod(int(t.exp[k // 2]), t.radix)
+        return EScalar(self, *min((re, im), (-re % q, -im % q), key=lambda p: (p[1], p[0])))
 
     def solve_norm(self, a) -> EScalar:
         """First t in scan order with norm(t) == a, for a in the base field."""
@@ -247,12 +249,7 @@ class FieldParams:
             raise ParameterError("norm equation target must lie in the base field")
         if a.is_zero:
             raise ParameterError("norm equation target must be nonzero")
-        if self._norm_table is None:
-            table = {}
-            for t in self.units():
-                table.setdefault(t.norm().re, t)
-            self._norm_table = table
-        return self._norm_table[a.re]
+        return next(t for t in self.units() if t.norm() == a)
 
     # -- raw pair helpers for the matrix layer ---------------------------
 
@@ -279,7 +276,7 @@ class FieldParams:
 
     def code_tables(self) -> CodeTables:
         """The `CodeTables` of E, built with numpy from the powers of `primitive` on first use,
-        so constructing the field, its space and its generators stays cheap."""
+        so constructing the field, its space and its spf generators stays cheap."""
         if self._code_tables is None:
             q, eps = self.q, self.eps
             big, radix, off = q * q - 1, 2 * q - 1, 2 * q * (q - 1)
@@ -302,19 +299,12 @@ class FieldParams:
             self._code_tables = CodeTables(radix, off, log, exp, sub, inv, (q - 1) * radix)
         return self._code_tables
 
-@lru_cache(maxsize=None)
-def make_fields(q: int) -> FieldParams:
-    """Validated field parameters for an odd prime q; cached per q."""
-    return FieldParams(q)
-
 
 def epsilon_f(q: int) -> int:
-    """+1 when -1 is a square in GF(q), else -1."""
-    fp = make_fields(q)
-    return 1 if fp.is_square_in_f(q - 1) else -1
+    """+1 when -1 is a square in GF(q), else -1 (Euler's criterion)."""
+    return 1 if pow(q - 1, (q - 1) // 2, q) == 1 else -1
 
 
 def tau_f(q: int) -> int:
-    """+1 when -2 is a square in GF(q), else -1."""
-    fp = make_fields(q)
-    return 1 if fp.is_square_in_f(q - 2) else -1
+    """+1 when -2 is a square in GF(q), else -1 (Euler's criterion)."""
+    return 1 if pow(q - 2, (q - 1) // 2, q) == 1 else -1

@@ -127,17 +127,21 @@ class PointTable(RowTable):
 
     Per row the table holds the labels (the ranks of the two Gram matrices)
     and the Siegel-image flag (an invertible bottom block), all built with
-    the table and read-only.  Indexing a row gives its `Lagrangian`.
+    the table, one `blocks` block at a time, and read-only.  Given `keys`
+    are those of bases already sorted.  Indexing a row gives its `Lagrangian`.
     """
 
     __slots__ = ("space", "h_rank", "o_type", "in_image")
 
-    def __init__(self, sp: SpaceParams, bases: np.ndarray):
-        super().__init__(bases, sp.q)
+    def __init__(self, sp: SpaceParams, bases: np.ndarray, keys: np.ndarray | None = None):
+        super().__init__(bases, sp.q, keys)
         self.space = sp
-        self.h_rank = rank_stack(sp.fp, _grams(sp, self.arr, sp.j))
-        self.o_type = rank_stack(sp.fp, _grams(sp, self.arr, sp.d_form))
-        self.in_image = rank_stack(sp.fp, self.arr[:, sp.n :]) == sp.n
+        self.h_rank, self.o_type, self.in_image = (np.empty(len(self), dtype=d) for d in (np.int64, np.int64, bool))
+        for part in blocks(len(self)):  # the peak is the table plus one block of work
+            w = self.arr[part]
+            self.h_rank[part] = rank_stack(sp.fp, _grams(sp, w, sp.j))
+            self.o_type[part] = rank_stack(sp.fp, _grams(sp, w, sp.d_form))
+            self.in_image[part] = rank_stack(sp.fp, w[:, sp.n :]) == sp.n
         for arr in (self.h_rank, self.o_type, self.in_image):
             arr.setflags(write=False)
 
@@ -253,13 +257,15 @@ def _point_table(q: int, n: int) -> PointTable:
                 raise RankDeficientError(f"a chart span has rank below {n}")
             charts[s].append(red)
     bases = np.concatenate([red for chart in charts for red in chart])
-    del charts  # the labels set the table's peak: drop the per-chart copies first
+    del charts  # from here the stack in chart order is the one copy until it is sorted
     expected = lagrangian_count(q, n)
     if len(bases) != expected:
         raise ConsistencyError(
             f"enumeration found {len(bases)} Lagrangians, count formula gives {expected}"
         )
-    return PointTable(sp, bases)
+    rows = RowTable(bases, q)
+    del bases  # before the labels
+    return PointTable(sp, rows.arr, rows.keys)
 
 
 def enumerate_lagrangians(q: int, n: int, cap: int | None = None) -> PointTable:
@@ -325,10 +331,11 @@ def witnesses(q: int, n: int) -> list[WitnessRecord]:
             reason = "construction assumes -1 is a non-square in the base field"
         else:
             reason = "no (c, d) with 1 + N(c) + N(d) = 0 and c*conj(d) rational"
+            one = fp.one
             found = next(
                 (
                     (c, dd) for c in fp.units() for dd in fp.units()
-                    if (fp.one + c.norm() + dd.norm()).is_zero and (c * dd.conj()).is_rational
+                    if (one + c.norm() + dd.norm()).is_zero and (c * dd.conj()).is_rational
                 ),
                 None,
             )

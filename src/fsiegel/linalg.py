@@ -290,13 +290,18 @@ def entry_bytes(a: np.ndarray) -> bytes:
 def stack_keys(a: np.ndarray, q: int) -> np.ndarray:
     """One code per array of a stack (N, ...) of entries below q: its entries, in memory order,
     as base-q digits, the first most significant.  An int64 while q^E < 2^63 (E entries), else
-    big-endian int64 words viewed as one `S` string.  Either sorts as `entry_bytes`."""
-    flat = np.asarray(a, dtype=_I64).reshape(len(a), int(np.prod(a.shape[1:])))  # no -1 when empty
-    per = max(k for k in range(1, flat.shape[1] + 1) if q**k < 2**63)  # digits per int64 word
-    words = -(-flat.shape[1] // per)
-    if words > 1:  # the same zero digits end every key
-        flat = np.pad(flat, ((0, 0), (0, words * per - flat.shape[1])))
-    codes = flat.reshape(len(flat), words, per) @ q ** np.arange(per - 1, -1, -1, dtype=_I64)
+    big-endian int64 words viewed as one `S` string.  Either sorts as `entry_bytes`.  The
+    entries are widened to int64 one `blocks` block at a time."""
+    a = np.asarray(a)
+    size = int(np.prod(a.shape[1:]))
+    per = max(k for k in range(1, size + 1) if q**k < 2**63)  # digits per int64 word
+    words = -(-size // per)
+    codes, digits = np.empty((len(a), words), dtype=_I64), q ** np.arange(per - 1, -1, -1, dtype=_I64)
+    for part in blocks(len(a)):
+        flat = a[part].reshape(part.stop - part.start, size).astype(_I64)
+        if words > 1:  # the same zero digits end every key
+            flat = np.pad(flat, ((0, 0), (0, words * per - size)))
+        codes[part] = flat.reshape(len(flat), words, per) @ digits
     return codes[:, 0] if words == 1 else codes.astype(">i8").view(f"S{8 * words}").ravel()
 
 

@@ -25,7 +25,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, count_text
-from .field import FieldParams, epsilon_f, make_fields
+from .field import FieldParams, epsilon_f
 from .linalg import PAIR_DTYPE, Mat, RowTable, block, block_diag, blocks, conj_arr, lookup_rows, mm, stack_keys
 
 TAG_SP_E = "sp"
@@ -42,7 +42,7 @@ class SpaceParams:
             raise ParameterError(f"n must be >= 1, got {n}")
         self.q = q
         self.n = n
-        self.fp = make_fields(q)
+        self.fp = FieldParams(q)  # the cell's own field: its tables go with the cell
         self.dim = 2 * n
         fp, eye, zero = self.fp, Mat.identity(self.fp, n), Mat.zeros(self.fp, n, n)
         self.j = block(fp, [[zero, eye], [-eye, zero]])
@@ -70,9 +70,9 @@ def _frozen(value):
 def per_cell(build):
     """Memoize `build(q, n, *key)` in the one cell slot, its arrays made read-only for every caller.
 
-    The slot is the only cache of per-cell objects: the space, the generators, the similitude
-    and the tables.  Asking for another (q, n) drops the last cell's first, so a grid holds
-    one cell's at a time.
+    The slot is the only cache in the package: it holds the space with its field (and so the
+    field's code tables), the generators, the similitude and the tables.  Asking for another
+    (q, n) drops the last cell's first, so a grid holds one cell's at a time.
     """
 
     @wraps(build)

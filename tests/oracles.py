@@ -80,6 +80,25 @@ def all_scalars(q):
     return [(re, im) for im in range(q) for re in range(q)]
 
 
+# -- scans of E in scan order: the references for `FieldParams.sqrt` and `solve_norm` --
+
+def sqrt_table_by_scan(fp) -> dict:
+    """(re, im) of x -> the first t in scan order with t*t == x."""
+    table = {}
+    for t in fp.elements():
+        sq = t * t
+        table.setdefault((sq.re, sq.im), t)
+    return table
+
+
+def norm_table_by_scan(fp) -> dict:
+    """a in F* -> the first unit t in scan order with norm(t) == a."""
+    table = {}
+    for t in fp.units():
+        table.setdefault(t.norm().re, t)
+    return table
+
+
 # -- subspace enumeration -----------------------------------------------------
 
 def canonical_span(q, eps, vectors):

@@ -41,7 +41,7 @@ import time
 from itertools import product
 from pathlib import Path
 
-from fsiegel.field import make_fields, epsilon_f, tau_f
+from fsiegel.field import FieldParams, epsilon_f, tau_f
 from fsiegel.linalg import Mat, entry_bytes
 from fsiegel.symplectic import (
     TAG_SP_0,
@@ -122,7 +122,7 @@ def test_criterion_01_census_counts():
         details.append(f"({q},{n})={len(pts)} in {dt:.1f}s")
     # independent isotropic-subspace filters
     for q, n in [(3, 1), (5, 1), (3, 2)]:
-        fp = make_fields(q)
+        fp = FieldParams(q)
         found = {w.key for w in enumerate_lagrangians(q, n)}
         oracle = set()
         sp = make_space(q, n)
@@ -355,7 +355,7 @@ def test_criterion_08_stabilizer_factorization():
     q = 3
     rows = []
     ok = True
-    fp = make_fields(q)
+    fp = FieldParams(q)
     for n in (1, 2):
         for k in range(n + 1):
             rep = stabilizer_structure(q, n, k, CAP_G, CAP_P)

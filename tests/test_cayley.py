@@ -9,7 +9,7 @@ import pytest
 from fsiegel import checks, symplectic
 from fsiegel.checks import _conformal_pairs, _rng, run_check
 from fsiegel.errors import ConsistencyError, ParameterError
-from fsiegel.field import make_fields, tau_f
+from fsiegel.field import FieldParams, tau_f
 from fsiegel.linalg import Mat, block, entry_bytes, mm, stack_keys
 from fsiegel.symplectic import (
     TAG_SP_0,
@@ -64,7 +64,7 @@ from oracles import (
 
 def test_cayley_3_1_closed_form():
     cd = cayley(3, 1)
-    fp = make_fields(3)
+    fp = FieldParams(3)
     assert cd.branch == "minus-one-nonsquare"
     assert cd.normalized
     # -2 = 1 mod 3, so the normalization scalar is 1 and C = (s, 1; 1, s)
@@ -87,14 +87,14 @@ def test_cayley_conformal_spot_value_3_1():
 def test_inverse_conjugate_identity_nonsquare_branch():
     for q in (3, 7, 11):
         cd = cayley(q, 1)
-        fp = make_fields(q)
+        fp = FieldParams(q)
         c = cd.c.mat
         assert c.inv() == fp.e(-tau_f(q)) * c.conj()
 
 
 def test_cayley_square_branch_is_unnormalized_similitude():
     cd = cayley(5, 1)
-    fp = make_fields(5)
+    fp = FieldParams(5)
     assert cd.branch == "minus-one-square"
     assert not cd.normalized and cd.c is None
     # the multiplier has non-square norm, so no scalar can normalize it
@@ -107,7 +107,7 @@ def test_cayley_square_branch_is_unnormalized_similitude():
 def test_paper_parameter_family_fails_square_branch():
     # with norm(v) = -1 and b purely imaginary the block similitude does
     # not conjugate the rational group into the h_0-unitary one
-    fp = make_fields(5)
+    fp = FieldParams(5)
     sp = make_space(5, 1)
     eye = Mat.identity(fp, 1)
     failures = 0
@@ -254,7 +254,7 @@ def test_v_k_equals_the_entry_by_entry_span(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_witness_bases_equal_the_entry_by_entry_spans(q):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     for n in range(1, 6):
         sp = make_space(q, n)
         want = {name: from_basis(sp, Mat(fp, cols)) for name, cols in witness_spans_by_hand(fp, n).items()}
@@ -289,14 +289,14 @@ def test_stabilizer_factors_equal_the_two_block_and_slot_references(q, n, monkey
 
 
 def test_small_group_counts():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     assert len(orthogonal_group_elements(fp, 0)) == 1
     assert len(orthogonal_group_elements(fp, 1)) == 2
     assert len(orthogonal_group_elements(fp, 2)) == 8  # anisotropic plane form
     assert len(unitary_group_elements(fp, 0)) == 1
     assert len(unitary_group_elements(fp, 1)) == 4
     assert len(unitary_group_elements(fp, 2)) == 96
-    fp5 = make_fields(5)
+    fp5 = FieldParams(5)
     assert len(unitary_group_elements(fp5, 1)) == 6
     assert len(orthogonal_group_elements(fp5, 1)) == 2
 
@@ -308,7 +308,7 @@ def test_small_group_counts():
     + [(False, 23, 1), (False, 23, 2)],
 )
 def test_small_groups_are_the_scans_stacks(over_e, q, m):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     got = (unitary_group_elements if over_e else orthogonal_group_elements)(fp, m)
     want = (unitary_by_scan if over_e else orthogonal_by_scan)(fp, m)
     assert np.array_equal(np.stack([g.a for g in got]), np.stack([w.a for w in want]))
@@ -317,7 +317,7 @@ def test_small_groups_are_the_scans_stacks(over_e, q, m):
 
 @pytest.mark.parametrize("over_e,q,m", [(True, 3, 3), (True, 11, 2), (False, 3, 4), (False, 7, 3)])
 def test_small_groups_past_the_scans_have_their_closed_form_orders(over_e, q, m):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     got = (unitary_group_elements if over_e else orthogonal_group_elements)(fp, m)
     assert len(got) == (unitary_order if over_e else orthogonal_order)(q, m)
 
@@ -338,7 +338,7 @@ def test_a_reflection_closure_short_of_its_closed_form_is_refused(monkeypatch, b
     order = getattr(cayley_mod, order_name)
     monkeypatch.setattr(cayley_mod, order_name, lambda q, m: order(q, m) + 1)
     with pytest.raises(ConsistencyError, match=re.escape(message)):
-        build(make_fields(3), 2)
+        build(FieldParams(3), 2)
 
 
 @pytest.mark.parametrize(
@@ -353,7 +353,7 @@ def test_powers_of_the_one_reflection_short_of_the_closed_form_are_refused(monke
     order = getattr(cayley_mod, order_name)
     monkeypatch.setattr(cayley_mod, order_name, lambda q, m: order(q, m) + 1)
     with pytest.raises(ConsistencyError, match=re.escape(message)):
-        build(make_fields(3), 1)
+        build(FieldParams(3), 1)
 
 
 def test_stabilizer_structure_spot_values_3_1():

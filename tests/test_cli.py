@@ -416,12 +416,14 @@ def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
 
 
 def test_a_cell_out_of_memory_is_a_skip_record_not_a_traceback():
-    """The (11,2) table needs about 1.4 GB: a child that lowers its own address-space limit to
-    500 MB gets numpy's failed allocation, which becomes that cell's skip, so the run exits 3."""
+    """The (11,2) census needs about 400 MB of address space, two copies of the table's 114 MB of
+    bases (while they are concatenated and sorted) over 140 MB for Python and numpy: a child that
+    lowers its own address-space limit to 300 MB gets numpy's failed allocation, which becomes
+    that cell's skip, so the run exits 3."""
     env = dict(_child_env(), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     child = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (500 * 2**20, 500 * 2**20))\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))\n"
         "from fsiegel.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -539,7 +541,6 @@ def _defs(node, prefix=""):
 def test_every_src_function_is_reached_by_the_cli_or_allow_listed(capsys, fresh_cell):
     """`src/` holds what the CLI runs: a function that only tests call belongs in the oracles."""
     import fsiegel
-    from fsiegel.field import make_fields
 
     pkg = Path(fsiegel.__file__).resolve().parent
     reached = set()
@@ -549,7 +550,6 @@ def test_every_src_function_is_reached_by_the_cli_or_allow_listed(capsys, fresh_
         if event == "call" and Path(code.co_filename).parent == pkg:
             reached.add((Path(code.co_filename).stem, code.co_firstlineno))
 
-    make_fields.cache_clear()  # so the fields, like the cell slot, are built inside the trace
     sys.setprofile(profile)
     try:
         for argv in _CHEAP_ARGVS:

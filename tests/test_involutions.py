@@ -6,7 +6,7 @@ import pytest
 from fsiegel import involutions
 from fsiegel.checks import run_check
 from fsiegel.errors import ParameterError, ResourceLimitError
-from fsiegel.field import epsilon_f, make_fields
+from fsiegel.field import FieldParams, epsilon_f
 from fsiegel.linalg import Mat, block_diag, det_stack, entry_bytes, mm
 from fsiegel.symplectic import (
     TAG_SP_F,
@@ -82,7 +82,7 @@ def test_involution_form_values():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_involution_form_discriminants_exhaustive(q):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     for t in anti_involutions(q, 1, CAP):
         bt = involution_form(t)
         assert bt.is_symmetric()

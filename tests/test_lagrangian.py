@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fsiegel.errors import (
     RankDeficientError,
     ResourceLimitError,
 )
-from fsiegel.field import make_fields
+from fsiegel.field import FieldParams
 from fsiegel.linalg import Mat, entry_bytes, stack_keys
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, generators, make_space
 from fsiegel.lagrangian import (
@@ -128,7 +129,7 @@ def test_h_rank_of_siegel_points_n2_exhaustive():
 
 
 def test_type_equals_gram_rank_via_orthonormalization_oracle():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     for q, n in [(3, 1), (3, 2)]:
         for w in enumerate_lagrangians(q, n):
             g = w.gram("h_0")
@@ -290,14 +291,29 @@ def test_chart_minor_filter_matches_bottom_block_ranks(q, n):
 
 def test_each_principal_minor_is_ranked_once_per_block(monkeypatch, fresh_cell):
     """(3,2) in blocks of 64: 3^6 = 729 Z make 12 blocks, each ranking its 3 principal minors
-    once; the table's labels and image flags take 3 more ranks."""
+    once; the labels and image flags take 3 ranks in each of the table's 13 blocks of 820 rows."""
     from fsiegel import lagrangian, linalg
 
     calls = []
     monkeypatch.setattr(linalg, "_STACK_CHUNK", 64)
     monkeypatch.setattr(lagrangian, "rank_stack", lambda fp, a: calls.append(a.shape) or linalg.rank_stack(fp, a))
     lagrangian._point_table(3, 2)
-    assert len(calls) == 3 * 12 + 3
+    assert len(calls) == 3 * 12 + 3 * 13
+    assert max(shape[0] for shape in calls) == 64
+
+
+def test_the_point_table_build_peaks_below_three_times_its_bases(fresh_cell):
+    """The labels and the sort keys go one block at a time and the stack in chart order is
+    dropped once sorted, so the traced peak of the (7,2) build is two copies of the table (while
+    it is sorted) and one block of work: under 3x the 7.3 MB of its bases (5.6x with the labels
+    and the keys formed over all rows at once)."""
+    tracemalloc.start()
+    try:
+        table = _point_table(7, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table.bases.nbytes, (peak, table.bases.nbytes)
 
 
 @pytest.mark.parametrize("q,n", CHART_CELLS)
@@ -319,7 +335,7 @@ def test_chart_filter_that_keeps_duplicates_is_an_inconsistency(monkeypatch, fre
 
 @pytest.mark.parametrize("q,n", [(3, 1), (5, 1)])
 def test_enumeration_matches_line_filter(q, n):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     found = {w.key for w in enumerate_lagrangians(q, n)}
     oracle = set()
     for cols in all_subspaces(q, fp.eps, 2, 1):
@@ -329,7 +345,7 @@ def test_enumeration_matches_line_filter(q, n):
 
 
 def test_enumeration_matches_isotropic_filter_3_2():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     sp = make_space(3, 2)
     found = {w.key for w in enumerate_lagrangians(3, 2)}
     oracle = set()
@@ -405,7 +421,7 @@ def test_witnesses_3_2():
         "coordinate_span_k1_transported",
     } <= names
     assert all(r.status == "verified" for r in recs.values())
-    fp = make_fields(3)
+    fp = FieldParams(3)
     assert recs["even_null_nonimage"].params["b"] == (fp.one + fp.s).encode()
 
 

@@ -1,8 +1,5 @@
 import ast
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fsiegel import linalg, symplectic
 from fsiegel.checks import _CHECKS, DEFAULT_CAP_GROUP, DEFAULT_CAP_POINTS, run_check
 from fsiegel.errors import ShapeError
-from fsiegel.field import FieldParams, _is_prime, make_fields
+from fsiegel.field import FieldParams, _is_prime
 from fsiegel.lagrangian import PointTable, enumerate_lagrangians, lagrangian_count
 from fsiegel.linalg import (
     Mat,
@@ -59,7 +56,7 @@ def _random_mat(fp, rows, cols, rng):
 
 
 def test_ring_op_examples():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     eye = Mat.identity(fp, 2)
     assert eye.star() == eye
     assert Mat.build(fp, [[fp.s]]).star() == Mat.build(fp, [[-fp.s]])
@@ -69,7 +66,7 @@ def test_ring_op_examples():
 
 
 def test_shape_errors():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     with pytest.raises(ShapeError):
         Mat.identity(fp, 2) @ Mat.identity(fp, 3)
     with pytest.raises(ShapeError):
@@ -81,7 +78,7 @@ def test_shape_errors():
 
 
 def test_det_examples():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     assert mat_det(Mat.identity(fp, 3)) == fp.one
     m = Mat.build(fp, [[fp.s, 1], [1, fp.s]])
     assert mat_det(m) == fp.one  # s^2 - 1 = 2 - 1
@@ -90,7 +87,7 @@ def test_det_examples():
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_det_against_permutation_expansion(q):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     rng = random.Random(q)
     swaps = singular = 0
     for _ in range(200):
@@ -114,7 +111,7 @@ def test_det_against_permutation_expansion(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_inverse_det_rank_agree_on_random_matrices(q):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     rng = random.Random(17 * q)
     for _ in range(10_000):
         n = rng.randrange(1, 4)
@@ -128,7 +125,7 @@ def test_inverse_det_rank_agree_on_random_matrices(q):
 
 
 def test_kernel_basis():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     rng = random.Random(5)
     for _ in range(300):
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
@@ -141,7 +138,7 @@ def test_kernel_basis():
 
 
 def test_solve():
-    fp = make_fields(5)
+    fp = FieldParams(5)
     rng = random.Random(11)
     for _ in range(200):
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
@@ -162,7 +159,7 @@ def _canonical(m: Mat) -> Mat:
 
 
 def test_canonical_examples():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     assert _canonical(Mat.build(fp, [[2], [0]])).encode() == "1;0"
     got = _canonical(Mat.build(fp, [[fp.s], [1]]))
     assert got.encode() == "1;0+2*s"  # scale by s^{-1} = 2s
@@ -174,7 +171,7 @@ def test_canonical_examples():
 
 def test_canonical_characterizes_line_spans_exhaustively():
     # all 80 nonzero vectors of E^2 at q = 3, grouped into the 10 lines
-    fp = make_fields(3)
+    fp = FieldParams(3)
     cols = [
         (a, b)
         for a in all_scalars(3)
@@ -209,7 +206,7 @@ def test_canonical_characterizes_line_spans_exhaustively():
 
 
 def test_canonical_invariant_under_span_change():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     rng = random.Random(9)
     for _ in range(100):
         m = _random_mat(fp, 4, 2, rng)
@@ -223,7 +220,7 @@ def test_canonical_invariant_under_span_change():
 
 def test_canonical_matches_oracle_on_planes():
     # spot-check the canonical form against the hand-rolled oracle
-    fp = make_fields(3)
+    fp = FieldParams(3)
     count = 0
     for cols in all_subspaces(3, fp.eps, 3, 2):
         canon_cols, _ = canonical_span(3, fp.eps, cols)
@@ -237,7 +234,7 @@ def test_canonical_matches_oracle_on_planes():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_rank_transpose_star_invariance(q):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     rng = random.Random(q + 1)
     for _ in range(300):
         m = _random_mat(fp, rng.randrange(1, 5), rng.randrange(1, 5), rng)
@@ -245,7 +242,7 @@ def test_rank_transpose_star_invariance(q):
 
 
 def test_rank_against_span_counting_oracle():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     rng = random.Random(23)
     for _ in range(40):
         rows, cols = rng.randrange(1, 4), rng.randrange(1, 3)
@@ -257,7 +254,7 @@ def test_rank_against_span_counting_oracle():
 
 
 def test_is_rational_and_text():
-    fp = make_fields(5)
+    fp = FieldParams(5)
     m = Mat.build(fp, [[1, 2], [fp.s, 4]])
     assert not all(x.is_rational for x in (m[i, j] for i in range(2) for j in range(2)))
     r = Mat.build(fp, [[1, 2], [3, 4]])
@@ -267,7 +264,7 @@ def test_is_rational_and_text():
 
 
 def test_block_assembly():
-    fp = make_fields(3)
+    fp = FieldParams(3)
     eye = Mat.identity(fp, 2)
     z = Mat.zeros(fp, 2, 2)
     j = block(fp, [[z, eye], [-eye, z]])
@@ -276,7 +273,7 @@ def test_block_assembly():
 
 
 def test_block_diag_equals_block_with_zero_blocks():
-    fp = make_fields(5)
+    fp = FieldParams(5)
     rng = np.random.default_rng(14)
     shapes = [(2, 3), (0, 0), (1, 1), (0, 2), (3, 0), (2, 2)]
     mats = [Mat(fp, rng.integers(0, 5, size=(r, c, 2))) for r, c in shapes]
@@ -290,7 +287,7 @@ def test_block_diag_equals_block_with_zero_blocks():
 
 
 def test_mm_writes_the_stacked_pairs_of_both_parts():
-    fp = make_fields(7)
+    fp = FieldParams(7)
     rng = np.random.default_rng(15)
     a, b = rng.integers(0, 7, size=(5, 3, 4, 2)), rng.integers(0, 7, size=(4, 2, 2))
     ar, ai, br, bi = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
@@ -303,7 +300,7 @@ def test_products_past_the_int32_bound_are_exact():
     # at q = 20011 (eps = 2) a sum of 4 products of pairs can reach 4 (q - 1)^2 (1 + eps) > 2^31,
     # so `mm` over an inner dimension of 4 must multiply in int64; one product per entry stays
     # below 2^31, so `scalar_mm` and the scalar `rref` stay in int32 there
-    fp = make_fields(20011)
+    fp = FieldParams(20011)
     q, eps = fp.q, fp.eps
     assert 4 * (q - 1) ** 2 * (1 + eps) > 2**31 > (q - 1) ** 2 * (1 + eps)
     assert linalg.product_dtype(fp, 4) is np.int64 and linalg.product_dtype(fp, 1) is np.int32
@@ -389,7 +386,7 @@ def test_the_cell_slot_stores_pairs_as_int32_and_keys_counts_rows_as_int64(q, n)
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=50)
 def test_star_is_antihomomorphism(a, b, c, d):
-    fp = make_fields(3)
+    fp = FieldParams(3)
     m1 = Mat.build(fp, [[fp.e(a, b), 1], [0, fp.e(c, d)]])
     m2 = Mat.build(fp, [[1, fp.e(c, a)], [fp.e(d, b), 2]])
     assert (m1 @ m2).star() == m2.star() @ m1.star()
@@ -426,7 +423,7 @@ def _stacks(draw):
             stack[i, draw(st.integers(0, rows - 1))] = 0
         if cols and draw(st.booleans()):
             stack[i, :, draw(st.integers(0, cols - 1))] = 0
-    return make_fields(q), stack
+    return FieldParams(q), stack
 
 
 @given(_stacks())
@@ -446,7 +443,7 @@ def _square_stacks(draw):
     for i in range(size):
         if m and draw(st.booleans()):
             stack[i, : draw(st.integers(1, m)), 0] = 0
-    return make_fields(q), stack
+    return FieldParams(q), stack
 
 
 @given(_square_stacks())
@@ -458,7 +455,7 @@ def test_det_stack_matches_det_arr_on_random_stacks(case):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 23, 1009])
 def test_stacked_kernel_edge_shapes(q):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     rng = np.random.default_rng(q)
     for rows, cols in [(4, 2), (2, 4), (1, 6), (6, 1), (3, 3)]:
         stack = rng.integers(0, q, size=(40, rows, cols, 2))
@@ -480,24 +477,14 @@ def test_stacked_kernel_edge_shapes(q):
     assert red.shape == (0, 3, 2, 2) and ranks.shape == (0,)
 
 
-def test_set_up_path_builds_no_code_tables():
-    # the stacked elimination builds its field's tables on first use: importing fsiegel and
-    # building a cell's space, sp0 generators and Cayley data must not pay for them
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = (
-        "import fsiegel\n"
-        "from fsiegel.cayley import cayley\n"
-        "from fsiegel.field import make_fields\n"
-        "from fsiegel.symplectic import generators, make_space\n"
-        "for q, n in [(3, 2), (23, 1), (7, 2)]:\n"
-        "    make_fields(q)\n"
-        "    generators(make_space(q, n), 'sp0')\n"
-        "    cayley(q, n)\n"
-        "print([make_fields(q)._code_tables is None for q in (3, 23, 7)])\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
-    assert proc.stdout.split() == ["[True,", "True,", "True]"], proc.stderr
+def test_a_cells_space_and_rational_generators_build_no_code_tables(fresh_cell):
+    """The stacked elimination builds its field's tables on first use: a cell's space and its
+    spf generators must not pay for them, not even at q = 20011, where they would take 19 GB.
+    (sp0's generators do, through M, whose square roots read the log table.)"""
+    for q, n in [(3, 2), (23, 1), (7, 2), (20011, 1)]:
+        sp = make_space(q, n)
+        generators(sp, TAG_SP_F)
+        assert sp.fp._code_tables is None, (q, n)
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (5, 1)])
@@ -539,7 +526,7 @@ def test_kernel_stack_matches_scalar_on_random_stacks(case):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 23])
 def test_kernel_stack_zero_full_rank_wide_and_tall(q):
-    fp = make_fields(q)
+    fp = FieldParams(q)
     rng = np.random.default_rng(q)
     for m, k in [(4, 2), (2, 4), (1, 6), (6, 1), (3, 3), (0, 3), (3, 0)]:
         _assert_kernel_stack_matches_scalar(fp, np.zeros((5, m, k, 2), dtype=np.int64))
@@ -554,7 +541,7 @@ def test_kernel_stack_zero_full_rank_wide_and_tall(q):
 
 
 def test_stack_keys_and_lookup_rows_full_and_empty():
-    fp = make_fields(5)
+    fp = FieldParams(5)
     rng = np.random.default_rng(11)
     stack = rng.integers(0, 5, (30, 3, 2, 2))
     keys = stack_keys(stack, 5)
@@ -572,6 +559,15 @@ def test_stack_keys_and_lookup_rows_full_and_empty():
     assert stack_keys(empty, 5).shape == (0,)
     assert lookup_rows(keys, stack_keys(empty, 5)).shape == (0,)
     assert lookup_rows(stack_keys(empty, 5), keys).tolist() == [-1] * len(stack)
+
+
+@pytest.mark.parametrize("q,shape", [(5, (3, 2, 2)), (5, (4, 4, 2))])  # one int64 word, then wide codes
+def test_stack_keys_by_blocks_equal_the_keys_of_one_block(monkeypatch, q, shape):
+    stack = np.random.default_rng(q).integers(0, q, (300,) + shape).astype(np.int32)
+    whole = stack_keys(stack, q)  # 300 rows: one block of the default size
+    monkeypatch.setattr(linalg, "_STACK_CHUNK", 7)  # 43 blocks, the last one short
+    assert np.array_equal(stack_keys(stack, q), whole)
+    assert np.array_equal(stack_keys(stack[::2, 1:], q), stack_keys(np.ascontiguousarray(stack[::2, 1:]), q))
 
 
 def _byte_keys(stack: np.ndarray) -> np.ndarray:

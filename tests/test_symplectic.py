@@ -357,38 +357,37 @@ def test_a_cells_tables_are_released_once_the_grid_moves_on():
     assert points() is None and group() is None
 
 
-def test_a_cells_space_generators_and_similitude_are_released_once_the_grid_moves_on():
+def test_a_cells_space_generators_and_similitude_are_released_once_the_grid_moves_on(fresh_cell):
     # tuples and slotted objects take no weak reference: each is watched through the arrays it holds
     sp = make_space(3, 2)
     held = [weakref.ref(sp), weakref.ref(cayley(3, 2).m.a)]
     held += [weakref.ref(g.mat.a) for tag in (TAG_SP_F, TAG_SP_0) for g in generators(sp, tag)]
+    log = weakref.ref(sp.fp.code_tables().log)
     del sp
-    run_check("lemma4", 3, 1, 10**5, 10**5)
+    gc.disable()  # the field holds no cycle: it goes with its cell by reference counts alone
+    try:
+        run_check("lemma4", 5, 1, 10**5, 10**5)
+        assert log() is None
+    finally:
+        gc.enable()
     gc.collect()
     assert [ref() for ref in held] == [None] * len(held)
 
 
-def _is_lru_cache(node) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
-        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
-    )
+_FUNCTION_CACHES = ("lru_cache", "cache", "cached_property")
 
 
-def test_lru_cache_decorates_only_make_fields():
-    """Per-cell objects live in the cell slot; a process-lifetime cache holds per-field constants only."""
+def test_no_function_cache_in_src():
+    """The cell slot is the only cache in the package: no `functools` cache appears in `src/`."""
     found = []
     for path in sorted(Path(symplectic.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        # each node of a decorator, by the name it decorates; any other use is named by its line
-        decorates = {
-            id(sub): node.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            for dec in node.decorator_list
-            for sub in ast.walk(dec)
-        }
-        found += [(path.name, decorates.get(id(node), node.lineno)) for node in ast.walk(tree) if _is_lru_cache(node)]
-    assert found == [("field.py", "make_fields")]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [(path.name, alias.name) for alias in node.names if alias.name in _FUNCTION_CACHES]
+            elif isinstance(node, ast.Attribute) and node.attr in _FUNCTION_CACHES:
+                if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                    found.append((path.name, node.attr))
+    assert found == []
 
 
 def test_the_cell_slot_is_keyed_on_the_whole_cell_and_memoizes():
