@@ -37,7 +37,6 @@ from .lagrangian import (
     witnesses,
 )
 from .orbits import (
-    OrbitRecord,
     PartitionReport,
     act,
     partition,

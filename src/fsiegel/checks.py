@@ -130,15 +130,15 @@ def check_theorem1(q: int, n: int, cap_group: int, cap_points: int) -> dict:
     part_f, part_0 = (cell_partition(q, n, tag, cap_points) for tag in (TAG_SP_F, TAG_SP_0))
 
     def orbits_are_strata(part, labels) -> bool:
-        """The orbits' sets of rows are the strata's, and no orbit has a conflict."""
-        strata_rows = {frozenset(np.flatnonzero(labels == r).tolist()) for r in range(n + 1)}
-        return {frozenset(o.rows.tolist()) for o in part.orbits} == strata_rows and not part.conflicts
+        """No orbit has a conflict, so each lies in one stratum, and the representatives'
+        labels are 0..n, each once: then each stratum is one orbit, and an empty one fails."""
+        return not part.conflicts.size and np.array_equal(np.sort(labels[part.reps]), np.arange(n + 1))
 
     sub = {
         "rational_orbits_equal_h_strata": orbits_are_strata(part_f, table.h_rank),
         "unitary_orbits_equal_o_strata": orbits_are_strata(part_0, table.o_type),
         "every_orbit_meets_image": all(
-            table.in_image[orb.rows].any() for part in (part_f, part_0) for orb in part.orbits
+            np.bincount(part.orbit[table.in_image], minlength=len(part.reps)).all() for part in (part_f, part_0)
         ),
     }
     if n == 1:
@@ -152,8 +152,8 @@ def check_theorem1(q: int, n: int, cap_group: int, cap_points: int) -> dict:
         )
     return {
         "strata": rows,
-        "rational_orbit_sizes": sorted(part_f.sizes()),
-        "unitary_orbit_sizes": sorted(part_0.sizes()),
+        "rational_orbit_sizes": sorted(part_f.sizes().tolist()),
+        "unitary_orbit_sizes": sorted(part_0.sizes().tolist()),
         "subchecks": sub,
         "ok": all(sub.values()),
     }

@@ -57,6 +57,14 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"bad {what} list: {text!r}")
     if not vals:
         raise UsageError(f"empty {what} list")
+    return _distinct(vals, what)
+
+
+def _distinct(vals: list, what: str) -> list:
+    """The values of a grid flag, each once: a repeat is a usage error naming it."""
+    for i, v in enumerate(vals):
+        if v in vals[:i]:
+            raise UsageError(f"repeated {what} value: {v}")
     return vals
 
 
@@ -81,7 +89,7 @@ def _parse_ns(text: str) -> list[int]:
 
 def _field_echo(qs: list[int]) -> dict:
     out = {}
-    for q in sorted(set(qs)):
+    for q in sorted(qs):
         out[str(q)] = {"eps": FieldParams(q).eps, "epsilon_f": epsilon_f(q), "tau_f": tau_f(q)}
     return out
 
@@ -193,6 +201,7 @@ def _cmd_verify(args, caps) -> tuple[dict, int]:
         unknown = [c for c in selected if c not in CHECK_IDS]
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
+        _distinct(selected, "--checks")
     _positive(args.jobs, "--jobs")
 
     cayley_params = {}
@@ -218,16 +227,14 @@ def _cmd_orbits(args, caps) -> tuple[dict, int]:
 
     def body(q, n):
         part = cell_partition(q, n, args.group, caps["points"])
+        table, reps = part.table, part.reps
         orbits = [
-            {
-                "size": orb.size,
-                "representative": orb.representative.encode(),
-                "h_rank": lab.h_rank,
-                "o_type": lab.o_type,
-            }
-            for orb, lab in zip(part.orbits, part.labels)
+            {"size": size, "representative": table[rep].encode(), "h_rank": h_rank, "o_type": o_type}
+            for rep, size, h_rank, o_type in zip(
+                reps.tolist(), part.sizes().tolist(), table.h_rank[reps].tolist(), table.o_type[reps].tolist()
+            )
         ]
-        status = "pass" if not part.conflicts else "fail"
+        status = "pass" if not part.conflicts.size else "fail"
         return status, {"orbits": orbits, "conflicts": len(part.conflicts)}
 
     return _report(args, caps, _single(f"orbits-{args.group}", body), group=args.group)

@@ -3,15 +3,16 @@
 Everything here is schedule-independent by construction: partitions sweep
 their input in sorted order, so each orbit's representative is its
 lexicographically smallest member, and the resulting report is identical
-no matter how the frontier was expanded.  Transporter words are the one
-exception (they depend on the exploration schedule of the BFS) and are
-therefore excluded from report equality.
+no matter how the frontier was expanded.  A walk's parent pointers and
+generators are the one exception (they depend on the exploration schedule
+of the BFS), and no report holds them.
 
-Points are rows of a sorted `PointTable`, and an orbit's members are a
-sorted array of its rows.  Each orbit is a BFS component over an int
-action table (row -> image row, a column per generator), its words read
-off the parent pointers, a Schreier vector (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, section 4.1): `_walk`, shared by
+Points are rows of a sorted `PointTable`, and a partition is one row
+array: the orbit number of each row, orbits numbered by their smallest
+rows (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+section 4.1).  Each orbit is a BFS component over an int action table
+(row -> image row, a column per generator), walked with the parent
+pointers and generators of a Schreier vector: `_walk`, shared by
 `partition`, the stabilizers' V_k orbits and the involution classes.
 
 A cell's generator tables are built by `cayley._cell_actions`, once while
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VerificationFailure
-from .lagrangian import Lagrangian, PointTable, StratumLabel, _from_span, span_images
+from .lagrangian import Lagrangian, PointTable, _from_span, span_images
 from .linalg import Mat, blocks, mm
 from .symplectic import EnumeratedGroup, _generator_stack, _mat, frontier_closure
 
@@ -36,42 +37,22 @@ def act(g, w: Lagrangian) -> Lagrangian:
     return _from_span(w.space, mm(w.space.fp, _mat(g).a, w.basis.a))
 
 
-class OrbitRecord:
-    """One orbit: its rows in a point table, sorted, and words over generator indices.
+class PartitionReport:
+    """Orbits of a point table as row arrays.
 
-    Built from a BFS over the table's rows: found[0] is the seed, and row
-    found[i], i > 0, is the image of row found[parent[i]] under generator
-    via[i].  `_walk` checks that for every i in its action table, so by
-    induction every word reproduces its point.
+    `orbit[i]` is the orbit number of row i, orbits numbered by their
+    smallest rows `reps`, ascending; `conflicts` are the orbits holding a
+    row whose invariant differs from its representative's, ascending.
     """
 
-    __slots__ = ("table", "rows", "found", "parent", "via")
+    __slots__ = ("table", "orbit", "reps", "conflicts")
 
-    def __init__(self, table: PointTable, found: np.ndarray, parent: np.ndarray, via: np.ndarray):
-        self.table, self.rows, self.found = table, np.sort(found), found
-        self.parent, self.via = parent, via
+    def __init__(self, table: PointTable, orbit: np.ndarray, reps: np.ndarray, conflicts: np.ndarray):
+        self.table, self.orbit, self.reps, self.conflicts = table, orbit, reps, conflicts
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def representative(self) -> Lagrangian:
-        return self.table[self.found[0]]
-
-
-class PartitionReport:
-    """Orbits of a point set, each annotated with its stratum label."""
-
-    __slots__ = ("orbits", "labels", "conflicts")
-
-    def __init__(self, orbits: list[OrbitRecord], labels: list[StratumLabel], conflicts: list):
-        self.orbits = orbits
-        self.labels = labels
-        self.conflicts = conflicts
-
-    def sizes(self) -> list[int]:
-        return [o.size for o in self.orbits]
+    def sizes(self) -> np.ndarray:
+        """The orbit sizes, in the order of `reps`."""
+        return np.bincount(self.orbit, minlength=len(self.reps))
 
 
 def _action_table(table: PointTable, mats: np.ndarray) -> np.ndarray:
@@ -120,37 +101,32 @@ def partition(
 
     Each orbit's representative is its smallest member.  `invariant`
     names the label column expected to be constant on orbits ("h_rank"
-    for the rational group, "o_type" for the h_0-unitary one); members
-    disagreeing with their representative in that column are recorded as
-    conflicts, never silently dropped.  The orbits are BFS components over
-    the generators' action table on the table's rows: `action` when given
-    (a cell's derived table, `cayley._cell_actions`), else `_action_table`.
+    for the rational group, "o_type" for the h_0-unitary one); an orbit
+    with a row disagreeing with its representative in that column is
+    recorded as a conflict, never silently dropped.  The orbits are BFS
+    components over the generators' action table on the table's rows:
+    `action` when given (a cell's derived table, `cayley._cell_actions`),
+    else `_action_table`.  A walk that reaches a row of an earlier orbit
+    raises VerificationFailure.
     """
     if action is None:
         action = _action_table(table, _generator_stack(table.space, gens))
-
-    def label(i) -> StratumLabel:
-        return StratumLabel(int(table.h_rank[i]), int(table.o_type[i]))
-
-    orbits: list[OrbitRecord] = []
-    labels: list[StratumLabel] = []
-    conflicts = []
-    seen = np.zeros(len(table), dtype=bool)
+    orbit = np.full(len(table), -1, dtype=action.dtype)
+    reps = []
     for s in range(len(table)):
-        if seen[s]:
+        if orbit[s] >= 0:
             continue
-        rec = OrbitRecord(table, *_walk(action, s))
-        seen[rec.rows] = True
-        if invariant is not None:
-            inv = getattr(table, invariant)
-            bad = rec.rows[inv[rec.rows] != inv[s]]
-            if bad.size:
-                conflicts.append((table[s], table[bad[0]], label(bad[0])))
-        orbits.append(rec)
-        labels.append(label(s))
-    if sum(o.size for o in orbits) != len(table):
-        raise VerificationFailure("orbits do not cover the point set")
-    return PartitionReport(orbits, labels, conflicts)
+        found = _walk(action, s)[0]
+        if np.any(orbit[found] >= 0):
+            raise VerificationFailure("orbits do not cover the point set")
+        orbit[found] = len(reps)
+        reps.append(s)
+    reps = np.array(reps, dtype=np.intp)
+    conflicts = np.empty(0, dtype=np.intp)
+    if invariant is not None:
+        inv = getattr(table, invariant)
+        conflicts = np.flatnonzero(np.bincount(orbit[inv != inv[reps][orbit]], minlength=len(reps)))
+    return PartitionReport(table, orbit, reps, conflicts)
 
 
 def stabilizer_elements(point: Lagrangian, group: EnumeratedGroup) -> EnumeratedGroup:

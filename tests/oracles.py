@@ -11,9 +11,9 @@ that the package's row and stack routes replaced.
 The scalar API that no subcommand calls left the package for the end of
 this file, its bodies unchanged:
 - the single-seed `orbit` BFS, which rechecks every edge on the generator
-  stack, and the views of its records: `orbit_members`, `transporters`,
-  `member_keys` and `as_sets` (once `OrbitRecord` and `PartitionReport`
-  methods);
+  stack, with its `OrbitRecord` (once the package's record of each orbit of
+  a partition), and the views `orbit_members`, `transporters`, `member_keys`
+  and `as_sets` of its records and of partition reports;
 - lemma4's scalar routes `conjugate_pair_dims`, `intersection_with_conj`
   and `h_e_radical`, and the census by label `strata`;
 - the scalar kernel's oracles `kernel_arr`, `det_arr`, `mat_det` and
@@ -41,7 +41,7 @@ from fsiegel.linalg import (
     PAIR_DTYPE, Mat, block, blocks, entry_bytes, mm, rank_stack, rcef, rcef_stack, rref, sorted_stack, stack_keys,
     symmetric_stack,
 )
-from fsiegel.orbits import OrbitRecord, act
+from fsiegel.orbits import act
 from fsiegel.symplectic import (
     TAG_SP_0, TAG_SP_E, TAG_SP_F, _generator_stack, frontier_closure, group_element, make_space,
 )
@@ -657,6 +657,29 @@ def unitary_by_scan(fp, m: int) -> list[Mat]:
 
 # -- the scalar API that no subcommand calls ----------------------------------
 
+class OrbitRecord:
+    """One orbit: its rows in a point table, sorted, and words over generator indices.
+
+    Built from a BFS over the table's rows: found[0] is the seed, and row
+    found[i], i > 0, is the image of row found[parent[i]] under generator
+    via[i].
+    """
+
+    __slots__ = ("table", "rows", "found", "parent", "via")
+
+    def __init__(self, table: PointTable, found: np.ndarray, parent: np.ndarray, via: np.ndarray):
+        self.table, self.rows, self.found = table, np.sort(found), found
+        self.parent, self.via = parent, via
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    @property
+    def representative(self) -> Lagrangian:
+        return self.table[self.found[0]]
+
+
 def orbit(seed, gens, cap=None) -> OrbitRecord:
     """BFS orbit of the seed, one stacked canonicalization per frontier.
 
@@ -676,9 +699,14 @@ def orbit(seed, gens, cap=None) -> OrbitRecord:
     return OrbitRecord(table, table.rows(bases), parent, via)
 
 
-def orbit_members(rec) -> list:
-    """An orbit record's points, sorted, as `Lagrangian`s."""
-    return [rec.table[i] for i in rec.rows.tolist()]
+def orbit_rows(report, k: int | None = None) -> np.ndarray:
+    """The sorted rows of an orbit record, or of orbit k of a partition report."""
+    return report.rows if k is None else np.flatnonzero(report.orbit == k)
+
+
+def orbit_members(report, k: int | None = None) -> list:
+    """The points of an orbit record, or of orbit k of a partition report, sorted, as `Lagrangian`s."""
+    return [report.table[i] for i in orbit_rows(report, k).tolist()]
 
 
 def transporters(rec) -> dict:
@@ -689,13 +717,13 @@ def transporters(rec) -> dict:
     return {entry_bytes(rec.table.bases[i]): w for i, w in zip(rec.found.tolist(), words)}
 
 
-def member_keys(rec) -> frozenset:
-    return frozenset(entry_bytes(rec.table.bases[i]) for i in rec.rows.tolist())
+def member_keys(report, k: int | None = None) -> frozenset:
+    return frozenset(entry_bytes(report.table.bases[i]) for i in orbit_rows(report, k).tolist())
 
 
 def as_sets(report) -> set:
     """A partition report's orbits as sets of member keys."""
-    return {member_keys(o) for o in report.orbits}
+    return {member_keys(report, k) for k in range(len(report.reps))}
 
 
 def stabilizer_order(group_order: int, orbit_size: int) -> int:

@@ -59,6 +59,21 @@ def test_unknown_check_id(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value,repeated", [
+    ("--q", "3,5,3", "3"), ("--n", "1,1", "1"), ("--checks", "theorem1,lemma4,theorem1", "theorem1"),
+])
+def test_a_repeated_grid_value_is_a_usage_error(flag, value, repeated, capsys, monkeypatch):
+    """A repeated value is refused before any cell runs, its message naming the value."""
+    def fail(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_check", fail)
+    argv = {"--q": "3", "--n": "1", "--checks": "theorem1", flag: value}
+    code = main(["verify", *(word for item in argv.items() for word in item)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"usage error: repeated {flag} value: {repeated}\n")
+
+
 def test_verify_single_check(capsys):
     code, payload = run_json(capsys, "verify", "--checks", "lemma4", "--q", "3,5", "--n", "1")
     assert code == 0

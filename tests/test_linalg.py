@@ -645,7 +645,7 @@ def _byte_keyings(tree) -> list[str]:
 
 def test_only_linalg_keys_a_stack_by_bytes():
     """Tables key their rows by `stack_keys` codes, and the API's byte keys (`Mat.key`,
-    `Lagrangian.key`, `OrbitRecord`'s member keys and transporter words) are `entry_bytes`:
+    `Lagrangian.key`, and the oracles' member keys and transporter words) are `entry_bytes`:
     no module but `linalg` makes bytes of an array."""
     found = sorted(
         (path.name, owner)

@@ -10,18 +10,20 @@ from fsiegel.symplectic import (
     TAG_SP_F,
     EnumeratedGroup,
     GroupElement,
+    _generator_stack,
     enumerate_symplectic,
     generators,
     group_order,
     make_space,
 )
-from fsiegel.lagrangian import PointTable, enumerate_lagrangians, l_plus
+from fsiegel.lagrangian import PointTable, StratumLabel, enumerate_lagrangians, l_plus
 from fsiegel import linalg, orbits
 from fsiegel.linalg import entry_bytes
 from fsiegel.orbits import act, partition, stabilizer_elements
 from fsiegel.cayley import v_k
 
 from oracles import (
+    OrbitRecord,
     apply_word,
     as_sets,
     l_minus,
@@ -38,6 +40,16 @@ from oracles import (
 def _table(points) -> PointTable:
     """A point table of an explicit list of points, repeats kept."""
     return PointTable(points[0].space, np.stack([w.basis.a for w in points]))
+
+
+def _labels(part) -> list:
+    """The representatives' labels, as `StratumLabel`s."""
+    table = part.table
+    return [StratumLabel(int(table.h_rank[r]), int(table.o_type[r])) for r in part.reps]
+
+
+def _representatives(part) -> list:
+    return [part.table[r] for r in part.reps.tolist()]
 
 
 def test_pivot_rows_are_the_rcef_pivots():
@@ -70,23 +82,23 @@ def test_orbit_partition_sizes_3_1():
     sp = make_space(3, 1)
     pts = enumerate_lagrangians(3, 1)
     pf = partition(pts, generators(sp, TAG_SP_F), invariant="h_rank")
-    assert sorted(pf.sizes()) == [4, 6]
-    by_label = {lab.h_rank: orb.size for orb, lab in zip(pf.orbits, pf.labels)}
+    assert sorted(pf.sizes().tolist()) == [4, 6]
+    by_label = {lab.h_rank: size for size, lab in zip(pf.sizes().tolist(), _labels(pf))}
     assert by_label == {0: 4, 1: 6}
-    assert not pf.conflicts
+    assert not pf.conflicts.size
 
     p0 = partition(pts, generators(sp, TAG_SP_0), invariant="o_type")
-    assert sorted(p0.sizes()) == [4, 6]
-    by_label = {lab.o_type: orb.size for orb, lab in zip(p0.orbits, p0.labels)}
+    assert sorted(p0.sizes().tolist()) == [4, 6]
+    by_label = {lab.o_type: size for size, lab in zip(p0.sizes().tolist(), _labels(p0))}
     assert by_label == {0: 4, 1: 6}
-    assert not p0.conflicts
+    assert not p0.conflicts.size
 
 
 def test_partition_single_fixed_point():
     sp = make_space(3, 1)
     eye = GroupElement(sp.identity, TAG_SP_F)
     rep = partition(_table([l_plus(sp)]), [eye])
-    assert len(rep.orbits) == 1 and rep.orbits[0].size == 1
+    assert rep.reps.tolist() == [0] and rep.orbit.tolist() == [0] and rep.sizes().tolist() == [1]
 
 
 def test_partition_is_schedule_independent():
@@ -96,15 +108,15 @@ def test_partition_is_schedule_independent():
     a = partition(pts, gens, invariant="h_rank")
     b = partition(pts, list(reversed(gens)), invariant="h_rank")
     assert as_sets(a) == as_sets(b)
-    assert [o.representative for o in a.orbits] == [o.representative for o in b.orbits]
+    assert _representatives(a) == _representatives(b)
 
 
 def test_orbit_representative_is_minimum():
     sp = make_space(3, 1)
     pts = enumerate_lagrangians(3, 1)
     pf = partition(pts, generators(sp, TAG_SP_F))
-    for orb in pf.orbits:
-        assert orb.representative == min(orbit_members(orb))
+    for k, rep in enumerate(_representatives(pf)):
+        assert rep == min(orbit_members(pf, k))
 
 
 def _partition_by_seed_orbits(points, gens, invariant):
@@ -116,9 +128,8 @@ def _partition_by_seed_orbits(points, gens, invariant):
         rec = orbit(p, gens)
         visited |= member_keys(rec)
         lab = p.label()
-        bad = [w for w in orbit_members(rec) if getattr(w.label(), invariant) != getattr(lab, invariant)]
-        if bad:
-            conflicts.append((p, bad[0], bad[0].label()))
+        if any(getattr(w.label(), invariant) != getattr(lab, invariant) for w in orbit_members(rec)):
+            conflicts.append(len(orbits))
         orbits.append(rec)
         labels.append(lab)
     return orbits, labels, conflicts
@@ -130,16 +141,20 @@ def test_partition_matches_one_orbit_per_seed(tag, invariant):
     pts = enumerate_lagrangians(3, 2)
     gens = generators(sp, tag)
     part = partition(pts, gens, invariant=invariant)
-    orbits, labels, conflicts = _partition_by_seed_orbits(pts, gens, invariant)
-    assert as_sets(part) == {member_keys(o) for o in orbits}
-    assert [o.representative for o in part.orbits] == [o.representative for o in orbits]
-    assert part.labels == labels
-    assert part.conflicts == conflicts
+    seeded, labels, conflicts = _partition_by_seed_orbits(pts, gens, invariant)
+    assert as_sets(part) == {member_keys(o) for o in seeded}
+    assert [member_keys(part, k) for k in range(len(part.reps))] == [member_keys(o) for o in seeded]
+    assert _representatives(part) == [o.representative for o in seeded]
+    assert _labels(part) == labels
+    assert part.conflicts.tolist() == conflicts
     assert (tag == TAG_SP_E) == bool(conflicts)  # sp is transitive, so h_rank conflicts
-    for orb in part.orbits:
-        assert orbit_members(orb) == sorted(orbit_members(orb))
-        for w in orbit_members(orb):
-            assert apply_word(transporters(orb)[w.key], orb.representative, gens) == w
+    action = orbits._action_table(pts, _generator_stack(sp, gens))
+    for k, rep in enumerate(part.reps.tolist()):
+        walked = OrbitRecord(pts, *orbits._walk(action, rep))
+        assert member_keys(walked) == member_keys(part, k)
+        assert orbit_members(part, k) == sorted(orbit_members(part, k))
+        for w in orbit_members(part, k):
+            assert apply_word(transporters(walked)[w.key], pts[rep], gens) == w
 
 
 @pytest.mark.parametrize("tag,invariant", [(TAG_SP_E, "h_rank"), (TAG_SP_F, "h_rank"), (TAG_SP_0, "o_type")])
@@ -151,10 +166,10 @@ def test_partition_of_a_shuffled_list_matches_the_cell_table(tag, invariant):
     gens = generators(sp, tag)
     a = partition(cell, gens, invariant=invariant)
     b = partition(_table(points), gens, invariant=invariant)
-    assert [o.representative for o in b.orbits] == [o.representative for o in a.orbits]
-    assert b.sizes() == a.sizes()
-    assert b.labels == a.labels
-    assert b.conflicts == a.conflicts
+    assert _representatives(b) == _representatives(a)
+    assert b.sizes().tolist() == a.sizes().tolist()
+    assert _labels(b) == _labels(a)
+    assert b.conflicts.tolist() == a.conflicts.tolist()
     assert as_sets(b) == as_sets(a)
 
 
@@ -172,10 +187,56 @@ def test_theorem1_row_subchecks_match_the_point_objects(q, n):
         ("unitary_orbits_equal_o_strata", TAG_SP_0, "o_type", o_str),
     ):
         part = partition(cell, generators(sp, tag), invariant=inv)
-        want = as_sets(part) == {frozenset(w.key for w in s) for s in str_} and not part.conflicts
+        want = as_sets(part) == {frozenset(w.key for w in s) for s in str_} and not part.conflicts.size
         assert sub[name] == want
-        meets_image &= all(any(w.in_siegel_image() for w in orbit_members(o)) for o in part.orbits)
+        meets_image &= all(
+            any(w.in_siegel_image() for w in orbit_members(part, k)) for k in range(len(part.reps))
+        )
     assert sub["every_orbit_meets_image"] == meets_image
+
+
+def test_theorem1_row_subchecks_read_false_on_wrong_action_tables(monkeypatch):
+    """With identity columns for sp0 every row is its own orbit, so the unitary orbits are not
+    the strata and a row outside the image is an orbit missing it; with the transitive sp table
+    for spf one orbit spans every h stratum, a conflict."""
+    from fsiegel import checks
+    from fsiegel.cayley import _cell_actions
+
+    q, n = 3, 2
+    sp = make_space(q, n)
+    table = enumerate_lagrangians(q, n)
+    sp_action = orbits._action_table(table, _generator_stack(sp, generators(sp, TAG_SP_E)))
+    columns = _cell_actions(q, n)[TAG_SP_0].shape[1]
+    identity = np.repeat(np.arange(len(table), dtype=np.int32)[:, None], columns, axis=1)
+    names = ("rational_orbits_equal_h_strata", "unitary_orbits_equal_o_strata", "every_orbit_meets_image")
+    want = checks.check_theorem1(q, n, 10**5, 10**5)["subchecks"]
+    assert all(want[name] for name in names)
+    monkeypatch.setattr(checks, "_cell_actions", lambda *cell: {TAG_SP_F: sp_action, TAG_SP_0: identity})
+    got = checks.check_theorem1(q, n, 10**5, 10**5)
+    assert got["subchecks"] == {**want, **dict.fromkeys(names, False)}
+    assert not got["ok"]
+    assert got["rational_orbit_sizes"] == [len(table)]
+    assert got["unitary_orbit_sizes"] == [1] * len(table)
+
+
+def test_theorem1_peak_stays_under_twice_the_bases_at_7_2(fresh_cell):
+    """With the point and action tables built, theorem1 at (7,2) holds row arrays beside them: its
+    traced peak stays under 2x the table's bases (3.4x with the orbits' rows kept as Python int
+    sets and a record per orbit)."""
+    import tracemalloc
+
+    from fsiegel.cayley import _cell_actions
+    from fsiegel.checks import check_theorem1
+
+    table = enumerate_lagrangians(7, 2, 200000)
+    _cell_actions(7, 2)
+    tracemalloc.start()
+    try:
+        check_theorem1(7, 2, 10**5, 200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.bases.nbytes, (peak, table.bases.nbytes)
 
 
 def test_orbit_members_are_sorted_rows_of_their_own_table():
@@ -266,12 +327,11 @@ def test_cell_partition_agrees_with_the_direct_tables(q, n):
         gens = generators(sp, tag)
         direct = partition(table, gens, invariant, action=_action_table(table, _generator_stack(sp, gens)))
         cell = cell_partition(q, n, tag, 10**5)
-        assert cell.sizes() == direct.sizes()
-        assert [o.rows.tolist() for o in cell.orbits] == [o.rows.tolist() for o in direct.orbits]
-        assert cell.labels == direct.labels
-        assert [(a.key, b.key, lab) for a, b, lab in cell.conflicts] == [
-            (a.key, b.key, lab) for a, b, lab in direct.conflicts
-        ]
+        assert cell.sizes().tolist() == direct.sizes().tolist()
+        assert cell.orbit.tolist() == direct.orbit.tolist()
+        assert cell.reps.tolist() == direct.reps.tolist()
+        assert _labels(cell) == _labels(direct)
+        assert cell.conflicts.tolist() == direct.conflicts.tolist()
 
 
 def test_transporter_words():
