@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .field import EScalar, epsilon_f, tau_f
-from .lagrangian import Lagrangian, _span_of, enumerate_lagrangians, l_plus
+from .lagrangian import Lagrangian, _span_of, enumerate_lagrangians, l_plus, span_images
 from .linalg import PAIR_DTYPE, Mat, RowTable, block, block_diag, mm, stack_keys
-from .orbits import _action_table, _inverse_rows, _walk, act, stabilizer_elements
+from .orbits import _action_table, _inverse_rows, _walk, stabilizer_elements
 from .symplectic import (
     TAG_SP_0,
     TAG_SP_E,
@@ -202,7 +202,8 @@ def v_k(sp: SpaceParams, k: int) -> Lagrangian:
         raise ParameterError(f"k must lie in 0..{sp.n}, got {k}")
     n = sp.n
     w = _span_of(sp, Mat.identity(sp.fp, n), Mat.diag(sp.fp, [1] * k + [0] * (n - k)))
-    if act(partial_cayley(sp, k), l_plus(sp)) != w:
+    moved = span_images(sp, partial_cayley(sp, k).mat.a[None], l_plus(sp).basis.a[None])[0, 0]
+    if not np.array_equal(moved, w.basis.a):
         raise ConsistencyError("partial transform does not carry the seed onto V_k")
     return w
 

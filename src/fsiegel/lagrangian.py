@@ -39,12 +39,7 @@ from .linalg import (
     PAIR_DTYPE, Mat, RowTable, block, block_diag, blocks, conj_arr, entry_bytes, kernel_stack, mm, rank_stack,
     rcef, rcef_stack, symmetric_stack,
 )
-from .symplectic import SpaceParams, form_gram, make_space, per_cell
-
-
-class StratumLabel(NamedTuple):
-    h_rank: int
-    o_type: int
+from .symplectic import SpaceParams, make_space, per_cell
 
 
 class Lagrangian:
@@ -81,21 +76,6 @@ class Lagrangian:
     def __repr__(self):
         return f"Lagrangian({self.encode()})"
 
-    # -- geometry ----------------------------------------------------------
-
-    def bottom_block(self) -> Mat:
-        n = self.space.n
-        return self.basis.block(n, 2 * n, 0, n)
-
-    def in_siegel_image(self) -> bool:
-        return self.bottom_block().rank() == self.space.n
-
-    def gram(self, form: str) -> Mat:
-        return form_gram(self.space, self.basis, form)
-
-    def label(self) -> StratumLabel:
-        return StratumLabel(self.gram("h_e").rank(), self.gram("h_0").rank())
-
 
 def _from_span(sp: SpaceParams, arr: np.ndarray) -> Lagrangian:
     """Canonicalize a spanning 2n x n array known to be isotropic."""
@@ -109,7 +89,8 @@ def span_images(sp: SpaceParams, mats: np.ndarray, bases: np.ndarray) -> np.ndar
     """Canonical bases of g W for each basis W in a stack and each g in mats.
 
     Takes bases (F, 2n, n, 2) and matrices (G, 2n, 2n, 2); returns the
-    stack (F, G, 2n, n, 2), each entry bit-identical to `act`'s.
+    stack (F, G, 2n, n, 2), each entry bit-identical to the scalar `rcef` of
+    g W (the tests' `act`).
     """
     red, rank = rcef_stack(sp.fp, mm(sp.fp, mats[None], bases[:, None]))
     if np.any(rank != sp.n):
@@ -122,12 +103,24 @@ def _grams(sp: SpaceParams, bases: np.ndarray, core: Mat) -> np.ndarray:
     return mm(sp.fp, mm(sp.fp, bases.swapaxes(1, 2), core.a), conj_arr(bases, sp.q))
 
 
+def _labels(sp: SpaceParams, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h_rank, o_type, in_image) of every basis in a stack: the ranks of its h_e and h_0
+    Gram matrices, and whether its bottom block is invertible (the Siegel image).
+
+    The scalar oracles are `label` and `in_siegel_image` in the tests' oracles.
+    """
+    return (
+        rank_stack(sp.fp, _grams(sp, bases, sp.j)),
+        rank_stack(sp.fp, _grams(sp, bases, sp.d_form)),
+        rank_stack(sp.fp, bases[:, sp.n :]) == sp.n,
+    )
+
+
 class PointTable(RowTable):
     """Points as rows of a `RowTable`: canonical bases (`bases`, its `arr`), with per-point data.
 
-    Per row the table holds the labels (the ranks of the two Gram matrices)
-    and the Siegel-image flag (an invertible bottom block), all built with
-    the table, one `blocks` block at a time, and read-only.  Given `keys`
+    Per row the table holds the labels and the Siegel-image flag of `_labels`,
+    built with the table, one `blocks` block at a time, and read-only.  Given `keys`
     are those of bases already sorted.  Indexing a row gives its `Lagrangian`.
     """
 
@@ -138,10 +131,7 @@ class PointTable(RowTable):
         self.space = sp
         self.h_rank, self.o_type, self.in_image = (np.empty(len(self), dtype=d) for d in (np.int64, np.int64, bool))
         for part in blocks(len(self)):  # the peak is the table plus one block of work
-            w = self.arr[part]
-            self.h_rank[part] = rank_stack(sp.fp, _grams(sp, w, sp.j))
-            self.o_type[part] = rank_stack(sp.fp, _grams(sp, w, sp.d_form))
-            self.in_image[part] = rank_stack(sp.fp, w[:, sp.n :]) == sp.n
+            self.h_rank[part], self.o_type[part], self.in_image[part] = _labels(sp, self.arr[part])
         for arr in (self.h_rank, self.o_type, self.in_image):
             arr.setflags(write=False)
 
@@ -291,10 +281,9 @@ class WitnessRecord(NamedTuple):
 
 
 def _verify(rec_name, sp, w, want_o, want_image, params) -> WitnessRecord:
-    lab = w.label()
-    img = w.in_siegel_image()
-    ok = lab.o_type == want_o and img == want_image
-    detail = f"o_type={lab.o_type}, h_rank={lab.h_rank}, in_image={img}"
+    h_rank, o_type, img = (v.item() for v in _labels(sp, w.basis.a[None]))
+    ok = o_type == want_o and img == want_image
+    detail = f"o_type={o_type}, h_rank={h_rank}, in_image={img}"
     return WitnessRecord(
         rec_name, "verified" if ok else "failed", w, want_o, img, params, detail
     )
@@ -369,8 +358,8 @@ def witnesses(q: int, n: int) -> list[WitnessRecord]:
         rec = _verify(f"coordinate_span_k{k}", sp, w, n, False, {})
         out.append(rec)
         if rec.status == "verified":
-            moved = _from_span(sp, mm(fp, g.a, w.basis.a))
-            ok = moved.in_siegel_image()
+            red = span_images(sp, g.a[None], w.basis.a[None])[0]
+            moved, ok = Lagrangian(sp, Mat(fp, red[0])), _labels(sp, red)[2].item()
             params = {"alpha": alpha.encode(), "beta": beta.encode()}
             status = "verified" if ok else "failed"
             out.append(

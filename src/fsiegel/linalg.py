@@ -427,9 +427,6 @@ class Mat:
     def __getitem__(self, ij) -> EScalar:
         return self.at(*ij)
 
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
-        return Mat(self.fp, self.a[r0:r1, c0:c1])
-
     # -- ring operations ---------------------------------------------------
 
     def _check_same_shape(self, other: "Mat"):

@@ -27,14 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VerificationFailure
-from .lagrangian import Lagrangian, PointTable, _from_span, span_images
+from .lagrangian import Lagrangian, PointTable, span_images
 from .linalg import Mat, blocks, mm
-from .symplectic import EnumeratedGroup, _generator_stack, _mat, frontier_closure
-
-
-def act(g, w: Lagrangian) -> Lagrangian:
-    """Image of the subspace under a group element (or invertible Mat)."""
-    return _from_span(w.space, mm(w.space.fp, _mat(g).a, w.basis.a))
+from .symplectic import EnumeratedGroup, _generator_stack, frontier_closure
 
 
 class PartitionReport:
@@ -113,14 +108,18 @@ def partition(
         action = _action_table(table, _generator_stack(table.space, gens))
     orbit = np.full(len(table), -1, dtype=action.dtype)
     reps = []
-    for s in range(len(table)):
-        if orbit[s] >= 0:
-            continue
-        found = _walk(action, s)[0]
-        if np.any(orbit[found] >= 0):
-            raise VerificationFailure("orbits do not cover the point set")
-        orbit[found] = len(reps)
-        reps.append(s)
+    for part in blocks(len(table)):  # the next seed is read off the rest of one block
+        s = part.start
+        while True:
+            free = orbit[s : part.stop] < 0
+            if not free.any():
+                break
+            s += int(free.argmax())
+            found = _walk(action, s)[0]
+            if np.any(orbit[found] >= 0):
+                raise VerificationFailure("orbits do not cover the point set")
+            orbit[found] = len(reps)
+            reps.append(s)
     reps = np.array(reps, dtype=np.intp)
     conflicts = np.empty(0, dtype=np.intp)
     if invariant is not None:

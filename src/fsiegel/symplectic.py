@@ -94,21 +94,6 @@ def make_space(q: int, n: int) -> SpaceParams:
 
 
 # ---------------------------------------------------------------------------
-# forms
-# ---------------------------------------------------------------------------
-
-def form_gram(sp: SpaceParams, basis: Mat, form: str) -> Mat:
-    """Gram matrix of h_e or h_0 on the columns of basis."""
-    if form == "h_e":
-        core = sp.j
-    elif form == "h_0":
-        core = sp.d_form
-    else:
-        raise ParameterError(f"unknown form {form!r}")
-    return basis.T @ core @ basis.conj()
-
-
-# ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
 
@@ -181,13 +166,9 @@ class GroupElement:
         return f"GroupElement({self.tag}, {self.mat.encode()})"
 
 
-def _mat(g) -> Mat:
-    return g.mat if isinstance(g, GroupElement) else g
-
-
 def _generator_stack(sp: SpaceParams, gens) -> np.ndarray:
     """Generators, as `GroupElement`s or `Mat`s, in one stack (G, 2n, 2n, 2); G may be 0."""
-    mats = [_mat(g).a for g in gens]
+    mats = [(g.mat if isinstance(g, GroupElement) else g).a for g in gens]
     return np.array(mats, dtype=PAIR_DTYPE).reshape(len(mats), sp.dim, sp.dim, 2)
 
 

@@ -10,6 +10,10 @@ that the package's row and stack routes replaced.
 
 The scalar API that no subcommand calls left the package for the end of
 this file, its bodies unchanged:
+- the scalar labels of one point, `label` (a `StratumLabel`), `gram`,
+  `in_siegel_image` and `bottom_block` (once methods of `Lagrangian`) with
+  `form_gram`, the oracles of the stacked `lagrangian._labels`, and the
+  scalar image `act`, the oracle of `span_images`;
 - the single-seed `orbit` BFS, which rechecks every edge on the generator
   stack, with its `OrbitRecord` (once the package's record of each orbit of
   a partition), and the views `orbit_members`, `transporters`, `member_keys`
@@ -30,20 +34,20 @@ this file, its bodies unchanged:
 """
 
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
 from fsiegel.errors import ConsistencyError, ParameterError, ResourceLimitError, ShapeError, VerificationFailure
 from fsiegel.field import EScalar
 from fsiegel.involutions import eigenspace_suite
-from fsiegel.lagrangian import Lagrangian, PointTable, enumerate_lagrangians, span_images
+from fsiegel.lagrangian import Lagrangian, PointTable, _from_span, enumerate_lagrangians, span_images
 from fsiegel.linalg import (
     PAIR_DTYPE, Mat, block, blocks, entry_bytes, mm, rank_stack, rcef, rcef_stack, rref, sorted_stack, stack_keys,
     symmetric_stack,
 )
-from fsiegel.orbits import act
 from fsiegel.symplectic import (
-    TAG_SP_0, TAG_SP_E, TAG_SP_F, _generator_stack, frontier_closure, group_element, make_space,
+    TAG_SP_0, TAG_SP_E, TAG_SP_F, GroupElement, _generator_stack, frontier_closure, group_element, make_space,
 )
 
 
@@ -657,6 +661,52 @@ def unitary_by_scan(fp, m: int) -> list[Mat]:
 
 # -- the scalar API that no subcommand calls ----------------------------------
 
+class StratumLabel(NamedTuple):
+    h_rank: int
+    o_type: int
+
+
+def form_gram(sp, basis: Mat, form: str) -> Mat:
+    """Gram matrix of h_e or h_0 on the columns of basis."""
+    if form == "h_e":
+        core = sp.j
+    elif form == "h_0":
+        core = sp.d_form
+    else:
+        raise ParameterError(f"unknown form {form!r}")
+    return basis.T @ core @ basis.conj()
+
+
+def sub_block(m: Mat, r0: int, r1: int, c0: int, c1: int) -> Mat:
+    return Mat(m.fp, m.a[r0:r1, c0:c1])
+
+
+def bottom_block(w) -> Mat:
+    n = w.space.n
+    return sub_block(w.basis, n, 2 * n, 0, n)
+
+
+def in_siegel_image(w) -> bool:
+    return bottom_block(w).rank() == w.space.n
+
+
+def gram(w, form: str) -> Mat:
+    return form_gram(w.space, w.basis, form)
+
+
+def label(w) -> StratumLabel:
+    return StratumLabel(gram(w, "h_e").rank(), gram(w, "h_0").rank())
+
+
+def _mat(g) -> Mat:
+    return g.mat if isinstance(g, GroupElement) else g
+
+
+def act(g, w: Lagrangian) -> Lagrangian:
+    """Image of the subspace under a group element (or invertible Mat)."""
+    return _from_span(w.space, mm(w.space.fp, _mat(g).a, w.basis.a))
+
+
 class OrbitRecord:
     """One orbit: its rows in a point table, sorted, and words over generator indices.
 
@@ -726,6 +776,26 @@ def as_sets(report) -> set:
     return {member_keys(report, k) for k in range(len(report.reps))}
 
 
+def rational_orbit_size(q: int, n: int, r: int) -> int:
+    """The points of h_rank r, by the closed form of their Sp(2n, F) orbit:
+    #{isotropic (n - r)-subspaces of F^{2n}} |Sp(2r, q)| / |U(r, q)|.
+
+    The subspaces number prod_{i < n - r} (q^{2(n - i)} - 1) / (q^{i + 1} - 1); every
+    product is written out here, none read from the package's group orders.
+    """
+    isotropic, per_line = 1, 1
+    for i in range(n - r):
+        isotropic *= q ** (2 * (n - i)) - 1
+        per_line *= q ** (i + 1) - 1
+    sp_order, u_order = q ** (r * r), q ** (r * (r - 1) // 2)
+    for i in range(1, r + 1):
+        sp_order *= q ** (2 * i) - 1
+        u_order *= q**i - (-1) ** i
+    if isotropic % per_line or sp_order % u_order:
+        raise ConsistencyError(f"the closed form of the h_rank {r} orbit at ({q}, {n}) is not an integer")
+    return isotropic // per_line * (sp_order // u_order)
+
+
 def stabilizer_order(group_order: int, orbit_size: int) -> int:
     if orbit_size <= 0 or group_order % orbit_size != 0:
         raise VerificationFailure(
@@ -771,7 +841,7 @@ def intersection_with_conj(w) -> Mat:
 def h_e_radical(w) -> Mat:
     """Canonical basis of the radical of h_e restricted to W."""
     sp = w.space
-    g = w.gram("h_e")
+    g = gram(w, "h_e")
     ker = mat_kernel(g.T)
     red, _ = rcef(sp.fp, (w.basis @ ker).a)
     return Mat(sp.fp, red)
@@ -834,10 +904,10 @@ def quarters(sp, g: Mat) -> tuple[Mat, Mat, Mat, Mat]:
     """The n x n blocks A, B, C, D of g = (A, B; C, D)."""
     n = sp.n
     return (
-        g.block(0, n, 0, n),
-        g.block(0, n, n, 2 * n),
-        g.block(n, 2 * n, 0, n),
-        g.block(n, 2 * n, n, 2 * n),
+        sub_block(g, 0, n, 0, n),
+        sub_block(g, 0, n, n, 2 * n),
+        sub_block(g, n, 2 * n, 0, n),
+        sub_block(g, n, 2 * n, n, 2 * n),
     )
 
 

@@ -70,9 +70,12 @@ from fsiegel.involutions import (
 from oracles import (
     all_subspaces,
     as_sets,
+    bottom_block,
     det_by_permutations,
     eigenspace_report,
+    in_siegel_image,
     is_isotropic,
+    label,
     mat_det,
     orbit_members,
     padd,
@@ -164,7 +167,7 @@ def test_criterion_03_every_orbit_meets_image():
         for tag in (TAG_SP_F, TAG_SP_0):
             part, _ = _partition(q, n, tag)
             ok &= all(
-                any(w.in_siegel_image() for w in orbit_members(part, k)) for k in range(len(part.reps))
+                any(in_siegel_image(w) for w in orbit_members(part, k)) for k in range(len(part.reps))
             )
     _line(3, "orbit-image-intersection", ok)
     assert ok
@@ -237,19 +240,19 @@ def test_criterion_04_image_containment_per_stratum():
         h_str, o_str = strata(q, n)
         tag = f"({q},{n})"
         if n == 1:
-            sub[tag + " h_top_inside"] = all(w.in_siegel_image() for w in h_str[1])
-            sub[tag + " h_null_outside"] = any(not w.in_siegel_image() for w in h_str[0])
+            sub[tag + " h_top_inside"] = all(in_siegel_image(w) for w in h_str[1])
+            sub[tag + " h_null_outside"] = any(not in_siegel_image(w) for w in h_str[0])
         else:
             for j in range(n + 1):
                 sub[tag + f" o{j}_has_nonimage"] = any(
-                    not w.in_siegel_image() for w in o_str[j]
+                    not in_siegel_image(w) for w in o_str[j]
                 )
-            inside = [w for w in h_str[n] if w.in_siegel_image()]
-            outside = [w for w in h_str[n] if not w.in_siegel_image()]
+            inside = [w for w in h_str[n] if in_siegel_image(w)]
+            outside = [w for w in h_str[n] if not in_siegel_image(w)]
             want_in, want_out = _top_split_n2(q)
             sub[tag + " h_top_inside_count"] = len(inside) == want_in
             sub[tag + " h_top_outside_count"] = len(outside) == want_out and all(
-                w.bottom_block().rank() == n - 1 for w in outside
+                bottom_block(w).rank() == n - 1 for w in outside
             )
             if (q, n) == (3, 2):
                 sub[tag + " h_top_inside_is_nondegenerate_siegel"] = (
@@ -262,7 +265,7 @@ def test_criterion_04_image_containment_per_stratum():
                     example = f"; one outside point at (3,2) is [{outside[0].encode()}]"
             for j in range(n):
                 sub[tag + f" h{j}_has_nonimage"] = any(
-                    not w.in_siegel_image() for w in h_str[j]
+                    not in_siegel_image(w) for w in h_str[j]
                 )
             splits.append(
                 f"{tag} top {len(h_str[n])} = {len(inside)} inside + {len(outside)} outside"
@@ -471,7 +474,7 @@ def test_criterion_13_conjugate_pair_dimensions():
     ok = True
     for q, n in [(3, 1), (5, 1), (3, 2)]:
         for w in enumerate_lagrangians(q, n):
-            r = w.label().h_rank
+            r = label(w).h_rank
             ok &= conjugate_pair_dims(w) == (n + r, n - r)
             ok &= intersection_with_conj(w) == h_e_radical(w)
     _line(13, "conjugate-pair-dimensions", ok)
@@ -481,7 +484,7 @@ def test_criterion_13_conjugate_pair_dimensions():
 def test_criterion_14_siegel_cell_size():
     sizes = {}
     for q, n, want in [(3, 1, 9), (3, 2, 729)]:
-        got = sum(1 for w in enumerate_lagrangians(q, n) if w.in_siegel_image())
+        got = sum(1 for w in enumerate_lagrangians(q, n) if in_siegel_image(w))
         sizes[(q, n)] = got
         assert got == want == q ** (n * (n + 1))
     _line(14, "siegel-cell-size", True, f"{sizes}")

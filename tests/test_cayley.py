@@ -29,7 +29,7 @@ from fsiegel.symplectic import (
     v_k_orbit_size,
 )
 from fsiegel.lagrangian import PointTable, enumerate_lagrangians, from_basis, l_plus, witnesses
-from fsiegel.orbits import _action_table, act
+from fsiegel.orbits import _action_table
 from fsiegel.involutions import _anti_involution_suite, _square_scalars
 from fsiegel.cayley import (
     CayleyData,
@@ -47,6 +47,7 @@ from fsiegel.cayley import (
 )
 
 from oracles import (
+    act,
     e_vec,
     l_minus,
     levi_by_two_blocks,
@@ -54,7 +55,9 @@ from oracles import (
     mat_det,
     orbit,
     orthogonal_by_scan,
+    rational_orbit_size,
     strata,
+    sub_block,
     unipotent_by_slots,
     unitary_by_scan,
     v_k_span_by_hand,
@@ -434,7 +437,9 @@ def test_stabilizers_skip_on_the_point_table_when_only_the_orbit_fits(cap):
 @pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (3, 2), (5, 2)])
 def test_the_checks_orbit_sizes_are_the_closed_forms(q, n):
     sizes = [v_k_orbit_size(q, n, k) for k in range(n + 1)]
-    assert checks.check_theorem1(q, n, 10**5, 10**5)["unitary_orbit_sizes"] == sorted(sizes)
+    theorem1 = checks.check_theorem1(q, n, 10**5, 10**5)
+    assert theorem1["unitary_orbit_sizes"] == sorted(sizes)
+    assert theorem1["rational_orbit_sizes"] == sorted(rational_orbit_size(q, n, r) for r in range(n + 1))
     per_k = checks.check_stabilizers(q, n, 10**5, 10**5)["per_k"]
     assert [entry["orbit_size"] for entry in per_k] == sizes
 
@@ -470,7 +475,7 @@ def _scalar_zero_block_report(q, n) -> dict:
     sp = make_space(q, n)
     fp = sp.fp
     group = enumerate_symplectic(sp, TAG_SP_0, 10**5)
-    got = {entry_bytes(g.mat.a) for g in group if g.mat.block(n, 2 * n, 0, n).is_zero}
+    got = {entry_bytes(g.mat.a) for g in group if sub_block(g.mat, n, 2 * n, 0, n).is_zero}
     u_elems = importlib.import_module("fsiegel.cayley").unitary_group_elements(fp, n)
     zero = Mat.zeros(fp, n, n)
     want = {entry_bytes(block(fp, [[a, zero], [zero, a.conj()]]).a) for a in u_elems}

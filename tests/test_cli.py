@@ -1,5 +1,7 @@
 import ast
 import gc
+import importlib
+import importlib.util
 import json
 import os
 import signal
@@ -430,6 +432,16 @@ def test_verify_of_a_group_cell_leaves_numpy_ma_unimported(tmp_path):
         assert proc.stdout.split() == ["False", code], proc.stderr
 
 
+def test_import_fsiegel_loads_only_what_cayley_needs():
+    """The package binds only `cayley`, so importing it compiles no other module, and
+    `involutions` least of all."""
+    child = "import sys, fsiegel; print(' '.join(sorted(m for m in sys.modules if m.startswith('fsiegel.'))))"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=_child_env())
+    assert proc.stdout.split() == [
+        f"fsiegel.{m}" for m in ("cayley", "errors", "field", "lagrangian", "linalg", "orbits", "symplectic")
+    ], proc.stderr
+
+
 def test_a_cell_out_of_memory_is_a_skip_record_not_a_traceback():
     """The (11,2) census needs about 400 MB of address space, two copies of the table's 114 MB of
     bases (while they are concatenated and sorted) over 140 MB for Python and numpy: a child that
@@ -525,8 +537,9 @@ _CHEAP_ARGVS = [
 
 # The functions no CLI run needs to reach, each with the reason it stays.  Dunders are
 # exempt: `Mat`, `Lagrangian`, `GroupElement` and `EScalar` need them as values.
-# (`fsiegel.cayley`, `generators` and `make_space` are reached; they also stay exported
-# because the benchmark's set-up code and its alias check import them.)
+# (The package exports only `cayley`, which is reached: the benchmark's alias check
+# asserts that `fsiegel.cayley` is the function it wrapped; its set-up code imports
+# `generators` and `make_space` from `fsiegel.symplectic`.)
 _UNREACHED_BY_DESIGN = {
     # the determinism contract: reports compare equal once it has dropped the wall times
     "cli.strip_volatile",
@@ -537,6 +550,10 @@ _UNREACHED_BY_DESIGN = {
     # `partition`'s fallback when no action table is given: the benchmark's tracer binds
     # `partition`'s `gens` to name its `orbits.partition[spf|sp0]` spans
     "symplectic._generator_stack",
+    # the byte key of the point value type, behind `Lagrangian`'s `__eq__`, `__hash__` and
+    # `__lt__`: runs compare points as table rows, tests as values
+    "lagrangian.Lagrangian.key",
+    "linalg.entry_bytes",
 }
 
 
@@ -579,3 +596,49 @@ def test_every_src_function_is_reached_by_the_cli_or_allow_listed(capsys, fresh_
         if (path.stem, line) not in reached and not (name.rsplit(".", 1)[-1].startswith("__") and name.endswith("__"))
     ]
     assert sorted(set(unreached) ^ _UNREACHED_BY_DESIGN) == []  # neither a new unreached def nor a stale entry
+
+
+# Per-layer span names the benchmark still reads although their functions left `src/` for
+# the oracles: each metric built on them reads 0 on every workload until the benchmark
+# renames them (`lagrangian.label_s`, `label_rref_calls` and `conj_pair_s`, the three
+# `orbits.orbit*` metrics and `orbits.aborted_s`, and half of `symplectic.closure_s`).
+# The list may only shrink.
+_DEAD_SPAN_NAMES = {
+    "lagrangian.strata",
+    "lagrangian.conjugate_pair_dims",
+    "lagrangian.intersection_with_conj",
+    "lagrangian.h_e_radical",
+    "orbits.orbit",
+    "symplectic.enumerate_group",
+}
+
+
+def _benchmark_span_names() -> set:
+    """The span names `perfbench/run.py`'s `per_layer` reads, a `[...]` suffix dropped."""
+    path = SRC.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    per_layer = next(node for node in ast.parse(path.read_text()).body
+                     if isinstance(node, ast.FunctionDef) and node.name == "per_layer")
+    names = {f"checks.check_{cid.replace('-', '_')}" for cid in run.CHECK_IDS} | {"cli.main"}
+    for node in ast.walk(per_layer):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("span", "total", "counter"):
+            args = node.args if node.func.id == "total" else node.args[:1]
+            names |= {arg.value.split("[")[0] for arg in args if isinstance(arg, ast.Constant)}
+    return names
+
+
+def test_every_benchmark_span_name_is_a_public_function_of_its_layer():
+    """A per-layer metric reads its span by name; a function that moves or is renamed leaves
+    the metric at 0 on every run, so each name must still resolve the way the tracer wraps it."""
+    names = _benchmark_span_names()
+    assert "orbits.partition" in names and "checks.check_theorem1" in names
+
+    def resolves(name):
+        layer, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"fsiegel.{layer}"), attr, None)
+        return (not attr.startswith("_") and callable(obj) and not isinstance(obj, type)
+                and obj.__module__ == f"fsiegel.{layer}")
+
+    assert sorted(n for n in names if not resolves(n)) == sorted(_DEAD_SPAN_NAMES)

@@ -18,7 +18,6 @@ from fsiegel.symplectic import (
     make_space,
 )
 from fsiegel.lagrangian import from_basis
-from fsiegel.orbits import act
 from fsiegel.involutions import (
     _equivariant,
     _pairing_identity,
@@ -31,16 +30,20 @@ from fsiegel.involutions import (
 )
 
 from oracles import (
+    act,
     conjugation_closure,
     det_arr,
     eigenspace_model,
     eigenspace_report,
+    gram,
     involution_form,
+    label,
     mat_det,
     mat_kernel,
     pairing_identity_holds,
     smallest_nonresidue,
     strata,
+    sub_block,
 )
 
 CAP = 10**5
@@ -108,7 +111,7 @@ def test_eigenline_of_j_q3():
     i = fp.sqrt(fp.e(-1))
     vec = w.basis
     assert sp.j @ vec == i * vec
-    assert w.label().h_rank == 1
+    assert label(w).h_rank == 1
 
 
 def test_eigenlines_match_closed_forms_q5():
@@ -291,7 +294,9 @@ def test_isotropy_masks_match_the_scalar_loops(q):
     group = enumerate_symplectic(sp, TAG_SP_F, CAP)
     isotropy = {entry_bytes(g.mat.a) for g in group if g.mat @ h_seed == h_seed @ g.mat}
     diagonal = {
-        entry_bytes(g.mat.a) for g in group if g.mat.block(0, 1, 1, 2).is_zero and g.mat.block(1, 2, 0, 1).is_zero
+        entry_bytes(g.mat.a)
+        for g in group
+        if sub_block(g.mat, 0, 1, 1, 2).is_zero and sub_block(g.mat, 1, 2, 0, 1).is_zero
     }
     rep = correspondence_report(q, 1, CAP, 10**4)
     assert rep["isotropy_is_diagonal_subgroup"] and isotropy == diagonal
@@ -353,9 +358,9 @@ def _scalar_eigenspace_report(t: GroupElement) -> dict:
         out["no_rational_vectors"] = joined.rank() == sp.dim
         cross = w.basis.T @ sp.j @ wm.basis.conj()
         out["orthogonal_decomposition"] = cross.is_zero
-        out["top_stratum"] = w.gram("h_e").rank() == sp.n
+        out["top_stratum"] = gram(w, "h_e").rank() == sp.n
     else:
-        out["null_stratum"] = w.gram("h_e").rank() == 0
+        out["null_stratum"] = gram(w, "h_e").rank() == 0
     return out
 
 

@@ -16,7 +16,6 @@ from fsiegel.linalg import Mat, entry_bytes, stack_keys
 from fsiegel.symplectic import TAG_SP_0, TAG_SP_F, generators, make_space
 from fsiegel.lagrangian import (
     PointTable,
-    StratumLabel,
     _conj_intersections,
     _h_e_radicals,
     _point_table,
@@ -27,18 +26,22 @@ from fsiegel.lagrangian import (
     siegel,
     witnesses,
 )
-from fsiegel.orbits import act
 from fsiegel.cayley import v_k
 
 from oracles import (
+    StratumLabel,
+    act,
     all_subspaces,
     chart_bases_by_bottom_blocks,
     conjugate_pair_dims,
+    gram,
     h_e_radical,
     hermitian_type,
+    in_siegel_image,
     intersection_with_conj,
     is_isotropic,
     l_minus,
+    label,
     orbit,
     quarters,
     random_symmetric_by_calls,
@@ -75,11 +78,11 @@ def test_siegel_map_examples():
     sp = make_space(3, 1)
     fp = sp.fp
     assert siegel(sp, Mat.zeros(fp, 1, 1)) == l_minus(sp)
-    assert siegel(sp, Mat.build(fp, [[fp.s]])).label().h_rank == 1
+    assert label(siegel(sp, Mat.build(fp, [[fp.s]]))).h_rank == 1
 
     sp2 = make_space(3, 2)
     w = siegel(sp2, Mat.identity(sp2.fp, 2))
-    assert w.label().o_type == 0
+    assert label(w).o_type == 0
 
     with pytest.raises(ParameterError):
         siegel(sp2, Mat.build(sp2.fp, [[0, 1], [2, 0]]))
@@ -87,8 +90,8 @@ def test_siegel_map_examples():
 
 def test_image_membership():
     sp = make_space(3, 2)
-    assert l_minus(sp).in_siegel_image()
-    assert not l_plus(sp).in_siegel_image()
+    assert in_siegel_image(l_minus(sp))
+    assert not in_siegel_image(l_plus(sp))
 
 
 def test_gram_values():
@@ -98,7 +101,7 @@ def test_gram_values():
     for d1 in fp.elements():
         z = Mat.diag(fp, [d1, fp.one])
         w = siegel(sp, z)
-        g = w.gram("h_0")
+        g = gram(w, "h_0")
         expect = Mat.diag(fp, [fp.one - d1.norm(), fp.zero])
         # gram is computed on the canonical basis, so compare by rank only
         assert g.rank() == expect.rank()
@@ -111,7 +114,7 @@ def test_h_rank_of_siegel_points_matches_z_minus_conj(q, n):
     for z_val in fp.elements():
         z = Mat.diag(fp, [z_val])
         w = siegel(sp, z)
-        assert w.label().h_rank == (z - z.conj()).rank()
+        assert label(w).h_rank == (z - z.conj()).rank()
 
 
 def test_h_rank_of_siegel_points_n2_exhaustive():
@@ -123,7 +126,7 @@ def test_h_rank_of_siegel_points_n2_exhaustive():
             for c in fp.elements():
                 z = Mat.build(fp, [[a, b], [b, c]])
                 w = siegel(sp, z)
-                assert w.label().h_rank == (z - z.conj()).rank()
+                assert label(w).h_rank == (z - z.conj()).rank()
                 count += 1
     assert count == 729
 
@@ -132,11 +135,11 @@ def test_type_equals_gram_rank_via_orthonormalization_oracle():
     fp = FieldParams(3)
     for q, n in [(3, 1), (3, 2)]:
         for w in enumerate_lagrangians(q, n):
-            g = w.gram("h_0")
+            g = gram(w, "h_0")
             gram_pairs = [
                 [(int(g.a[i, j, 0]), int(g.a[i, j, 1])) for j in range(n)] for i in range(n)
             ]
-            assert hermitian_type(q, fp.eps, gram_pairs) == w.label().o_type
+            assert hermitian_type(q, fp.eps, gram_pairs) == label(w).o_type
 
 
 def test_conjugate_examples():
@@ -158,7 +161,7 @@ def test_conjugate_examples():
 @pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (3, 2)])
 def test_conjugate_pair_dims_and_radical_for_all_points(q, n):
     for w in enumerate_lagrangians(q, n):
-        r = w.label().h_rank
+        r = label(w).h_rank
         assert conjugate_pair_dims(w) == (n + r, n - r)
         assert intersection_with_conj(w) == h_e_radical(w)
 
@@ -366,7 +369,7 @@ def test_label_bounds_and_consistency(q, n):
     assert sum(len(x) for x in h_str) == total
     assert sum(len(x) for x in o_str) == total
     for w in enumerate_lagrangians(q, n):
-        lab = w.label()
+        lab = label(w)
         assert 0 <= lab.h_rank <= n and 0 <= lab.o_type <= n
 
 
@@ -378,24 +381,24 @@ def test_label_invariance_under_generators(q, n):
     sample = [points[rng.randrange(len(points))] for _ in range(60)]
     for g in generators(sp, TAG_SP_F):
         for w in sample:
-            assert act(g, w).label().h_rank == w.label().h_rank
+            assert label(act(g, w)).h_rank == label(w).h_rank
     for g in generators(sp, TAG_SP_0):
         for w in sample:
-            assert act(g, w).label().o_type == w.label().o_type
+            assert label(act(g, w)).o_type == label(w).o_type
 
 
 @pytest.mark.parametrize("q,n,cell", [(3, 1, 9), (3, 2, 729)])
 def test_siegel_image_cell_size(q, n, cell):
     pts = enumerate_lagrangians(q, n)
-    assert sum(1 for w in pts if w.in_siegel_image()) == cell == q ** (n * (n + 1))
+    assert sum(1 for w in pts if in_siegel_image(w)) == cell == q ** (n * (n + 1))
 
 
 def test_v_k_labels():
     sp = make_space(3, 2)
     for k in range(3):
         w = v_k(sp, k)
-        assert w.gram("h_e").is_zero
-        assert w.label() == StratumLabel(0, 2 - k)
+        assert gram(w, "h_e").is_zero
+        assert label(w) == StratumLabel(0, 2 - k)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -430,8 +433,8 @@ def test_witnesses_odd_cell():
     odd = recs["odd_null_nonimage"]
     assert odd.status == "verified"
     assert odd.params == {"c": "1", "d": "1"}
-    assert odd.lagrangian.label().o_type == 0
-    assert not odd.lagrangian.in_siegel_image()
+    assert label(odd.lagrangian).o_type == 0
+    assert not in_siegel_image(odd.lagrangian)
 
 
 def test_witnesses_odd_unavailable_when_minus_one_square():
@@ -443,8 +446,8 @@ def test_witness_transporter_moves_into_image():
     recs = {r.name: r for r in witnesses(3, 2)}
     start = recs["coordinate_span_k1"]
     moved = recs["coordinate_span_k1_transported"]
-    assert not start.lagrangian.in_siegel_image()
-    assert moved.lagrangian.in_siegel_image()
+    assert not in_siegel_image(start.lagrangian)
+    assert in_siegel_image(moved.lagrangian)
 
 
 # -- the Siegel criterion's sampled branch against its scalar loop --------------

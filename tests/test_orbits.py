@@ -16,17 +16,21 @@ from fsiegel.symplectic import (
     group_order,
     make_space,
 )
-from fsiegel.lagrangian import PointTable, StratumLabel, enumerate_lagrangians, l_plus
+from fsiegel.lagrangian import PointTable, enumerate_lagrangians, l_plus
 from fsiegel import linalg, orbits
 from fsiegel.linalg import entry_bytes
-from fsiegel.orbits import act, partition, stabilizer_elements
+from fsiegel.orbits import partition, stabilizer_elements
 from fsiegel.cayley import v_k
 
 from oracles import (
     OrbitRecord,
+    StratumLabel,
+    act,
     apply_word,
     as_sets,
+    in_siegel_image,
     l_minus,
+    label,
     member_keys,
     orbit,
     orbit_members,
@@ -127,8 +131,8 @@ def _partition_by_seed_orbits(points, gens, invariant):
             continue
         rec = orbit(p, gens)
         visited |= member_keys(rec)
-        lab = p.label()
-        if any(getattr(w.label(), invariant) != getattr(lab, invariant) for w in orbit_members(rec)):
+        lab = label(p)
+        if any(getattr(label(w), invariant) != getattr(lab, invariant) for w in orbit_members(rec)):
             conflicts.append(len(orbits))
         orbits.append(rec)
         labels.append(lab)
@@ -190,7 +194,7 @@ def test_theorem1_row_subchecks_match_the_point_objects(q, n):
         want = as_sets(part) == {frozenset(w.key for w in s) for s in str_} and not part.conflicts.size
         assert sub[name] == want
         meets_image &= all(
-            any(w.in_siegel_image() for w in orbit_members(part, k)) for k in range(len(part.reps))
+            any(in_siegel_image(w) for w in orbit_members(part, k)) for k in range(len(part.reps))
         )
     assert sub["every_orbit_meets_image"] == meets_image
 
@@ -487,17 +491,19 @@ def test_a_wrong_partition_edge_is_caught(i, monkeypatch):
     assert corrupted and corrupted[0] % 100
 
 
-def test_theorem1_builds_its_orbits_without_scalar_act(monkeypatch):
-    from fsiegel import checks, orbits
+def test_theorem1_builds_its_orbits_without_scalar_act(monkeypatch, fresh_cell):
+    """No point is moved one at a time: the scalar `act` (now an oracle) canonicalized each
+    image with `lagrangian._from_span`, which a cold theorem1 run never calls."""
+    from fsiegel import checks, lagrangian
 
     calls = []
-    act_ = orbits.act
+    from_span = lagrangian._from_span
 
-    def counting(g, w):
+    def counting(sp, arr):
         calls.append(1)
-        return act_(g, w)
+        return from_span(sp, arr)
 
-    monkeypatch.setattr(orbits, "act", counting)
+    monkeypatch.setattr(lagrangian, "_from_span", counting)
     rec = checks.run_check("theorem1", 3, 2, 10**5, 10**5)
     assert rec["status"] != "skipped-resource" and "error" not in rec["data"]
     assert calls == []
